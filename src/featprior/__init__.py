@@ -30,6 +30,7 @@ from .gp_prior import (
     KernelMatrix,
     PriorConfig,
     gp_kl,
+    gp_kl_and_grad,
     gp_kl_grad,
     gram_kernel,
     hinton_soft_target,

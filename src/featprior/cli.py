@@ -2,7 +2,8 @@
 
 Subcommands: train-teacher, extract-features, distill, evaluate, compare.
 All randomness comes from seeds in the JSON config (optionally overridden
-with --seed-override); rerunning a command with the same config produces
+with --seed-override, which ``compare`` rejects because it runs the
+config's ``seeds`` list); rerunning a command with the same config produces
 byte-identical outputs.  Files are written atomically.
 
 Exit codes: 0 success, 1 user or configuration error, 2 numerical failure.
@@ -166,13 +167,18 @@ def _build_parser() -> _Parser:
                            help="model to evaluate (default <out>/student.fpnn)")
         if name == "compare":
             p.add_argument("--jobs", type=int, default=1,
-                           help="concurrent seed runs")
+                           help="concurrent seed runs (>= 1; at most one "
+                                "per seed and per CPU)")
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if args.command == "compare" and args.seed_override is not None:
+            raise ConfigError(
+                "compare does not take --seed-override: it runs every seed "
+                "in the config's seeds list; edit that list instead")
         cfg = load_config(args.config)
         if args.seed_override is not None:
             cfg = cfg.with_seed(args.seed_override)

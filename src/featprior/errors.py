@@ -104,8 +104,11 @@ class BatchTooSmall(FeatPriorError):
     """Batch size below 2; a Gram matrix over one point is degenerate."""
 
 
-class FingerprintMismatch(FeatPriorError):
-    """Feature cache was built from different data or a different teacher."""
+class FingerprintMismatch(BatchMismatch):
+    """Feature cache was built from different data or a different teacher.
+
+    A BatchMismatch whose row counts agree: the fingerprints tell the
+    inputs apart."""
 
 
 class CorruptFile(FeatPriorError):

@@ -17,6 +17,16 @@ The gradient of the KL with respect to the student features is analytic,
 c (K2^{-1} - K1^{-1}) Phi with c the width normalization, which avoids
 differentiating through the Cholesky factorization.
 
+Kernels are factored by LAPACK, and each factor carries L^{-1}
+(``linalg.CholeskyFactor``).  Training takes the KL value and its gradient
+from one fused call, ``gp_kl_and_grad``, built on the single product
+A = L2^{-1} Phi.  With K1 = c Phi Phi^T + j1 I the trace term needs no
+solve against K1:
+
+    tr(K2^{-1} K1) = c ||A||_F^2 + j1 ||L2^{-1}||_F^2
+
+and the gradient reuses A as K2^{-1} Phi = L2^{-T} A.
+
 Baselines kept for comparison: temperature-softened soft-target matching
 on logits (which requires equal logit counts, the restriction the KL prior
 removes) and the plain mean-squared feature distance.
@@ -151,18 +161,37 @@ def gp_kl(k1: KernelMatrix, k2: KernelMatrix) -> float:
     )
 
 
+def gp_kl_and_grad(phi_s, k_s: KernelMatrix, k_t: KernelMatrix,
+                   config: PriorConfig) -> tuple[float, np.ndarray]:
+    """gp_kl(k_s, k_t) and its gradient d/d Phi_s, for k_s =
+    gram_kernel(phi_s, config), from one product A = L_t^{-1} Phi_s.
+
+    With c = 1/p under width normalization (else 1):
+    tr(K_t^{-1} K_s) = c ||A||_F^2 + jitter_s ||L_t^{-1}||_F^2, and the
+    gradient is c (L_t^{-T} A - L_s^{-T} L_s^{-1} Phi_s).
+    """
+    arr = _as_features(phi_s)
+    n, p = arr.shape
+    if k_s.size != n or k_t.size != n:
+        raise DimensionMismatch(
+            f"kernels of size {k_s.size}/{k_t.size} do not match batch {n}"
+        )
+    c = 1.0 / p if config.normalize_by_width else 1.0
+    inv_s, inv_t = k_s.factor.inverse, k_t.factor.inverse
+    a = inv_t @ arr
+    trace = c * float(np.vdot(a, a)) + k_s.jitter * float(np.vdot(inv_t, inv_t))
+    value = 0.5 * (trace - n + linalg.log_det(k_t.factor)
+                   - linalg.log_det(k_s.factor))
+    grad = c * (inv_t.T @ a - inv_s.T @ (inv_s @ arr))
+    return value, grad
+
+
 def gp_kl_grad(phi_s, k1: KernelMatrix, k2: KernelMatrix,
                config: PriorConfig) -> np.ndarray:
     """d gp_kl / d Phi_s for k1 = gram_kernel(phi_s):
-    c (K2^{-1} - K1^{-1}) Phi_s with c = 1/p under width normalization."""
-    arr = _as_features(phi_s)
-    n, p = arr.shape
-    if k1.size != n or k2.size != n:
-        raise DimensionMismatch(
-            f"kernels of size {k1.size}/{k2.size} do not match batch {n}"
-        )
-    c = 1.0 / p if config.normalize_by_width else 1.0
-    return c * (linalg.solve_spd(k2.factor, arr) - linalg.solve_spd(k1.factor, arr))
+    c (K2^{-1} - K1^{-1}) Phi_s with c = 1/p under width normalization.
+    The gradient half of ``gp_kl_and_grad``."""
+    return gp_kl_and_grad(phi_s, k1, k2, config)[1]
 
 
 def prior_log_density(phi_s, phi_t, config: PriorConfig) -> float:

@@ -1,9 +1,12 @@
 """Dense symmetric-positive-definite primitives.
 
-Cholesky factorization plus the log-determinant, linear-solve and
-trace-of-solve routines built on it.  Everything here runs in float64:
-log-determinants and traces of solves on near-singular Gram matrices lose
-too much precision in float32.
+Cholesky factorization (LAPACK, through ``np.linalg.cholesky``) plus the
+log-determinant, linear-solve and trace-of-solve routines built on it.
+Each factor carries L^{-1} as well as L, computed once per factor by a
+2x2-block recursion, so solves and traces of solves are plain matmuls:
+A^{-1} B = L^{-T} (L^{-1} B) and tr(A^{-1} B) = sum(L^{-1} * (L^{-1} B)).
+Everything here runs in float64: log-determinants and traces of solves on
+near-singular Gram matrices lose too much precision in float32.
 
 Inputs asymmetric within ``SYMMETRY_RTOL`` (float accumulation noise) are
 symmetrized as (A + A^T)/2 with a debug log line; larger asymmetry is an
@@ -14,7 +17,6 @@ surfaced to the caller, which owns the jitter policy.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +27,17 @@ log = logging.getLogger(__name__)
 
 SYMMETRY_RTOL = 1e-10
 
+# blocks at or below this size are inverted directly rather than split
+_INVERSE_LEAF = 32
+
 
 @dataclass(frozen=True)
 class CholeskyFactor:
-    """Lower-triangular factor L with A = L L^T, diag(L) > 0."""
+    """Lower-triangular factor L with A = L L^T, diag(L) > 0, and its
+    inverse L^{-1} (also lower triangular)."""
 
     lower: np.ndarray
+    inverse: np.ndarray
     size: int
 
 
@@ -41,11 +48,27 @@ def _as_square(a) -> np.ndarray:
     return arr
 
 
+def _lower_inverse(lower: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular matrix by the block identity
+    [[A, 0], [B, C]]^{-1} = [[A^{-1}, 0], [-C^{-1} B A^{-1}, C^{-1}]]."""
+    n = lower.shape[0]
+    if n <= _INVERSE_LEAF:
+        return np.tril(np.linalg.inv(lower))
+    h = n // 2
+    a_inv = _lower_inverse(lower[:h, :h])
+    c_inv = _lower_inverse(lower[h:, h:])
+    out = np.zeros_like(lower)
+    out[:h, :h] = a_inv
+    out[h:, h:] = c_inv
+    out[h:, :h] = -(c_inv @ (lower[h:, :h] @ a_inv))
+    return out
+
+
 def cholesky(a) -> CholeskyFactor:
     """Factor a symmetric positive-definite matrix as L L^T.
 
     Raises NotSymmetric when the relative asymmetry exceeds SYMMETRY_RTOL
-    and NotPositiveDefinite when a pivot is non-positive.
+    and NotPositiveDefinite when LAPACK meets a non-positive pivot.
     """
     arr = _as_square(a)
     n = arr.shape[0]
@@ -58,19 +81,14 @@ def cholesky(a) -> CholeskyFactor:
     if asym > 0.0:
         log.debug("symmetrizing input with asymmetry %.3e", asym)
         arr = 0.5 * (arr + arr.T)
-
-    lower = np.zeros_like(arr)
-    for j in range(n):
-        pivot = arr[j, j] - lower[j, :j] @ lower[j, :j]
-        if not pivot > 0.0:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.6e} at index {j}; matrix needs jitter upstream"
-            )
-        ljj = math.sqrt(pivot)
-        lower[j, j] = ljj
-        if j + 1 < n:
-            lower[j + 1 :, j] = (arr[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / ljj
-    return CholeskyFactor(lower=lower, size=n)
+    try:
+        lower = np.linalg.cholesky(arr)
+        inverse = _lower_inverse(lower)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite(
+            f"{n}x{n} matrix is not positive definite; it needs jitter upstream"
+        ) from None
+    return CholeskyFactor(lower=lower, inverse=inverse, size=n)
 
 
 def reconstruct(f: CholeskyFactor) -> np.ndarray:
@@ -84,31 +102,20 @@ def log_det(f: CholeskyFactor) -> float:
 
 
 def solve_spd(f: CholeskyFactor, b) -> np.ndarray:
-    """Solve A x = b through the factor (forward then back substitution)."""
+    """Solve A x = b as x = L^{-T} (L^{-1} b); b is a vector or a matrix."""
     rhs = np.asarray(b, dtype=np.float64)
-    vector = rhs.ndim == 1
-    if vector:
-        rhs = rhs[:, None]
-    if rhs.ndim != 2 or rhs.shape[0] != f.size:
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != f.size:
         raise DimensionMismatch(
             f"rhs shape {np.shape(b)} does not conform with factor size {f.size}"
         )
-    lower = f.lower
-    n = f.size
-    y = rhs.copy()
-    for i in range(n):
-        y[i] = (y[i] - lower[i, :i] @ y[:i]) / lower[i, i]
-    x = y
-    for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - lower[i + 1 :, i] @ x[i + 1 :]) / lower[i, i]
-    return x[:, 0] if vector else x
+    return f.inverse.T @ (f.inverse @ rhs)
 
 
 def trace_solve(f: CholeskyFactor, b) -> float:
-    """trace(A^{-1} B) via the solve; never forms an explicit inverse."""
+    """trace(A^{-1} B) = sum(L^{-1} * (L^{-1} B)); never forms A^{-1}."""
     arr = _as_square(b)
     if arr.shape[0] != f.size:
         raise DimensionMismatch(
             f"matrix of size {arr.shape[0]} does not conform with factor size {f.size}"
         )
-    return float(np.trace(solve_spd(f, arr)))
+    return float(np.vdot(f.inverse, f.inverse @ arr))

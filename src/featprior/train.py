@@ -17,6 +17,7 @@ Conventions shared by every routine here:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,9 +38,10 @@ from .errors import (
     ConfigError,
     DivergedTraining,
     EmptyExpertSet,
+    FingerprintMismatch,
     LayerOutOfRange,
 )
-from .gp_prior import PriorConfig, gp_kl, gp_kl_grad, gram_kernel, hinton_soft_target
+from .gp_prior import PriorConfig, gp_kl_and_grad, gram_kernel, hinton_soft_target
 from .network import (
     AdamConfig,
     AdamState,
@@ -355,13 +357,13 @@ def _fit_epochs(model: Model, dataset: Dataset, schedule: BatchSchedule,
 
 def _kl_node(tape: Tape, phi: Tensor, teacher_kernel, config: PriorConfig) -> Tensor:
     """Scalar node for gp_kl(gram(phi), teacher) with the analytic feature
-    gradient instead of differentiating through the factorization."""
-    k1 = gram_kernel(phi.value, config)
-    value = gp_kl(k1, teacher_kernel)
+    gradient instead of differentiating through the factorization; the
+    value and the gradient come from one fused call."""
+    value, grad = gp_kl_and_grad(phi.value, gram_kernel(phi.value, config),
+                                 teacher_kernel, config)
 
     def backward_fn(out, g):
-        out._accumulate(phi, float(g) * gp_kl_grad(phi.value, k1,
-                                                   teacher_kernel, config))
+        out._accumulate(phi, float(g) * grad)
 
     return tape.custom(value, (phi,), backward_fn)
 
@@ -456,7 +458,8 @@ def _check_cache_alignment(dataset: Dataset, cache: FeatureCache) -> None:
             f"cache rows ({cache.n}) != dataset rows ({dataset.n})"
         )
     if cache.dataset_fingerprint != dataset_fingerprint(dataset):
-        raise BatchMismatch("teacher features were extracted from different inputs")
+        raise FingerprintMismatch(
+            "teacher features were extracted from different inputs")
 
 
 def _make_schedule(train: Dataset, plan: TrainPlan) -> BatchSchedule:
@@ -707,6 +710,17 @@ def compare_one_seed(dataset: Dataset, teacher_spec: NetworkSpec,
     return out
 
 
+def worker_count(n_jobs: int, n_seeds: int, cpu_count: int | None = None) -> int:
+    """Processes ``compare_methods`` runs for ``n_jobs`` requested:
+    min(n_jobs, n_seeds, cpu_count), with cpu_count defaulting to
+    ``os.cpu_count()``.  Values of n_jobs below 1 are a ConfigError."""
+    if n_jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {n_jobs}")
+    if cpu_count is None:
+        cpu_count = os.cpu_count() or 1
+    return min(n_jobs, n_seeds, cpu_count)
+
+
 def compare_methods(dataset: Dataset, teacher_spec: NetworkSpec,
                     student_spec: NetworkSpec, plans, seeds, *,
                     teacher_plan: TrainPlan, mapping: LayerGroupMapping,
@@ -715,7 +729,8 @@ def compare_methods(dataset: Dataset, teacher_spec: NetworkSpec,
     """Run every method across seeds; report mean and standard error.
 
     ``plans`` is either one base plan (the mode field is overridden per
-    method) or a dict {mode: plan}.
+    method) or a dict {mode: plan}.  Seeds run in up to ``n_jobs``
+    processes, clamped by ``worker_count``.
     """
     seeds = [int(s) for s in seeds]
     if len(seeds) < 2:
@@ -730,10 +745,12 @@ def compare_methods(dataset: Dataset, teacher_spec: NetworkSpec,
     if unknown:
         raise ConfigError(f"unknown methods {sorted(unknown)}")
 
+    workers = worker_count(n_jobs, len(seeds))
+
     per_seed: dict[int, dict[str, Metrics]] = {}
-    if n_jobs > 1:
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 seed: pool.submit(
                     compare_one_seed, dataset, teacher_spec, student_spec,

@@ -1,7 +1,8 @@
 """Independent oracles the tests check production code against.
 
 Everything here deliberately avoids the code paths under test: the
-eigensolver is a hand-rolled Jacobi sweep (no Cholesky), the Gaussian KL
+eigensolver is a hand-rolled Jacobi sweep (no Cholesky), the reference
+Cholesky is a column-by-column Python loop (no LAPACK), the Gaussian KL
 uses eigendecompositions and keeps the general mean term, gradients come
 from central finite differences, the IDX decoder reads bytes one at a
 time, and the linear probe is a least-squares classifier.
@@ -35,6 +36,21 @@ def jacobi_eigenvalues(a, sweeps: int = 30, tol: float = 1e-14) -> np.ndarray:
                 rot[q, p] = -s
                 m = rot.T @ m @ rot
     return np.sort(np.diag(m))
+
+
+def cholesky_loop(a) -> np.ndarray:
+    """Lower Cholesky factor by the textbook column loop; raises
+    ValueError at the first non-positive pivot."""
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[0]
+    lower = np.zeros_like(a)
+    for j in range(n):
+        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
+        if not pivot > 0.0:
+            raise ValueError(f"pivot {pivot!r} at index {j}")
+        lower[j, j] = np.sqrt(pivot)
+        lower[j + 1:, j] = (a[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / lower[j, j]
+    return lower
 
 
 def gaussian_kl_eig(mu1, k1, mu2, k2) -> float:

@@ -240,6 +240,24 @@ class TestCompareCommand:
         run("compare", "--config", path, "--out", str(out))
         assert (out / "comparison.csv").read_bytes() == first
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_1(self, tmp_path, capsys, jobs):
+        path = write_config(tmp_path)
+        out = tmp_path / "cmp"
+        assert run("compare", "--config", path, "--out", str(out),
+                   "--jobs", jobs) == 1
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not (out / "comparison.csv").exists()
+
+    def test_seed_override_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        out = tmp_path / "cmp"
+        assert run("compare", "--config", path, "--out", str(out),
+                   "--seed-override", "7") == 1
+        err = capsys.readouterr().err
+        assert "--seed-override" in err and "seeds" in err
+        assert not (out / "comparison.csv").exists()
+
     def test_parallel_jobs_same_table(self, tmp_path):
         path = write_config(tmp_path)
         serial = tmp_path / "serial"

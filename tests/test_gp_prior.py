@@ -17,6 +17,7 @@ from featprior.errors import (
 from featprior.gp_prior import (
     PriorConfig,
     gp_kl,
+    gp_kl_and_grad,
     gp_kl_grad,
     gram_kernel,
     hinton_soft_target,
@@ -157,6 +158,79 @@ class TestGpKlGrad:
         directional = (hi - lo) / (2 * h)
         assert directional == pytest.approx(float(np.sum(grad * phi_s)),
                                             rel=1e-4)
+
+
+class TestGpKlAndGrad:
+    """The fused value+gradient that training calls, against gp_kl,
+    gp_kl_grad, dense numpy solves, central differences and the
+    eigendecomposition oracle."""
+
+    @staticmethod
+    def pair(rng, n, p, cfg, teacher_width=64):
+        phi_s = rng.standard_normal((n, p))
+        k_t = gram_kernel(rng.standard_normal((n, teacher_width)), cfg)
+        return phi_s, gram_kernel(phi_s, cfg), k_t
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("n,p", [(5, 3), (6, 8), (64, 16), (64, 100)])
+    def test_value_equals_gp_kl(self, normalize, n, p):
+        cfg = PriorConfig(normalize_by_width=normalize)
+        phi_s, k_s, k_t = self.pair(np.random.default_rng(60 + n + p), n, p, cfg)
+        value, _ = gp_kl_and_grad(phi_s, k_s, k_t, cfg)
+        assert value == pytest.approx(gp_kl(k_s, k_t), rel=1e-10)
+
+    def test_value_uses_escalated_jitter(self):
+        # the trace identity must use the jitter gram_kernel ended up with
+        phi_s = np.array([[1.0], [1.0]])
+        cfg = PriorConfig(jitter=1e-16, normalize_by_width=False)
+        k_s = gram_kernel(phi_s, cfg)
+        assert k_s.jitter > cfg.jitter
+        k_t = kernel_from_gram(np.eye(2))
+        value, _ = gp_kl_and_grad(phi_s, k_s, k_t, cfg)
+        assert value == pytest.approx(gp_kl(k_s, k_t), rel=1e-10)
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_gradient_matches_gp_kl_grad_and_dense_solves(self, normalize):
+        cfg = PriorConfig(normalize_by_width=normalize)
+        phi_s, k_s, k_t = self.pair(np.random.default_rng(61), 64, 16, cfg)
+        _, grad = gp_kl_and_grad(phi_s, k_s, k_t, cfg)
+        np.testing.assert_array_equal(grad, gp_kl_grad(phi_s, k_s, k_t, cfg))
+        c = 1.0 / 16 if normalize else 1.0
+        dense = c * (np.linalg.solve(k_t.gram, phi_s)
+                     - np.linalg.solve(k_s.gram, phi_s))
+        assert np.max(np.abs(grad - dense)) <= 1e-8 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("n,p", [(3, 2), (4, 6)])
+    def test_gradient_matches_finite_differences(self, normalize, n, p):
+        rng = np.random.default_rng(62)
+        cfg = PriorConfig(jitter=1e-3, normalize_by_width=normalize)
+        phi_s = rng.standard_normal((n, p))
+        k_t = gram_kernel(rng.standard_normal((n, 5)), cfg)
+        _, grad = gp_kl_and_grad(phi_s, gram_kernel(phi_s, cfg), k_t, cfg)
+
+        def f(flat):
+            phi = flat.reshape(n, p)
+            return gp_kl_and_grad(phi, gram_kernel(phi, cfg), k_t, cfg)[0]
+
+        fd = central_diff_gradient(f, phi_s.ravel()).reshape(n, p)
+        assert relative_error(grad, fd) < 1e-4
+
+    @pytest.mark.parametrize("p", [16, 300])
+    def test_batch_256_matches_eigendecomposition_oracle(self, p):
+        # narrow (p < n, rank-deficient Gram held up by jitter) and wide
+        # (p > n) students against a 64-wide teacher at the default jitter
+        cfg = PriorConfig()
+        phi_s, k_s, k_t = self.pair(np.random.default_rng(63), 256, p, cfg)
+        value, _ = gp_kl_and_grad(phi_s, k_s, k_t, cfg)
+        oracle = gaussian_kl_eig(np.zeros(256), k_s.gram, np.zeros(256), k_t.gram)
+        assert value == pytest.approx(oracle, rel=1e-9)
+
+    def test_batch_mismatch(self):
+        cfg = PriorConfig()
+        phi_s, k_s, _ = self.pair(np.random.default_rng(64), 4, 2, cfg)
+        with pytest.raises(DimensionMismatch):
+            gp_kl_and_grad(phi_s, k_s, kernel_from_gram(np.eye(5)), cfg)
 
 
 class TestPriorLogDensity:

@@ -18,7 +18,7 @@ from featprior.linalg import (
     trace_solve,
 )
 
-from oracles import jacobi_eigenvalues
+from oracles import cholesky_loop, jacobi_eigenvalues
 
 
 def random_spd(rng, n):
@@ -69,6 +69,52 @@ class TestCholesky:
             a = random_spd(rng, n)
             err = np.linalg.norm(reconstruct(cholesky(a)) - a) / np.linalg.norm(a)
             assert err < 1e-8
+
+
+class TestLargeSizes:
+    """Sizes the batch-256 prior factors every step."""
+
+    def test_indefinite_64_rejected(self):
+        rng = np.random.default_rng(20)
+        q, _ = np.linalg.qr(rng.standard_normal((64, 64)))
+        eigenvalues = np.linspace(1.0, 2.0, 64)
+        eigenvalues[17] = -1e-3
+        a = (q * eigenvalues) @ q.T
+        with pytest.raises(NotPositiveDefinite):
+            cholesky(0.5 * (a + a.T))
+
+    def test_reconstruction_roundtrip_256(self):
+        a = random_spd(np.random.default_rng(21), 256)
+        err = np.linalg.norm(reconstruct(cholesky(a)) - a) / np.linalg.norm(a)
+        assert err < 1e-8
+
+    def test_matches_loop_factor(self):
+        a = random_spd(np.random.default_rng(22), 64)
+        expected = cholesky_loop(a)
+        got = cholesky(a).lower
+        assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n", [1, 31, 33, 100, 256])
+    def test_carried_inverse(self, n):
+        f = cholesky(random_spd(np.random.default_rng(23), n))
+        np.testing.assert_array_equal(f.inverse, np.tril(f.inverse))
+        assert np.max(np.abs(f.inverse @ f.lower - np.eye(n))) < 1e-10
+
+    @pytest.mark.parametrize("shape", [(256,), (256, 5)])
+    def test_solve_recovers_random_solution_256(self, shape):
+        rng = np.random.default_rng(24)
+        a = random_spd(rng, 256)
+        x = rng.standard_normal(shape)
+        got = solve_spd(cholesky(a), a @ x)
+        assert got.shape == shape
+        assert np.max(np.abs(got - x)) / np.max(np.abs(x)) < 1e-7
+
+    def test_trace_solve_256(self):
+        rng = np.random.default_rng(25)
+        a = random_spd(rng, 256)
+        b = random_spd(rng, 256)
+        expected = float(np.trace(np.linalg.solve(a, b)))
+        assert trace_solve(cholesky(a), b) == pytest.approx(expected, rel=1e-9)
 
 
 class TestLogDet:

@@ -4,6 +4,8 @@ and the multi-seed comparison."""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -14,6 +16,7 @@ from featprior.errors import (
     BatchMismatch,
     ConfigError,
     EmptyExpertSet,
+    FingerprintMismatch,
     LayerOutOfRange,
 )
 from featprior.gp_prior import PriorConfig, gp_kl, gram_kernel
@@ -34,6 +37,7 @@ from featprior.train import (
     run_distillation,
     run_log_csv,
     train_teacher,
+    worker_count,
 )
 
 
@@ -221,6 +225,23 @@ class TestPhase1:
             phase1_feature_fit(student, other, cache,
                                LayerGroupMapping(entries=((0, 1),)),
                                TrainPlan(seed=8, batch_size=16))
+
+    def test_alignment_error_types(self, rings_setup):
+        ds, _, _, cache = rings_setup
+        student = init_params(NetworkSpec.dense(2, [8], 2), seed=8)
+
+        def fit(dataset):
+            phase1_feature_fit(student, dataset, cache,
+                               LayerGroupMapping(entries=((0, 1),)),
+                               TrainPlan(seed=8, batch_size=16))
+
+        same_rows = synth_rings(100, 2, noise=0.1, seed=4)
+        assert same_rows.n == ds.n
+        with pytest.raises(FingerprintMismatch):
+            fit(same_rows)
+        with pytest.raises(BatchMismatch) as excinfo:
+            fit(synth_rings(60, 2, noise=0.1, seed=3))
+        assert not isinstance(excinfo.value, FingerprintMismatch)
 
 
 class TestPhase2:
@@ -483,6 +504,22 @@ class TestCompareMethods:
             replace(args["plans"], seed=1, mode="naive"))
         assert result.methods["naive"].per_seed[0].accuracy == pytest.approx(
             direct.metrics.accuracy)
+
+    @pytest.mark.parametrize("jobs,seeds,cpus,expected", [
+        (1, 5, 8, 1), (3, 5, 8, 3), (8, 5, 8, 5), (8, 5, 2, 2),
+        (10_000, 5, 2, 2), (4, 2, 16, 2)])
+    def test_worker_count_clamps(self, jobs, seeds, cpus, expected):
+        assert worker_count(jobs, seeds, cpus) == expected
+
+    def test_worker_count_defaults_to_cpu_count(self):
+        assert 1 <= worker_count(10_000, 10_000) <= (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, blobs, jobs):
+        with pytest.raises(ConfigError, match="jobs"):
+            worker_count(jobs, 5, 8)
+        with pytest.raises(ConfigError, match="jobs"):
+            compare_methods(seeds=[1, 2], n_jobs=jobs, **self.tiny_args(blobs))
 
     def test_parallel_jobs_match_serial(self, blobs):
         args = self.tiny_args(blobs)
