@@ -29,6 +29,7 @@ from .data import (
 from .gp_prior import (
     KernelMatrix,
     PriorConfig,
+    feature_kl_and_grad,
     gp_kl,
     gp_kl_and_grad,
     gp_kl_grad,

@@ -150,6 +150,14 @@ class ExperimentConfig:
             raise ConfigError("dataset must have at least 2 classes")
         if self.plan.batch_size > dataset.n:
             raise ConfigError("batch size exceeds dataset size")
+        # train-teacher splits on teacher_plan.seed and distill/evaluate on
+        # plan.seed: different seeds would train the teacher on test rows
+        if self.teacher_plan.seed != self.plan.seed:
+            raise ConfigError(
+                f"teacher_plan seed {self.teacher_plan.seed} != plan seed "
+                f"{self.plan.seed}: the teacher would train on the student's "
+                "test rows"
+            )
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         return replace(self, plan=replace(self.plan, seed=seed),

@@ -18,14 +18,28 @@ c (K2^{-1} - K1^{-1}) Phi with c the width normalization, which avoids
 differentiating through the Cholesky factorization.
 
 Kernels are factored by LAPACK, and each factor carries L^{-1}
-(``linalg.CholeskyFactor``).  Training takes the KL value and its gradient
-from one fused call, ``gp_kl_and_grad``, built on the single product
+(``linalg.CholeskyFactor``).  The teacher side K2 is always an n x n
+kernel, and every KL value and gradient is built on the single product
 A = L2^{-1} Phi.  With K1 = c Phi Phi^T + j1 I the trace term needs no
 solve against K1:
 
     tr(K2^{-1} K1) = c ||A||_F^2 + j1 ||L2^{-1}||_F^2
 
 and the gradient reuses A as K2^{-1} Phi = L2^{-T} A.
+
+Training calls ``feature_kl_and_grad``, which picks the student side's
+factorization from the batch shape.  When the batch outnumbers the
+student's features (p < n), K1 has rank p plus jitter, and all its work
+moves onto the p x p matrix M = j1 I_p + c Phi^T Phi (Rasmussen &
+Williams 2006, GPML, App. A.3):
+
+    log|K1| = (n - p) log j1 + log|M|      (Sylvester's determinant identity)
+    K1^{-1} Phi = Phi M^{-1}                (push-through identity)
+
+Neither identity subtracts nearly equal terms.  When p >= n the student
+Gram is factored as an n x n kernel (``gram_kernel``), as it always is in
+``gp_kl`` and ``gp_kl_and_grad``.  The teacher side stays n x n: Woodbury
+there would subtract nearly equal terms scaled by 1/j.
 
 Baselines kept for comparison: temperature-softened soft-target matching
 on logits (which requires equal logit counts, the restriction the KL prior
@@ -35,6 +49,7 @@ removes) and the plain mean-squared feature distance.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +118,33 @@ def _as_features(phi) -> np.ndarray:
     return arr
 
 
+def _scaled_gram(x: np.ndarray, p: int, config: PriorConfig) -> np.ndarray:
+    """x x^T, divided by the feature width p under width normalization,
+    symmetrized."""
+    base = x @ x.T
+    if config.normalize_by_width:
+        base /= p
+    return 0.5 * (base + base.T)
+
+
+def _factor_jittered(base: np.ndarray, jitter: float, what: str):
+    """(base + jitter I, jitter used, its Cholesky factor).  On
+    factorization failure the jitter escalates once by x10 before giving
+    up with FactorizationFailed."""
+    for attempt in range(2):
+        mat = base + jitter * np.eye(base.shape[0])
+        try:
+            return mat, jitter, linalg.cholesky(mat)
+        except NotPositiveDefinite:
+            if attempt == 0 and jitter > 0.0:
+                log.debug("factorization failed, escalating jitter %.1e -> %.1e",
+                          jitter, jitter * _JITTER_ESCALATION)
+                jitter *= _JITTER_ESCALATION
+            else:
+                break
+    raise FactorizationFailed(f"{what} not factorable at jitter {jitter:.1e}")
+
+
 def gram_kernel(phi, config: PriorConfig) -> KernelMatrix:
     """Dot-product Gram of a feature batch, jittered and factored.
 
@@ -111,26 +153,10 @@ def gram_kernel(phi, config: PriorConfig) -> KernelMatrix:
     once by x10 before giving up.
     """
     arr = _as_features(phi)
-    base = arr @ arr.T
-    if config.normalize_by_width:
-        base /= arr.shape[1]
-    base = 0.5 * (base + base.T)
-    jitter = config.jitter
-    for attempt in range(2):
-        gram = base + jitter * np.eye(arr.shape[0])
-        try:
-            factor = linalg.cholesky(gram)
-            return KernelMatrix(gram=gram, jitter=jitter, factor=factor)
-        except NotPositiveDefinite:
-            if attempt == 0 and jitter > 0.0:
-                log.debug("factorization failed, escalating jitter %.1e -> %.1e",
-                          jitter, jitter * _JITTER_ESCALATION)
-                jitter *= _JITTER_ESCALATION
-            else:
-                break
-    raise FactorizationFailed(
-        f"Gram of batch {arr.shape[0]} not factorable at jitter {jitter:.1e}"
-    )
+    n, p = arr.shape
+    gram, jitter, factor = _factor_jittered(_scaled_gram(arr, p, config),
+                                            config.jitter, f"Gram of batch {n}")
+    return KernelMatrix(gram=gram, jitter=jitter, factor=factor)
 
 
 def kernel_from_gram(gram, jitter: float = 0.0) -> KernelMatrix:
@@ -161,6 +187,19 @@ def gp_kl(k1: KernelMatrix, k2: KernelMatrix) -> float:
     )
 
 
+def _kl_against_teacher(arr: np.ndarray, k_t: KernelMatrix, c: float,
+                        jitter_s: float, log_det_s: float):
+    """KL value and K_t^{-1} Phi for the student Gram K_s = c Phi Phi^T +
+    jitter_s I with log|K_s| = log_det_s, from one product A = L_t^{-1} Phi:
+    tr(K_t^{-1} K_s) = c ||A||_F^2 + jitter_s ||L_t^{-1}||_F^2 and
+    K_t^{-1} Phi = L_t^{-T} A."""
+    inv_t = k_t.factor.inverse
+    a = inv_t @ arr
+    trace = c * float(np.vdot(a, a)) + jitter_s * float(np.vdot(inv_t, inv_t))
+    value = 0.5 * (trace - arr.shape[0] + linalg.log_det(k_t.factor) - log_det_s)
+    return value, inv_t.T @ a
+
+
 def gp_kl_and_grad(phi_s, k_s: KernelMatrix, k_t: KernelMatrix,
                    config: PriorConfig) -> tuple[float, np.ndarray]:
     """gp_kl(k_s, k_t) and its gradient d/d Phi_s, for k_s =
@@ -177,13 +216,42 @@ def gp_kl_and_grad(phi_s, k_s: KernelMatrix, k_t: KernelMatrix,
             f"kernels of size {k_s.size}/{k_t.size} do not match batch {n}"
         )
     c = 1.0 / p if config.normalize_by_width else 1.0
-    inv_s, inv_t = k_s.factor.inverse, k_t.factor.inverse
-    a = inv_t @ arr
-    trace = c * float(np.vdot(a, a)) + k_s.jitter * float(np.vdot(inv_t, inv_t))
-    value = 0.5 * (trace - n + linalg.log_det(k_t.factor)
-                   - linalg.log_det(k_s.factor))
-    grad = c * (inv_t.T @ a - inv_s.T @ (inv_s @ arr))
-    return value, grad
+    value, kt_phi = _kl_against_teacher(arr, k_t, c, k_s.jitter,
+                                        linalg.log_det(k_s.factor))
+    inv_s = k_s.factor.inverse
+    return value, c * (kt_phi - inv_s.T @ (inv_s @ arr))
+
+
+def feature_kl_and_grad(phi_s, k_t: KernelMatrix,
+                        config: PriorConfig) -> tuple[float, np.ndarray]:
+    """gp_kl(gram_kernel(phi_s, config), k_t) and its gradient d/d Phi_s.
+
+    When the batch outnumbers the student's features (p < n) the student
+    side is factored as the p x p matrix M = jI_p + c Phi^T Phi:
+    log|K_s| = (n - p) log j + log|M| and K_s^{-1} Phi = Phi M^{-1}.  The
+    jitter j escalates like gram_kernel's, and with zero jitter K_s is
+    singular, which raises FactorizationFailed.  Otherwise (p >= n) this
+    is exactly ``gp_kl_and_grad(phi_s, gram_kernel(phi_s, config), k_t,
+    config)``.
+    """
+    arr = _as_features(phi_s)
+    n, p = arr.shape
+    if k_t.size != n:
+        raise DimensionMismatch(
+            f"teacher kernel of size {k_t.size} does not match batch {n}"
+        )
+    if p >= n:
+        return gp_kl_and_grad(arr, gram_kernel(arr, config), k_t, config)
+    if config.jitter == 0.0:
+        raise FactorizationFailed(
+            f"Gram of batch {n} has rank {p} and no jitter; it is singular"
+        )
+    _, jitter, f = _factor_jittered(_scaled_gram(arr.T, p, config), config.jitter,
+                                    f"jI + c Phi^T Phi of width {p}")
+    log_det_s = (n - p) * math.log(jitter) + linalg.log_det(f)
+    c = 1.0 / p if config.normalize_by_width else 1.0
+    value, kt_phi = _kl_against_teacher(arr, k_t, c, jitter, log_det_s)
+    return value, c * (kt_phi - linalg.solve_spd(f, arr.T).T)
 
 
 def gp_kl_grad(phi_s, k1: KernelMatrix, k2: KernelMatrix,

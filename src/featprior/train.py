@@ -41,7 +41,13 @@ from .errors import (
     FingerprintMismatch,
     LayerOutOfRange,
 )
-from .gp_prior import PriorConfig, gp_kl_and_grad, gram_kernel, hinton_soft_target
+from .gp_prior import (
+    PriorConfig,
+    _softmax,
+    feature_kl_and_grad,
+    gram_kernel,
+    hinton_soft_target,
+)
 from .network import (
     AdamConfig,
     AdamState,
@@ -358,9 +364,9 @@ def _fit_epochs(model: Model, dataset: Dataset, schedule: BatchSchedule,
 def _kl_node(tape: Tape, phi: Tensor, teacher_kernel, config: PriorConfig) -> Tensor:
     """Scalar node for gp_kl(gram(phi), teacher) with the analytic feature
     gradient instead of differentiating through the factorization; the
-    value and the gradient come from one fused call."""
-    value, grad = gp_kl_and_grad(phi.value, gram_kernel(phi.value, config),
-                                 teacher_kernel, config)
+    value and the gradient come from one fused call, which factors the
+    student side in feature space when the batch outnumbers its width."""
+    value, grad = feature_kl_and_grad(phi.value, teacher_kernel, config)
 
     def backward_fn(out, g):
         out._accumulate(phi, float(g) * grad)
@@ -372,10 +378,10 @@ def _hinton_node(tape: Tape, logits: Tensor, teacher_logits: np.ndarray,
                  temperature: float) -> Tensor:
     value = hinton_soft_target(logits.value, teacher_logits, temperature)
     n = logits.value.shape[0]
-    p = _softmax64(teacher_logits / temperature)
+    p = _softmax(teacher_logits / temperature)
 
     def backward_fn(out, g):
-        q = _softmax64(logits.value / temperature)
+        q = _softmax(logits.value / temperature)
         out._accumulate(logits, float(g) * (q - p) / (n * temperature))
 
     return tape.custom(value, (logits,), backward_fn)
@@ -389,12 +395,6 @@ def _l2_node(tape: Tape, logits: Tensor, teacher_logits: np.ndarray) -> Tensor:
         out._accumulate(logits, float(g) * 2.0 * diff / diff.size)
 
     return tape.custom(value, (logits,), backward_fn)
-
-
-def _softmax64(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def _task_objective():

@@ -78,6 +78,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="mapping"):
             parsed.validate_cross_refs(parsed.load_dataset())
 
+    def test_teacher_seed_differing_from_plan_seed_exit_1(self, tmp_path, capsys):
+        # train-teacher splits on the teacher seed and distill on the plan
+        # seed; differing seeds would leak student test rows into the teacher
+        cfg = base_config()
+        cfg["teacher_plan"]["seed"] = 2
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "run"
+        assert run("train-teacher", "--config", path, "--out", str(out)) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not (out / "teacher.fpnn").exists()
+
     def test_missing_config_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/config.json")

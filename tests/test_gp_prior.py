@@ -5,6 +5,7 @@ against finite differences, and the baseline distances."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from featprior.errors import (
     BatchMismatch,
     DimensionMismatch,
     FactorizationFailed,
+    NonFiniteActivation,
 )
 from featprior.gp_prior import (
     PriorConfig,
+    feature_kl_and_grad,
     gp_kl,
     gp_kl_and_grad,
     gp_kl_grad,
@@ -231,6 +234,105 @@ class TestGpKlAndGrad:
         phi_s, k_s, _ = self.pair(np.random.default_rng(64), 4, 2, cfg)
         with pytest.raises(DimensionMismatch):
             gp_kl_and_grad(phi_s, k_s, kernel_from_gram(np.eye(5)), cfg)
+
+
+class TestFeatureKlAndGrad:
+    """The training path, which factors the student side as the p x p
+    matrix M = jI + c Phi^T Phi when p < n, against the n x n reference
+    gp_kl_and_grad(phi_s, gram_kernel(phi_s), k_t)."""
+
+    @staticmethod
+    def reference(phi_s, k_t, cfg):
+        return gp_kl_and_grad(phi_s, gram_kernel(phi_s, cfg), k_t, cfg)
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("n,p", [(256, 16), (184, 16), (64, 32), (16, 4)])
+    def test_matches_gram_path(self, normalize, n, p):
+        cfg = PriorConfig(normalize_by_width=normalize)
+        rng = np.random.default_rng(70 + n + p)
+        phi_s = rng.standard_normal((n, p))
+        k_t = gram_kernel(rng.standard_normal((n, 64)), cfg)
+        value, grad = feature_kl_and_grad(phi_s, k_t, cfg)
+        ref_value, ref_grad = self.reference(phi_s, k_t, cfg)
+        assert value == pytest.approx(ref_value, rel=1e-10)
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-8 * np.max(np.abs(ref_grad))
+
+    @pytest.mark.parametrize("n,p", [(6, 8), (16, 16), (64, 100)])
+    def test_wide_student_is_the_gram_path(self, n, p):
+        cfg = PriorConfig()
+        rng = np.random.default_rng(71)
+        phi_s = rng.standard_normal((n, p))
+        k_t = gram_kernel(rng.standard_normal((n, 5)), cfg)
+        value, grad = feature_kl_and_grad(phi_s, k_t, cfg)
+        ref_value, ref_grad = self.reference(phi_s, k_t, cfg)
+        assert value == ref_value
+        np.testing.assert_array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_gradient_matches_finite_differences(self, normalize):
+        rng = np.random.default_rng(72)
+        cfg = PriorConfig(jitter=1e-3, normalize_by_width=normalize)
+        phi_s = rng.standard_normal((5, 2))
+        k_t = gram_kernel(rng.standard_normal((5, 4)), cfg)
+        _, grad = feature_kl_and_grad(phi_s, k_t, cfg)
+
+        def f(flat):
+            return feature_kl_and_grad(flat.reshape(5, 2), k_t, cfg)[0]
+
+        fd = central_diff_gradient(f, phi_s.ravel()).reshape(5, 2)
+        assert relative_error(grad, fd) < 1e-4
+
+    def test_batch_256_matches_eigendecomposition_oracle(self):
+        cfg = PriorConfig()
+        rng = np.random.default_rng(73)
+        phi_s = rng.standard_normal((256, 16))
+        k_t = gram_kernel(rng.standard_normal((256, 64)), cfg)
+        value, _ = feature_kl_and_grad(phi_s, k_t, cfg)
+        oracle = gaussian_kl_eig(np.zeros(256), gram_kernel(phi_s, cfg).gram,
+                                 np.zeros(256), k_t.gram)
+        assert value == pytest.approx(oracle, rel=1e-9)
+
+    def test_factors_at_configured_jitter_where_gram_escalates(self):
+        # Phi Phi^T + 1e-16 I rounds to singular in float64, so the n x n
+        # Gram escalates; M = 2 + 1e-16 does not, and the value keeps the
+        # configured jitter: eigenvalues of K_s are 2 + j, j, j, K_t = I
+        phi_s = np.array([[1.0], [1.0], [0.0]])
+        cfg = PriorConfig(jitter=1e-16, normalize_by_width=False)
+        assert gram_kernel(phi_s, cfg).jitter > cfg.jitter
+        value, _ = feature_kl_and_grad(phi_s, kernel_from_gram(np.eye(3)), cfg)
+        j = cfg.jitter
+        expected = 0.5 * ((2 + 3 * j) - 3 - (math.log(2 + j) + 2 * math.log(j)))
+        assert value == pytest.approx(expected, rel=1e-12)
+
+    def test_feature_matrix_jitter_escalates_once(self):
+        # M = [[1,1],[1,1]] + 1e-16 I rounds back to singular; the x10
+        # escalation factors, and every term uses the escalated jitter
+        phi_s = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+        cfg = PriorConfig(jitter=1e-16, normalize_by_width=False)
+        k_t = kernel_from_gram(np.eye(3))
+        value, grad = feature_kl_and_grad(phi_s, k_t, cfg)
+        escalated = replace(cfg, jitter=cfg.jitter * 10.0)
+        ref_value, ref_grad = feature_kl_and_grad(phi_s, k_t, escalated)
+        assert value == ref_value
+        np.testing.assert_array_equal(grad, ref_grad)
+
+    def test_zero_jitter_narrow_student_fails(self):
+        rng = np.random.default_rng(74)
+        k_t = kernel_from_gram(np.eye(8))
+        with pytest.raises(FactorizationFailed):
+            feature_kl_and_grad(rng.standard_normal((8, 3)), k_t,
+                                PriorConfig(jitter=0.0))
+
+    def test_non_finite_features_rejected(self):
+        phi_s = np.ones((8, 3))
+        phi_s[2, 1] = np.nan
+        with pytest.raises(NonFiniteActivation):
+            feature_kl_and_grad(phi_s, kernel_from_gram(np.eye(8)), PriorConfig())
+
+    def test_teacher_size_mismatch(self):
+        phi_s = np.random.default_rng(75).standard_normal((8, 3))
+        with pytest.raises(DimensionMismatch):
+            feature_kl_and_grad(phi_s, kernel_from_gram(np.eye(9)), PriorConfig())
 
 
 class TestPriorLogDensity:

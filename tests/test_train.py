@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from featprior.data import Dataset, split_and_batch, synth_blobs, synth_rings
+from featprior import gp_prior, train as train_module
+from featprior.data import (
+    BatchSchedule,
+    Dataset,
+    split_and_batch,
+    synth_blobs,
+    synth_rings,
+)
 from featprior.errors import (
     AllLayersFrozen,
     BatchMismatch,
@@ -184,6 +191,30 @@ class TestPhase1:
         kls = [r.kl_loss for r in log]
         medians = [float(np.median(kls[i:i + 10])) for i in range(0, 50, 10)]
         assert all(b <= a + 1e-9 for a, b in zip(medians, medians[1:]))
+
+    @pytest.mark.parametrize("width,calls_per_step", [(4, 1), (32, 2)])
+    def test_narrow_student_gram_never_factored(self, blobs, monkeypatch,
+                                                width, calls_per_step):
+        # only the teacher's n x n Gram goes through gram_kernel while the
+        # batch outnumbers the student's features; a student wider than
+        # the batch still has its own Gram formed and factored
+        calls = []
+        for module in (gp_prior, train_module):
+            def counted(phi, config, _original=module.gram_kernel):
+                calls.append(np.shape(phi))
+                return _original(phi, config)
+            monkeypatch.setattr(module, "gram_kernel", counted)
+        teacher = init_params(NetworkSpec.dense(2, [8], 2), seed=0)
+        cache = extract_features(teacher, blobs, [0])
+        student = init_params(NetworkSpec.dense(2, [width], 2), seed=1)
+        plan = TrainPlan(seed=1, batch_size=16, phase1_epochs=2,
+                         prior=PriorConfig(jitter=1e-3))
+        schedule = BatchSchedule(np.arange(64), 16, seed=1)
+        phase1_feature_fit(student, blobs, cache,
+                           LayerGroupMapping(entries=((0, 0),)), plan,
+                           schedule=schedule)
+        steps = 2 * 64 // 16
+        assert len(calls) == calls_per_step * steps
 
     def test_empty_mapping_returns_model_unchanged(self, rings_setup):
         ds, split, _, cache = rings_setup
