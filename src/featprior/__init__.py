@@ -27,8 +27,10 @@ from .data import (
     write_cache,
 )
 from .gp_prior import (
+    BasisKernel,
     KernelMatrix,
     PriorConfig,
+    feature_kernel,
     feature_kl_and_grad,
     gp_kl,
     gp_kl_and_grad,

@@ -45,10 +45,19 @@ _TOP_KEYS = {"dataset", "test_fraction", "teacher", "student", "plan",
              "seeds", "out_dir"}
 
 
+# "distance" names the feature distance a config was written around.
+# Training always uses the Gram KL, so the key is checked and dropped.
+_DISTANCES = ("gp_kl", "hinton", "l2")
+
+
 def _parse_prior(d: dict) -> PriorConfig:
     _check_keys(d, _PRIOR_KEYS, "prior")
+    kwargs = dict(d)
+    distance = kwargs.pop("distance", "gp_kl")
+    if distance not in _DISTANCES:
+        raise ConfigError(f"bad prior config: unknown distance {distance!r}")
     try:
-        return PriorConfig(**d)
+        return PriorConfig(**kwargs)
     except (TypeError, FeatPriorError) as exc:
         raise ConfigError(f"bad prior config: {exc}") from None
 

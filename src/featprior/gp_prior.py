@@ -18,28 +18,44 @@ c (K2^{-1} - K1^{-1}) Phi with c the width normalization, which avoids
 differentiating through the Cholesky factorization.
 
 Kernels are factored by LAPACK, and each factor carries L^{-1}
-(``linalg.CholeskyFactor``).  The teacher side K2 is always an n x n
-kernel, and every KL value and gradient is built on the single product
-A = L2^{-1} Phi.  With K1 = c Phi Phi^T + j1 I the trace term needs no
-solve against K1:
+(``linalg.CholeskyFactor``).  Against an n x n teacher kernel K2 every KL
+value and gradient is built on the single product A = L2^{-1} Phi.  With
+K1 = c Phi Phi^T + j1 I the trace term needs no solve against K1:
 
     tr(K2^{-1} K1) = c ||A||_F^2 + j1 ||L2^{-1}||_F^2
 
 and the gradient reuses A as K2^{-1} Phi = L2^{-T} A.
 
-Training calls ``feature_kl_and_grad``, which picks the student side's
-factorization from the batch shape.  When the batch outnumbers the
-student's features (p < n), K1 has rank p plus jitter, and all its work
-moves onto the p x p matrix M = j1 I_p + c Phi^T Phi (Rasmussen &
-Williams 2006, GPML, App. A.3):
+Training builds the teacher side with ``feature_kernel``.  When the batch
+outnumbers the teacher's p2 features, the thin QR Phi2 = Q R holds
+everything about K2 = c2 Phi2 Phi2^T + j I in the p2 x p2 core
+B = c2 R R^T + j I, which is ``gram_kernel(R)`` because R is p2 wide:
+K2 = Q B Q^T + j (I - Q Q^T).  With G = Q^T Phi, E = Phi - Q G and
+A = L_B^{-1} G (Rasmussen & Williams 2006, GPML, App. A.3):
+
+    tr(K2^{-1} K1) = c (||A||_F^2 + ||E||_F^2 / j)
+                     + j1 (||L_B^{-1}||_F^2 + (n - p2) / j)
+    log|K2|        = log|B| + (n - p2) log j
+    K2^{-1} Phi    = Q L_B^{-T} A + E / j
+
+These are stable: Q is orthonormal to working precision, so E, the part
+of Phi outside the teacher's span, carries an error of order eps ||Phi||,
+and 1/j multiplies only E, the part that K2 itself scales by 1/j.  The
+Woodbury form (1/j)(Phi - c2 Phi2 M^{-1} Phi2^T Phi) would instead take
+the in-span part as a difference of nearly equal terms and amplify its
+error by 1/j.
+
+``feature_kl_and_grad`` picks the student side's factorization the same
+way.  When the batch outnumbers the student's features (p < n), K1 has
+rank p plus jitter, and all its work moves onto the p x p matrix
+M = j1 I_p + c Phi^T Phi (GPML App. A.3):
 
     log|K1| = (n - p) log j1 + log|M|      (Sylvester's determinant identity)
     K1^{-1} Phi = Phi M^{-1}                (push-through identity)
 
-Neither identity subtracts nearly equal terms.  When p >= n the student
-Gram is factored as an n x n kernel (``gram_kernel``), as it always is in
-``gp_kl`` and ``gp_kl_and_grad``.  The teacher side stays n x n: Woodbury
-there would subtract nearly equal terms scaled by 1/j.
+Neither identity subtracts nearly equal terms.  When p >= n either side
+is factored as an n x n kernel (``gram_kernel``), as both always are in
+``gp_kl`` and ``gp_kl_and_grad``.
 
 Baselines kept for comparison: temperature-softened soft-target matching
 on logits (which requires equal logit counts, the restriction the KL prior
@@ -66,22 +82,18 @@ from .errors import (
 
 log = logging.getLogger(__name__)
 
-DISTANCES = ("gp_kl", "hinton", "l2")
-
 _JITTER_ESCALATION = 10.0
 
 
 @dataclass(frozen=True)
 class PriorConfig:
-    """Prior strength alpha, kernel jitter, width normalization, soft-target
-    temperature, and which feature distance an experiment is configured
-    around (the Gram-KL training procedures always use ``gp_kl``)."""
+    """Prior strength alpha, kernel jitter, width normalization and
+    soft-target temperature."""
 
     alpha: float = 1.0
     jitter: float = 1e-4
     normalize_by_width: bool = True
     temperature: float = 4.0
-    distance: str = "gp_kl"
 
     def __post_init__(self):
         # alpha = 0 is allowed so the joint objective can degenerate to
@@ -92,8 +104,6 @@ class PriorConfig:
             raise FeatPriorError(f"jitter must be >= 0, got {self.jitter}")
         if not self.temperature > 0.0:
             raise FeatPriorError(f"temperature must be > 0, got {self.temperature}")
-        if self.distance not in DISTANCES:
-            raise FeatPriorError(f"unknown distance {self.distance!r}")
 
 
 @dataclass(frozen=True)
@@ -107,6 +117,25 @@ class KernelMatrix:
     @property
     def size(self) -> int:
         return self.factor.size
+
+
+@dataclass(frozen=True)
+class BasisKernel:
+    """Jittered Gram K = c Phi Phi^T + jI of an n x p feature batch with
+    p < n, held in the batch's own feature basis: with the thin QR
+    Phi = Q R, K = Q B Q^T + j (I - Q Q^T) for the p x p core
+    B = c R R^T + jI.  Nothing n x n is formed."""
+
+    basis: np.ndarray
+    core: KernelMatrix
+
+    @property
+    def size(self) -> int:
+        return self.basis.shape[0]
+
+    @property
+    def jitter(self) -> float:
+        return self.core.jitter
 
 
 def _as_features(phi) -> np.ndarray:
@@ -159,6 +188,33 @@ def gram_kernel(phi, config: PriorConfig) -> KernelMatrix:
     return KernelMatrix(gram=gram, jitter=jitter, factor=factor)
 
 
+def _rank_deficient(n: int, p: int) -> FactorizationFailed:
+    return FactorizationFailed(
+        f"Gram of batch {n} has rank {p} and no jitter; it is singular"
+    )
+
+
+def feature_kernel(phi, config: PriorConfig) -> KernelMatrix | BasisKernel:
+    """The jittered Gram of a feature batch, in the form the KL against it
+    is cheapest in.
+
+    When the batch outnumbers the features (p < n) this is a BasisKernel
+    from the thin QR Phi = Q R, whose core is ``gram_kernel(R, config)``
+    (R is p wide, so width normalization divides by p as it should, and
+    the jitter escalates as any Gram's does).  With zero jitter and p < n
+    the Gram is singular, which raises FactorizationFailed.  Otherwise
+    (p >= n) this is exactly ``gram_kernel(phi, config)``.
+    """
+    arr = _as_features(phi)
+    n, p = arr.shape
+    if p >= n:
+        return gram_kernel(arr, config)
+    if config.jitter == 0.0:
+        raise _rank_deficient(n, p)
+    q, r = np.linalg.qr(arr)
+    return BasisKernel(basis=q, core=gram_kernel(r, config))
+
+
 def kernel_from_gram(gram, jitter: float = 0.0) -> KernelMatrix:
     """Wrap an already-formed SPD matrix (plus optional jitter) as a
     KernelMatrix; no escalation, factorization errors surface as-is."""
@@ -187,17 +243,39 @@ def gp_kl(k1: KernelMatrix, k2: KernelMatrix) -> float:
     )
 
 
-def _kl_against_teacher(arr: np.ndarray, k_t: KernelMatrix, c: float,
-                        jitter_s: float, log_det_s: float):
+def _kl_against_teacher(arr: np.ndarray, k_t: KernelMatrix | BasisKernel,
+                        c: float, jitter_s: float, log_det_s: float):
     """KL value and K_t^{-1} Phi for the student Gram K_s = c Phi Phi^T +
-    jitter_s I with log|K_s| = log_det_s, from one product A = L_t^{-1} Phi:
+    jitter_s I with log|K_s| = log_det_s.
+
+    Against an n x n kernel, from one product A = L_t^{-1} Phi:
     tr(K_t^{-1} K_s) = c ||A||_F^2 + jitter_s ||L_t^{-1}||_F^2 and
-    K_t^{-1} Phi = L_t^{-T} A."""
-    inv_t = k_t.factor.inverse
-    a = inv_t @ arr
-    trace = c * float(np.vdot(a, a)) + jitter_s * float(np.vdot(inv_t, inv_t))
-    value = 0.5 * (trace - arr.shape[0] + linalg.log_det(k_t.factor) - log_det_s)
-    return value, inv_t.T @ a
+    K_t^{-1} Phi = L_t^{-T} A.  Against a BasisKernel (Q, B, j), with
+    G = Q^T Phi, E = Phi - Q G and A = L_B^{-1} G:
+    tr(K_t^{-1} K_s) = c (||A||^2 + ||E||^2 / j)
+    + jitter_s (||L_B^{-1}||^2 + (n - p_t) / j),
+    log|K_t| = log|B| + (n - p_t) log j and
+    K_t^{-1} Phi = Q L_B^{-T} A + E / j.
+    """
+    n = arr.shape[0]
+    if isinstance(k_t, BasisKernel):
+        q, j = k_t.basis, k_t.jitter
+        inv_b = k_t.core.factor.inverse
+        rest = n - q.shape[1]
+        g = q.T @ arr
+        e = arr - q @ g
+        a = inv_b @ g
+        trace = (c * (float(np.vdot(a, a)) + float(np.vdot(e, e)) / j)
+                 + jitter_s * (float(np.vdot(inv_b, inv_b)) + rest / j))
+        log_det_t = linalg.log_det(k_t.core.factor) + rest * math.log(j)
+        kt_phi = q @ (inv_b.T @ a) + e / j
+    else:
+        inv_t = k_t.factor.inverse
+        a = inv_t @ arr
+        trace = c * float(np.vdot(a, a)) + jitter_s * float(np.vdot(inv_t, inv_t))
+        log_det_t = linalg.log_det(k_t.factor)
+        kt_phi = inv_t.T @ a
+    return 0.5 * (trace - n + log_det_t - log_det_s), kt_phi
 
 
 def gp_kl_and_grad(phi_s, k_s: KernelMatrix, k_t: KernelMatrix,
@@ -222,9 +300,10 @@ def gp_kl_and_grad(phi_s, k_s: KernelMatrix, k_t: KernelMatrix,
     return value, c * (kt_phi - inv_s.T @ (inv_s @ arr))
 
 
-def feature_kl_and_grad(phi_s, k_t: KernelMatrix,
+def feature_kl_and_grad(phi_s, k_t: KernelMatrix | BasisKernel,
                         config: PriorConfig) -> tuple[float, np.ndarray]:
-    """gp_kl(gram_kernel(phi_s, config), k_t) and its gradient d/d Phi_s.
+    """gp_kl(gram_kernel(phi_s, config), k_t) and its gradient d/d Phi_s,
+    for a teacher kernel from ``feature_kernel`` or any n x n KernelMatrix.
 
     When the batch outnumbers the student's features (p < n) the student
     side is factored as the p x p matrix M = jI_p + c Phi^T Phi:
@@ -243,9 +322,7 @@ def feature_kl_and_grad(phi_s, k_t: KernelMatrix,
     if p >= n:
         return gp_kl_and_grad(arr, gram_kernel(arr, config), k_t, config)
     if config.jitter == 0.0:
-        raise FactorizationFailed(
-            f"Gram of batch {n} has rank {p} and no jitter; it is singular"
-        )
+        raise _rank_deficient(n, p)
     _, jitter, f = _factor_jittered(_scaled_gram(arr.T, p, config), config.jitter,
                                     f"jI + c Phi^T Phi of width {p}")
     log_det_s = (n - p) * math.log(jitter) + linalg.log_det(f)

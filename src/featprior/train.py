@@ -44,8 +44,9 @@ from .errors import (
 from .gp_prior import (
     PriorConfig,
     _softmax,
+    feature_kernel,
     feature_kl_and_grad,
-    gram_kernel,
+    gram_kernel,  # not called here; kept bound for callers that patch it
     hinton_soft_target,
 )
 from .network import (
@@ -412,7 +413,7 @@ def _prior_objective(terms, config: PriorConfig):
         for cache, mapping, weight in terms:
             for student_idx, gid in mapping.entries:
                 phi_t = cache.groups[gid][idx].astype(np.float64)
-                k2 = gram_kernel(phi_t, config)
+                k2 = feature_kernel(phi_t, config)
                 node = _kl_node(tape, record.activations[student_idx], k2, config)
                 term = node * weight if weight != 1.0 else node
                 kl_sum += weight * float(node.value)

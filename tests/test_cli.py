@@ -4,6 +4,7 @@ byte-level determinism of rerun outputs."""
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ import pytest
 from featprior.cli import main
 from featprior.config import load_config, parse_config
 from featprior.errors import ConfigError
+from featprior.gp_prior import PriorConfig
+
+REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
 
 
 def base_config():
@@ -58,6 +62,32 @@ class TestConfigParsing:
         cfg["plan"]["prior"] = {"jitterr": 1e-3}
         with pytest.raises(ConfigError, match="jitterr"):
             parse_config(cfg)
+
+    @pytest.mark.parametrize("distance", ["gp_kl", "hinton", "l2"])
+    def test_prior_distance_key_accepted_and_dropped(self, distance):
+        cfg = base_config()
+        cfg["plan"]["prior"] = {"jitter": 1e-3, "distance": distance}
+        parsed = parse_config(cfg)
+        assert parsed.plan.prior == PriorConfig(jitter=1e-3)
+        assert not hasattr(parsed.plan.prior, "distance")
+
+    def test_reference_config_loads(self):
+        # its prior block still carries "distance": "gp_kl"
+        cfg = load_config(str(REFERENCE_CONFIG))
+        assert cfg.plan.prior == PriorConfig(alpha=1.0, jitter=1e-4,
+                                             normalize_by_width=True,
+                                             temperature=4.0)
+
+    def test_unknown_distance_exit_1(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["plan"]["prior"] = {"distance": "cosine"}
+        with pytest.raises(ConfigError, match="distance"):
+            parse_config(cfg)
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "run"
+        assert run("train-teacher", "--config", path, "--out", str(out)) == 1
+        assert "distance" in capsys.readouterr().err
+        assert not (out / "teacher.fpnn").exists()
 
     def test_unknown_dataset_key(self):
         cfg = base_config()

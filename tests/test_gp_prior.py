@@ -17,7 +17,9 @@ from featprior.errors import (
     NonFiniteActivation,
 )
 from featprior.gp_prior import (
+    BasisKernel,
     PriorConfig,
+    feature_kernel,
     feature_kl_and_grad,
     gp_kl,
     gp_kl_and_grad,
@@ -333,6 +335,114 @@ class TestFeatureKlAndGrad:
         phi_s = np.random.default_rng(75).standard_normal((8, 3))
         with pytest.raises(DimensionMismatch):
             feature_kl_and_grad(phi_s, kernel_from_gram(np.eye(9)), PriorConfig())
+
+
+class TestFeatureKernel:
+    """The teacher side held in its own feature basis when p_t < n,
+    against the dense teacher: feature_kl_and_grad(phi_s,
+    gram_kernel(phi_t), cfg)."""
+
+    @staticmethod
+    def assert_matches_dense(phi_s, phi_t, cfg):
+        k_t = feature_kernel(phi_t, cfg)
+        assert isinstance(k_t, BasisKernel)
+        value, grad = feature_kl_and_grad(phi_s, k_t, cfg)
+        ref_value, ref_grad = feature_kl_and_grad(phi_s, gram_kernel(phi_t, cfg), cfg)
+        assert value == pytest.approx(ref_value, rel=1e-10)
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-8 * np.max(np.abs(ref_grad))
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("n,p_t,p_s", [(256, 64, 16), (184, 64, 16),
+                                           (64, 32, 16), (16, 4, 4),
+                                           (256, 64, 128), (64, 16, 100)])
+    def test_matches_dense_teacher(self, normalize, n, p_t, p_s):
+        rng = np.random.default_rng(80 + n + p_t + p_s)
+        self.assert_matches_dense(rng.standard_normal((n, p_s)),
+                                  rng.standard_normal((n, p_t)),
+                                  PriorConfig(normalize_by_width=normalize))
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_dead_teacher_units(self, normalize):
+        # ReLU teacher with a quarter of its units never active: R has
+        # zero rows, and the core is held up by jitter alone there
+        rng = np.random.default_rng(81)
+        phi_t = np.maximum(rng.standard_normal((256, 64)), 0.0)
+        phi_t[:, :16] = 0.0
+        self.assert_matches_dense(rng.standard_normal((256, 16)), phi_t,
+                                  PriorConfig(normalize_by_width=normalize))
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_student_near_teacher_span(self, normalize):
+        # E = Phi_s - Q Q^T Phi_s is tiny, and 1/j scales only it
+        rng = np.random.default_rng(82)
+        phi_t = rng.standard_normal((256, 64))
+        phi_s = (phi_t @ rng.standard_normal((64, 16)) / 8.0
+                 + 1e-6 * rng.standard_normal((256, 16)))
+        self.assert_matches_dense(phi_s, phi_t,
+                                  PriorConfig(normalize_by_width=normalize))
+
+    def test_batch_256_matches_eigendecomposition_oracle(self):
+        cfg = PriorConfig()
+        rng = np.random.default_rng(83)
+        phi_s = rng.standard_normal((256, 16))
+        phi_t = rng.standard_normal((256, 64))
+        value, _ = feature_kl_and_grad(phi_s, feature_kernel(phi_t, cfg), cfg)
+        oracle = gaussian_kl_eig(np.zeros(256), gram_kernel(phi_s, cfg).gram,
+                                 np.zeros(256), gram_kernel(phi_t, cfg).gram)
+        assert value == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_gradient_matches_finite_differences(self, normalize):
+        rng = np.random.default_rng(84)
+        cfg = PriorConfig(jitter=1e-3, normalize_by_width=normalize)
+        phi_s = rng.standard_normal((5, 2))
+        k_t = feature_kernel(rng.standard_normal((5, 2)), cfg)
+        assert isinstance(k_t, BasisKernel)
+        _, grad = feature_kl_and_grad(phi_s, k_t, cfg)
+
+        def f(flat):
+            return feature_kl_and_grad(flat.reshape(5, 2), k_t, cfg)[0]
+
+        fd = central_diff_gradient(f, phi_s.ravel()).reshape(5, 2)
+        assert relative_error(grad, fd) < 1e-4
+
+    @pytest.mark.parametrize("n,p", [(6, 8), (16, 16), (64, 100)])
+    def test_wide_teacher_is_gram_kernel(self, n, p):
+        cfg = PriorConfig()
+        phi_t = np.random.default_rng(85).standard_normal((n, p))
+        k_t = feature_kernel(phi_t, cfg)
+        ref = gram_kernel(phi_t, cfg)
+        assert k_t.jitter == ref.jitter
+        np.testing.assert_array_equal(k_t.gram, ref.gram)
+        np.testing.assert_array_equal(k_t.factor.lower, ref.factor.lower)
+        np.testing.assert_array_equal(k_t.factor.inverse, ref.factor.inverse)
+
+    def test_zero_jitter_narrow_teacher_fails(self):
+        phi_t = np.random.default_rng(86).standard_normal((8, 3))
+        with pytest.raises(FactorizationFailed):
+            feature_kernel(phi_t, PriorConfig(jitter=0.0))
+
+    def test_core_factors_at_configured_jitter_where_gram_escalates(self):
+        # Phi Phi^T + 1e-16 I rounds to singular in float64, so the dense
+        # Gram escalates; B = 2 + 1e-16 does not.  Against the same
+        # student both sides are then exactly 2 + j, j, j and the KL is 0,
+        # where the escalated dense teacher gives about 1.4
+        phi = np.array([[1.0], [1.0], [0.0]])
+        cfg = PriorConfig(jitter=1e-16, normalize_by_width=False)
+        dense = gram_kernel(phi, cfg)
+        assert dense.jitter > cfg.jitter
+        k_t = feature_kernel(phi, cfg)
+        assert k_t.jitter == cfg.jitter
+        value, _ = feature_kl_and_grad(phi, k_t, cfg)
+        assert value == pytest.approx(0.0, abs=1e-12)
+        dense_value, _ = feature_kl_and_grad(phi, dense, cfg)
+        assert dense_value > 1.0
+
+    def test_non_finite_features_rejected(self):
+        phi_t = np.ones((8, 3))
+        phi_t[4, 0] = np.inf
+        with pytest.raises(NonFiniteActivation):
+            feature_kernel(phi_t, PriorConfig())
 
 
 class TestPriorLogDensity:

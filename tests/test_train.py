@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from featprior import gp_prior, train as train_module
+from featprior import gp_prior, linalg, train as train_module
 from featprior.data import (
     BatchSchedule,
     Dataset,
@@ -215,6 +215,30 @@ class TestPhase1:
                            schedule=schedule)
         steps = 2 * 64 // 16
         assert len(calls) == calls_per_step * steps
+
+    def test_narrow_teacher_gram_never_factored(self, blobs, monkeypatch):
+        # with the batch outnumbering both the student's and the teacher's
+        # features, only the p x p matrices of either side are factored
+        sizes = []
+        original = linalg.cholesky
+
+        def recorded(a):
+            sizes.append(np.shape(a))
+            return original(a)
+
+        monkeypatch.setattr(linalg, "cholesky", recorded)
+        teacher = init_params(NetworkSpec.dense(2, [8], 2), seed=0)
+        cache = extract_features(teacher, blobs, [0])
+        student = init_params(NetworkSpec.dense(2, [4], 2), seed=1)
+        plan = TrainPlan(seed=1, batch_size=16, phase1_epochs=2,
+                         prior=PriorConfig(jitter=1e-3))
+        schedule = BatchSchedule(np.arange(64), 16, seed=1)
+        phase1_feature_fit(student, blobs, cache,
+                           LayerGroupMapping(entries=((0, 0),)), plan,
+                           schedule=schedule)
+        steps = 2 * 64 // 16
+        assert sorted(set(sizes)) == [(4, 4), (8, 8)]
+        assert len(sizes) == 2 * steps
 
     def test_empty_mapping_returns_model_unchanged(self, rings_setup):
         ds, split, _, cache = rings_setup
