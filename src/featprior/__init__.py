@@ -5,11 +5,11 @@ Student networks are trained so the Gaussian process induced by their
 hidden-feature Gram matrices stays close, in KL divergence, to the one
 induced by a teacher's features.  The package covers model distillation,
 transfer across mismatched architectures, multi-level layer priors and
-combining experts, plus the linear algebra, autodiff and data plumbing
-those need.
+combining experts, plus the linear algebra, dense-network gradients and
+data plumbing those need.
 """
 
-from .autodiff import Tape, Tensor, backward, softmax_cross_entropy
+from .autodiff import backward, softmax_cross_entropy
 from .data import (
     BatchSchedule,
     Dataset,

@@ -1,182 +1,25 @@
-"""Reverse-mode automatic differentiation over dense numpy arrays.
+"""Gradients of the dense MLP by one explicit reverse walk.
 
-A ``Tape`` records every node in creation order; since an operation's
-inputs always exist before the operation itself, creation order is a
-topological order and the backward pass is one reverse sweep that visits
-each node exactly once.  Values are float64 throughout so losses and the
-KL prior accumulate at full precision.
-
-Tapes are single-owner: build a graph, call ``backward`` once, throw the
-tape away.
+Every loss featprior trains puts gradient in at two kinds of place:
+hidden activations (the GP-KL feature gradient, which ``gp_prior`` gives
+analytically) and the logits (cross-entropy, soft-target or L2).
+``backward`` takes those input gradients, walks the network from the
+highest of them down to the lowest trained layer, and returns parameter
+gradients in ``Model.parameters()`` order.  Arithmetic is float64.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, LabelOutOfRange, NotScalarLoss
-
-
-class Tensor:
-    __slots__ = ("value", "grad", "tape", "_parents", "_backward")
-
-    def __init__(self, value, tape: "Tape", parents=(), backward=None):
-        self.value = np.asarray(value, dtype=np.float64)
-        self.grad = None
-        self.tape = tape
-        self._parents = parents
-        self._backward = backward
-        tape._nodes.append(self)
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def _accumulate(self, parent: "Tensor", g: np.ndarray) -> None:
-        if parent.grad is None:
-            parent.grad = np.zeros_like(parent.value)
-        parent.grad += g
-
-    # -- operations ---------------------------------------------------------
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        other = self.tape.lift(other)
-        out = Tensor(self.value + other.value, self.tape, (self, other))
-
-        def backward(g):
-            out._accumulate(self, _sum_to_shape(g, self.value.shape))
-            out._accumulate(other, _sum_to_shape(g, other.value.shape))
-
-        out._backward = backward
-        return out
-
-    def __mul__(self, other) -> "Tensor":
-        other = self.tape.lift(other)
-        out = Tensor(self.value * other.value, self.tape, (self, other))
-
-        def backward(g):
-            out._accumulate(self, _sum_to_shape(g * other.value, self.value.shape))
-            out._accumulate(other, _sum_to_shape(g * self.value, other.value.shape))
-
-        out._backward = backward
-        return out
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Tensor":
-        return self * -1.0
-
-    def __sub__(self, other) -> "Tensor":
-        return self + (-self.tape.lift(other))
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        if self.value.ndim != 2 or other.value.ndim != 2 \
-                or self.value.shape[1] != other.value.shape[0]:
-            raise DimensionMismatch(
-                f"cannot multiply {self.value.shape} by {other.value.shape}"
-            )
-        out = Tensor(self.value @ other.value, self.tape, (self, other))
-
-        def backward(g):
-            out._accumulate(self, g @ other.value.T)
-            out._accumulate(other, self.value.T @ g)
-
-        out._backward = backward
-        return out
-
-    def relu(self) -> "Tensor":
-        out = Tensor(np.maximum(self.value, 0.0), self.tape, (self,))
-
-        def backward(g):
-            out._accumulate(self, g * (self.value > 0.0))
-
-        out._backward = backward
-        return out
-
-    def tanh(self) -> "Tensor":
-        y = np.tanh(self.value)
-        out = Tensor(y, self.tape, (self,))
-
-        def backward(g):
-            out._accumulate(self, g * (1.0 - y * y))
-
-        out._backward = backward
-        return out
-
-    def sum(self) -> "Tensor":
-        out = Tensor(np.sum(self.value), self.tape, (self,))
-
-        def backward(g):
-            out._accumulate(self, np.full_like(self.value, float(g)))
-
-        out._backward = backward
-        return out
-
-
-def _sum_to_shape(g: np.ndarray, shape) -> np.ndarray:
-    """Reduce a broadcast gradient back to the operand's shape."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
-class Tape:
-    """Recorded computation; nodes in creation (= topological) order."""
-
-    def __init__(self):
-        self._nodes: list[Tensor] = []
-        self.leaves: list[Tensor] = []
-
-    def tensor(self, value) -> Tensor:
-        """Record a constant (gradient computed but not reported)."""
-        return Tensor(value, self)
-
-    def leaf(self, value) -> Tensor:
-        """Record a parameter; its gradient is returned by ``backward``."""
-        t = Tensor(value, self)
-        self.leaves.append(t)
-        return t
-
-    def lift(self, value) -> Tensor:
-        if isinstance(value, Tensor):
-            return value
-        return self.tensor(value)
-
-    def custom(self, value, parents, backward) -> Tensor:
-        """Record an externally computed op with a hand-written backward.
-
-        ``backward(out, g)`` must accumulate into the parents through
-        ``out._accumulate``.
-        """
-        out = Tensor(value, self, tuple(parents))
-        out._backward = lambda g: backward(out, g)
-        return out
+from .errors import DimensionMismatch, LabelOutOfRange
+from .gp_prior import _log_softmax
 
 
 def softmax_cross_entropy(logits, labels):
-    """Mean over the batch of -log softmax(logits)[label].
-
-    Accepts a plain array (returns a float) or a ``Tensor`` (returns a
-    scalar ``Tensor`` with the fused, numerically stable backward).
-    """
-    if isinstance(logits, Tensor):
-        value, probs, onehot = _softmax_ce(logits.value, labels)
-        out = Tensor(value, logits.tape, (logits,))
-        n = logits.value.shape[0]
-
-        def backward(g):
-            out._accumulate(logits, float(g) * (probs - onehot) / n)
-
-        out._backward = backward
-        return out
-    value, _, _ = _softmax_ce(np.asarray(logits, dtype=np.float64), labels)
-    return value
-
-
-def _softmax_ce(logits: np.ndarray, labels):
+    """Mean over the batch of -log softmax(logits)[label], and its
+    gradient with respect to the logits: (value, dL/dlogits)."""
+    logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
         raise DimensionMismatch(f"logits must be 2-d, got shape {logits.shape}")
     labels = np.asarray(labels)
@@ -187,29 +30,51 @@ def _softmax_ce(logits: np.ndarray, labels):
         )
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise LabelOutOfRange(f"labels must lie in [0, {c})")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logz = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-    log_probs = shifted - logz
-    onehot = np.zeros_like(logits)
-    onehot[np.arange(n), labels] = 1.0
-    value = float(-np.mean(log_probs[np.arange(n), labels]))
-    return value, np.exp(log_probs), onehot
+    log_probs = _log_softmax(logits)
+    rows = np.arange(n)
+    value = float(-np.mean(log_probs[rows, labels]))
+    grad = np.exp(log_probs)
+    grad[rows, labels] -= 1.0
+    return value, grad / n
 
 
-def backward(tape: Tape, loss: Tensor) -> list[np.ndarray]:
-    """Run the reverse sweep from a scalar loss.
+def backward(model, x, record, act_grads, logit_grad, lowest: int = 0) -> list:
+    """Parameter gradients of a loss whose gradient enters at hidden
+    activations and at the logits.
 
-    Returns gradients for ``tape.leaves`` in registration order; leaves the
-    loss does not reach get zeros.
+    ``record`` is ``forward(model, x)``; ``act_grads`` maps a hidden-layer
+    index to dL/d(activation) and ``logit_grad`` is dL/dlogits or None (a
+    head-less model's logits are its last activation).  The walk starts at
+    the head when there is a logit gradient, else at the deepest layer in
+    ``act_grads``, and stops at layer ``lowest``.  Parameters it does not
+    reach get None, which the optimizers skip.
     """
-    if loss.value.shape != ():
-        raise NotScalarLoss(f"loss has shape {loss.value.shape}, expected a scalar")
-    loss.grad = np.ones_like(loss.value)
-    for node in reversed(tape._nodes):
-        if node.grad is None or node._backward is None:
-            continue
-        node._backward(node.grad)
-    return [
-        leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
-        for leaf in tape.leaves
-    ]
+    activations = [layer.activation for layer in model.spec.layers]
+    weights = list(model.weights)
+    injected = dict(act_grads)
+    if model.head_weight is not None:
+        activations.append("identity")
+        weights.append(model.head_weight)
+        if logit_grad is not None:
+            injected[len(activations) - 1] = logit_grad
+    elif logit_grad is not None:
+        top = len(activations) - 1
+        injected[top] = injected[top] + logit_grad if top in injected else logit_grad
+    grads = [None] * (2 * len(weights))
+    if not injected:
+        return grads
+    inputs = [np.asarray(x, dtype=np.float64)] + list(record.activations)
+    g = None
+    for layer in range(max(injected), lowest - 1, -1):
+        if layer in injected:
+            g = injected[layer] if g is None else injected[layer] + g
+        if activations[layer] == "relu":
+            g = g * (inputs[layer + 1] > 0.0)
+        elif activations[layer] == "tanh":
+            y = inputs[layer + 1]
+            g = g * (1.0 - y * y)
+        grads[2 * layer] = inputs[layer].T @ g
+        grads[2 * layer + 1] = g.sum(axis=0)
+        if layer > lowest:
+            g = g @ weights[layer].astype(np.float64).T
+    return grads

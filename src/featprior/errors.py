@@ -28,7 +28,7 @@ class NotPositiveDefinite(NumericalError):
     """Cholesky pivot <= 0; usually means missing jitter upstream."""
 
 
-# -- autodiff / network -----------------------------------------------------
+# -- network ----------------------------------------------------------------
 
 class NonFiniteActivation(NumericalError):
     """A forward pass produced NaN or infinity."""
@@ -36,10 +36,6 @@ class NonFiniteActivation(NumericalError):
 
 class NonFiniteGradient(NumericalError):
     """An optimizer step received NaN or infinite gradients."""
-
-
-class NotScalarLoss(FeatPriorError):
-    """Backward pass was started from a non-scalar node."""
 
 
 class LabelOutOfRange(FeatPriorError):

@@ -361,6 +361,11 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    shifted = z - z.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
 def hinton_soft_target(logits_s, logits_t, temperature: float) -> float:
     """Soft-target baseline: mean cross-entropy of the student's
     temperature-softened softmax under the teacher's.
@@ -377,9 +382,7 @@ def hinton_soft_target(logits_s, logits_t, temperature: float) -> float:
     if s.ndim != 2:
         raise DimensionMismatch(f"logits must be 2-d, got shape {s.shape}")
     p = _softmax(t / temperature)
-    zs = s / temperature
-    log_q = zs - zs.max(axis=1, keepdims=True)
-    log_q = log_q - np.log(np.exp(log_q).sum(axis=1, keepdims=True))
+    log_q = _log_softmax(s / temperature)
     return float(-np.mean(np.sum(p * log_q, axis=1)))
 
 

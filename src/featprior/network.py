@@ -3,7 +3,8 @@ initialization, optimizers, gradient checking and binary model files.
 
 Parameters are stored in float32 (that is also the file format); all
 arithmetic runs in float64.  Per-layer activations are first-class outputs
-of ``forward`` so priors can attach to any layer.
+of ``forward`` (a ``ForwardRecord`` of float64 arrays) so priors can attach
+to any layer, and ``autodiff.backward`` reads them on the way back.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, backward
 from .errors import (
     CorruptFile,
     DimensionMismatch,
@@ -131,14 +131,12 @@ class Model:
 
 @dataclass
 class ForwardRecord:
-    """Per-layer activations (batch x width each) and the final logits.
-
-    Elements are ``Tensor`` when a tape was supplied, otherwise float64
-    arrays.  For head-less models ``logits`` aliases the last activation.
-    """
+    """Per-layer activations (batch x width each) and the final logits,
+    as float64 arrays.  For head-less models ``logits`` aliases the last
+    activation."""
 
     activations: list
-    logits: object
+    logits: np.ndarray
 
 
 def init_params(spec: NetworkSpec, seed) -> Model:
@@ -164,20 +162,16 @@ def init_params(spec: NetworkSpec, seed) -> Model:
     return Model(spec, weights, biases, head_w, head_b)
 
 
-def _apply_activation(x, name: str):
+def _apply_activation(x: np.ndarray, name: str) -> np.ndarray:
     if name == "relu":
-        return x.relu() if isinstance(x, Tensor) else np.maximum(x, 0.0)
+        return np.maximum(x, 0.0)
     if name == "tanh":
-        return x.tanh() if isinstance(x, Tensor) else np.tanh(x)
+        return np.tanh(x)
     return x
 
 
-def forward(model: Model, batch, tape: Tape | None = None) -> ForwardRecord:
-    """Run the network on a batch, recording every layer's activations.
-
-    With a tape, parameters are registered as leaves in ``parameters()``
-    order so ``backward`` lines up with the model.
-    """
+def forward(model: Model, batch) -> ForwardRecord:
+    """Run the network on a batch, recording every layer's activations."""
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionMismatch(f"batch must be 2-d, got shape {x.shape}")
@@ -192,33 +186,24 @@ def forward(model: Model, batch, tape: Tape | None = None) -> ForwardRecord:
             f"batch width {x.shape[1]} != network input width {expected}"
         )
 
-    if tape is not None:
-        h = tape.tensor(x)
-        params = [tape.leaf(p.astype(np.float64)) for p in model.parameters()]
-    else:
-        h = x
-        params = [p.astype(np.float64) for p in model.parameters()]
-
     activations = []
-    idx = 0
-    for layer in model.spec.layers:
-        w, b = params[idx], params[idx + 1]
-        idx += 2
-        h = _apply_activation(h @ w + b, layer.activation)
-        _check_finite(h, f"layer {len(activations)}")
+    h = x
+    for i, (layer, w, b) in enumerate(zip(model.spec.layers, model.weights,
+                                          model.biases)):
+        h = _apply_activation(h @ w.astype(np.float64) + b.astype(np.float64),
+                              layer.activation)
+        _check_finite(h, f"layer {i}")
         activations.append(h)
+    logits = h
     if model.head_weight is not None:
-        w, b = params[idx], params[idx + 1]
-        logits = h @ w + b
+        logits = (h @ model.head_weight.astype(np.float64)
+                  + model.head_bias.astype(np.float64))
         _check_finite(logits, "logits")
-    else:
-        logits = h
     return ForwardRecord(activations=activations, logits=logits)
 
 
-def _check_finite(x, where: str) -> None:
-    arr = x.value if isinstance(x, Tensor) else x
-    if not np.isfinite(arr).all():
+def _check_finite(x: np.ndarray, where: str) -> None:
+    if not np.isfinite(x).all():
         raise NonFiniteActivation(f"non-finite values at {where}; training diverged?")
 
 
@@ -298,15 +283,15 @@ def adam_step(model: Model, grads, state: AdamState, cfg: AdamConfig):
 
 def grad_check(model: Model, loss_fn, h: float = 1e-5,
                max_coords: int | None = None, seed: int = 0) -> float:
-    """Max relative error between backward() and central finite differences.
+    """Max relative error between analytic and central finite-difference
+    gradients.
 
-    ``loss_fn(model, tape)`` must build the loss on the tape; finite
-    differences re-evaluate it with ``tape=None``-style fresh tapes.
-    Returns 0.0 for a model without parameters.
+    ``loss_fn(model)`` returns ``(loss, grads)`` with grads in
+    ``parameters()`` order (``autodiff.backward`` gives them; None counts
+    as a zero gradient); finite differences re-evaluate its loss on a
+    float64 copy of the model.  Returns 0.0 for a model without parameters.
     """
-    tape = Tape()
-    loss = loss_fn(model, tape)
-    grads = backward(tape, loss)
+    _, grads = loss_fn(model)
 
     coords = []
     for pi, p in enumerate(model.parameters()):
@@ -334,10 +319,10 @@ def grad_check(model: Model, loss_fn, h: float = 1e-5,
         fd = []
         for sign in (+1.0, -1.0):
             probe_params[pi].flat[flat] = original + sign * h
-            fd.append(float(loss_fn(probe, Tape()).value))
+            fd.append(float(loss_fn(probe)[0]))
         probe_params[pi].flat[flat] = original
         numeric = (fd[0] - fd[1]) / (2.0 * h)
-        analytic = float(grads[pi].flat[flat])
+        analytic = 0.0 if grads[pi] is None else float(grads[pi].flat[flat])
         err = abs(analytic - numeric) / (abs(analytic) + abs(numeric) + 1e-12)
         worst = max(worst, err)
     return worst

@@ -12,6 +12,10 @@ Conventions shared by every routine here:
   two-phase runs split the same budget between the label-free feature fit
   and the task fit.
 * Training functions copy the incoming model and return the trained copy.
+* A step is ``forward``, an objective returning (loss, task value, prior
+  value, {hidden layer: dL/dh}, dL/dlogits), then ``autodiff.backward``
+  down to the lowest unfrozen layer.  Term gradients are summed in one
+  fixed order: a layer's prior terms last term first, baselines before CE.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, backward, softmax_cross_entropy
+from .autodiff import backward, softmax_cross_entropy
 from .data import (
     BatchSchedule,
     Dataset,
@@ -46,7 +50,6 @@ from .gp_prior import (
     _softmax,
     feature_kernel,
     feature_kl_and_grad,
-    gram_kernel,  # not called here; kept bound for callers that patch it
     hinton_soft_target,
 )
 from .network import (
@@ -323,22 +326,24 @@ def _fit_epochs(model: Model, dataset: Dataset, schedule: BatchSchedule,
                 phase: int, epoch_offset: int = 0, frozen_layers=(),
                 test: Dataset | None = None, log: list | None = None) -> float | None:
     """Run ``epochs`` epochs in place; returns the final epoch's mean
-    prior-loss value (None for task-only objectives)."""
+    prior-loss value (None for task-only objectives).  Frozen parameters
+    get None gradients, which leaves them and their optimizer state as is."""
     opt = _Optimizer(plan, lr)
     frozen = set(frozen_layers)
     layer_ids = model.param_layer_ids()
+    lowest = min(set(layer_ids) - frozen, default=0)
     final_kl = None
     for local_epoch in range(epochs):
         epoch = epoch_offset + local_epoch
         task_vals, kl_vals = [], []
         for idx in schedule.epoch_batches(epoch):
-            tape = Tape()
-            record = forward(model, dataset.inputs[idx], tape)
-            loss, task_val, kl_val = objective(tape, record, idx,
-                                               dataset.labels[idx])
-            if not np.isfinite(loss.value):
-                raise DivergedTraining(f"loss became {loss.value} at epoch {epoch}")
-            grads = backward(tape, loss)
+            x = dataset.inputs[idx]
+            record = forward(model, x)
+            loss, task_val, kl_val, act_grads, logit_grad = objective(
+                record, idx, dataset.labels[idx])
+            if not np.isfinite(loss):
+                raise DivergedTraining(f"loss became {loss} at epoch {epoch}")
+            grads = backward(model, x, record, act_grads, logit_grad, lowest)
             if frozen:
                 grads = [None if lid in frozen else g
                          for g, lid in zip(grads, layer_ids)]
@@ -362,92 +367,85 @@ def _fit_epochs(model: Model, dataset: Dataset, schedule: BatchSchedule,
 
 # -- objectives ---------------------------------------------------------------
 
-def _kl_node(tape: Tape, phi: Tensor, teacher_kernel, config: PriorConfig) -> Tensor:
-    """Scalar node for gp_kl(gram(phi), teacher) with the analytic feature
-    gradient instead of differentiating through the factorization; the
-    value and the gradient come from one fused call, which factors the
-    student side in feature space when the batch outnumbers its width."""
-    value, grad = feature_kl_and_grad(phi.value, teacher_kernel, config)
-
-    def backward_fn(out, g):
-        out._accumulate(phi, float(g) * grad)
-
-    return tape.custom(value, (phi,), backward_fn)
+def _kl_grad(phi: np.ndarray, teacher_kernel, config: PriorConfig,
+             scale: float) -> tuple[float, np.ndarray]:
+    """gp_kl(gram(phi), teacher) and ``scale`` times its analytic feature
+    gradient; the value and the gradient come from one fused call, which
+    factors the student side in feature space when the batch outnumbers
+    its width."""
+    value, grad = feature_kl_and_grad(phi, teacher_kernel, config)
+    return value, scale * grad
 
 
-def _hinton_node(tape: Tape, logits: Tensor, teacher_logits: np.ndarray,
-                 temperature: float) -> Tensor:
-    value = hinton_soft_target(logits.value, teacher_logits, temperature)
-    n = logits.value.shape[0]
+def _hinton_grad(logits: np.ndarray, teacher_logits: np.ndarray,
+                 temperature: float, scale: float) -> tuple[float, np.ndarray]:
+    value = hinton_soft_target(logits, teacher_logits, temperature)
     p = _softmax(teacher_logits / temperature)
-
-    def backward_fn(out, g):
-        q = _softmax(logits.value / temperature)
-        out._accumulate(logits, float(g) * (q - p) / (n * temperature))
-
-    return tape.custom(value, (logits,), backward_fn)
+    q = _softmax(logits / temperature)
+    return value, scale * (q - p) / (logits.shape[0] * temperature)
 
 
-def _l2_node(tape: Tape, logits: Tensor, teacher_logits: np.ndarray) -> Tensor:
-    diff = logits.value - teacher_logits
-    value = float(np.mean(diff ** 2))
-
-    def backward_fn(out, g):
-        out._accumulate(logits, float(g) * 2.0 * diff / diff.size)
-
-    return tape.custom(value, (logits,), backward_fn)
+def _l2_grad(logits: np.ndarray, teacher_logits: np.ndarray,
+             scale: float) -> tuple[float, np.ndarray]:
+    diff = logits - teacher_logits
+    return float(np.mean(diff ** 2)), scale * 2.0 * diff / diff.size
 
 
 def _task_objective():
-    def objective(tape, record, idx, labels):
-        loss = softmax_cross_entropy(record.logits, labels)
-        return loss, float(loss.value), None
+    def objective(record, idx, labels):
+        ce, ce_grad = softmax_cross_entropy(record.logits, labels)
+        return ce, ce, None, {}, ce_grad
     return objective
 
 
-def _prior_objective(terms, config: PriorConfig):
-    """Sum over (cache, mapping, weight) of weight * sum of group KLs."""
-    def objective(tape, record, idx, labels):
-        total = None
+def _prior_objective(terms, config: PriorConfig, scale: float = 1.0):
+    """Sum over (cache, mapping, weight) of weight * sum of group KLs; the
+    gradients carry ``scale``, the caller's weight on the whole sum."""
+    def objective(record, idx, labels):
         kl_sum = 0.0
+        term_grads = []
         for cache, mapping, weight in terms:
             for student_idx, gid in mapping.entries:
                 phi_t = cache.groups[gid][idx].astype(np.float64)
                 k2 = feature_kernel(phi_t, config)
-                node = _kl_node(tape, record.activations[student_idx], k2, config)
-                term = node * weight if weight != 1.0 else node
-                kl_sum += weight * float(node.value)
-                total = term if total is None else total + term
-        return total, None, kl_sum
+                value, grad = _kl_grad(record.activations[student_idx], k2,
+                                       config, scale * weight)
+                kl_sum += weight * value
+                term_grads.append((student_idx, grad))
+        act_grads = {}
+        for layer, grad in reversed(term_grads):
+            act_grads[layer] = act_grads[layer] + grad if layer in act_grads else grad
+        return kl_sum, None, kl_sum, act_grads, None
     return objective
 
 
 def _joint_objective(cache, mapping, config: PriorConfig):
-    prior = _prior_objective([(cache, mapping, 1.0)], config)
+    prior = _prior_objective([(cache, mapping, 1.0)], config, config.alpha)
 
-    def objective(tape, record, idx, labels):
-        ce = softmax_cross_entropy(record.logits, labels)
+    def objective(record, idx, labels):
+        ce, ce_grad = softmax_cross_entropy(record.logits, labels)
         if config.alpha == 0.0 or not mapping.entries:
-            return ce, float(ce.value), None
-        kl_total, _, kl_sum = prior(tape, record, idx, labels)
-        return ce + kl_total * config.alpha, float(ce.value), kl_sum
+            return ce, ce, None, {}, ce_grad
+        kl_sum, _, _, act_grads, _ = prior(record, idx, labels)
+        return ce + kl_sum * config.alpha, ce, kl_sum, act_grads, ce_grad
     return objective
 
 
 def _logit_match_objective(cache, logits_group: int, config: PriorConfig,
                            kind: str):
-    def objective(tape, record, idx, labels):
-        ce = softmax_cross_entropy(record.logits, labels)
+    def objective(record, idx, labels):
+        ce, ce_grad = softmax_cross_entropy(record.logits, labels)
         teacher_logits = cache.groups[logits_group][idx].astype(np.float64)
         if kind == "hinton_baseline":
-            node = _hinton_node(tape, record.logits, teacher_logits,
-                                config.temperature)
             scale = config.alpha * config.temperature ** 2
+            value, grad = _hinton_grad(record.logits, teacher_logits,
+                                       config.temperature, scale)
         else:
-            node = _l2_node(tape, record.logits, teacher_logits)
             scale = config.alpha
-        loss = ce + node * scale if scale != 0.0 else ce
-        return loss, float(ce.value), float(node.value)
+            value, grad = _l2_grad(record.logits, teacher_logits, scale)
+        if scale == 0.0:
+            return ce, ce, value, {}, ce_grad
+        return ce + value * scale, ce, value, {}, grad + ce_grad
     return objective
 
 

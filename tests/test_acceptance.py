@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from featprior.autodiff import softmax_cross_entropy
+from featprior.autodiff import backward, softmax_cross_entropy
 from featprior.cli import main as cli_main
 from featprior.data import Dataset, split_and_batch, synth_blobs, synth_rings
 from featprior.errors import DimensionMismatch
@@ -150,15 +150,17 @@ def test_a2_gradient_suite():
         x = rng.standard_normal((batch, 3))
         labels = rng.integers(0, classes, size=batch)
 
-        def loss(m, tape, x=x, labels=labels):
-            return softmax_cross_entropy(forward(m, x, tape).logits, labels)
+        def loss(m, x=x, labels=labels):
+            record = forward(m, x)
+            ce, logit_grad = softmax_cross_entropy(record.logits, labels)
+            return ce, backward(m, x, record, {}, logit_grad)
 
         err = grad_check(model, loss)
         worst_net = max(worst_net, err)
         assert err < 1e-4
 
     # 5 networks with the KL prior attached to a hidden layer
-    from featprior.train import _kl_node
+    from featprior.train import _kl_grad
     for _ in range(5):
         batch = int(rng.integers(2, 5))
         cfg = PriorConfig(jitter=1e-3)
@@ -168,10 +170,11 @@ def test_a2_gradient_suite():
         labels = rng.integers(0, 2, size=batch)
         k2 = gram_kernel(rng.standard_normal((batch, 5)), cfg)
 
-        def loss(m, tape, x=x, labels=labels, k2=k2, cfg=cfg):
-            record = forward(m, x, tape)
-            ce = softmax_cross_entropy(record.logits, labels)
-            return ce + _kl_node(tape, record.activations[0], k2, cfg)
+        def loss(m, x=x, labels=labels, k2=k2, cfg=cfg):
+            record = forward(m, x)
+            ce, logit_grad = softmax_cross_entropy(record.logits, labels)
+            kl, kl_grad = _kl_grad(record.activations[0], k2, cfg, 1.0)
+            return ce + kl, backward(m, x, record, {0: kl_grad}, logit_grad)
 
         err = grad_check(model, loss)
         worst_net = max(worst_net, err)

@@ -1,5 +1,6 @@
-"""Tape/Tensor engine tests: op gradients against finite differences,
-fused softmax cross-entropy, and backward-pass bookkeeping."""
+"""Dense-MLP backward tests: every training objective's parameter
+gradients against central finite differences, the early stop of the
+reverse walk, and fused softmax cross-entropy."""
 
 from __future__ import annotations
 
@@ -8,99 +9,200 @@ import math
 import numpy as np
 import pytest
 
-from featprior.autodiff import Tape, backward, softmax_cross_entropy
-from featprior.errors import DimensionMismatch, LabelOutOfRange, NotScalarLoss
+from featprior.autodiff import backward, softmax_cross_entropy
+from featprior.data import FeatureCache
+from featprior.errors import LabelOutOfRange
+from featprior.gp_prior import PriorConfig
+from featprior.network import LayerSpec, Model, NetworkSpec, forward, grad_check, init_params
+from featprior.train import (
+    LayerGroupMapping,
+    _joint_objective,
+    _logit_match_objective,
+    _prior_objective,
+    _task_objective,
+)
 
 from oracles import central_diff_gradient, relative_error
 
+TOL = 1e-6
+BATCH = 5
+
+
+def teacher_cache(rng, widths) -> FeatureCache:
+    """Random teacher feature groups {gid: BATCH x width}."""
+    return FeatureCache(
+        groups={gid: rng.standard_normal((BATCH, w)).astype(np.float32)
+                for gid, w in widths.items()},
+        dataset_fingerprint=b"\0" * 32, teacher_fingerprint=b"\0" * 32)
+
+
+def objective_error(model, x, labels, objective) -> float:
+    idx = np.arange(x.shape[0])
+
+    def loss_fn(m):
+        record = forward(m, x)
+        loss, _, _, act_grads, logit_grad = objective(record, idx, labels)
+        return loss, backward(m, x, record, act_grads, logit_grad)
+
+    return grad_check(model, loss_fn)
+
+
+@pytest.fixture
+def batch():
+    rng = np.random.default_rng(0)
+    return rng, rng.standard_normal((BATCH, 3)), rng.integers(0, 3, size=BATCH)
+
+
+ACTIVATIONS = ("relu", "tanh", "identity")
+CFG = PriorConfig(jitter=1e-3, alpha=1.0)
+
+
+class TestObjectiveGradients:
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_task_cross_entropy(self, batch, activation):
+        _, x, labels = batch
+        model = init_params(NetworkSpec.dense(3, [6, 4], 3, activation), 1)
+        assert objective_error(model, x, labels, _task_objective()) < TOL
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_prior_terms_with_weights(self, batch, activation):
+        # two terms on layer 1 and one on layer 0, at weights 1 and 0.5
+        rng, x, labels = batch
+        cache = teacher_cache(rng, {0: 4, 1: 7})
+        terms = [(cache, LayerGroupMapping(((1, 0), (0, 1))), 1.0),
+                 (cache, LayerGroupMapping(((1, 1),)), 0.5)]
+        model = init_params(NetworkSpec.dense(3, [6, 4, 5], 3, activation), 2)
+        objective = _prior_objective(terms, CFG)
+        assert objective_error(model, x, labels, objective) < TOL
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_joint_with_alpha(self, batch, activation):
+        rng, x, labels = batch
+        cache = teacher_cache(rng, {0: 4})
+        cfg = PriorConfig(jitter=1e-3, alpha=0.3)
+        objective = _joint_objective(cache, LayerGroupMapping(((0, 0),)), cfg)
+        model = init_params(NetworkSpec.dense(3, [6, 4], 3, activation), 3)
+        assert objective_error(model, x, labels, objective) < TOL
+
+    @pytest.mark.parametrize("kind", ["hinton_baseline", "l2_baseline"])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_logit_baselines(self, batch, kind, activation):
+        rng, x, labels = batch
+        cache = teacher_cache(rng, {2: 3})
+        cfg = PriorConfig(alpha=0.7, temperature=2.5)
+        objective = _logit_match_objective(cache, 2, cfg, kind)
+        model = init_params(NetworkSpec.dense(3, [6, 4], 3, activation), 4)
+        assert objective_error(model, x, labels, objective) < TOL
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_head_less_model(self, batch, activation):
+        # the last activation serves as logits: CE and a KL term both
+        # reach layer 1
+        rng, x, labels = batch
+        cache = teacher_cache(rng, {0: 4})
+        cfg = PriorConfig(jitter=1e-3, alpha=0.5)
+        objective = _joint_objective(
+            cache, LayerGroupMapping(((1, 0), (0, 0))), cfg)
+        model = init_params(NetworkSpec.dense(3, [6, 3], None, activation), 5)
+        assert objective_error(model, x, labels, objective) < TOL
+
+
+class TestEarlyStop:
+    def test_phase1_stops_above_deepest_mapped_layer(self, batch):
+        rng, x, labels = batch
+        cache = teacher_cache(rng, {0: 4})
+        model = init_params(NetworkSpec.dense(3, [6, 4, 5], 3), 6)
+        objective = _prior_objective(
+            [(cache, LayerGroupMapping(((1, 0),)), 1.0)], CFG)
+        record = forward(model, x)
+        _, _, _, act_grads, logit_grad = objective(record, np.arange(BATCH), labels)
+        grads = backward(model, x, record, act_grads, logit_grad, 0)
+        reached = [g is not None for g in grads]
+        assert reached == [True] * 4 + [False] * 4
+
+    def test_phase2_stops_below_lowest(self, batch):
+        _, x, labels = batch
+        model = init_params(NetworkSpec.dense(3, [6, 4, 5], 3), 7)
+        record = forward(model, x)
+        _, _, _, act_grads, logit_grad = _task_objective()(
+            record, np.arange(BATCH), labels)
+        full = backward(model, x, record, act_grads, logit_grad, 0)
+        stopped = backward(model, x, record, act_grads, logit_grad, 2)
+        assert [g is None for g in stopped] == [True] * 4 + [False] * 4
+        for g_full, g_stopped in zip(full[4:], stopped[4:]):
+            np.testing.assert_array_equal(g_full, g_stopped)
+
 
 class TestBackwardBasics:
-    def test_constant_loss_gives_zero_grads(self):
-        tape = Tape()
-        w = tape.leaf(np.ones((2, 2)))
-        loss = tape.tensor(3.0)
-        grads = backward(tape, loss)
-        np.testing.assert_array_equal(grads[0], np.zeros((2, 2)))
+    def test_constant_loss_gives_zero_grads(self, batch):
+        _, x, _ = batch
+        model = init_params(NetworkSpec.dense(3, [4], 2), seed=0)
+        grads = backward(model, x, forward(model, x), {}, None, 0)
+        assert grads == [None] * 4
 
     def test_sum_of_parameters_gives_ones(self):
-        tape = Tape()
-        w = tape.leaf(np.arange(6.0).reshape(2, 3))
-        grads = backward(tape, w.sum())
-        np.testing.assert_array_equal(grads[0], np.ones((2, 3)))
-
-    def test_shared_subexpression_accumulates(self):
-        # z = x*y + x: dz/dx = y + 1, dz/dy = x
-        tape = Tape()
-        x = tape.leaf(np.array(2.0))
-        y = tape.leaf(np.array(5.0))
-        gx, gy = backward(tape, x * y + x)
-        assert gx == pytest.approx(6.0)
-        assert gy == pytest.approx(2.0)
-
-    def test_non_scalar_loss_rejected(self):
-        tape = Tape()
-        w = tape.leaf(np.ones(3))
-        with pytest.raises(NotScalarLoss):
-            backward(tape, w * 2.0)
-
-    def test_matmul_shape_mismatch(self):
-        tape = Tape()
-        a = tape.tensor(np.ones((2, 3)))
-        b = tape.tensor(np.ones((2, 3)))
-        with pytest.raises(DimensionMismatch):
-            a @ b
+        # one row of ones through an identity layer: the output sum is the
+        # sum of the layer's parameters
+        spec = NetworkSpec(layers=(LayerSpec(2, 3, "identity"),), output_head=None)
+        model = Model(spec, [np.arange(6.0).reshape(2, 3)], [np.ones(3)], None, None)
+        x = np.ones((1, 2))
+        record = forward(model, x)
+        gw, gb = backward(model, x, record, {}, np.ones_like(record.logits), 0)
+        np.testing.assert_array_equal(gw, np.ones((2, 3)))
+        np.testing.assert_array_equal(gb, np.ones(3))
 
 
 class TestGradientsMatchFiniteDifferences:
     def test_dense_relu_chain(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((3, 4))
-        w0 = rng.standard_normal((4, 5))
-        b0 = rng.standard_normal(5)
-        w1 = rng.standard_normal((5, 2))
+        spec = NetworkSpec(layers=(LayerSpec(4, 5, "relu"),), output_head=2)
+        model = Model(spec, [rng.standard_normal((4, 5))], [rng.standard_normal(5)],
+                      rng.standard_normal((5, 2)), np.zeros(2))
+        # loss = 0.5 * sum(tanh(logits)), gradient 0.5 * (1 - tanh^2)
+        record = forward(model, x)
+        y = np.tanh(record.logits)
+        grads = backward(model, x, record, {}, 0.5 * (1.0 - y * y), 0)
 
-        def build(w0v, b0v, w1v):
-            tape = Tape()
-            tw0, tb0, tw1 = tape.leaf(w0v), tape.leaf(b0v), tape.leaf(w1v)
-            h = (tape.tensor(x) @ tw0 + tb0).relu()
-            return tape, ((h @ tw1).tanh() * 0.5).sum()
-
-        tape, loss = build(w0, b0, w1)
-        grads = backward(tape, loss)
-
-        for i, (arr, name) in enumerate([(w0, "w0"), (b0, "b0"), (w1, "w1")]):
+        params = model.parameters()
+        for i, arr in enumerate(params[:3]):
             def f(flat, i=i):
-                parts = [w0.copy(), b0.copy(), w1.copy()]
-                parts[i] = flat.reshape(parts[i].shape)
-                return float(build(*parts)[1].value)
+                w0, b0, wh, bh = [flat.reshape(p.shape) if j == i else p
+                                  for j, p in enumerate(params)]
+                probe = Model(spec, [w0], [b0], wh, bh)
+                return 0.5 * float(np.tanh(forward(probe, x).logits).sum())
 
             fd = central_diff_gradient(f, arr.ravel()).reshape(arr.shape)
-            assert relative_error(grads[i], fd) < 1e-7, name
+            assert relative_error(grads[i], fd) < 1e-7, i
 
-    def test_broadcast_add_reduces_gradient(self):
-        tape = Tape()
-        bias = tape.leaf(np.array([1.0, 2.0]))
-        mat = tape.tensor(np.ones((3, 2)))
-        grads = backward(tape, (mat + bias).sum())
-        np.testing.assert_allclose(grads[0], [3.0, 3.0])
+    def test_broadcast_add_reduces_gradient(self, batch):
+        # a bias is broadcast over the batch, so its gradient is the batch
+        # sum of the gradient at its layer's output
+        _, x, _ = batch
+        model = init_params(NetworkSpec.dense(3, [4], 2, "identity"), seed=1)
+        logit_grad = np.arange(2.0 * BATCH).reshape(BATCH, 2)
+        grads = backward(model, x, forward(model, x), {}, logit_grad, 0)
+        np.testing.assert_allclose(grads[3], logit_grad.sum(axis=0))
+        np.testing.assert_allclose(
+            grads[1], (logit_grad @ model.head_weight.astype(np.float64).T).sum(axis=0))
 
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):
         logits = np.zeros((4, 10))
         labels = np.array([0, 3, 5, 9])
-        assert softmax_cross_entropy(logits, labels) == pytest.approx(
+        assert softmax_cross_entropy(logits, labels)[0] == pytest.approx(
             math.log(10.0), rel=1e-12)
 
     def test_saturated_correct_logits(self):
         logits = np.zeros((2, 3))
         logits[0, 1] = 1000.0
         logits[1, 2] = 1000.0
-        assert softmax_cross_entropy(logits, [1, 2]) == pytest.approx(0.0, abs=1e-9)
+        assert softmax_cross_entropy(logits, [1, 2])[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_two_class_hand_value(self):
         # -log(e / (e + e^2)) = log(1 + e)
-        value = softmax_cross_entropy(np.array([[1.0, 2.0]]), [0])
+        value, _ = softmax_cross_entropy(np.array([[1.0, 2.0]]), [0])
         assert value == pytest.approx(math.log(1.0 + math.e), rel=1e-12)
         assert value == pytest.approx(1.313262, abs=1e-6)
 
@@ -108,8 +210,8 @@ class TestSoftmaxCrossEntropy:
         rng = np.random.default_rng(1)
         logits = rng.standard_normal((5, 7))
         labels = rng.integers(0, 7, size=5)
-        base = softmax_cross_entropy(logits, labels)
-        shifted = softmax_cross_entropy(logits + 123.456, labels)
+        base, _ = softmax_cross_entropy(logits, labels)
+        shifted, _ = softmax_cross_entropy(logits + 123.456, labels)
         assert abs(base - shifted) < 1e-9
 
     def test_label_out_of_range(self):
@@ -120,13 +222,10 @@ class TestSoftmaxCrossEntropy:
         rng = np.random.default_rng(2)
         logits = rng.standard_normal((3, 4))
         labels = np.array([1, 0, 3])
-
-        tape = Tape()
-        t = tape.leaf(logits)
-        grads = backward(tape, softmax_cross_entropy(t, labels))
+        _, grad = softmax_cross_entropy(logits, labels)
 
         def f(flat):
-            return softmax_cross_entropy(flat.reshape(3, 4), labels)
+            return softmax_cross_entropy(flat.reshape(3, 4), labels)[0]
 
         fd = central_diff_gradient(f, logits.ravel()).reshape(3, 4)
-        assert relative_error(grads[0], fd) < 1e-7
+        assert relative_error(grad, fd) < 1e-7
