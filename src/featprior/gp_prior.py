@@ -373,6 +373,12 @@ def hinton_soft_target(logits_s, logits_t, temperature: float) -> float:
     Unlike the GP prior this needs the student to have exactly as many
     logits as the teacher.
     """
+    return _soft_target(logits_s, logits_t, temperature)[0]
+
+
+def _soft_target(logits_s, logits_t, temperature: float):
+    """``hinton_soft_target``'s value and the teacher's softened softmax,
+    which its gradient needs too."""
     s = np.asarray(logits_s, dtype=np.float64)
     t = np.asarray(logits_t, dtype=np.float64)
     if s.shape != t.shape:
@@ -383,7 +389,7 @@ def hinton_soft_target(logits_s, logits_t, temperature: float) -> float:
         raise DimensionMismatch(f"logits must be 2-d, got shape {s.shape}")
     p = _softmax(t / temperature)
     log_q = _log_softmax(s / temperature)
-    return float(-np.mean(np.sum(p * log_q, axis=1)))
+    return float(-np.mean(np.sum(p * log_q, axis=1))), p
 
 
 def l2_feature_distance(phi_s, phi_t) -> float:

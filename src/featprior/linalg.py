@@ -72,13 +72,16 @@ def cholesky(a) -> CholeskyFactor:
     """
     arr = _as_square(a)
     n = arr.shape[0]
-    scale = float(np.max(np.abs(arr))) if n else 0.0
-    asym = float(np.max(np.abs(arr - arr.T))) if n else 0.0
-    if not asym <= SYMMETRY_RTOL * max(scale, 1.0):
-        raise NotSymmetric(
-            f"asymmetry {asym:.3e} exceeds tolerance for scale {scale:.3e}"
-        )
-    if asym > 0.0:
+    diff = arr - arr.T
+    # exactly symmetric input (every internal Gram) skips the tolerance
+    # test; a NaN or infinite entry leaves a NaN in diff and takes it
+    if diff.any():
+        scale = float(np.max(np.abs(arr)))
+        asym = float(np.max(np.abs(diff)))
+        if not asym <= SYMMETRY_RTOL * max(scale, 1.0):
+            raise NotSymmetric(
+                f"asymmetry {asym:.3e} exceeds tolerance for scale {scale:.3e}"
+            )
         log.debug("symmetrizing input with asymmetry %.3e", asym)
         arr = 0.5 * (arr + arr.T)
     try:

@@ -1,7 +1,8 @@
 """Dense networks: architecture specs, parameters, forward passes,
 initialization, optimizers, gradient checking and binary model files.
 
-Parameters are stored in float32 (that is also the file format); all
+Parameters are stored in float32 (that is also the file format), in one
+flat vector per model that the optimizers update in one pass; all
 arithmetic runs in float64.  Per-layer activations are first-class outputs
 of ``forward`` (a ``ForwardRecord`` of float64 arrays) so priors can attach
 to any layer, and ``autodiff.backward`` reads them on the way back.
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,13 +95,31 @@ class NetworkSpec:
 
 @dataclass
 class Model:
-    """A spec plus its float32 parameters."""
+    """A spec plus its float32 parameters, held as reshaped views into one
+    vector ``flat`` in ``parameters()`` order: parameter i is
+    ``flat[offsets[i]:offsets[i + 1]]``.  The constructor copies the given
+    arrays into it in their common dtype (float64 for ``grad_check``'s
+    probe).  Write into the views in place; rebinding one detaches it."""
 
     spec: NetworkSpec
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     head_weight: np.ndarray | None
     head_bias: np.ndarray | None
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: list[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        arrays = [np.asarray(p) for p in self.parameters()]
+        # concatenate copies; the empty float32 array types a parameterless model
+        self.flat = np.concatenate([*arrays, np.zeros(0, np.float32)], axis=None)
+        self.offsets = [0] + np.cumsum([a.size for a in arrays], dtype=int).tolist()
+        views = [self.flat[start:stop].reshape(a.shape) for a, start, stop
+                 in zip(arrays, self.offsets, self.offsets[1:])]
+        hidden = 2 * len(self.weights)
+        self.weights, self.biases = views[0:hidden:2], views[1:hidden:2]
+        if self.head_weight is not None:
+            self.head_weight, self.head_bias = views[hidden:]
 
     def parameters(self) -> list[np.ndarray]:
         params: list[np.ndarray] = []
@@ -120,13 +139,8 @@ class Model:
         return ids
 
     def copy(self) -> "Model":
-        return Model(
-            spec=self.spec,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            head_weight=None if self.head_weight is None else self.head_weight.copy(),
-            head_bias=None if self.head_bias is None else self.head_bias.copy(),
-        )
+        return Model(self.spec, self.weights, self.biases, self.head_weight,
+                     self.head_bias)
 
 
 @dataclass
@@ -225,57 +239,70 @@ class AdamConfig:
 
 @dataclass
 class SgdState:
-    velocity: list | None = None
+    """Momentum buffer: one float64 vector laid out like ``Model.flat``."""
+
+    velocity: np.ndarray | None = None
 
 
 @dataclass
 class AdamState:
-    m: list | None = None
-    v: list | None = None
+    """First and second moments, each one float64 vector laid out like
+    ``Model.flat``, and the step count."""
+
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     t: int = 0
 
 
-def _check_grads(grads) -> None:
-    for g in grads:
-        if g is not None and not np.isfinite(g).all():
-            raise NonFiniteGradient("gradient contains NaN or infinity")
+def _grad_runs(model: Model, grads) -> list:
+    """(start, stop, gradients raveled into one vector) per maximal run of
+    non-None gradients; checks them all before any parameter changes."""
+    runs, first = [], None
+    for i, g in enumerate([*grads, None]):
+        if g is None and first is not None:
+            run = np.concatenate(grads[first:i], axis=None)
+            if not np.isfinite(run).all():
+                raise NonFiniteGradient("gradient contains NaN or infinity")
+            runs.append((model.offsets[first], model.offsets[i], run))
+            first = None
+        elif g is not None and first is None:
+            first = i
+    return runs
 
 
 def sgd_step(model: Model, grads, state: SgdState, cfg: SgdConfig):
     """SGD with momentum.  ``grads[i] is None`` skips parameter i entirely
     (used for frozen layers), leaving value and state untouched."""
-    params = model.parameters()
-    _check_grads(grads)
+    runs = _grad_runs(model, grads)
     if state.velocity is None:
-        state.velocity = [np.zeros(p.shape, dtype=np.float64) for p in params]
-    for p, g, vel in zip(params, grads, state.velocity):
-        if g is None:
-            continue
+        state.velocity = np.zeros(model.flat.size)
+    for start, stop, g in runs:
+        p, vel = model.flat[start:stop], state.velocity[start:stop]
         vel *= cfg.momentum
         vel += g
-        p[...] = (p.astype(np.float64) - cfg.lr * vel).astype(p.dtype)
+        p -= cfg.lr * vel
     return model, state
 
 
 def adam_step(model: Model, grads, state: AdamState, cfg: AdamConfig):
-    """Standard Adam with bias correction; ``None`` gradients are skipped."""
-    params = model.parameters()
-    _check_grads(grads)
+    """Standard Adam with bias correction; ``None`` gradients are skipped.
+    Each run of given gradients is one elementwise pass over ``model.flat``."""
+    runs = _grad_runs(model, grads)
     if state.m is None:
-        state.m = [np.zeros(p.shape, dtype=np.float64) for p in params]
-        state.v = [np.zeros(p.shape, dtype=np.float64) for p in params]
+        state.m = np.zeros(model.flat.size)
+        state.v = np.zeros(model.flat.size)
     state.t += 1
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g is None:
-            continue
+    for start, stop, g in runs:
+        p, m, v = (model.flat[start:stop], state.m[start:stop],
+                   state.v[start:stop])
         m *= cfg.beta1
         m += (1.0 - cfg.beta1) * g
         v *= cfg.beta2
         v += (1.0 - cfg.beta2) * g * g
         step = cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-        p[...] = (p.astype(np.float64) - step).astype(p.dtype)
+        p -= step  # in float64, rounded to p's dtype once
     return model, state
 
 
@@ -292,37 +319,30 @@ def grad_check(model: Model, loss_fn, h: float = 1e-5,
     float64 copy of the model.  Returns 0.0 for a model without parameters.
     """
     _, grads = loss_fn(model)
+    analytic_flat = np.concatenate(
+        [np.zeros(p.size) if g is None else np.ravel(g)
+         for p, g in zip(model.parameters(), grads)] + [np.zeros(0)])
 
-    coords = []
-    for pi, p in enumerate(model.parameters()):
-        for flat in range(p.size):
-            coords.append((pi, flat))
+    coords = range(model.flat.size)
     if max_coords is not None and len(coords) > max_coords:
         rng = np.random.default_rng(seed)
-        chosen = rng.choice(len(coords), size=max_coords, replace=False)
-        coords = [coords[i] for i in sorted(chosen)]
+        coords = sorted(rng.choice(len(coords), size=max_coords, replace=False))
 
     worst = 0.0
     # float64 probe model: float32 storage would quantize the +-h probes
-    probe = Model(
-        spec=model.spec,
-        weights=[w.astype(np.float64) for w in model.weights],
-        biases=[b.astype(np.float64) for b in model.biases],
-        head_weight=None if model.head_weight is None
-        else model.head_weight.astype(np.float64),
-        head_bias=None if model.head_bias is None
-        else model.head_bias.astype(np.float64),
-    )
-    probe_params = probe.parameters()
-    for pi, flat in coords:
-        original = probe_params[pi].flat[flat]
+    cast = [p.astype(np.float64) for p in model.parameters()]
+    hidden = 2 * len(model.weights)
+    probe = Model(model.spec, cast[0:hidden:2], cast[1:hidden:2],
+                  *(cast[hidden:] or (None, None)))
+    for i in coords:
+        original = probe.flat[i]
         fd = []
         for sign in (+1.0, -1.0):
-            probe_params[pi].flat[flat] = original + sign * h
+            probe.flat[i] = original + sign * h
             fd.append(float(loss_fn(probe)[0]))
-        probe_params[pi].flat[flat] = original
+        probe.flat[i] = original
         numeric = (fd[0] - fd[1]) / (2.0 * h)
-        analytic = 0.0 if grads[pi] is None else float(grads[pi].flat[flat])
+        analytic = float(analytic_flat[i])
         err = abs(analytic - numeric) / (abs(analytic) + abs(numeric) + 1e-12)
         worst = max(worst, err)
     return worst
@@ -382,9 +402,9 @@ def deserialize_model(data: bytes) -> Model:
         if offset + need > len(data):
             raise CorruptFile("model file truncated in layer payload")
         w = np.frombuffer(data, dtype="<f4", count=rows_in * cols_out,
-                          offset=offset).reshape(rows_in, cols_out).copy()
+                          offset=offset).reshape(rows_in, cols_out)
         offset += 4 * rows_in * cols_out
-        b = np.frombuffer(data, dtype="<f4", count=cols_out, offset=offset).copy()
+        b = np.frombuffer(data, dtype="<f4", count=cols_out, offset=offset)
         offset += 4 * cols_out
         rows.append((w, b, _TAG_ACTS[tag]))
     if offset != len(data):

@@ -47,10 +47,10 @@ from .errors import (
 )
 from .gp_prior import (
     PriorConfig,
+    _soft_target,
     _softmax,
     feature_kernel,
     feature_kl_and_grad,
-    hinton_soft_target,
 )
 from .network import (
     AdamConfig,
@@ -379,8 +379,7 @@ def _kl_grad(phi: np.ndarray, teacher_kernel, config: PriorConfig,
 
 def _hinton_grad(logits: np.ndarray, teacher_logits: np.ndarray,
                  temperature: float, scale: float) -> tuple[float, np.ndarray]:
-    value = hinton_soft_target(logits, teacher_logits, temperature)
-    p = _softmax(teacher_logits / temperature)
+    value, p = _soft_target(logits, teacher_logits, temperature)
     q = _softmax(logits / temperature)
     return value, scale * (q - p) / (logits.shape[0] * temperature)
 
@@ -583,7 +582,7 @@ def combine_experts_fit(student: Model, dataset: Dataset,
 class RunResult:
     model: Model
     metrics: Metrics
-    log: list
+    log: list | None
     final_kl: float | None = None
 
 
@@ -592,12 +591,15 @@ def run_distillation(student_spec: NetworkSpec, dataset: Dataset,
                      cache: FeatureCache | None = None,
                      mapping: LayerGroupMapping | None = None,
                      experts: ExpertPriorSet | None = None,
-                     logits_group: int | None = None) -> RunResult:
+                     logits_group: int | None = None,
+                     keep_log: bool = True) -> RunResult:
     """Train one student in the plan's mode and evaluate it on the test
-    split."""
+    split.  With ``keep_log`` the result carries one ``LogRow`` per epoch,
+    each scoring the test split; without it ``log`` is None and the test
+    split is scored once, at the end."""
     student = init_params(student_spec, plan.seed)
     schedule = _make_schedule(split.train, plan)
-    log: list[LogRow] = []
+    log: list[LogRow] | None = [] if keep_log else None
     final_kl = None
     mode = plan.mode
 
@@ -691,7 +693,8 @@ def compare_one_seed(dataset: Dataset, teacher_spec: NetworkSpec,
                      mapping: LayerGroupMapping,
                      test_fraction: float = 0.25) -> dict[str, Metrics]:
     """One seed of the comparison: teacher, feature cache, then every
-    method on the shared split."""
+    method on the shared split.  No per-epoch log is kept, so each model
+    scores the test split once."""
     split = split_and_batch(dataset, test_fraction,
                             teacher_plan.batch_size, seed)
     teacher, teacher_report = train_teacher(
@@ -704,7 +707,8 @@ def compare_one_seed(dataset: Dataset, teacher_spec: NetworkSpec,
     for mode, plan in plans.items():
         result = run_distillation(
             student_spec, dataset, split, _seed_plan(plan, seed, mode),
-            cache=cache, mapping=mapping, logits_group=logits_group)
+            cache=cache, mapping=mapping, logits_group=logits_group,
+            keep_log=False)
         out[mode] = result.metrics
     return out
 

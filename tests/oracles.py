@@ -5,7 +5,9 @@ eigensolver is a hand-rolled Jacobi sweep (no Cholesky), the reference
 Cholesky is a column-by-column Python loop (no LAPACK), the Gaussian KL
 uses eigendecompositions and keeps the general mean term, gradients come
 from central finite differences, the IDX decoder reads bytes one at a
-time, and the linear probe is a least-squares classifier.
+time, the linear probe is a least-squares classifier, and the reference
+optimizers update one parameter tensor at a time with state kept per
+tensor (no flat buffer).
 """
 
 from __future__ import annotations
@@ -126,3 +128,33 @@ def linear_probe_accuracy(train_x, train_y, test_x, test_y, classes: int) -> flo
     w, *_ = np.linalg.lstsq(with_bias(train_x), onehot, rcond=None)
     predictions = np.argmax(with_bias(test_x) @ w, axis=1)
     return float(np.mean(predictions == test_y))
+
+
+def sgd_step_per_tensor(params, grads, velocity, lr: float, momentum: float):
+    """SGD with momentum on a list of parameter arrays, in place;
+    ``velocity`` is a list of float64 arrays, ``None`` gradients skip."""
+    for p, g, vel in zip(params, grads, velocity):
+        if g is None:
+            continue
+        vel *= momentum
+        vel += g
+        p[...] = (p.astype(np.float64) - lr * vel).astype(p.dtype)
+
+
+def adam_step_per_tensor(params, grads, m_list, v_list, t: int, lr: float,
+                         beta1: float = 0.9, beta2: float = 0.999,
+                         eps: float = 1e-8):
+    """Adam step ``t`` (1-based) on a list of parameter arrays, in place;
+    ``m_list``/``v_list`` are lists of float64 arrays, ``None`` gradients
+    skip."""
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for p, g, m, v in zip(params, grads, m_list, v_list):
+        if g is None:
+            continue
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        step = lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        p[...] = (p.astype(np.float64) - step).astype(p.dtype)

@@ -197,6 +197,14 @@ class TestExtractAndDistill:
         medians = [float(np.median(kls[i:i + 10])) for i in range(0, 30, 10)]
         assert all(b <= a + 1e-9 for a, b in zip(medians, medians[1:]))
 
+    def test_distill_log_scores_every_epoch(self, tmp_path):
+        path, out = self.pipeline(tmp_path)
+        run("distill", "--config", path, "--out", str(out))
+        rows = (out / "run_log.csv").read_text().strip().split("\n")[1:]
+        plan = base_config()["plan"]
+        assert len(rows) == plan["phase1_epochs"] + plan["phase2_epochs"]
+        assert all(0.0 <= float(r.split(",")[4]) <= 1.0 for r in rows)
+
     def test_distill_rerun_byte_identical(self, tmp_path):
         path, out = self.pipeline(tmp_path)
         run("distill", "--config", path, "--out", str(out))

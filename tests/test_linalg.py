@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from featprior import linalg
 from featprior.errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
 from featprior.linalg import (
     cholesky,
@@ -51,6 +52,24 @@ class TestCholesky:
     def test_nan_rejected(self):
         with pytest.raises(NotSymmetric):
             cholesky([[1.0, np.nan], [np.nan, 1.0]])
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_diagonal_rejected(self, bad):
+        # symmetric in position, but x - x is NaN for a NaN or infinite x
+        with pytest.raises(NotSymmetric):
+            cholesky([[bad, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("n", [1, 4, 16, 64])
+    def test_exactly_symmetric_factor_bits(self, n):
+        # the exact-symmetry shortcut factors the input as given, as the
+        # tolerance test (asymmetry 0, nothing to symmetrize) did
+        a = random_spd(np.random.default_rng(n), n)
+        assert (a == a.T).all()
+        f = cholesky(a)
+        lower = np.linalg.cholesky(a)
+        np.testing.assert_array_equal(f.lower, lower)
+        np.testing.assert_array_equal(f.inverse, linalg._lower_inverse(lower))
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):

@@ -32,6 +32,7 @@ from featprior.network import (
     serialize_model,
     sgd_step,
 )
+from oracles import adam_step_per_tensor, sgd_step_per_tensor
 
 
 def scalar_model(value: float) -> Model:
@@ -227,6 +228,117 @@ class TestOptimizers:
         with pytest.raises(NonFiniteGradient):
             adam_step(model, [np.array([[np.nan]]), np.zeros(1)], AdamState(),
                       AdamConfig())
+
+
+class TestFlatModel:
+    def test_parameters_are_views_of_flat(self):
+        model = init_params(NetworkSpec.dense(2, [16], 3), seed=0)
+        assert model.flat.dtype == np.float32
+        assert model.offsets == [0, 32, 48, 96, 99]
+        np.testing.assert_array_equal(
+            model.flat, np.concatenate([p.ravel() for p in model.parameters()]))
+        model.flat[0] = np.float32(7.0)
+        assert model.weights[0][0, 0] == np.float32(7.0)
+        model.head_bias[...] = 1.0
+        np.testing.assert_array_equal(model.flat[-3:], 1.0)
+
+    def test_constructor_and_copy_do_not_alias(self):
+        w = np.ones((2, 3), dtype=np.float32)
+        model = Model(NetworkSpec.dense(2, [3], None), [w],
+                      [np.zeros(3, dtype=np.float32)], None, None)
+        w[...] = 5.0
+        copy = model.copy()
+        copy.weights[0][...] = 2.0
+        np.testing.assert_array_equal(model.weights[0], 1.0)
+        assert not np.shares_memory(copy.flat, model.flat)
+
+
+def optimizer_case(hidden, frozen_layers, seed):
+    """A model, per-tensor copies of its parameters, and 200 seeded
+    gradient lists with None at every parameter of a frozen layer."""
+    model = init_params(NetworkSpec.dense(2, hidden, 3), seed=seed)
+    reference = [p.copy() for p in model.parameters()]
+    rng = np.random.default_rng(seed)
+    layer_ids = model.param_layer_ids()
+    steps = []
+    for step in range(200):
+        scale = 10.0 ** rng.uniform(-4, 1)
+        steps.append([None if lid in frozen_layers
+                      else scale * rng.standard_normal(p.shape)
+                      for p, lid in zip(reference, layer_ids)])
+    return model, reference, steps
+
+
+def assert_flat_matches(flat, tensors, offsets):
+    for i, t in enumerate(tensors):
+        piece = flat[offsets[i]:offsets[i + 1]].reshape(t.shape)
+        assert piece.dtype == t.dtype
+        assert np.array_equal(piece, t), i
+
+
+def assert_only_frozen_untouched(model, before, frozen_layers):
+    for i, lid in enumerate(model.param_layer_ids()):
+        piece = slice(model.offsets[i], model.offsets[i + 1])
+        untouched = np.array_equal(model.flat[piece], before[piece])
+        assert untouched == (lid in frozen_layers), i
+
+
+OPTIMIZER_CASES = {
+    "student_2_16_3": ([16], ()),
+    "teacher_2_64_64_3": ([64, 64], ()),
+    "middle_layer_frozen": ([16, 8], (1,)),
+}
+
+
+class TestFlatOptimizersMatchPerTensor:
+    """200 steps of the flat optimizers against the per-tensor reference:
+    parameters and optimizer state equal bit for bit, frozen ranges
+    untouched."""
+
+    @pytest.mark.parametrize("case", sorted(OPTIMIZER_CASES))
+    def test_adam(self, case):
+        hidden, frozen = OPTIMIZER_CASES[case]
+        model, reference, steps = optimizer_case(hidden, frozen, seed=11)
+        before = model.flat.copy()
+        m_ref = [np.zeros(p.shape) for p in reference]
+        v_ref = [np.zeros(p.shape) for p in reference]
+        state, cfg = AdamState(), AdamConfig(lr=0.01)
+        for t, grads in enumerate(steps, start=1):
+            adam_step(model, grads, state, cfg)
+            adam_step_per_tensor(reference, grads, m_ref, v_ref, t, lr=cfg.lr,
+                                 beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+        assert state.t == 200
+        assert_flat_matches(model.flat, reference, model.offsets)
+        assert_flat_matches(state.m, m_ref, model.offsets)
+        assert_flat_matches(state.v, v_ref, model.offsets)
+        assert_only_frozen_untouched(model, before, frozen)
+
+    @pytest.mark.parametrize("case", sorted(OPTIMIZER_CASES))
+    def test_sgd(self, case):
+        hidden, frozen = OPTIMIZER_CASES[case]
+        model, reference, steps = optimizer_case(hidden, frozen, seed=12)
+        before = model.flat.copy()
+        vel_ref = [np.zeros(p.shape) for p in reference]
+        state, cfg = SgdState(), SgdConfig(lr=0.01, momentum=0.9)
+        for grads in steps:
+            sgd_step(model, grads, state, cfg)
+            sgd_step_per_tensor(reference, grads, vel_ref, lr=cfg.lr,
+                                momentum=cfg.momentum)
+        assert_flat_matches(model.flat, reference, model.offsets)
+        assert_flat_matches(state.velocity, vel_ref, model.offsets)
+        assert_only_frozen_untouched(model, before, frozen)
+
+    def test_non_finite_in_later_run_leaves_everything_untouched(self):
+        model, _, _ = optimizer_case([4, 4], (), seed=0)
+        before = model.flat.copy()
+        grads = [np.ones(p.shape) for p in model.parameters()]
+        grads[2] = None
+        grads[-1] = np.full(grads[-1].shape, np.inf)
+        state = AdamState()
+        with pytest.raises(NonFiniteGradient):
+            adam_step(model, grads, state, AdamConfig())
+        np.testing.assert_array_equal(model.flat, before)
+        assert state.m is None and state.t == 0
 
 
 class TestSerialization:

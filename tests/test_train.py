@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from featprior import gp_prior, linalg
+from featprior import gp_prior, linalg, train
 from featprior.data import (
     BatchSchedule,
     Dataset,
@@ -29,6 +29,7 @@ from featprior.errors import (
 from featprior.gp_prior import PriorConfig, gp_kl, gram_kernel
 from featprior.network import LayerSpec, Model, NetworkSpec, forward, init_params
 from featprior.train import (
+    MODES,
     ExpertPrior,
     ExpertPriorSet,
     LayerGroupMapping,
@@ -37,6 +38,7 @@ from featprior.train import (
     TrainPlan,
     combine_experts_fit,
     compare_methods,
+    compare_one_seed,
     evaluate,
     extract_features,
     phase1_feature_fit,
@@ -578,6 +580,23 @@ class TestCompareMethods:
         with pytest.raises(ConfigError, match="jobs"):
             compare_methods(seeds=[1, 2], n_jobs=jobs, **self.tiny_args(blobs))
 
+    def test_one_seed_scores_each_model_once(self, blobs, monkeypatch):
+        # compare keeps no per-epoch log, so the test split is scored once
+        # for the teacher and once for each of the five students
+        calls = []
+
+        def counting_evaluate(model, dataset, *args, **kwargs):
+            calls.append(dataset.n)
+            return evaluate(model, dataset, *args, **kwargs)
+
+        monkeypatch.setattr(train, "evaluate", counting_evaluate)
+        args = self.tiny_args(blobs)
+        plan = args.pop("plans")
+        out = compare_one_seed(seed=1, plans={mode: plan for mode in MODES},
+                               **args)
+        assert set(out) == {"_teacher", *MODES}
+        assert len(calls) == 6
+
     def test_parallel_jobs_match_serial(self, blobs):
         args = self.tiny_args(blobs)
         serial = compare_methods(seeds=[1, 2], n_jobs=1, **args)
@@ -648,6 +667,23 @@ class TestRunLog:
                          phase2_epochs=3, mode="naive")
         result = run_distillation(NetworkSpec.dense(2, [4], 2), blobs, split, plan)
         assert all(r.phase == 2 for r in result.log)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_epoch_row_scores_the_test_split(self, rings_setup, mode):
+        ds, split, _, cache = rings_setup
+        plan = TrainPlan(seed=43, batch_size=16, phase1_epochs=2,
+                         phase2_epochs=2, lr_phase1=1e-2, mode=mode)
+        kwargs = dict(cache=cache, mapping=LayerGroupMapping(entries=((0, 1),)),
+                      logits_group=2)
+        spec = NetworkSpec.dense(2, [8], 2)
+        kept = run_distillation(spec, ds, split, plan, **kwargs)
+        assert [r.epoch for r in kept.log] == [0, 1, 2, 3]
+        assert all(r.test_accuracy is not None for r in kept.log)
+        assert kept.log[-1].test_accuracy == kept.metrics.accuracy
+        dropped = run_distillation(spec, ds, split, plan, keep_log=False, **kwargs)
+        assert dropped.log is None
+        assert params_equal(dropped.model, kept.model)
+        assert dropped.metrics == kept.metrics
 
     def test_rerun_identical(self, blobs):
         split = split_and_batch(blobs, 0.5, 16, seed=2)
