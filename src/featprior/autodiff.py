@@ -5,7 +5,8 @@ hidden activations (the GP-KL feature gradient, which ``gp_prior`` gives
 analytically) and the logits (cross-entropy, soft-target or L2).
 ``backward`` takes those input gradients, walks the network from the
 highest of them down to the lowest trained layer, and returns parameter
-gradients in ``Model.parameters()`` order.  Arithmetic is float64.
+gradients in ``Model.parameters()`` order.  Arithmetic is float64.  A
+leading seed axis (a stacked model) gives each seed its own call's bits.
 """
 
 from __future__ import annotations
@@ -14,27 +15,30 @@ import numpy as np
 
 from .errors import DimensionMismatch, LabelOutOfRange
 from .gp_prior import _log_softmax
+from .network import ParamGrads
 
 
 def softmax_cross_entropy(logits, labels):
     """Mean over the batch of -log softmax(logits)[label], and its
-    gradient with respect to the logits: (value, dL/dlogits)."""
+    gradient with respect to the logits: (value, dL/dlogits), one value
+    per seed for stacked logits."""
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2:
+    if logits.ndim < 2:
         raise DimensionMismatch(f"logits must be 2-d, got shape {logits.shape}")
     labels = np.asarray(labels)
-    n, c = logits.shape
-    if labels.shape != (n,):
+    n, c = logits.shape[-2:]
+    if labels.shape != logits.shape[:-1]:
         raise DimensionMismatch(
             f"labels shape {labels.shape} does not match batch size {n}"
         )
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise LabelOutOfRange(f"labels must lie in [0, {c})")
     log_probs = _log_softmax(logits)
-    rows = np.arange(n)
-    value = float(-np.mean(log_probs[rows, labels]))
+    # seeds fold into the rows; sum / n is np.mean without its per-call cost
+    rows, picks = np.arange(labels.size), labels.ravel()
+    value = -log_probs.reshape(-1, c)[rows, picks].reshape(labels.shape).sum(axis=-1) / n
     grad = np.exp(log_probs)
-    grad[rows, labels] -= 1.0
+    grad.reshape(-1, c)[rows, picks] -= 1.0
     return value, grad / n
 
 
@@ -47,25 +51,24 @@ def backward(model, x, record, act_grads, logit_grad, lowest: int = 0) -> list:
     head-less model's logits are its last activation).  The walk starts at
     the head when there is a logit gradient, else at the deepest layer in
     ``act_grads``, and stops at layer ``lowest``.  Parameters it does not
-    reach get None, which the optimizers skip.
+    reach get None, which the optimizers skip; the rest are views of one
+    ``ParamGrads.flat`` buffer.
     """
     activations = [layer.activation for layer in model.spec.layers]
-    weights = list(model.weights)
+    params = model.parameters()  # weight and bias of each layer, the head last
     injected = dict(act_grads)
     if model.head_weight is not None:
         activations.append("identity")
-        weights.append(model.head_weight)
         if logit_grad is not None:
             injected[len(activations) - 1] = logit_grad
     elif logit_grad is not None:
-        top = len(activations) - 1
-        injected[top] = injected[top] + logit_grad if top in injected else logit_grad
-    grads = [None] * (2 * len(weights))
-    if not injected:
-        return grads
+        last = len(activations) - 1
+        injected[last] = injected[last] + logit_grad if last in injected else logit_grad
+    grads = ParamGrads([None] * len(params))
+    grads.flat, o = np.zeros(model.flat.shape), model.offsets
     inputs = [np.asarray(x, dtype=np.float64)] + list(record.activations)
     g = None
-    for layer in range(max(injected), lowest - 1, -1):
+    for layer in range(max(injected, default=lowest - 1), lowest - 1, -1):
         if layer in injected:
             g = injected[layer] if g is None else injected[layer] + g
         if activations[layer] == "relu":
@@ -73,8 +76,10 @@ def backward(model, x, record, act_grads, logit_grad, lowest: int = 0) -> list:
         elif activations[layer] == "tanh":
             y = inputs[layer + 1]
             g = g * (1.0 - y * y)
-        grads[2 * layer] = inputs[layer].T @ g
-        grads[2 * layer + 1] = g.sum(axis=0)
+        for i in (2 * layer, 2 * layer + 1):
+            grads[i] = grads.flat[..., o[i]:o[i + 1]].reshape(params[i].shape)
+        np.matmul(inputs[layer].swapaxes(-1, -2), g, out=grads[2 * layer])
+        g.sum(axis=-2, out=grads[2 * layer + 1])
         if layer > lowest:
-            g = g @ weights[layer].astype(np.float64).T
+            g = g @ params[2 * layer].astype(np.float64).swapaxes(-1, -2)
     return grads

@@ -125,8 +125,7 @@ def cmd_compare(cfg: ExperimentConfig, out: Path, args) -> None:
     result = compare_methods(
         dataset, cfg.teacher.spec_for(dataset), cfg.student.spec_for(dataset),
         cfg.plan, list(cfg.seeds), teacher_plan=cfg.teacher_plan,
-        mapping=cfg.mapping, test_fraction=cfg.test_fraction,
-        n_jobs=args.jobs)
+        mapping=cfg.mapping, test_fraction=cfg.test_fraction)
     _atomic_write_text(out / "comparison.csv", result.comparison_csv())
     _atomic_write_text(out / "summary.txt", result.summary_text())
     print(result.summary_text())
@@ -167,8 +166,8 @@ def _build_parser() -> _Parser:
                            help="model to evaluate (default <out>/student.fpnn)")
         if name == "compare":
             p.add_argument("--jobs", type=int, default=1,
-                           help="concurrent seed runs (>= 1; at most one "
-                                "per seed and per CPU)")
+                           help="accepted and ignored (must be >= 1): compare "
+                                "trains all seeds together in one process")
     return parser
 
 
@@ -179,6 +178,8 @@ def main(argv=None) -> int:
             raise ConfigError(
                 "compare does not take --seed-override: it runs every seed "
                 "in the config's seeds list; edit that list instead")
+        if args.command == "compare" and args.jobs < 1:
+            raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
         cfg = load_config(args.config)
         if args.seed_override is not None:
             cfg = cfg.with_seed(args.seed_override)

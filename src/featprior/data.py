@@ -293,21 +293,22 @@ def split_and_batch(dataset: Dataset, test_fraction: float, batch_size: int,
 
 @dataclass(frozen=True)
 class FeatureCache:
-    """Per-group teacher feature matrices (float32, n rows each) bound to
-    a dataset and teacher by content hashes."""
+    """Per-group teacher feature matrices (float32, n rows each, after a
+    leading seed axis when stacked) bound to a dataset and teacher by
+    content hashes."""
 
     groups: dict[int, np.ndarray]
     dataset_fingerprint: bytes
     teacher_fingerprint: bytes
 
     def __post_init__(self):
-        sizes = {m.shape[0] for m in self.groups.values()}
+        sizes = {m.shape[:-1] for m in self.groups.values()}
         if len(sizes) > 1:
             raise FeatPriorError(f"cache groups disagree on row count: {sizes}")
 
     @property
     def n(self) -> int:
-        return next(iter(self.groups.values())).shape[0] if self.groups else 0
+        return next(iter(self.groups.values())).shape[-2] if self.groups else 0
 
 
 def serialize_cache(cache: FeatureCache) -> bytes:
@@ -364,10 +365,7 @@ def read_cache(path, expect_dataset: Dataset | None = None,
         raise CorruptFile(f"{path}: trailing bytes after cache payload")
     cache = FeatureCache(groups=groups, dataset_fingerprint=ds_fp,
                          teacher_fingerprint=teacher_fp)
-    if expect_dataset is not None:
-        verify_cache(cache, expect_dataset, expect_teacher_fingerprint)
-    elif expect_teacher_fingerprint is not None:
-        verify_cache(cache, None, expect_teacher_fingerprint)
+    verify_cache(cache, expect_dataset, expect_teacher_fingerprint)
     return cache
 
 

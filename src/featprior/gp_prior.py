@@ -57,6 +57,10 @@ Neither identity subtracts nearly equal terms.  When p >= n either side
 is factored as an n x n kernel (``gram_kernel``), as both always are in
 ``gp_kl`` and ``gp_kl_and_grad``.
 
+``feature_kernel`` and ``feature_kl_and_grad`` also take a stack of
+batches (S x n x p, one per seed) and give each seed the bits of its own
+call; jitter escalates per seed.
+
 Baselines kept for comparison: temperature-softened soft-target matching
 on logits (which requires equal logit counts, the restriction the KL prior
 removes) and the plain mean-squared feature distance.
@@ -111,7 +115,7 @@ class KernelMatrix:
     """Jittered SPD Gram matrix with its cached Cholesky factor."""
 
     gram: np.ndarray
-    jitter: float
+    jitter: float | np.ndarray  # one per slice of a stack
     factor: linalg.CholeskyFactor
 
     @property
@@ -131,16 +135,17 @@ class BasisKernel:
 
     @property
     def size(self) -> int:
-        return self.basis.shape[0]
+        return self.basis.shape[-2]
 
     @property
     def jitter(self) -> float:
         return self.core.jitter
 
 
-def _as_features(phi) -> np.ndarray:
+def _as_features(phi, stacked: bool = False) -> np.ndarray:
     arr = np.asarray(phi, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+    if (not (arr.ndim == 2 or stacked and arr.ndim > 2)
+            or arr.shape[-2] < 1 or arr.shape[-1] < 1):
         raise DimensionMismatch(f"feature matrix must be n x p, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise NonFiniteActivation("feature matrix contains non-finite entries")
@@ -150,16 +155,36 @@ def _as_features(phi) -> np.ndarray:
 def _scaled_gram(x: np.ndarray, p: int, config: PriorConfig) -> np.ndarray:
     """x x^T, divided by the feature width p under width normalization,
     symmetrized."""
-    base = x @ x.T
+    base = x @ x.swapaxes(-1, -2)
     if config.normalize_by_width:
         base /= p
-    return 0.5 * (base + base.T)
+    return 0.5 * (base + base.swapaxes(-1, -2))
+
+
+def _sq_norm(a: np.ndarray):
+    """||a||_F^2 by np.vdot, one per matrix of a stack."""
+    return float(np.vdot(a, a)) if a.ndim == 2 else np.array([np.vdot(m, m) for m in a])
+
+
+def _log(x):
+    """math.log of a jitter, or of each jitter of a stack."""
+    return math.log(x) if np.ndim(x) == 0 else np.array([math.log(v) for v in x])
 
 
 def _factor_jittered(base: np.ndarray, jitter: float, what: str):
     """(base + jitter I, jitter used, its Cholesky factor).  On
     factorization failure the jitter escalates once by x10 before giving
-    up with FactorizationFailed."""
+    up with FactorizationFailed.  A stack that fails is refactored slice
+    by slice, so each slice escalates on its own; its jitter is an array."""
+    if base.ndim > 2:
+        mat = base + jitter * np.eye(base.shape[-1])
+        try:
+            return mat, np.full(base.shape[:-2], jitter), linalg.cholesky(mat)
+        except NotPositiveDefinite:
+            mats, jitters, fs = zip(*(_factor_jittered(b, jitter, what) for b in base))
+        factor = linalg.CholeskyFactor(np.stack([f.lower for f in fs]),
+                                       np.stack([f.inverse for f in fs]), fs[0].size)
+        return np.stack(mats), np.array(jitters), factor
     for attempt in range(2):
         mat = base + jitter * np.eye(base.shape[0])
         try:
@@ -181,8 +206,13 @@ def gram_kernel(phi, config: PriorConfig) -> KernelMatrix:
     Phi Phi^T (+ jitter I).  On factorization failure the jitter escalates
     once by x10 before giving up.
     """
-    arr = _as_features(phi)
-    n, p = arr.shape
+    return _gram_kernel(_as_features(phi), config)
+
+
+def _gram_kernel(arr: np.ndarray, config: PriorConfig) -> KernelMatrix:
+    """gram_kernel of a checked batch or stack.  Stacks come here, not
+    through gram_kernel, whose jitter stays a float."""
+    n, p = arr.shape[-2:]
     gram, jitter, factor = _factor_jittered(_scaled_gram(arr, p, config),
                                             config.jitter, f"Gram of batch {n}")
     return KernelMatrix(gram=gram, jitter=jitter, factor=factor)
@@ -196,23 +226,20 @@ def _rank_deficient(n: int, p: int) -> FactorizationFailed:
 
 def feature_kernel(phi, config: PriorConfig) -> KernelMatrix | BasisKernel:
     """The jittered Gram of a feature batch, in the form the KL against it
-    is cheapest in.
-
-    When the batch outnumbers the features (p < n) this is a BasisKernel
-    from the thin QR Phi = Q R, whose core is ``gram_kernel(R, config)``
-    (R is p wide, so width normalization divides by p as it should, and
-    the jitter escalates as any Gram's does).  With zero jitter and p < n
-    the Gram is singular, which raises FactorizationFailed.  Otherwise
-    (p >= n) this is exactly ``gram_kernel(phi, config)``.
+    is cheapest in: when p < n a BasisKernel whose core is
+    ``gram_kernel(R, config)`` for the thin QR Phi = Q R (R is p wide, so
+    width normalization and escalation act as on any Gram; zero jitter
+    raises FactorizationFailed), else exactly ``gram_kernel(phi, config)``.
     """
-    arr = _as_features(phi)
-    n, p = arr.shape
+    arr = _as_features(phi, stacked=True)
+    n, p = arr.shape[-2:]
+    kernel = gram_kernel if arr.ndim == 2 else _gram_kernel
     if p >= n:
-        return gram_kernel(arr, config)
+        return kernel(arr, config)
     if config.jitter == 0.0:
         raise _rank_deficient(n, p)
     q, r = np.linalg.qr(arr)
-    return BasisKernel(basis=q, core=gram_kernel(r, config))
+    return BasisKernel(basis=q, core=kernel(r, config))
 
 
 def kernel_from_gram(gram, jitter: float = 0.0) -> KernelMatrix:
@@ -246,49 +273,39 @@ def gp_kl(k1: KernelMatrix, k2: KernelMatrix) -> float:
 def _kl_against_teacher(arr: np.ndarray, k_t: KernelMatrix | BasisKernel,
                         c: float, jitter_s: float, log_det_s: float):
     """KL value and K_t^{-1} Phi for the student Gram K_s = c Phi Phi^T +
-    jitter_s I with log|K_s| = log_det_s.
-
-    Against an n x n kernel, from one product A = L_t^{-1} Phi:
-    tr(K_t^{-1} K_s) = c ||A||_F^2 + jitter_s ||L_t^{-1}||_F^2 and
-    K_t^{-1} Phi = L_t^{-T} A.  Against a BasisKernel (Q, B, j), with
-    G = Q^T Phi, E = Phi - Q G and A = L_B^{-1} G:
-    tr(K_t^{-1} K_s) = c (||A||^2 + ||E||^2 / j)
-    + jitter_s (||L_B^{-1}||^2 + (n - p_t) / j),
-    log|K_t| = log|B| + (n - p_t) log j and
-    K_t^{-1} Phi = Q L_B^{-T} A + E / j.
+    jitter_s I with log|K_s| = log_det_s, by the formulas in the module
+    docstring: from A = L_t^{-1} Phi against an n x n kernel, from
+    G = Q^T Phi, E = Phi - Q G and A = L_B^{-1} G against a BasisKernel.
     """
-    n = arr.shape[0]
+    n = arr.shape[-2]
     if isinstance(k_t, BasisKernel):
         q, j = k_t.basis, k_t.jitter
         inv_b = k_t.core.factor.inverse
-        rest = n - q.shape[1]
-        g = q.T @ arr
+        rest = n - q.shape[-1]
+        g = q.swapaxes(-1, -2) @ arr
         e = arr - q @ g
         a = inv_b @ g
-        trace = (c * (float(np.vdot(a, a)) + float(np.vdot(e, e)) / j)
-                 + jitter_s * (float(np.vdot(inv_b, inv_b)) + rest / j))
-        log_det_t = linalg.log_det(k_t.core.factor) + rest * math.log(j)
-        kt_phi = q @ (inv_b.T @ a) + e / j
+        trace = (c * (_sq_norm(a) + _sq_norm(e) / j)
+                 + jitter_s * (_sq_norm(inv_b) + rest / j))
+        log_det_t = linalg.log_det(k_t.core.factor) + rest * _log(j)
+        kt_phi = q @ (inv_b.swapaxes(-1, -2) @ a) + e / np.expand_dims(j, (-2, -1))
     else:
         inv_t = k_t.factor.inverse
         a = inv_t @ arr
-        trace = c * float(np.vdot(a, a)) + jitter_s * float(np.vdot(inv_t, inv_t))
+        trace = c * _sq_norm(a) + jitter_s * _sq_norm(inv_t)
         log_det_t = linalg.log_det(k_t.factor)
-        kt_phi = inv_t.T @ a
+        kt_phi = inv_t.swapaxes(-1, -2) @ a
     return 0.5 * (trace - n + log_det_t - log_det_s), kt_phi
 
 
 def gp_kl_and_grad(phi_s, k_s: KernelMatrix, k_t: KernelMatrix,
                    config: PriorConfig) -> tuple[float, np.ndarray]:
     """gp_kl(k_s, k_t) and its gradient d/d Phi_s, for k_s =
-    gram_kernel(phi_s, config), from one product A = L_t^{-1} Phi_s.
-
-    With c = 1/p under width normalization (else 1):
-    tr(K_t^{-1} K_s) = c ||A||_F^2 + jitter_s ||L_t^{-1}||_F^2, and the
-    gradient is c (L_t^{-T} A - L_s^{-T} L_s^{-1} Phi_s).
-    """
-    arr = _as_features(phi_s)
-    n, p = arr.shape
+    gram_kernel(phi_s, config), from one product A = L_t^{-1} Phi_s: the
+    gradient is c (L_t^{-T} A - L_s^{-T} L_s^{-1} Phi_s), c = 1/p under
+    width normalization (else 1)."""
+    arr = _as_features(phi_s, stacked=True)
+    n, p = arr.shape[-2:]
     if k_s.size != n or k_t.size != n:
         raise DimensionMismatch(
             f"kernels of size {k_s.size}/{k_t.size} do not match batch {n}"
@@ -297,38 +314,35 @@ def gp_kl_and_grad(phi_s, k_s: KernelMatrix, k_t: KernelMatrix,
     value, kt_phi = _kl_against_teacher(arr, k_t, c, k_s.jitter,
                                         linalg.log_det(k_s.factor))
     inv_s = k_s.factor.inverse
-    return value, c * (kt_phi - inv_s.T @ (inv_s @ arr))
+    return value, c * (kt_phi - inv_s.swapaxes(-1, -2) @ (inv_s @ arr))
 
 
 def feature_kl_and_grad(phi_s, k_t: KernelMatrix | BasisKernel,
                         config: PriorConfig) -> tuple[float, np.ndarray]:
     """gp_kl(gram_kernel(phi_s, config), k_t) and its gradient d/d Phi_s,
     for a teacher kernel from ``feature_kernel`` or any n x n KernelMatrix.
-
-    When the batch outnumbers the student's features (p < n) the student
-    side is factored as the p x p matrix M = jI_p + c Phi^T Phi:
-    log|K_s| = (n - p) log j + log|M| and K_s^{-1} Phi = Phi M^{-1}.  The
-    jitter j escalates like gram_kernel's, and with zero jitter K_s is
-    singular, which raises FactorizationFailed.  Otherwise (p >= n) this
-    is exactly ``gp_kl_and_grad(phi_s, gram_kernel(phi_s, config), k_t,
-    config)``.
-    """
-    arr = _as_features(phi_s)
-    n, p = arr.shape
+    When p < n the student side is the p x p matrix M = jI_p + c Phi^T Phi
+    of the module docstring, whose jitter escalates like gram_kernel's
+    (zero jitter raises FactorizationFailed); otherwise this is exactly
+    ``gp_kl_and_grad(phi_s, gram_kernel(phi_s, config), k_t, config)``."""
+    arr = _as_features(phi_s, stacked=True)
+    n, p = arr.shape[-2:]
     if k_t.size != n:
         raise DimensionMismatch(
             f"teacher kernel of size {k_t.size} does not match batch {n}"
         )
     if p >= n:
-        return gp_kl_and_grad(arr, gram_kernel(arr, config), k_t, config)
+        kernel = gram_kernel if arr.ndim == 2 else _gram_kernel
+        return gp_kl_and_grad(arr, kernel(arr, config), k_t, config)
     if config.jitter == 0.0:
         raise _rank_deficient(n, p)
-    _, jitter, f = _factor_jittered(_scaled_gram(arr.T, p, config), config.jitter,
+    cols = arr.swapaxes(-1, -2)
+    _, jitter, f = _factor_jittered(_scaled_gram(cols, p, config), config.jitter,
                                     f"jI + c Phi^T Phi of width {p}")
-    log_det_s = (n - p) * math.log(jitter) + linalg.log_det(f)
+    log_det_s = (n - p) * _log(jitter) + linalg.log_det(f)
     c = 1.0 / p if config.normalize_by_width else 1.0
     value, kt_phi = _kl_against_teacher(arr, k_t, c, jitter, log_det_s)
-    return value, c * (kt_phi - linalg.solve_spd(f, arr.T).T)
+    return value, c * (kt_phi - linalg.solve_spd(f, cols).swapaxes(-1, -2))
 
 
 def gp_kl_grad(phi_s, k1: KernelMatrix, k2: KernelMatrix,
@@ -356,14 +370,14 @@ def prior_log_density(phi_s, phi_t, config: PriorConfig) -> float:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def hinton_soft_target(logits_s, logits_t, temperature: float) -> float:
@@ -385,11 +399,11 @@ def _soft_target(logits_s, logits_t, temperature: float):
         raise DimensionMismatch(
             f"soft targets need matching logit shapes, got {s.shape} vs {t.shape}"
         )
-    if s.ndim != 2:
+    if s.ndim < 2:
         raise DimensionMismatch(f"logits must be 2-d, got shape {s.shape}")
     p = _softmax(t / temperature)
     log_q = _log_softmax(s / temperature)
-    return float(-np.mean(np.sum(p * log_q, axis=1))), p
+    return -(p * log_q).sum(axis=-1).sum(axis=-1) / s.shape[-2], p
 
 
 def l2_feature_distance(phi_s, phi_t) -> float:

@@ -7,6 +7,8 @@ Each factor carries L^{-1} as well as L, computed once per factor by a
 A^{-1} B = L^{-T} (L^{-1} B) and tr(A^{-1} B) = sum(L^{-1} * (L^{-1} B)).
 Everything here runs in float64: log-determinants and traces of solves on
 near-singular Gram matrices lose too much precision in float32.
+``cholesky``, ``log_det`` and ``solve_spd`` also take stacks of matrices
+and give each slice the bits of its single-matrix call.
 
 Inputs asymmetric within ``SYMMETRY_RTOL`` (float accumulation noise) are
 symmetrized as (A + A^T)/2 with a debug log line; larger asymmetry is an
@@ -16,6 +18,7 @@ surfaced to the caller, which owns the jitter policy.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -34,56 +37,62 @@ _INVERSE_LEAF = 32
 @dataclass(frozen=True)
 class CholeskyFactor:
     """Lower-triangular factor L with A = L L^T, diag(L) > 0, and its
-    inverse L^{-1} (also lower triangular)."""
+    inverse L^{-1} (also lower triangular); per slice for a stack."""
 
     lower: np.ndarray
     inverse: np.ndarray
     size: int
 
 
-def _as_square(a) -> np.ndarray:
+def _as_square(a, stacked: bool = False) -> np.ndarray:
     arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if not (arr.ndim == 2 or stacked and arr.ndim > 2) or arr.shape[-1] != arr.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
     return arr
 
 
+@functools.cache
+def _lower_mask(n: int) -> np.ndarray:
+    return np.tri(n, dtype=bool)  # shared: read, never written
+
+
 def _lower_inverse(lower: np.ndarray) -> np.ndarray:
-    """Inverse of a nonsingular lower-triangular matrix by the block identity
+    """Inverse of nonsingular lower-triangular matrices by the block identity
     [[A, 0], [B, C]]^{-1} = [[A^{-1}, 0], [-C^{-1} B A^{-1}, C^{-1}]]."""
-    n = lower.shape[0]
+    n = lower.shape[-1]
     if n <= _INVERSE_LEAF:
-        return np.tril(np.linalg.inv(lower))
+        # np.tril's own selection, with the mask built once per size
+        return np.where(_lower_mask(n), np.linalg.inv(lower), 0.0)
     h = n // 2
-    a_inv = _lower_inverse(lower[:h, :h])
-    c_inv = _lower_inverse(lower[h:, h:])
+    a_inv = _lower_inverse(lower[..., :h, :h])
+    c_inv = _lower_inverse(lower[..., h:, h:])
     out = np.zeros_like(lower)
-    out[:h, :h] = a_inv
-    out[h:, h:] = c_inv
-    out[h:, :h] = -(c_inv @ (lower[h:, :h] @ a_inv))
+    out[..., :h, :h] = a_inv
+    out[..., h:, h:] = c_inv
+    out[..., h:, :h] = -(c_inv @ (lower[..., h:, :h] @ a_inv))
     return out
 
 
 def cholesky(a) -> CholeskyFactor:
-    """Factor a symmetric positive-definite matrix as L L^T.
+    """Factor a symmetric positive-definite matrix (or each of a stack)
+    as L L^T.
 
     Raises NotSymmetric when the relative asymmetry exceeds SYMMETRY_RTOL
     and NotPositiveDefinite when LAPACK meets a non-positive pivot.
     """
-    arr = _as_square(a)
-    n = arr.shape[0]
-    diff = arr - arr.T
+    arr = _as_square(a, stacked=True)
+    n = arr.shape[-1]
+    diff = arr - arr.swapaxes(-1, -2)
     # exactly symmetric input (every internal Gram) skips the tolerance
     # test; a NaN or infinite entry leaves a NaN in diff and takes it
     if diff.any():
-        scale = float(np.max(np.abs(arr)))
-        asym = float(np.max(np.abs(diff)))
-        if not asym <= SYMMETRY_RTOL * max(scale, 1.0):
-            raise NotSymmetric(
-                f"asymmetry {asym:.3e} exceeds tolerance for scale {scale:.3e}"
-            )
-        log.debug("symmetrizing input with asymmetry %.3e", asym)
-        arr = 0.5 * (arr + arr.T)
+        scale = np.max(np.abs(arr), axis=(-2, -1))  # per matrix of a stack
+        asym = np.max(np.abs(diff), axis=(-2, -1))
+        if not (asym <= SYMMETRY_RTOL * np.maximum(scale, 1.0)).all():
+            raise NotSymmetric(f"asymmetry {np.max(asym):.3e} exceeds tolerance "
+                               f"for scale {np.max(scale):.3e}")
+        log.debug("symmetrizing input with asymmetry %.3e", np.max(asym))
+        arr = 0.5 * (arr + arr.swapaxes(-1, -2))
     try:
         lower = np.linalg.cholesky(arr)
         inverse = _lower_inverse(lower)
@@ -99,19 +108,20 @@ def reconstruct(f: CholeskyFactor) -> np.ndarray:
     return f.lower @ f.lower.T
 
 
-def log_det(f: CholeskyFactor) -> float:
-    """log |A| = 2 * sum(log diag(L))."""
-    return 2.0 * float(np.sum(np.log(np.diag(f.lower))))
+def log_det(f: CholeskyFactor):
+    """log |A| = 2 * sum(log diag(L)), per slice of a stack."""
+    return 2.0 * np.sum(np.log(np.diagonal(f.lower, axis1=-2, axis2=-1)), axis=-1)
 
 
 def solve_spd(f: CholeskyFactor, b) -> np.ndarray:
-    """Solve A x = b as x = L^{-T} (L^{-1} b); b is a vector or a matrix."""
+    """Solve A x = b as x = L^{-T} (L^{-1} b); b is a vector or a matrix
+    (or a stack of matrices for a stacked factor)."""
     rhs = np.asarray(b, dtype=np.float64)
-    if rhs.ndim not in (1, 2) or rhs.shape[0] != f.size:
+    if rhs.ndim == 0 or rhs.shape[-2 if rhs.ndim > 1 else 0] != f.size:
         raise DimensionMismatch(
             f"rhs shape {np.shape(b)} does not conform with factor size {f.size}"
         )
-    return f.inverse.T @ (f.inverse @ rhs)
+    return f.inverse.swapaxes(-1, -2) @ (f.inverse @ rhs)
 
 
 def trace_solve(f: CholeskyFactor, b) -> float:

@@ -6,6 +6,9 @@ flat vector per model that the optimizers update in one pass; all
 arithmetic runs in float64.  Per-layer activations are first-class outputs
 of ``forward`` (a ``ForwardRecord`` of float64 arrays) so priors can attach
 to any layer, and ``autodiff.backward`` reads them on the way back.
+A stacked model (``stack_models``) has a leading seed axis on every
+parameter, ``Model.flat`` (S x P), optimizer state and batch; each seed
+gets the bits of its own 2-d model.
 """
 
 from __future__ import annotations
@@ -97,9 +100,10 @@ class NetworkSpec:
 class Model:
     """A spec plus its float32 parameters, held as reshaped views into one
     vector ``flat`` in ``parameters()`` order: parameter i is
-    ``flat[offsets[i]:offsets[i + 1]]``.  The constructor copies the given
-    arrays into it in their common dtype (float64 for ``grad_check``'s
-    probe).  Write into the views in place; rebinding one detaches it."""
+    ``flat[..., offsets[i]:offsets[i + 1]]``.  The constructor copies the
+    given arrays into it in their common dtype (float64 for
+    ``grad_check``'s probe).  Write into the views in place; rebinding one
+    detaches it."""
 
     spec: NetworkSpec
     weights: list[np.ndarray]
@@ -111,10 +115,12 @@ class Model:
 
     def __post_init__(self):
         arrays = [np.asarray(p) for p in self.parameters()]
+        lead = arrays[0].shape[:-2] if arrays else ()  # the seed axis, if any
+        rows = [a.reshape(*lead, -1) for a in arrays]
         # concatenate copies; the empty float32 array types a parameterless model
-        self.flat = np.concatenate([*arrays, np.zeros(0, np.float32)], axis=None)
-        self.offsets = [0] + np.cumsum([a.size for a in arrays], dtype=int).tolist()
-        views = [self.flat[start:stop].reshape(a.shape) for a, start, stop
+        self.flat = np.concatenate([*rows, np.zeros((*lead, 0), np.float32)], axis=-1)
+        self.offsets = [0] + np.cumsum([r.shape[-1] for r in rows], dtype=int).tolist()
+        views = [self.flat[..., start:stop].reshape(a.shape) for a, start, stop
                  in zip(arrays, self.offsets, self.offsets[1:])]
         hidden = 2 * len(self.weights)
         self.weights, self.biases = views[0:hidden:2], views[1:hidden:2]
@@ -131,16 +137,28 @@ class Model:
 
     def param_layer_ids(self) -> list[int]:
         """Layer index of each parameter; the head counts as layer L."""
-        ids = []
-        for i in range(len(self.weights)):
-            ids.extend((i, i))
-        if self.head_weight is not None:
-            ids.extend((self.spec.hidden_count, self.spec.hidden_count))
-        return ids
+        return [i // 2 for i in range(len(self.offsets) - 1)]
 
     def copy(self) -> "Model":
-        return Model(self.spec, self.weights, self.biases, self.head_weight,
-                     self.head_bias)
+        return _from_parameters(self.spec, self.parameters())
+
+
+def _from_parameters(spec: NetworkSpec, params) -> Model:
+    hidden = 2 * len(spec.layers)
+    return Model(spec, params[0:hidden:2], params[1:hidden:2],
+                 *(params[hidden:] or (None, None)))
+
+
+def stack_models(models) -> Model:
+    """One model of a shared spec whose seed slice s is ``models[s]``."""
+    params = zip(*(m.parameters() for m in models))
+    return _from_parameters(models[0].spec, [np.stack(ps) for ps in params])
+
+
+def unstack_model(model: Model) -> list[Model]:
+    """Copies of a stacked model's seed slices."""
+    return [_from_parameters(model.spec, [p[s] for p in model.parameters()])
+            for s in range(model.flat.shape[0])]
 
 
 @dataclass
@@ -187,31 +205,31 @@ def _apply_activation(x: np.ndarray, name: str) -> np.ndarray:
 def forward(model: Model, batch) -> ForwardRecord:
     """Run the network on a batch, recording every layer's activations."""
     x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2:
+    if x.ndim < 2:
         raise DimensionMismatch(f"batch must be 2-d, got shape {x.shape}")
     if model.weights:
-        expected = model.weights[0].shape[0]
+        expected = model.weights[0].shape[-2]
     elif model.head_weight is not None:
-        expected = model.head_weight.shape[0]
+        expected = model.head_weight.shape[-2]
     else:
-        expected = x.shape[1]
-    if x.shape[1] != expected:
+        expected = x.shape[-1]
+    if x.shape[-1] != expected:
         raise DimensionMismatch(
-            f"batch width {x.shape[1]} != network input width {expected}"
+            f"batch width {x.shape[-1]} != network input width {expected}"
         )
 
     activations = []
     h = x
     for i, (layer, w, b) in enumerate(zip(model.spec.layers, model.weights,
                                           model.biases)):
-        h = _apply_activation(h @ w.astype(np.float64) + b.astype(np.float64),
-                              layer.activation)
+        h = _apply_activation(h @ w.astype(np.float64)
+                              + b.astype(np.float64)[..., None, :], layer.activation)
         _check_finite(h, f"layer {i}")
         activations.append(h)
     logits = h
     if model.head_weight is not None:
         logits = (h @ model.head_weight.astype(np.float64)
-                  + model.head_bias.astype(np.float64))
+                  + model.head_bias.astype(np.float64)[..., None, :])
         _check_finite(logits, "logits")
     return ForwardRecord(activations=activations, logits=logits)
 
@@ -254,13 +272,21 @@ class AdamState:
     t: int = 0
 
 
+class ParamGrads(list):
+    """Gradients in ``parameters()`` order: None (skipped by the optimizers)
+    or views of one float64 array ``flat`` laid out like ``Model.flat``."""
+
+
 def _grad_runs(model: Model, grads) -> list:
-    """(start, stop, gradients raveled into one vector) per maximal run of
-    non-None gradients; checks them all before any parameter changes."""
+    """(start, stop, the run's gradients laid out like ``Model.flat``) per
+    maximal run of non-None gradients; checks them all before any
+    parameter changes.  ``ParamGrads`` runs are slices of its buffer."""
+    flat = getattr(grads, "flat", None)
     runs, first = [], None
     for i, g in enumerate([*grads, None]):
         if g is None and first is not None:
-            run = np.concatenate(grads[first:i], axis=None)
+            run = (np.concatenate(grads[first:i], axis=None) if flat is None
+                   else flat[..., model.offsets[first]:model.offsets[i]])
             if not np.isfinite(run).all():
                 raise NonFiniteGradient("gradient contains NaN or infinity")
             runs.append((model.offsets[first], model.offsets[i], run))
@@ -275,9 +301,9 @@ def sgd_step(model: Model, grads, state: SgdState, cfg: SgdConfig):
     (used for frozen layers), leaving value and state untouched."""
     runs = _grad_runs(model, grads)
     if state.velocity is None:
-        state.velocity = np.zeros(model.flat.size)
+        state.velocity = np.zeros(model.flat.shape)
     for start, stop, g in runs:
-        p, vel = model.flat[start:stop], state.velocity[start:stop]
+        p, vel = model.flat[..., start:stop], state.velocity[..., start:stop]
         vel *= cfg.momentum
         vel += g
         p -= cfg.lr * vel
@@ -289,14 +315,14 @@ def adam_step(model: Model, grads, state: AdamState, cfg: AdamConfig):
     Each run of given gradients is one elementwise pass over ``model.flat``."""
     runs = _grad_runs(model, grads)
     if state.m is None:
-        state.m = np.zeros(model.flat.size)
-        state.v = np.zeros(model.flat.size)
+        state.m = np.zeros(model.flat.shape)
+        state.v = np.zeros(model.flat.shape)
     state.t += 1
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t
     for start, stop, g in runs:
-        p, m, v = (model.flat[start:stop], state.m[start:stop],
-                   state.v[start:stop])
+        p, m, v = (model.flat[..., start:stop], state.m[..., start:stop],
+                   state.v[..., start:stop])
         m *= cfg.beta1
         m += (1.0 - cfg.beta1) * g
         v *= cfg.beta2
@@ -330,10 +356,8 @@ def grad_check(model: Model, loss_fn, h: float = 1e-5,
 
     worst = 0.0
     # float64 probe model: float32 storage would quantize the +-h probes
-    cast = [p.astype(np.float64) for p in model.parameters()]
-    hidden = 2 * len(model.weights)
-    probe = Model(model.spec, cast[0:hidden:2], cast[1:hidden:2],
-                  *(cast[hidden:] or (None, None)))
+    probe = _from_parameters(model.spec,
+                             [p.astype(np.float64) for p in model.parameters()])
     for i in coords:
         original = probe.flat[i]
         fd = []
@@ -416,13 +440,7 @@ def deserialize_model(data: bytes) -> Model:
         layers=tuple(LayerSpec(w.shape[0], w.shape[1], act) for w, b, act in hidden),
         output_head=head[0].shape[1],
     )
-    return Model(
-        spec=spec,
-        weights=[w for w, _, _ in hidden],
-        biases=[b for _, b, _ in hidden],
-        head_weight=head[0],
-        head_bias=head[1],
-    )
+    return _from_parameters(spec, [a for w, b, _ in rows for a in (w, b)])
 
 
 def model_fingerprint(model: Model) -> bytes:

@@ -16,13 +16,16 @@ Conventions shared by every routine here:
   value, {hidden layer: dL/dh}, dL/dlogits), then ``autodiff.backward``
   down to the lowest unfrozen layer.  Term gradients are summed in one
   fixed order: a layer's prior terms last term first, baselines before CE.
+* ``compare_methods`` trains all seeds of a fit as one problem: the model,
+  optimizer state, batches and teacher caches carry a leading seed axis,
+  losses are one per seed, and each seed gets the bits of its own run.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -64,6 +67,8 @@ from .network import (
     init_params,
     model_fingerprint,
     sgd_step,
+    stack_models,
+    unstack_model,
 )
 
 MODES = ("two_phase", "joint", "naive", "hinton_baseline", "l2_baseline")
@@ -302,33 +307,19 @@ def extract_features(model: Model, dataset: Dataset, layer_ids,
     )
 
 
-# -- optimizer wrapper and the epoch loop ------------------------------------
-
-class _Optimizer:
-    def __init__(self, plan: TrainPlan, lr: float):
-        self.kind = plan.optimizer
-        if self.kind == "adam":
-            self.cfg = AdamConfig(lr=lr)
-            self.state = AdamState()
-        else:
-            self.cfg = SgdConfig(lr=lr, momentum=plan.momentum)
-            self.state = SgdState()
-
-    def step(self, model: Model, grads) -> None:
-        if self.kind == "adam":
-            adam_step(model, grads, self.state, self.cfg)
-        else:
-            sgd_step(model, grads, self.state, self.cfg)
-
+# -- the epoch loop -----------------------------------------------------------
 
 def _fit_epochs(model: Model, dataset: Dataset, schedule: BatchSchedule,
                 plan: TrainPlan, objective, *, epochs: int, lr: float,
                 phase: int, epoch_offset: int = 0, frozen_layers=(),
                 test: Dataset | None = None, log: list | None = None) -> float | None:
     """Run ``epochs`` epochs in place; returns the final epoch's mean
-    prior-loss value (None for task-only objectives).  Frozen parameters
-    get None gradients, which leaves them and their optimizer state as is."""
-    opt = _Optimizer(plan, lr)
+    prior-loss value (None for task-only objectives; one per seed for a
+    stacked model).  Frozen parameters get None gradients, which leaves
+    them and their optimizer state as is."""
+    step = (partial(adam_step, state=AdamState(), cfg=AdamConfig(lr=lr))
+            if plan.optimizer == "adam"
+            else partial(sgd_step, state=SgdState(), cfg=SgdConfig(lr, plan.momentum)))
     frozen = set(frozen_layers)
     layer_ids = model.param_layer_ids()
     lowest = min(set(layer_ids) - frozen, default=0)
@@ -341,18 +332,21 @@ def _fit_epochs(model: Model, dataset: Dataset, schedule: BatchSchedule,
             record = forward(model, x)
             loss, task_val, kl_val, act_grads, logit_grad = objective(
                 record, idx, dataset.labels[idx])
-            if not np.isfinite(loss):
+            if not np.isfinite(loss).all():
                 raise DivergedTraining(f"loss became {loss} at epoch {epoch}")
             grads = backward(model, x, record, act_grads, logit_grad, lowest)
             if frozen:
-                grads = [None if lid in frozen else g
-                         for g, lid in zip(grads, layer_ids)]
-            opt.step(model, grads)
+                for i, lid in enumerate(layer_ids):
+                    if lid in frozen:
+                        grads[i] = None
+            step(model, grads)
             if task_val is not None:
                 task_vals.append(task_val)
             if kl_val is not None:
                 kl_vals.append(kl_val)
-        epoch_kl = float(np.mean(kl_vals)) if kl_vals else None
+        # per seed: a contiguous row of each seed's values, as np.mean reduces one
+        epoch_kl = (np.mean(np.ascontiguousarray(np.transpose(kl_vals)), axis=-1)
+                    if kl_vals else None)
         if kl_vals:
             final_kl = epoch_kl
         if log is not None:
@@ -369,25 +363,28 @@ def _fit_epochs(model: Model, dataset: Dataset, schedule: BatchSchedule,
 
 def _kl_grad(phi: np.ndarray, teacher_kernel, config: PriorConfig,
              scale: float) -> tuple[float, np.ndarray]:
-    """gp_kl(gram(phi), teacher) and ``scale`` times its analytic feature
-    gradient; the value and the gradient come from one fused call, which
-    factors the student side in feature space when the batch outnumbers
-    its width."""
+    """gp_kl(gram(phi), teacher) and ``scale`` times its feature gradient."""
     value, grad = feature_kl_and_grad(phi, teacher_kernel, config)
     return value, scale * grad
+
+
+def _rows(group: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """A cache group's rows idx; a stacked group is indexed seed by seed."""
+    return group[idx] if group.ndim == 2 else group[np.arange(len(group))[:, None], idx]
 
 
 def _hinton_grad(logits: np.ndarray, teacher_logits: np.ndarray,
                  temperature: float, scale: float) -> tuple[float, np.ndarray]:
     value, p = _soft_target(logits, teacher_logits, temperature)
     q = _softmax(logits / temperature)
-    return value, scale * (q - p) / (logits.shape[0] * temperature)
+    return value, scale * (q - p) / (logits.shape[-2] * temperature)
 
 
 def _l2_grad(logits: np.ndarray, teacher_logits: np.ndarray,
              scale: float) -> tuple[float, np.ndarray]:
     diff = logits - teacher_logits
-    return float(np.mean(diff ** 2)), scale * 2.0 * diff / diff.size
+    size = diff.shape[-2] * diff.shape[-1]
+    return (diff ** 2).sum(axis=(-2, -1)) / size, scale * 2.0 * diff / size
 
 
 def _task_objective():
@@ -405,7 +402,7 @@ def _prior_objective(terms, config: PriorConfig, scale: float = 1.0):
         term_grads = []
         for cache, mapping, weight in terms:
             for student_idx, gid in mapping.entries:
-                phi_t = cache.groups[gid][idx].astype(np.float64)
+                phi_t = _rows(cache.groups[gid], idx).astype(np.float64)
                 k2 = feature_kernel(phi_t, config)
                 value, grad = _kl_grad(record.activations[student_idx], k2,
                                        config, scale * weight)
@@ -434,7 +431,7 @@ def _logit_match_objective(cache, logits_group: int, config: PriorConfig,
                            kind: str):
     def objective(record, idx, labels):
         ce, ce_grad = softmax_cross_entropy(record.logits, labels)
-        teacher_logits = cache.groups[logits_group][idx].astype(np.float64)
+        teacher_logits = _rows(cache.groups[logits_group], idx).astype(np.float64)
         if kind == "hinton_baseline":
             scale = config.alpha * config.temperature ** 2
             value, grad = _hinton_grad(record.logits, teacher_logits,
@@ -471,11 +468,9 @@ def train_teacher(dataset: Dataset, spec: NetworkSpec, plan: TrainPlan, *,
     budget; returns the model and its test metrics."""
     if split is None:
         split = split_and_batch(dataset, test_fraction, plan.batch_size, plan.seed)
-    model = init_params(spec, plan.seed)
-    schedule = _make_schedule(split.train, plan)
-    _fit_epochs(model, dataset, schedule, plan, _task_objective(),
-                epochs=plan.total_epochs, lr=plan.lr_phase2, phase=2,
-                test=split.test, log=log)
+    model, _ = _fit_mode(init_params(spec, plan.seed), dataset,
+                         _make_schedule(split.train, plan), replace(plan, mode="naive"),
+                         test=split.test, log=log)
     metrics = evaluate(model, split.test)
     return model, MetricsReport.single(plan.seed, metrics)
 
@@ -489,8 +484,9 @@ def phase1_feature_fit(student: Model, dataset: Dataset, cache: FeatureCache,
     """Label-free phase: fit mapped student layers so their batch Grams
     match the teacher's, by KL gradient descent.
 
-    Returns the trained copy and the final epoch's mean per-batch KL.
-    An empty mapping returns the student unchanged.
+    Returns the trained copy and the final epoch's mean per-batch KL (for
+    a stacked student, its mean over seeds).  An empty mapping returns the
+    student unchanged.
     """
     model = student.copy()
     if not mapping.entries:
@@ -503,6 +499,8 @@ def phase1_feature_fit(student: Model, dataset: Dataset, cache: FeatureCache,
     final_kl = _fit_epochs(model, dataset, schedule, plan, objective,
                            epochs=plan.phase1_epochs, lr=plan.lr_phase1,
                            phase=1, test=test, log=log)
+    if np.ndim(final_kl):  # fsum / S, as statistics.fmean computes a mean of seeds
+        final_kl = math.fsum(final_kl.tolist()) / final_kl.size
     return model, final_kl
 
 
@@ -591,39 +589,49 @@ def run_distillation(student_spec: NetworkSpec, dataset: Dataset,
                      cache: FeatureCache | None = None,
                      mapping: LayerGroupMapping | None = None,
                      experts: ExpertPriorSet | None = None,
-                     logits_group: int | None = None,
-                     keep_log: bool = True) -> RunResult:
+                     logits_group: int | None = None) -> RunResult:
     """Train one student in the plan's mode and evaluate it on the test
-    split.  With ``keep_log`` the result carries one ``LogRow`` per epoch,
-    each scoring the test split; without it ``log`` is None and the test
-    split is scored once, at the end."""
-    student = init_params(student_spec, plan.seed)
-    schedule = _make_schedule(split.train, plan)
-    log: list[LogRow] | None = [] if keep_log else None
-    final_kl = None
-    mode = plan.mode
+    split; the result carries one ``LogRow`` per epoch, each scoring the
+    test split."""
+    log: list[LogRow] = []
+    model, final_kl = _fit_mode(
+        init_params(student_spec, plan.seed), dataset,
+        _make_schedule(split.train, plan), plan, cache=cache, mapping=mapping,
+        experts=experts, logits_group=logits_group, test=split.test, log=log)
+    return RunResult(model=model, metrics=evaluate(model, split.test),
+                     log=log, final_kl=final_kl)
 
+
+def _fit_mode(student: Model, dataset: Dataset, schedule, plan: TrainPlan, *,
+              cache: FeatureCache | None = None, mapping: LayerGroupMapping | None = None,
+              experts: ExpertPriorSet | None = None, logits_group: int | None = None,
+              test: Dataset | None = None,
+              log: list | None = None) -> tuple[Model, float | None]:
+    """The trained copy of ``student`` in the plan's mode, and phase 1's
+    final KL (two_phase only)."""
+    mode = plan.mode
+    final_kl = None
     if experts is not None:
         model = combine_experts_fit(student, dataset, experts, plan,
-                                    schedule=schedule, test=split.test, log=log)
+                                    schedule=schedule, test=test, log=log)
     elif mode == "naive":
         model = student.copy()
         _fit_epochs(model, dataset, schedule, plan, _task_objective(),
                     epochs=plan.total_epochs, lr=plan.lr_phase2, phase=2,
-                    test=split.test, log=log)
+                    test=test, log=log)
     elif mode == "two_phase":
         if cache is None or mapping is None:
             raise ConfigError("two_phase mode needs a feature cache and mapping")
         model, final_kl = phase1_feature_fit(student, dataset, cache, mapping,
                                              plan, schedule=schedule,
-                                             test=split.test, log=log)
+                                             test=test, log=log)
         model = phase2_task_fit(model, dataset, plan, mapping.student_layers(),
-                                schedule=schedule, test=split.test, log=log)
+                                schedule=schedule, test=test, log=log)
     elif mode == "joint":
         if cache is None or mapping is None:
             raise ConfigError("joint mode needs a feature cache and mapping")
         model = joint_fit(student, dataset, cache, mapping, plan,
-                          schedule=schedule, test=split.test, log=log)
+                          schedule=schedule, test=test, log=log)
     elif mode in ("hinton_baseline", "l2_baseline"):
         if cache is None or logits_group is None:
             raise ConfigError(f"{mode} needs a cache containing teacher logits")
@@ -632,12 +640,10 @@ def run_distillation(student_spec: NetworkSpec, dataset: Dataset,
         model = student.copy()
         _fit_epochs(model, dataset, schedule, plan, objective,
                     epochs=plan.total_epochs, lr=plan.lr_phase2, phase=2,
-                    test=split.test, log=log)
+                    test=test, log=log)
     else:
         raise ConfigError(f"unknown mode {mode!r}")
-
-    return RunResult(model=model, metrics=evaluate(model, split.test),
-                     log=log, final_kl=final_kl)
+    return model, final_kl
 
 
 @dataclass
@@ -681,59 +687,29 @@ def format_topk_table(reports: dict[str, MetricsReport], ks=(1, 2, 3)) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _seed_plan(plan: TrainPlan, seed: int, mode: str | None = None) -> TrainPlan:
-    if mode is None:
-        return replace(plan, seed=seed)
-    return replace(plan, seed=seed, mode=mode)
+@dataclass
+class _StackedSchedule:
+    """Seeds' schedules stepped together, row s of a batch from schedule s;
+    zip and np.stack raise unless every seed's batches match in shape."""
 
+    schedules: list[BatchSchedule]
 
-def compare_one_seed(dataset: Dataset, teacher_spec: NetworkSpec,
-                     student_spec: NetworkSpec, plans: dict[str, TrainPlan],
-                     seed: int, *, teacher_plan: TrainPlan,
-                     mapping: LayerGroupMapping,
-                     test_fraction: float = 0.25) -> dict[str, Metrics]:
-    """One seed of the comparison: teacher, feature cache, then every
-    method on the shared split.  No per-epoch log is kept, so each model
-    scores the test split once."""
-    split = split_and_batch(dataset, test_fraction,
-                            teacher_plan.batch_size, seed)
-    teacher, teacher_report = train_teacher(
-        dataset, teacher_spec, _seed_plan(teacher_plan, seed), split=split)
-    logits_group = teacher_spec.hidden_count
-    group_ids = sorted({gid for _, gid in mapping.entries} | {logits_group})
-    cache = extract_features(teacher, dataset, group_ids)
-
-    out: dict[str, Metrics] = {"_teacher": teacher_report.per_seed[0]}
-    for mode, plan in plans.items():
-        result = run_distillation(
-            student_spec, dataset, split, _seed_plan(plan, seed, mode),
-            cache=cache, mapping=mapping, logits_group=logits_group,
-            keep_log=False)
-        out[mode] = result.metrics
-    return out
-
-
-def worker_count(n_jobs: int, n_seeds: int, cpu_count: int | None = None) -> int:
-    """Processes ``compare_methods`` runs for ``n_jobs`` requested:
-    min(n_jobs, n_seeds, cpu_count), with cpu_count defaulting to
-    ``os.cpu_count()``.  Values of n_jobs below 1 are a ConfigError."""
-    if n_jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {n_jobs}")
-    if cpu_count is None:
-        cpu_count = os.cpu_count() or 1
-    return min(n_jobs, n_seeds, cpu_count)
+    def epoch_batches(self, epoch: int) -> list[np.ndarray]:
+        return [np.stack(step) for step in zip(
+            *(s.epoch_batches(epoch) for s in self.schedules), strict=True)]
 
 
 def compare_methods(dataset: Dataset, teacher_spec: NetworkSpec,
                     student_spec: NetworkSpec, plans, seeds, *,
                     teacher_plan: TrainPlan, mapping: LayerGroupMapping,
                     test_fraction: float = 0.25,
-                    methods=MODES, n_jobs: int = 1) -> ComparisonResult:
+                    methods=MODES) -> ComparisonResult:
     """Run every method across seeds; report mean and standard error.
 
     ``plans`` is either one base plan (the mode field is overridden per
-    method) or a dict {mode: plan}.  Seeds run in up to ``n_jobs``
-    processes, clamped by ``worker_count``.
+    method) or a dict {mode: plan}.  Each seed has its own split, teacher
+    and feature cache; the seeds train together, as one stacked fit per
+    model (``_StackedSchedule``), and each model scores its test split once.
     """
     seeds = [int(s) for s in seeds]
     if len(seeds) < 2:
@@ -748,34 +724,32 @@ def compare_methods(dataset: Dataset, teacher_spec: NetworkSpec,
     if unknown:
         raise ConfigError(f"unknown methods {sorted(unknown)}")
 
-    workers = worker_count(n_jobs, len(seeds))
+    seeds.sort()
+    splits = [split_and_batch(dataset, test_fraction, teacher_plan.batch_size, seed)
+              for seed in seeds]
 
-    per_seed: dict[int, dict[str, Metrics]] = {}
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                seed: pool.submit(
-                    compare_one_seed, dataset, teacher_spec, student_spec,
-                    plans, seed, teacher_plan=teacher_plan, mapping=mapping,
-                    test_fraction=test_fraction)
-                for seed in seeds
-            }
-            per_seed = {seed: fut.result() for seed, fut in futures.items()}
-    else:
-        for seed in seeds:
-            per_seed[seed] = compare_one_seed(
-                dataset, teacher_spec, student_spec, plans, seed,
-                teacher_plan=teacher_plan, mapping=mapping,
-                test_fraction=test_fraction)
+    def fit(spec: NetworkSpec, plan: TrainPlan, **kwargs) -> list[Model]:
+        """Every seed's model, from its own init and schedule, as one fit."""
+        model, _ = _fit_mode(
+            stack_models([init_params(spec, seed) for seed in seeds]), dataset,
+            _StackedSchedule([BatchSchedule(split.train.source_indices,
+                                            plan.batch_size, seed)
+                              for split, seed in zip(splits, seeds)]), plan, **kwargs)
+        return unstack_model(model)
 
-    ordered = sorted(seeds)
-    method_reports = {
-        mode: MetricsReport(seeds=ordered,
-                            per_seed=[per_seed[s][mode] for s in ordered])
-        for mode in plans
-    }
-    teacher_report = MetricsReport(
-        seeds=ordered, per_seed=[per_seed[s]["_teacher"] for s in ordered])
-    return ComparisonResult(seeds=ordered, methods=method_reports,
-                            teacher=teacher_report)
+    def report(models: list[Model]) -> MetricsReport:
+        return MetricsReport(seeds=seeds, per_seed=[
+            evaluate(m, split.test) for m, split in zip(models, splits)])
+
+    teachers = fit(teacher_spec, replace(teacher_plan, mode="naive"))
+    logits_group = teacher_spec.hidden_count
+    group_ids = sorted({gid for _, gid in mapping.entries} | {logits_group})
+    caches = [extract_features(t, dataset, group_ids) for t in teachers]
+    cache = FeatureCache(
+        groups={gid: np.stack([c.groups[gid] for c in caches]) for gid in group_ids},
+        dataset_fingerprint=caches[0].dataset_fingerprint,
+        teacher_fingerprint=b"".join(c.teacher_fingerprint for c in caches))
+    return ComparisonResult(seeds=seeds, teacher=report(teachers), methods={
+        mode: report(fit(student_spec, replace(plan, mode=mode), cache=cache,
+                         mapping=mapping, logits_group=logits_group))
+        for mode, plan in plans.items()})

@@ -16,6 +16,7 @@ from featprior.errors import (
     FactorizationFailed,
     NonFiniteActivation,
 )
+from featprior import gp_prior
 from featprior.gp_prior import (
     BasisKernel,
     PriorConfig,
@@ -443,6 +444,77 @@ class TestFeatureKernel:
         phi_t[4, 0] = np.inf
         with pytest.raises(NonFiniteActivation):
             feature_kernel(phi_t, PriorConfig())
+
+
+class TestStackedSeeds:
+    """A stack of two seeds' batches, in which only one seed's matrix needs
+    the x10 jitter escalation, gives each seed the value, gradient and
+    jitter of its own 2-d call, bit for bit."""
+
+    CFG = PriorConfig(jitter=1e-16, normalize_by_width=False)
+
+    def check(self, phi_s, phi_t):
+        value, grad = feature_kl_and_grad(phi_s, feature_kernel(phi_t, self.CFG), self.CFG)
+        for s in range(2):
+            single_value, single_grad = feature_kl_and_grad(
+                phi_s[s], feature_kernel(phi_t[s], self.CFG), self.CFG)
+            assert value[s] == single_value
+            np.testing.assert_array_equal(grad[s], single_grad)
+
+    @staticmethod
+    def student_jitters(phi):
+        """Jitter of each seed's student matrix: the n x n Gram when
+        p >= n, else M = jI + Phi^T Phi, stacked and seed by seed."""
+        cfg = TestStackedSeeds.CFG
+        n, p = phi.shape[-2:]
+        rows = phi if p >= n else phi.swapaxes(-1, -2)
+        stacked = gp_prior._factor_jittered(
+            gp_prior._scaled_gram(rows, p, cfg), cfg.jitter, "student")[1]
+        single = [gp_prior._factor_jittered(
+            gp_prior._scaled_gram(r, p, cfg), cfg.jitter, "student")[1] for r in rows]
+        return stacked.tolist(), single
+
+    def test_dense_student_and_teacher(self):
+        # seed 0's student Gram and seed 1's teacher Gram hold the
+        # singular block [[1, 1], [1, 1]], which 1e-16 cannot lift
+        rng = np.random.default_rng(90)
+        phi_s = np.stack([[[1.0, 0, 0], [1, 0, 0], [0, 0, 1]],
+                          rng.standard_normal((3, 3))])
+        phi_t = np.stack([rng.standard_normal((3, 4)),
+                          [[1.0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]]])
+        self.check(phi_s, phi_t)
+        stacked, single = self.student_jitters(phi_s)
+        assert stacked == single == [1e-15, 1e-16]
+        k_t = feature_kernel(phi_t, self.CFG)
+        assert k_t.jitter.tolist() == [feature_kernel(t, self.CFG).jitter
+                                       for t in phi_t] == [1e-16, 1e-15]
+
+    def test_narrow_student_matrix(self):
+        # p < n: seed 1's M = [[1, 1], [1, 1]] + jI escalates
+        rng = np.random.default_rng(91)
+        phi_s = np.stack([rng.standard_normal((3, 2)),
+                          [[1.0, 1.0], [0, 0], [0, 0]]])
+        phi_t = rng.standard_normal((2, 3, 5))
+        self.check(phi_s, phi_t)
+        stacked, single = self.student_jitters(phi_s)
+        assert stacked == single == [1e-16, 1e-15]
+
+    def test_narrow_teacher_basis(self):
+        # p_t < n: seed 0's teacher has a zero first column, so its R and
+        # the core B = R R^T + jI are singular before the escalation
+        rng = np.random.default_rng(92)
+        phi_s = rng.standard_normal((2, 3, 4))
+        phi_t = np.stack([[[0.0, 1.0], [0, 1], [0, 0]],
+                          rng.standard_normal((3, 2))])
+        k_t = feature_kernel(phi_t, self.CFG)
+        assert isinstance(k_t, BasisKernel)
+        assert k_t.jitter.tolist() == [feature_kernel(t, self.CFG).jitter
+                                       for t in phi_t] == [1e-15, 1e-16]
+        self.check(phi_s, phi_t)
+
+    def test_public_gram_kernel_takes_one_batch(self):
+        with pytest.raises(DimensionMismatch):
+            gram_kernel(np.ones((2, 3, 3)), PriorConfig())
 
 
 class TestPriorLogDensity:

@@ -212,3 +212,72 @@ class TestTraceSolve:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             trace_solve(cholesky(np.eye(2)), np.eye(3))
+
+
+class TestStackedBits:
+    """Seeds train on a stacked axis (one matrix per seed), which is only
+    sound if numpy's stacked kernels give every slice the bits of the 2-d
+    call on that slice alone."""
+
+    @staticmethod
+    def stack(rng, n, p, seeds=3):
+        return rng.standard_normal((seeds, n, p))
+
+    @pytest.mark.parametrize("n", [2, 16, 64, 256])
+    def test_numpy_kernels_per_slice(self, n):
+        rng = np.random.default_rng(30 + n)
+        x = self.stack(rng, n, max(n // 4, 1))
+        grams = x @ x.swapaxes(-1, -2) + np.eye(n)
+        lower = np.linalg.cholesky(grams)
+        inverse = np.linalg.inv(lower)
+        sums = x.sum(axis=-2)
+        for s in range(x.shape[0]):
+            gram = x[s] @ x[s].T + np.eye(n)
+            np.testing.assert_array_equal(grams[s], gram)
+            np.testing.assert_array_equal(lower[s], np.linalg.cholesky(gram))
+            np.testing.assert_array_equal(inverse[s], np.linalg.inv(lower[s]))
+            np.testing.assert_array_equal(sums[s], x[s].sum(axis=0))
+
+    @pytest.mark.parametrize("n,p", [(2, 1), (16, 4), (16, 16), (64, 16), (256, 64)])
+    def test_numpy_qr_per_slice(self, n, p):
+        x = self.stack(np.random.default_rng(31 + n + p), n, p)
+        q, r = np.linalg.qr(x)
+        for s in range(x.shape[0]):
+            q1, r1 = np.linalg.qr(x[s])
+            np.testing.assert_array_equal(q[s], q1)
+            np.testing.assert_array_equal(r[s], r1)
+
+    @pytest.mark.parametrize("n", [2, 16, 33, 64, 256])
+    def test_factor_log_det_and_solve_per_slice(self, n):
+        rng = np.random.default_rng(32 + n)
+        a = np.stack([random_spd(rng, n) for _ in range(3)])
+        b = rng.standard_normal((3, n, 4))
+        f = cholesky(a)
+        dets = log_det(f)
+        solved = solve_spd(f, b)
+        for s in range(3):
+            single = cholesky(a[s])
+            np.testing.assert_array_equal(f.lower[s], single.lower)
+            np.testing.assert_array_equal(f.inverse[s], single.inverse)
+            assert dets[s] == log_det(single)
+            np.testing.assert_array_equal(solved[s], solve_spd(single, b[s]))
+
+    @pytest.mark.parametrize("n", [1, 5, 32])
+    def test_leaf_inverse_is_tril_of_inv(self, n):
+        lower = np.linalg.cholesky(random_spd(np.random.default_rng(33), n))
+        np.testing.assert_array_equal(linalg._lower_inverse(lower),
+                                      np.tril(np.linalg.inv(lower)))
+
+    def test_one_indefinite_slice_fails_the_stack(self):
+        a = np.stack([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]])
+        with pytest.raises(NotPositiveDefinite):
+            cholesky(a)
+
+    def test_asymmetry_is_judged_per_slice(self):
+        # 1e-9 is within tolerance next to the 1e3-scale slice but not in
+        # the unit-scale one
+        big = np.array([[1e3, 0.0], [1e-9, 1e3]])
+        small = np.array([[1.0, 0.0], [1e-9, 1.0]])
+        cholesky(np.stack([big, np.eye(2)]))
+        with pytest.raises(NotSymmetric):
+            cholesky(np.stack([big, small]))

@@ -31,6 +31,8 @@ from featprior.network import (
     model_fingerprint,
     serialize_model,
     sgd_step,
+    stack_models,
+    unstack_model,
 )
 from oracles import adam_step_per_tensor, sgd_step_per_tensor
 
@@ -339,6 +341,73 @@ class TestFlatOptimizersMatchPerTensor:
             adam_step(model, grads, state, AdamConfig())
         np.testing.assert_array_equal(model.flat, before)
         assert state.m is None and state.t == 0
+
+
+class TestStackedModel:
+    """A model with a leading seed axis: seed slices train with the bits of
+    their own 2-d models."""
+
+    SPEC = NetworkSpec.dense(2, [16, 8], 3, activation="tanh")
+
+    def test_stack_round_trip_and_views(self):
+        models = [init_params(self.SPEC, seed) for seed in (4, 5, 6)]
+        stacked = stack_models(models)
+        assert stacked.flat.shape == (3, models[0].flat.size)
+        assert stacked.offsets == models[0].offsets
+        for p in stacked.parameters():
+            assert np.shares_memory(p, stacked.flat)
+        for s, model in enumerate(models):
+            np.testing.assert_array_equal(stacked.flat[s], model.flat)
+        for back, model in zip(unstack_model(stacked), models):
+            assert back.flat.shape == model.flat.shape
+            np.testing.assert_array_equal(back.flat, model.flat)
+            assert not np.shares_memory(back.flat, stacked.flat)
+
+    @pytest.mark.parametrize("frozen", [(), (1,)])
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_steps_match_per_seed_steps(self, frozen, kind):
+        seeds = (1, 2)
+        models = [init_params(self.SPEC, seed) for seed in seeds]
+        stacked = stack_models(models)
+        rng = np.random.default_rng(0)
+        make = (lambda: (AdamState(), AdamConfig(lr=0.01))) if kind == "adam" \
+            else (lambda: (SgdState(), SgdConfig(lr=0.01, momentum=0.9)))
+        step = adam_step if kind == "adam" else sgd_step
+        states = [make() for _ in seeds]
+        stacked_state, cfg = make()
+        layer_ids = stacked.param_layer_ids()
+        for _ in range(5):
+            x = rng.standard_normal((2, 16, 2))
+            labels = rng.integers(0, 3, (2, 16))
+            value, grads = cross_entropy_and_grads(stacked, x, labels)
+            for i, lid in enumerate(layer_ids):
+                if lid in frozen:
+                    grads[i] = None
+            step(stacked, grads, stacked_state, cfg)
+            for s, (model, (state, _)) in enumerate(zip(models, states)):
+                single_value, single = cross_entropy_and_grads(model, x[s], labels[s])
+                assert value[s] == single_value
+                for g, g1, lid in zip(grads, single, layer_ids):
+                    if lid not in frozen:
+                        np.testing.assert_array_equal(g[s], g1)
+                step(model, [None if lid in frozen else g
+                             for g, lid in zip(single, layer_ids)], state, cfg)
+        for s, model in enumerate(models):
+            np.testing.assert_array_equal(stacked.flat[s], model.flat)
+
+    def test_backward_views_one_buffer(self):
+        model = init_params(self.SPEC, 3)
+        x = np.random.default_rng(1).standard_normal((8, 2))
+        record = forward(model, x)
+        _, logit_grad = softmax_cross_entropy(record.logits, np.zeros(8, dtype=int))
+        # the walk stops at layer 1, so layer 0's two parameters get None
+        grads = backward(model, x, record, {}, logit_grad, lowest=1)
+        assert grads.flat.shape == model.flat.shape
+        assert grads[:2] == [None, None]
+        for i, g in enumerate(grads[2:], start=2):
+            assert np.shares_memory(g, grads.flat)
+            np.testing.assert_array_equal(
+                grads.flat[model.offsets[i]:model.offsets[i + 1]], g.ravel())
 
 
 class TestSerialization:

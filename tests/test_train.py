@@ -4,7 +4,7 @@ and the multi-seed comparison."""
 
 from __future__ import annotations
 
-import os
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from featprior import gp_prior, linalg, train
 from featprior.data import (
     BatchSchedule,
     Dataset,
+    FeatureCache,
     split_and_batch,
     synth_blobs,
     synth_rings,
@@ -27,7 +28,15 @@ from featprior.errors import (
     LayerOutOfRange,
 )
 from featprior.gp_prior import PriorConfig, gp_kl, gram_kernel
-from featprior.network import LayerSpec, Model, NetworkSpec, forward, init_params
+from featprior.network import (
+    LayerSpec,
+    Model,
+    NetworkSpec,
+    forward,
+    init_params,
+    stack_models,
+    unstack_model,
+)
 from featprior.train import (
     MODES,
     ExpertPrior,
@@ -38,7 +47,6 @@ from featprior.train import (
     TrainPlan,
     combine_experts_fit,
     compare_methods,
-    compare_one_seed,
     evaluate,
     extract_features,
     phase1_feature_fit,
@@ -46,7 +54,6 @@ from featprior.train import (
     run_distillation,
     run_log_csv,
     train_teacher,
-    worker_count,
 )
 
 
@@ -243,6 +250,40 @@ class TestPhase1:
         steps = 2 * 64 // 16
         assert sorted(set(sizes)) == [(4, 4), (8, 8)]
         assert len(sizes) == 2 * steps
+
+    def test_stacked_fit_kls_match_seed_runs(self, rings_setup, monkeypatch):
+        # 100 train rows in batches of 4 make 25 steps an epoch, more than
+        # numpy's 8-value pairwise block, so a mean over steps taken along
+        # a strided axis would round differently from each seed's own mean
+        ds, split, _, cache = rings_setup
+        spec = NetworkSpec.dense(2, [4], 2)
+        plan = TrainPlan(batch_size=4, phase1_epochs=2, phase2_epochs=0, lr_phase1=1e-2)
+        mapping = LayerGroupMapping(entries=((0, 1),))
+        seeds = (1, 2, 3)
+        schedules = [BatchSchedule(split.train.source_indices, 4, s) for s in seeds]
+        singles = [phase1_feature_fit(init_params(spec, s), ds, cache, mapping, plan,
+                                      schedule=schedule)
+                   for s, schedule in zip(seeds, schedules)]
+        stacked_cache = FeatureCache(
+            groups={gid: np.stack([g] * 3) for gid, g in cache.groups.items()},
+            dataset_fingerprint=cache.dataset_fingerprint,
+            teacher_fingerprint=cache.teacher_fingerprint)
+        epoch_kls, fit_epochs = [], train._fit_epochs
+
+        def recording_fit_epochs(*args, **kwargs):
+            epoch_kls.append(fit_epochs(*args, **kwargs))
+            return epoch_kls[-1]
+
+        monkeypatch.setattr(train, "_fit_epochs", recording_fit_epochs)
+        model, kl = phase1_feature_fit(
+            stack_models([init_params(spec, s) for s in seeds]), ds, stacked_cache,
+            mapping, plan, schedule=train._StackedSchedule(schedules))
+        # one final-epoch KL per seed, each that seed's own; the call returns
+        # their mean with the arithmetic of statistics.fmean
+        assert epoch_kls[0].tolist() == [k for _, k in singles]
+        assert kl == math.fsum(k for _, k in singles) / 3
+        for back, (single, _) in zip(unstack_model(model), singles):
+            assert params_equal(back, single)
 
     def test_empty_mapping_returns_model_unchanged(self, rings_setup):
         ds, split, _, cache = rings_setup
@@ -564,25 +605,9 @@ class TestCompareMethods:
         assert result.methods["naive"].per_seed[0].accuracy == pytest.approx(
             direct.metrics.accuracy)
 
-    @pytest.mark.parametrize("jobs,seeds,cpus,expected", [
-        (1, 5, 8, 1), (3, 5, 8, 3), (8, 5, 8, 5), (8, 5, 2, 2),
-        (10_000, 5, 2, 2), (4, 2, 16, 2)])
-    def test_worker_count_clamps(self, jobs, seeds, cpus, expected):
-        assert worker_count(jobs, seeds, cpus) == expected
-
-    def test_worker_count_defaults_to_cpu_count(self):
-        assert 1 <= worker_count(10_000, 10_000) <= (os.cpu_count() or 1)
-
-    @pytest.mark.parametrize("jobs", [0, -3])
-    def test_jobs_below_one_rejected(self, blobs, jobs):
-        with pytest.raises(ConfigError, match="jobs"):
-            worker_count(jobs, 5, 8)
-        with pytest.raises(ConfigError, match="jobs"):
-            compare_methods(seeds=[1, 2], n_jobs=jobs, **self.tiny_args(blobs))
-
     def test_one_seed_scores_each_model_once(self, blobs, monkeypatch):
-        # compare keeps no per-epoch log, so the test split is scored once
-        # for the teacher and once for each of the five students
+        # compare keeps no per-epoch log, so each seed's test split is
+        # scored once for the teacher and once for each of the five students
         calls = []
 
         def counting_evaluate(model, dataset, *args, **kwargs):
@@ -590,18 +615,61 @@ class TestCompareMethods:
             return evaluate(model, dataset, *args, **kwargs)
 
         monkeypatch.setattr(train, "evaluate", counting_evaluate)
-        args = self.tiny_args(blobs)
-        plan = args.pop("plans")
-        out = compare_one_seed(seed=1, plans={mode: plan for mode in MODES},
-                               **args)
-        assert set(out) == {"_teacher", *MODES}
-        assert len(calls) == 6
+        result = compare_methods(seeds=[1, 2], **self.tiny_args(blobs))
+        assert set(result.methods) == set(MODES)
+        assert len(calls) == 2 * 6
 
-    def test_parallel_jobs_match_serial(self, blobs):
+    @pytest.mark.parametrize("teacher_hidden,student_hidden", [
+        ([8], [4]),     # widths below the batch: feature-space student, basis teacher
+        ([32], [16]),   # widths at or above it: both sides as n x n Grams
+    ], ids=["narrow", "wide"])
+    def test_stacked_seeds_match_single_runs(self, blobs, monkeypatch,
+                                             teacher_hidden, student_hidden):
         args = self.tiny_args(blobs)
-        serial = compare_methods(seeds=[1, 2], n_jobs=1, **args)
-        parallel = compare_methods(seeds=[1, 2], n_jobs=2, **args)
-        assert serial.comparison_csv() == parallel.comparison_csv()
+        args["teacher_spec"] = NetworkSpec.dense(2, teacher_hidden, 2)
+        args["student_spec"] = NetworkSpec.dense(2, student_hidden, 2)
+        scored, phase1_kls = [], []
+
+        def recording_evaluate(model, dataset, *a, **kw):
+            metrics = evaluate(model, dataset, *a, **kw)
+            scored.append((model, metrics))
+            return metrics
+
+        def recording_phase1(*a, **kw):
+            model, kl = phase1_feature_fit(*a, **kw)
+            phase1_kls.append(kl)
+            return model, kl
+
+        monkeypatch.setattr(train, "evaluate", recording_evaluate)
+        monkeypatch.setattr(train, "phase1_feature_fit", recording_phase1)
+        result = compare_methods(seeds=[1, 2], **args)
+        monkeypatch.undo()
+        # evaluation order: the teachers, then each mode's students, seed by seed
+        teachers, students = scored[:2], scored[2:]
+        single_kls = []
+        for s, seed in enumerate([1, 2]):
+            split = split_and_batch(blobs, 0.5, 16, seed)
+            teacher, report = train_teacher(
+                blobs, args["teacher_spec"], replace(args["teacher_plan"], seed=seed),
+                split=split)
+            assert params_equal(teachers[s][0], teacher)
+            assert result.teacher.per_seed[s] == report.per_seed[0]
+            logits_group = args["teacher_spec"].hidden_count
+            cache = extract_features(teacher, blobs, [0, logits_group])
+            for m, mode in enumerate(MODES):
+                single = run_distillation(
+                    args["student_spec"], blobs, split,
+                    replace(args["plans"], seed=seed, mode=mode), cache=cache,
+                    mapping=args["mapping"], logits_group=logits_group)
+                stacked_model, stacked_metrics = students[2 * m + s]
+                assert params_equal(stacked_model, single.model), (mode, seed)
+                assert stacked_metrics == single.metrics
+                assert result.methods[mode].per_seed[s] == single.metrics
+                if mode == "two_phase":
+                    single_kls.append(single.final_kl)
+        # the stacked phase 1 returns one float: the mean of the seeds' KLs,
+        # with the arithmetic of statistics.fmean over the single runs
+        assert phase1_kls == [math.fsum(single_kls) / 2]
 
 
 class TestBaselineNodeGradients:
@@ -680,10 +748,6 @@ class TestRunLog:
         assert [r.epoch for r in kept.log] == [0, 1, 2, 3]
         assert all(r.test_accuracy is not None for r in kept.log)
         assert kept.log[-1].test_accuracy == kept.metrics.accuracy
-        dropped = run_distillation(spec, ds, split, plan, keep_log=False, **kwargs)
-        assert dropped.log is None
-        assert params_equal(dropped.model, kept.model)
-        assert dropped.metrics == kept.metrics
 
     def test_rerun_identical(self, blobs):
         split = split_and_batch(blobs, 0.5, 16, seed=2)
