@@ -6,7 +6,7 @@ analytically) and the logits (cross-entropy, soft-target or L2).
 ``backward`` takes those input gradients, walks the network from the
 highest of them down to the lowest trained layer, and returns parameter
 gradients in ``Model.parameters()`` order.  Arithmetic is float64.  A
-leading seed axis (a stacked model) gives each seed its own call's bits.
+leading axis (a stacked model) gives each slice its own call's bits.
 """
 
 from __future__ import annotations
@@ -42,6 +42,15 @@ def softmax_cross_entropy(logits, labels):
     return value, grad / n
 
 
+class BlockGrads(dict):
+    """Hidden-layer gradients {layer: dL/dh} of one block of a stacked
+    model: they reach only the slices ``rows`` of its leading axis."""
+
+    def __init__(self, grads, rows):
+        super().__init__(grads)
+        self.rows = rows
+
+
 def backward(model, x, record, act_grads, logit_grad, lowest: int = 0) -> list:
     """Parameter gradients of a loss whose gradient enters at hidden
     activations and at the logits.
@@ -50,13 +59,13 @@ def backward(model, x, record, act_grads, logit_grad, lowest: int = 0) -> list:
     index to dL/d(activation) and ``logit_grad`` is dL/dlogits or None (a
     head-less model's logits are its last activation).  The walk starts at
     the head when there is a logit gradient, else at the deepest layer in
-    ``act_grads``, and stops at layer ``lowest``.  Parameters it does not
-    reach get None, which the optimizers skip; the rest are views of one
-    ``ParamGrads.flat`` buffer.
+    ``act_grads``, and stops at layer ``lowest``.  ``BlockGrads`` need a
+    classifier head.  Parameters it does not reach get None, which the
+    optimizers skip; the rest are views of one ``ParamGrads.flat`` buffer.
     """
     activations = [layer.activation for layer in model.spec.layers]
     params = model.parameters()  # weight and bias of each layer, the head last
-    injected = dict(act_grads)
+    injected, rows = dict(act_grads), getattr(act_grads, "rows", ...)
     if model.head_weight is not None:
         activations.append("identity")
         if logit_grad is not None:
@@ -70,7 +79,10 @@ def backward(model, x, record, act_grads, logit_grad, lowest: int = 0) -> list:
     g = None
     for layer in range(max(injected, default=lowest - 1), lowest - 1, -1):
         if layer in injected:
-            g = injected[layer] if g is None else injected[layer] + g
+            if g is None:
+                g = injected[layer]
+            else:  # g is a fresh product here; += has the bits of injected + g
+                g[rows] += injected[layer]
         if activations[layer] == "relu":
             g = g * (inputs[layer + 1] > 0.0)
         elif activations[layer] == "tanh":

@@ -120,6 +120,9 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path, args) -> None:
 
 
 def cmd_compare(cfg: ExperimentConfig, out: Path, args) -> None:
+    if cfg.experts:
+        raise ConfigError("compare does not read experts: it trains its own teacher "
+                          "for every seed; drop the experts list, or run distill")
     dataset = cfg.load_dataset()
     cfg.validate_cross_refs(dataset)
     result = compare_methods(

@@ -304,7 +304,11 @@ def gp_kl_and_grad(phi_s, k_s: KernelMatrix, k_t: KernelMatrix,
     gram_kernel(phi_s, config), from one product A = L_t^{-1} Phi_s: the
     gradient is c (L_t^{-T} A - L_s^{-T} L_s^{-1} Phi_s), c = 1/p under
     width normalization (else 1)."""
-    arr = _as_features(phi_s, stacked=True)
+    return _kl_and_grad(_as_features(phi_s, stacked=True), k_s, k_t, config)
+
+
+def _kl_and_grad(arr: np.ndarray, k_s: KernelMatrix, k_t: KernelMatrix, config):
+    """gp_kl_and_grad of checked features."""
     n, p = arr.shape[-2:]
     if k_s.size != n or k_t.size != n:
         raise DimensionMismatch(
@@ -333,7 +337,7 @@ def feature_kl_and_grad(phi_s, k_t: KernelMatrix | BasisKernel,
         )
     if p >= n:
         kernel = gram_kernel if arr.ndim == 2 else _gram_kernel
-        return gp_kl_and_grad(arr, kernel(arr, config), k_t, config)
+        return _kl_and_grad(arr, kernel(arr, config), k_t, config)
     if config.jitter == 0.0:
         raise _rank_deficient(n, p)
     cols = arr.swapaxes(-1, -2)

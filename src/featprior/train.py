@@ -16,9 +16,12 @@ Conventions shared by every routine here:
   value, {hidden layer: dL/dh}, dL/dlogits), then ``autodiff.backward``
   down to the lowest unfrozen layer.  Term gradients are summed in one
   fixed order: a layer's prior terms last term first, baselines before CE.
-* ``compare_methods`` trains all seeds of a fit as one problem: the model,
-  optimizer state, batches and teacher caches carry a leading seed axis,
-  losses are one per seed, and each seed gets the bits of its own run.
+* ``compare_methods`` trains each fit as one problem: the model, optimizer
+  state, batches and teacher caches carry a leading seed axis, losses are
+  one per slice, and each slice gets the bits of its own run.  The one-phase
+  modes of equal plans share one fit on a (mode, seed) axis, a block of
+  seeds per mode; ``_objective`` adds each mode's term to its block only
+  (``autodiff.BlockGrads``).  The teachers and two_phase keep a seed axis.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from functools import partial
 
 import numpy as np
 
-from .autodiff import backward, softmax_cross_entropy
+from .autodiff import BlockGrads, backward, softmax_cross_entropy
 from .data import (
     BatchSchedule,
     Dataset,
@@ -387,13 +390,6 @@ def _l2_grad(logits: np.ndarray, teacher_logits: np.ndarray,
     return (diff ** 2).sum(axis=(-2, -1)) / size, scale * 2.0 * diff / size
 
 
-def _task_objective():
-    def objective(record, idx, labels):
-        ce, ce_grad = softmax_cross_entropy(record.logits, labels)
-        return ce, ce, None, {}, ce_grad
-    return objective
-
-
 def _prior_objective(terms, config: PriorConfig, scale: float = 1.0):
     """Sum over (cache, mapping, weight) of weight * sum of group KLs; the
     gradients carry ``scale``, the caller's weight on the whole sum."""
@@ -415,33 +411,43 @@ def _prior_objective(terms, config: PriorConfig, scale: float = 1.0):
     return objective
 
 
-def _joint_objective(cache, mapping, config: PriorConfig):
+def _objective(modes, config: PriorConfig, cache: FeatureCache | None = None,
+               mapping: LayerGroupMapping | None = None, logits_group: int | None = None):
+    """Cross-entropy over the whole model plus each one-phase mode's term.
+    Several modes split a stacked model into equal blocks, one per mode in
+    order, and each term reaches its own block only.  Every block walks the
+    same seeds' batches, so the teacher logits are gathered once a step.
+    The prior value is a lone mode's term (None for several)."""
     prior = _prior_objective([(cache, mapping, 1.0)], config, config.alpha)
 
     def objective(record, idx, labels):
-        ce, ce_grad = softmax_cross_entropy(record.logits, labels)
-        if config.alpha == 0.0 or not mapping.entries:
-            return ce, ce, None, {}, ce_grad
-        kl_sum, _, _, act_grads, _ = prior(record, idx, labels)
-        return ce + kl_sum * config.alpha, ce, kl_sum, act_grads, ce_grad
-    return objective
-
-
-def _logit_match_objective(cache, logits_group: int, config: PriorConfig,
-                           kind: str):
-    def objective(record, idx, labels):
-        ce, ce_grad = softmax_cross_entropy(record.logits, labels)
-        teacher_logits = _rows(cache.groups[logits_group], idx).astype(np.float64)
-        if kind == "hinton_baseline":
-            scale = config.alpha * config.temperature ** 2
-            value, grad = _hinton_grad(record.logits, teacher_logits,
-                                       config.temperature, scale)
-        else:
-            scale = config.alpha
-            value, grad = _l2_grad(record.logits, teacher_logits, scale)
-        if scale == 0.0:
-            return ce, ce, value, {}, ce_grad
-        return ce + value * scale, ce, value, {}, grad + ce_grad
+        ce, logit_grad = softmax_cross_entropy(record.logits, labels)
+        losses, kl, act_grads, teacher = [], None, {}, None
+        size = len(record.logits) // len(modes)
+        for b, mode in enumerate(modes):
+            rows = slice(b * size, (b + 1) * size) if len(modes) > 1 else ...
+            term = 0.0
+            if mode == "joint" and mapping.entries and config.alpha > 0.0:
+                view = replace(record, activations=[a[rows] for a in record.activations])
+                kl, _, _, act_grads, _ = prior(view, idx[rows], None)
+                act_grads = BlockGrads(act_grads, rows)
+                term = kl * config.alpha
+            elif mode in ("hinton_baseline", "l2_baseline"):
+                if teacher is None:
+                    teacher = _rows(cache.groups[logits_group], idx[rows]).astype(float)
+                if mode == "hinton_baseline":
+                    scale = config.alpha * config.temperature ** 2
+                    kl, grad = _hinton_grad(record.logits[rows], teacher,
+                                            config.temperature, scale)
+                else:
+                    scale = config.alpha
+                    kl, grad = _l2_grad(record.logits[rows], teacher, scale)
+                if scale != 0.0:
+                    term = kl * scale
+                    logit_grad[rows] += grad  # the bits of grad + ce_grad
+            losses.append((ce[rows] if len(modes) > 1 else ce) + term)
+        loss = losses[0] if len(modes) == 1 else np.concatenate(losses)
+        return loss, ce, kl if len(modes) == 1 else None, act_grads, logit_grad
     return objective
 
 
@@ -520,7 +526,7 @@ def phase2_task_fit(student: Model, dataset: Dataset, plan: TrainPlan,
         schedule = _make_schedule(train if train is not None else dataset, plan)
     if epoch_offset is None:
         epoch_offset = plan.phase1_epochs
-    _fit_epochs(model, dataset, schedule, plan, _task_objective(),
+    _fit_epochs(model, dataset, schedule, plan, _objective(("naive",), plan.prior),
                 epochs=plan.phase2_epochs, lr=plan.lr_phase2, phase=2,
                 epoch_offset=epoch_offset, frozen_layers=frozen,
                 test=test, log=log)
@@ -535,17 +541,10 @@ def joint_fit(student: Model, dataset: Dataset, cache: FeatureCache,
     """Single-phase MAP objective: cross-entropy + alpha * sum of KLs.
     With alpha = 0 the prior term is skipped entirely, reproducing naive
     training bit for bit under the same schedule."""
-    model = student.copy()
-    if mapping.entries and plan.prior.alpha > 0.0:
-        _check_cache_alignment(dataset, cache)
-        mapping.validate_for(student.spec, cache)
     if schedule is None:
         schedule = _make_schedule(train if train is not None else dataset, plan)
-    objective = _joint_objective(cache, mapping, plan.prior)
-    _fit_epochs(model, dataset, schedule, plan, objective,
-                epochs=plan.total_epochs, lr=plan.lr_phase2, phase=2,
-                test=test, log=log)
-    return model
+    return _fit_mode(student, dataset, schedule, replace(plan, mode="joint"),
+                     cache=cache, mapping=mapping, test=test, log=log)[0]
 
 
 def combine_experts_fit(student: Model, dataset: Dataset,
@@ -602,24 +601,20 @@ def run_distillation(student_spec: NetworkSpec, dataset: Dataset,
                      log=log, final_kl=final_kl)
 
 
-def _fit_mode(student: Model, dataset: Dataset, schedule, plan: TrainPlan, *,
+def _fit_mode(student: Model, dataset: Dataset, schedule, plan: TrainPlan, *, modes=None,
               cache: FeatureCache | None = None, mapping: LayerGroupMapping | None = None,
               experts: ExpertPriorSet | None = None, logits_group: int | None = None,
               test: Dataset | None = None,
               log: list | None = None) -> tuple[Model, float | None]:
     """The trained copy of ``student`` in the plan's mode, and phase 1's
-    final KL (two_phase only)."""
-    mode = plan.mode
+    final KL (two_phase only).  ``modes``, one-phase modes, splits a
+    stacked student into that many equal blocks, each trained in its mode."""
+    modes = modes or (plan.mode,)
     final_kl = None
     if experts is not None:
         model = combine_experts_fit(student, dataset, experts, plan,
                                     schedule=schedule, test=test, log=log)
-    elif mode == "naive":
-        model = student.copy()
-        _fit_epochs(model, dataset, schedule, plan, _task_objective(),
-                    epochs=plan.total_epochs, lr=plan.lr_phase2, phase=2,
-                    test=test, log=log)
-    elif mode == "two_phase":
+    elif modes == ("two_phase",):
         if cache is None or mapping is None:
             raise ConfigError("two_phase mode needs a feature cache and mapping")
         model, final_kl = phase1_feature_fit(student, dataset, cache, mapping,
@@ -627,22 +622,19 @@ def _fit_mode(student: Model, dataset: Dataset, schedule, plan: TrainPlan, *,
                                              test=test, log=log)
         model = phase2_task_fit(model, dataset, plan, mapping.student_layers(),
                                 schedule=schedule, test=test, log=log)
-    elif mode == "joint":
-        if cache is None or mapping is None:
-            raise ConfigError("joint mode needs a feature cache and mapping")
-        model = joint_fit(student, dataset, cache, mapping, plan,
-                          schedule=schedule, test=test, log=log)
-    elif mode in ("hinton_baseline", "l2_baseline"):
-        if cache is None or logits_group is None:
-            raise ConfigError(f"{mode} needs a cache containing teacher logits")
-        _check_cache_alignment(dataset, cache)
-        objective = _logit_match_objective(cache, logits_group, plan.prior, mode)
+    else:
+        for mode in (m for m in modes if m != "naive"):
+            if cache is None or (mapping if mode == "joint" else logits_group) is None:
+                raise ConfigError(f"{mode} mode needs a teacher feature cache and "
+                                  + ("a mapping" if mode == "joint" else "its logits"))
+            _check_cache_alignment(dataset, cache)
+            if mode == "joint":
+                mapping.validate_for(student.spec, cache)
         model = student.copy()
-        _fit_epochs(model, dataset, schedule, plan, objective,
+        _fit_epochs(model, dataset, schedule, plan,
+                    _objective(modes, plan.prior, cache, mapping, logits_group),
                     epochs=plan.total_epochs, lr=plan.lr_phase2, phase=2,
                     test=test, log=log)
-    else:
-        raise ConfigError(f"unknown mode {mode!r}")
     return model, final_kl
 
 
@@ -708,8 +700,8 @@ def compare_methods(dataset: Dataset, teacher_spec: NetworkSpec,
 
     ``plans`` is either one base plan (the mode field is overridden per
     method) or a dict {mode: plan}.  Each seed has its own split, teacher
-    and feature cache; the seeds train together, as one stacked fit per
-    model (``_StackedSchedule``), and each model scores its test split once.
+    and feature cache.  The seeds train together (``_StackedSchedule``), and
+    one-phase modes whose plans differ only in the mode share a fit.
     """
     seeds = [int(s) for s in seeds]
     if len(seeds) < 2:
@@ -728,20 +720,23 @@ def compare_methods(dataset: Dataset, teacher_spec: NetworkSpec,
     splits = [split_and_batch(dataset, test_fraction, teacher_plan.batch_size, seed)
               for seed in seeds]
 
-    def fit(spec: NetworkSpec, plan: TrainPlan, **kwargs) -> list[Model]:
-        """Every seed's model, from its own init and schedule, as one fit."""
+    def fit(spec: NetworkSpec, plan: TrainPlan, modes, **kwargs) -> list[Model]:
+        """Every (mode, seed) model, from its seed's init and schedule, as
+        one fit: a block of seeds per mode."""
+        schedules = [BatchSchedule(split.train.source_indices, plan.batch_size, seed)
+                     for split, seed in zip(splits, seeds)]
         model, _ = _fit_mode(
-            stack_models([init_params(spec, seed) for seed in seeds]), dataset,
-            _StackedSchedule([BatchSchedule(split.train.source_indices,
-                                            plan.batch_size, seed)
-                              for split, seed in zip(splits, seeds)]), plan, **kwargs)
-        return unstack_model(model)
+            stack_models([init_params(spec, seed) for seed in seeds] * len(modes)),
+            dataset, _StackedSchedule(schedules * len(modes)), plan, modes=modes,
+            **kwargs)
+        models = unstack_model(model)
+        return [models[b * len(seeds):(b + 1) * len(seeds)] for b in range(len(modes))]
 
     def report(models: list[Model]) -> MetricsReport:
         return MetricsReport(seeds=seeds, per_seed=[
             evaluate(m, split.test) for m, split in zip(models, splits)])
 
-    teachers = fit(teacher_spec, replace(teacher_plan, mode="naive"))
+    teachers = fit(teacher_spec, replace(teacher_plan, mode="naive"), ("naive",))[0]
     logits_group = teacher_spec.hidden_count
     group_ids = sorted({gid for _, gid in mapping.entries} | {logits_group})
     caches = [extract_features(t, dataset, group_ids) for t in teachers]
@@ -749,7 +744,13 @@ def compare_methods(dataset: Dataset, teacher_spec: NetworkSpec,
         groups={gid: np.stack([c.groups[gid] for c in caches]) for gid in group_ids},
         dataset_fingerprint=caches[0].dataset_fingerprint,
         teacher_fingerprint=b"".join(c.teacher_fingerprint for c in caches))
+    groups: dict[TrainPlan, list[str]] = {}  # one-phase modes of equal plans fit together
+    for mode, plan in plans.items():
+        groups.setdefault(replace(plan, mode="two_phase" if mode == "two_phase"
+                                  else "naive"), []).append(mode)
+    models = {}
+    for plan, modes in groups.items():
+        models.update(zip(modes, fit(student_spec, plan, tuple(modes), cache=cache,
+                                     mapping=mapping, logits_group=logits_group)))
     return ComparisonResult(seeds=seeds, teacher=report(teachers), methods={
-        mode: report(fit(student_spec, replace(plan, mode=mode), cache=cache,
-                         mapping=mapping, logits_group=logits_group))
-        for mode, plan in plans.items()})
+        mode: report(models[mode]) for mode in plans})

@@ -13,14 +13,16 @@ from featprior.autodiff import backward, softmax_cross_entropy
 from featprior.data import FeatureCache
 from featprior.errors import LabelOutOfRange
 from featprior.gp_prior import PriorConfig
-from featprior.network import LayerSpec, Model, NetworkSpec, forward, grad_check, init_params
-from featprior.train import (
-    LayerGroupMapping,
-    _joint_objective,
-    _logit_match_objective,
-    _prior_objective,
-    _task_objective,
+from featprior.network import (
+    LayerSpec,
+    Model,
+    NetworkSpec,
+    forward,
+    grad_check,
+    init_params,
+    stack_models,
 )
+from featprior.train import LayerGroupMapping, _objective, _prior_objective
 
 from oracles import central_diff_gradient, relative_error
 
@@ -47,6 +49,26 @@ def objective_error(model, x, labels, objective) -> float:
     return grad_check(model, loss_fn)
 
 
+def stacked_setup(modes, activation, seeds=2):
+    """A float64 model stacking each seed's init once per mode, the seeds'
+    batches repeated per mode, and a stacked cache of the seeds' teacher
+    features (group 0) and logits (group 2)."""
+    rng = np.random.default_rng(8)
+    spec = NetworkSpec.dense(3, [6, 4], 3, activation)
+    m = stack_models([init_params(spec, s) for s in range(seeds)] * len(modes))
+    model = Model(spec, [w.astype(np.float64) for w in m.weights],
+                  [b.astype(np.float64) for b in m.biases],
+                  m.head_weight.astype(np.float64), m.head_bias.astype(np.float64))
+    x = np.concatenate([rng.standard_normal((seeds, BATCH, 3))] * len(modes))
+    labels = np.concatenate([rng.integers(0, 3, size=(seeds, BATCH))] * len(modes))
+    cache = FeatureCache(
+        groups={gid: rng.standard_normal((seeds, BATCH, w)).astype(np.float32)
+                for gid, w in {0: 4, 2: 3}.items()},
+        dataset_fingerprint=b"\0" * 32, teacher_fingerprint=b"\0" * 32)
+    idx = np.broadcast_to(np.arange(BATCH), labels.shape)
+    return model, x, labels, idx, cache
+
+
 @pytest.fixture
 def batch():
     rng = np.random.default_rng(0)
@@ -62,7 +84,8 @@ class TestObjectiveGradients:
     def test_task_cross_entropy(self, batch, activation):
         _, x, labels = batch
         model = init_params(NetworkSpec.dense(3, [6, 4], 3, activation), 1)
-        assert objective_error(model, x, labels, _task_objective()) < TOL
+        objective = _objective(("naive",), CFG)
+        assert objective_error(model, x, labels, objective) < TOL
 
     @pytest.mark.parametrize("activation", ACTIVATIONS)
     def test_prior_terms_with_weights(self, batch, activation):
@@ -80,7 +103,7 @@ class TestObjectiveGradients:
         rng, x, labels = batch
         cache = teacher_cache(rng, {0: 4})
         cfg = PriorConfig(jitter=1e-3, alpha=0.3)
-        objective = _joint_objective(cache, LayerGroupMapping(((0, 0),)), cfg)
+        objective = _objective(("joint",), cfg, cache, LayerGroupMapping(((0, 0),)))
         model = init_params(NetworkSpec.dense(3, [6, 4], 3, activation), 3)
         assert objective_error(model, x, labels, objective) < TOL
 
@@ -90,7 +113,7 @@ class TestObjectiveGradients:
         rng, x, labels = batch
         cache = teacher_cache(rng, {2: 3})
         cfg = PriorConfig(alpha=0.7, temperature=2.5)
-        objective = _logit_match_objective(cache, 2, cfg, kind)
+        objective = _objective((kind,), cfg, cache, logits_group=2)
         model = init_params(NetworkSpec.dense(3, [6, 4], 3, activation), 4)
         assert objective_error(model, x, labels, objective) < TOL
 
@@ -101,10 +124,61 @@ class TestObjectiveGradients:
         rng, x, labels = batch
         cache = teacher_cache(rng, {0: 4})
         cfg = PriorConfig(jitter=1e-3, alpha=0.5)
-        objective = _joint_objective(
-            cache, LayerGroupMapping(((1, 0), (0, 0))), cfg)
+        objective = _objective(("joint",), cfg, cache,
+                               LayerGroupMapping(((1, 0), (0, 0))))
         model = init_params(NetworkSpec.dense(3, [6, 3], None, activation), 5)
         assert objective_error(model, x, labels, objective) < TOL
+
+    @pytest.mark.parametrize("modes", [
+        ("naive", "joint"),
+        ("joint", "naive", "hinton_baseline", "l2_baseline"),
+    ], ids=["naive-joint", "four-modes"])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_stacked_blocks(self, modes, activation):
+        # each slice's loss against its own parameters: a block's term
+        # reaches its own slices, and every slice walks its own network
+        model, x, labels, idx, cache = stacked_setup(modes, activation)
+        cfg = PriorConfig(jitter=1e-3, alpha=0.3, temperature=2.5)
+        objective = _objective(modes, cfg, cache,
+                               LayerGroupMapping(((1, 0),)), logits_group=2)
+        record = forward(model, x)
+        _, _, _, act_grads, logit_grad = objective(record, idx, labels)
+        analytic = backward(model, x, record, act_grads, logit_grad).flat
+        start = model.flat.copy()
+        for s in range(len(start)):
+            def slice_loss(row, s=s):
+                model.flat[s] = row
+                return float(objective(forward(model, x), idx, labels)[0][s])
+
+            fd = central_diff_gradient(slice_loss, start[s])
+            model.flat[s] = start[s]
+            assert relative_error(analytic[s], fd) < TOL, s
+
+
+class TestStackedBlocks:
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_each_block_gets_its_single_block_bits(self, activation):
+        modes = ("joint", "naive", "hinton_baseline", "l2_baseline")
+        model, x, labels, idx, cache = stacked_setup(modes, activation)
+        mapping = LayerGroupMapping(((1, 0), (0, 0)))
+        cfg = PriorConfig(jitter=1e-3, alpha=0.3, temperature=2.5)
+        record = forward(model, x)
+        loss, ce, kl, act_grads, logit_grad = _objective(
+            modes, cfg, cache, mapping, 2)(record, idx, labels)
+        grads = backward(model, x, record, act_grads, logit_grad)
+        assert kl is None
+        for b, mode in enumerate(modes):
+            rows = slice(2 * b, 2 * b + 2)
+            block = Model(model.spec, [w[rows] for w in model.weights],
+                          [bias[rows] for bias in model.biases],
+                          model.head_weight[rows], model.head_bias[rows])
+            record = forward(block, x[rows])
+            one = _objective((mode,), cfg, cache, mapping, 2)
+            b_loss, b_ce, _, b_act, b_logit = one(record, idx[rows], labels[rows])
+            b_grads = backward(block, x[rows], record, b_act, b_logit)
+            np.testing.assert_array_equal(loss[rows], b_loss)
+            np.testing.assert_array_equal(ce[rows], b_ce)
+            np.testing.assert_array_equal(grads.flat[rows], b_grads.flat)
 
 
 class TestEarlyStop:
@@ -124,7 +198,7 @@ class TestEarlyStop:
         _, x, labels = batch
         model = init_params(NetworkSpec.dense(3, [6, 4, 5], 3), 7)
         record = forward(model, x)
-        _, _, _, act_grads, logit_grad = _task_objective()(
+        _, _, _, act_grads, logit_grad = _objective(("naive",), CFG)(
             record, np.arange(BATCH), labels)
         full = backward(model, x, record, act_grads, logit_grad, 0)
         stopped = backward(model, x, record, act_grads, logit_grad, 2)

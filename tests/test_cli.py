@@ -298,6 +298,16 @@ class TestCompareCommand:
         assert "jobs must be >= 1" in capsys.readouterr().err
         assert not (out / "comparison.csv").exists()
 
+    def test_experts_rejected(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["experts"] = [{"cache": str(tmp_path / "features.fpfc"),
+                           "mapping": [[0, 0]], "alpha": 1.0}]
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "cmp"
+        assert run("compare", "--config", path, "--out", str(out)) == 1
+        assert "compare does not read experts" in capsys.readouterr().err
+        assert not (out / "comparison.csv").exists()
+
     def test_seed_override_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path)
         out = tmp_path / "cmp"

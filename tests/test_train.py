@@ -619,16 +619,14 @@ class TestCompareMethods:
         assert set(result.methods) == set(MODES)
         assert len(calls) == 2 * 6
 
-    @pytest.mark.parametrize("teacher_hidden,student_hidden", [
-        ([8], [4]),     # widths below the batch: feature-space student, basis teacher
-        ([32], [16]),   # widths at or above it: both sides as n x n Grams
-    ], ids=["narrow", "wide"])
-    def test_stacked_seeds_match_single_runs(self, blobs, monkeypatch,
-                                             teacher_hidden, student_hidden):
-        args = self.tiny_args(blobs)
-        args["teacher_spec"] = NetworkSpec.dense(2, teacher_hidden, 2)
-        args["student_spec"] = NetworkSpec.dense(2, student_hidden, 2)
-        scored, phase1_kls = [], []
+    def assert_stacked_match_single_runs(self, monkeypatch, args):
+        """compare_methods' (mode, seed) models, metrics and phase-1 KL each
+        equal a single-seed train_teacher/run_distillation bit for bit.
+        Returns the modes each _fit_epochs call trained, as blocks of seeds."""
+        scored, phase1_kls, fitted = [], [], []
+        fit_epochs, plans = train._fit_epochs, args["plans"]
+        if isinstance(plans, TrainPlan):
+            plans = {mode: plans for mode in MODES}
 
         def recording_evaluate(model, dataset, *a, **kw):
             metrics = evaluate(model, dataset, *a, **kw)
@@ -640,13 +638,18 @@ class TestCompareMethods:
             phase1_kls.append(kl)
             return model, kl
 
+        def recording_fit_epochs(model, *a, **kw):
+            fitted.append(len(model.flat) // 2)
+            return fit_epochs(model, *a, **kw)
+
         monkeypatch.setattr(train, "evaluate", recording_evaluate)
         monkeypatch.setattr(train, "phase1_feature_fit", recording_phase1)
+        monkeypatch.setattr(train, "_fit_epochs", recording_fit_epochs)
         result = compare_methods(seeds=[1, 2], **args)
         monkeypatch.undo()
         # evaluation order: the teachers, then each mode's students, seed by seed
         teachers, students = scored[:2], scored[2:]
-        single_kls = []
+        single_kls, blobs = [], args["dataset"]
         for s, seed in enumerate([1, 2]):
             split = split_and_batch(blobs, 0.5, 16, seed)
             teacher, report = train_teacher(
@@ -656,10 +659,10 @@ class TestCompareMethods:
             assert result.teacher.per_seed[s] == report.per_seed[0]
             logits_group = args["teacher_spec"].hidden_count
             cache = extract_features(teacher, blobs, [0, logits_group])
-            for m, mode in enumerate(MODES):
+            for m, (mode, plan) in enumerate(plans.items()):
                 single = run_distillation(
                     args["student_spec"], blobs, split,
-                    replace(args["plans"], seed=seed, mode=mode), cache=cache,
+                    replace(plan, seed=seed, mode=mode), cache=cache,
                     mapping=args["mapping"], logits_group=logits_group)
                 stacked_model, stacked_metrics = students[2 * m + s]
                 assert params_equal(stacked_model, single.model), (mode, seed)
@@ -670,6 +673,31 @@ class TestCompareMethods:
         # the stacked phase 1 returns one float: the mean of the seeds' KLs,
         # with the arithmetic of statistics.fmean over the single runs
         assert phase1_kls == [math.fsum(single_kls) / 2]
+        return fitted
+
+    @pytest.mark.parametrize("teacher_hidden,student_hidden", [
+        ([8], [4]),     # widths below the batch: feature-space student, basis teacher
+        ([32], [16]),   # widths at or above it: both sides as n x n Grams
+    ], ids=["narrow", "wide"])
+    def test_stacked_seeds_match_single_runs(self, blobs, monkeypatch,
+                                             teacher_hidden, student_hidden):
+        args = self.tiny_args(blobs)
+        args["teacher_spec"] = NetworkSpec.dense(2, teacher_hidden, 2)
+        args["student_spec"] = NetworkSpec.dense(2, student_hidden, 2)
+        fitted = self.assert_stacked_match_single_runs(monkeypatch, args)
+        # the teachers, two_phase's phases, the four one-phase modes as one
+        # fit: 4 _fit_epochs calls where per-mode fits would make 7
+        assert fitted == [1, 1, 1, 4]
+
+    def test_mode_with_own_plan_fits_alone(self, blobs, monkeypatch):
+        args = self.tiny_args(blobs)
+        plans = {mode: args["plans"] for mode in MODES}
+        plans["hinton_baseline"] = replace(args["plans"], lr_phase2=3e-3)
+        args["plans"] = plans
+        fitted = self.assert_stacked_match_single_runs(monkeypatch, args)
+        # the teachers, two_phase's phases, then joint, naive and l2 together
+        # and hinton_baseline in a fit of its own
+        assert fitted == [1, 1, 1, 3, 1]
 
 
 class TestBaselineNodeGradients:
