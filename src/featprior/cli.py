@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config
-from .data import read_cache, serialize_cache, split_and_batch
+from .data import Dataset, read_cache, serialize_cache, split_and_batch
 from .errors import ConfigError, FeatPriorError, NumericalError
 from .network import load_model, serialize_model
 from .train import (
@@ -50,9 +50,7 @@ def _require_file(path: Path, what: str) -> Path:
     return path
 
 
-def cmd_train_teacher(cfg: ExperimentConfig, out: Path, args) -> None:
-    dataset = cfg.load_dataset()
-    cfg.validate_cross_refs(dataset)
+def cmd_train_teacher(cfg: ExperimentConfig, dataset: Dataset, out: Path, args) -> None:
     spec = cfg.teacher.spec_for(dataset)
     model, report = train_teacher(dataset, spec, cfg.teacher_plan,
                                   test_fraction=cfg.test_fraction)
@@ -63,9 +61,8 @@ def cmd_train_teacher(cfg: ExperimentConfig, out: Path, args) -> None:
           f"-> {out / 'teacher.fpnn'}")
 
 
-def cmd_extract_features(cfg: ExperimentConfig, out: Path, args) -> None:
-    dataset = cfg.load_dataset()
-    cfg.validate_cross_refs(dataset)
+def cmd_extract_features(cfg: ExperimentConfig, dataset: Dataset, out: Path,
+                         args) -> None:
     teacher_path = Path(args.teacher) if args.teacher else out / "teacher.fpnn"
     model = load_model(_require_file(teacher_path, "teacher model"))
     cache = extract_features(model, dataset, cfg.feature_group_ids())
@@ -74,25 +71,18 @@ def cmd_extract_features(cfg: ExperimentConfig, out: Path, args) -> None:
     print(f"extracted groups {widths} -> {out / 'features.fpfc'}")
 
 
-def cmd_distill(cfg: ExperimentConfig, out: Path, args) -> None:
-    dataset = cfg.load_dataset()
-    cfg.validate_cross_refs(dataset)
+def cmd_distill(cfg: ExperimentConfig, dataset: Dataset, out: Path, args) -> None:
     plan = cfg.plan
     split = split_and_batch(dataset, cfg.test_fraction, plan.batch_size,
                             plan.seed)
     student_spec = cfg.student.spec_for(dataset)
 
-    experts = None
-    cache = None
+    experts = cache = None
     if cfg.experts:
-        loaded = [
-            ExpertPrior(
-                cache=read_cache(_require_file(Path(e.cache_path), "expert cache"),
-                                 expect_dataset=dataset),
-                mapping=e.mapping, alpha=e.alpha)
-            for e in cfg.experts
-        ]
-        experts = ExpertPriorSet(experts=tuple(loaded))
+        experts = ExpertPriorSet(tuple(
+            ExpertPrior(read_cache(_require_file(Path(e.cache_path), "expert cache"),
+                                   expect_dataset=dataset), e.mapping, e.alpha)
+            for e in cfg.experts))
     elif plan.mode != "naive":
         cache_path = Path(args.features) if args.features else out / "features.fpfc"
         cache = read_cache(_require_file(cache_path, "feature cache"),
@@ -107,9 +97,7 @@ def cmd_distill(cfg: ExperimentConfig, out: Path, args) -> None:
           f"-> {out / 'student.fpnn'}")
 
 
-def cmd_evaluate(cfg: ExperimentConfig, out: Path, args) -> None:
-    dataset = cfg.load_dataset()
-    cfg.validate_cross_refs(dataset)
+def cmd_evaluate(cfg: ExperimentConfig, dataset: Dataset, out: Path, args) -> None:
     model_path = Path(args.model) if args.model else out / "student.fpnn"
     model = load_model(_require_file(model_path, "model"))
     split = split_and_batch(dataset, cfg.test_fraction, cfg.plan.batch_size,
@@ -119,12 +107,7 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path, args) -> None:
     print(f"accuracy {metrics.accuracy:.4f} -> {out / 'metrics.csv'}")
 
 
-def cmd_compare(cfg: ExperimentConfig, out: Path, args) -> None:
-    if cfg.experts:
-        raise ConfigError("compare does not read experts: it trains its own teacher "
-                          "for every seed; drop the experts list, or run distill")
-    dataset = cfg.load_dataset()
-    cfg.validate_cross_refs(dataset)
+def cmd_compare(cfg: ExperimentConfig, dataset: Dataset, out: Path, args) -> None:
     result = compare_methods(
         dataset, cfg.teacher.spec_for(dataset), cfg.student.spec_for(dataset),
         cfg.plan, list(cfg.seeds), teacher_plan=cfg.teacher_plan,
@@ -177,18 +160,24 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "compare" and args.seed_override is not None:
+        compare = args.command == "compare"
+        if compare and args.seed_override is not None:
             raise ConfigError(
                 "compare does not take --seed-override: it runs every seed "
                 "in the config's seeds list; edit that list instead")
-        if args.command == "compare" and args.jobs < 1:
+        if compare and args.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
         cfg = load_config(args.config)
+        if compare and cfg.experts:
+            raise ConfigError("compare does not read experts: it trains its own teacher "
+                              "for every seed; drop the experts list, or run distill")
         if args.seed_override is not None:
             cfg = cfg.with_seed(args.seed_override)
+        dataset = cfg.load_dataset()
+        cfg.validate_cross_refs(dataset)
         out = Path(args.out or cfg.out_dir or ".")
         out.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](cfg, out, args)
+        _COMMANDS[args.command](cfg, dataset, out, args)
         return 0
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from .data import Dataset, load_csv, load_idx, synth_blobs, synth_rings
+from . import data
+from .data import Dataset
 from .errors import ConfigError, FeatPriorError
 from .gp_prior import PriorConfig
 from .network import NetworkSpec
@@ -27,17 +28,19 @@ def _check_keys(d: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
 
 
-_DATASET_KEYS = {
-    "synth_blobs": {"kind", "n_per_class", "classes", "dim", "separation", "seed"},
-    "synth_rings": {"kind", "n_per_class", "classes", "noise", "seed"},
-    "idx": {"kind", "images", "labels"},
-    "csv": {"kind", "path", "label_column"},
+# kind -> (loader in .data, its arguments in order).  Every argument is a
+# required key: a partially specified data source is a typo.  The loader is
+# looked up by name when called, so a wrapper installed on .data runs.
+_DATASETS = {
+    "synth_blobs": ("synth_blobs", "n_per_class classes dim separation seed"),
+    "synth_rings": ("synth_rings", "n_per_class classes noise seed"),
+    "idx": ("load_idx", "images labels"),
+    "csv": ("load_csv", "path label_column"),
 }
-# every key is required: a partially specified data source is a typo
 
 _PLAN_KEYS = {"seed", "batch_size", "phase1_epochs", "phase2_epochs",
               "optimizer", "lr_phase1", "lr_phase2", "momentum", "prior", "mode"}
-_PRIOR_KEYS = {"alpha", "jitter", "normalize_by_width", "temperature", "distance"}
+_PRIOR_KEYS = {"alpha", "jitter", "normalize_by_width", "temperature"}
 _ARCH_KEYS = {"hidden", "activation"}
 _EXPERT_KEYS = {"cache", "mapping", "alpha"}
 _TOP_KEYS = {"dataset", "test_fraction", "teacher", "student", "plan",
@@ -45,19 +48,10 @@ _TOP_KEYS = {"dataset", "test_fraction", "teacher", "student", "plan",
              "seeds", "out_dir"}
 
 
-# "distance" names the feature distance a config was written around.
-# Training always uses the Gram KL, so the key is checked and dropped.
-_DISTANCES = ("gp_kl", "hinton", "l2")
-
-
 def _parse_prior(d: dict) -> PriorConfig:
     _check_keys(d, _PRIOR_KEYS, "prior")
-    kwargs = dict(d)
-    distance = kwargs.pop("distance", "gp_kl")
-    if distance not in _DISTANCES:
-        raise ConfigError(f"bad prior config: unknown distance {distance!r}")
     try:
-        return PriorConfig(**kwargs)
+        return PriorConfig(**d)
     except (TypeError, FeatPriorError) as exc:
         raise ConfigError(f"bad prior config: {exc}") from None
 
@@ -105,19 +99,8 @@ class ExperimentConfig:
     out_dir: str | None
 
     def load_dataset(self) -> Dataset:
-        d = dict(self.dataset)
-        kind = d.pop("kind")
-        if kind == "synth_blobs":
-            return synth_blobs(d["n_per_class"], d["classes"], d["dim"],
-                               d["separation"], d["seed"])
-        if kind == "synth_rings":
-            return synth_rings(d["n_per_class"], d["classes"], d["noise"],
-                               d["seed"])
-        if kind == "idx":
-            return load_idx(d["images"], d["labels"])
-        if kind == "csv":
-            return load_csv(d["path"], d["label_column"])
-        raise ConfigError(f"unknown dataset kind {kind!r}")
+        loader, args = _DATASETS[self.dataset["kind"]]
+        return getattr(data, loader)(*(self.dataset[a] for a in args.split()))
 
     def feature_group_ids(self) -> tuple[int, ...]:
         """Groups to extract: configured list, or all hidden layers plus
@@ -207,11 +190,11 @@ def _parse_config(raw: dict) -> ExperimentConfig:
     ds = raw["dataset"]
     if not isinstance(ds, dict) or "kind" not in ds:
         raise ConfigError("dataset section needs a 'kind'")
-    kind = ds["kind"]
-    if kind not in _DATASET_KEYS:
-        raise ConfigError(f"unknown dataset kind {kind!r}")
-    _check_keys(ds, _DATASET_KEYS[kind], "dataset")
-    missing = _DATASET_KEYS[kind] - set(ds)
+    if ds["kind"] not in _DATASETS:
+        raise ConfigError(f"unknown dataset kind {ds['kind']!r}")
+    keys = {"kind", *_DATASETS[ds["kind"]][1].split()}
+    _check_keys(ds, keys, "dataset")
+    missing = keys - set(ds)
     if missing:
         raise ConfigError(f"dataset section is missing {sorted(missing)}")
 

@@ -16,6 +16,10 @@ Conventions shared by every routine here:
   value, {hidden layer: dL/dh}, dL/dlogits), then ``autodiff.backward``
   down to the lowest unfrozen layer.  Term gradients are summed in one
   fixed order: a layer's prior terms last term first, baselines before CE.
+* Every prior term is an ``ExpertPrior`` (cache, mapping, alpha), and phase 1
+  has one body, ``_phase1_fit``: two_phase runs it on one expert at alpha 1,
+  ``combine_experts_fit`` on the expert set.  Expert priors train in
+  two_phase mode only; any other mode raises ``ConfigError``.
 * ``compare_methods`` trains each fit as one problem: the model, optimizer
   state, batches and teacher caches carry a leading seed axis, losses are
   one per slice, and each slice gets the bits of its own run.  The one-phase
@@ -169,15 +173,9 @@ class Metrics:
     f1_macro: float
 
     def value(self, name: str) -> float:
-        if name == "accuracy":
-            return self.accuracy
         if name.startswith("top"):
             return self.top_k[int(name[3:])]
-        if name == "f1_micro":
-            return self.f1_micro
-        if name == "f1_macro":
-            return self.f1_macro
-        raise KeyError(name)
+        return vars(self)[name]
 
 
 @dataclass
@@ -208,12 +206,13 @@ def evaluate(model: Model, dataset: Dataset, ks=(1, 2, 3)) -> Metrics:
     """Accuracy, top-k accuracies and micro/macro F1 on a dataset.
 
     Macro F1 averages per-class F1 uniformly, counting classes absent from
-    both truth and predictions as 0.  Micro F1 uses global counts and
-    equals accuracy for single-label classification.
+    both truth and predictions as 0.  Micro F1 is accuracy: with one label
+    and one prediction a row, each miss is one false positive and one false
+    negative.
     """
     logits = predict_logits(model, dataset.inputs)
     labels = dataset.labels
-    n, c = logits.shape
+    c = logits.shape[1]
     # stable descending sort: ties broken toward the smaller class index
     order = np.argsort(-logits, axis=1, kind="stable")
     predictions = order[:, 0]
@@ -224,22 +223,14 @@ def evaluate(model: Model, dataset: Dataset, ks=(1, 2, 3)) -> Metrics:
         kk = min(int(k), c)
         top_k[int(k)] = float(np.mean((order[:, :kk] == labels[:, None]).any(axis=1)))
 
-    f1s = []
-    for cls in range(dataset.class_count):
-        tp = int(np.sum((predictions == cls) & (labels == cls)))
-        fp = int(np.sum((predictions == cls) & (labels != cls)))
-        fn = int(np.sum((predictions != cls) & (labels == cls)))
-        f1s.append(2 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0)
-    f1_macro = float(np.mean(f1s))
-
-    tp_total = int(np.sum(predictions == labels))
-    fp_total = int(np.sum(predictions != labels))
-    fn_total = fp_total
-    f1_micro = 2 * tp_total / (2 * tp_total + fp_total + fn_total) \
-        if (tp_total + fp_total) else 0.0
-
-    return Metrics(accuracy=accuracy, top_k=top_k, f1_micro=float(f1_micro),
-                   f1_macro=f1_macro)
+    classes = dataset.class_count
+    tp, predicted, true = (np.bincount(x, minlength=classes)[:classes] for x in
+                           (labels[predictions == labels], predictions, labels))
+    # per class F1 = 2 tp / (2 tp + fp + fn), where 2 tp + fp + fn = predicted + true
+    f1 = np.divide(2 * tp, predicted + true, out=np.zeros(classes),
+                   where=predicted + true > 0)
+    return Metrics(accuracy=accuracy, top_k=top_k, f1_micro=accuracy,
+                   f1_macro=float(np.mean(f1)))
 
 
 def predict_logits(model: Model, inputs, chunk: int = 1024) -> np.ndarray:
@@ -390,19 +381,19 @@ def _l2_grad(logits: np.ndarray, teacher_logits: np.ndarray,
     return (diff ** 2).sum(axis=(-2, -1)) / size, scale * 2.0 * diff / size
 
 
-def _prior_objective(terms, config: PriorConfig, scale: float = 1.0):
-    """Sum over (cache, mapping, weight) of weight * sum of group KLs; the
+def _prior_objective(experts, config: PriorConfig, scale: float = 1.0):
+    """Sum over ``ExpertPrior``s of alpha * the sum of their group KLs; the
     gradients carry ``scale``, the caller's weight on the whole sum."""
     def objective(record, idx, labels):
         kl_sum = 0.0
         term_grads = []
-        for cache, mapping, weight in terms:
-            for student_idx, gid in mapping.entries:
-                phi_t = _rows(cache.groups[gid], idx).astype(np.float64)
+        for expert in experts:
+            for student_idx, gid in expert.mapping.entries:
+                phi_t = _rows(expert.cache.groups[gid], idx).astype(np.float64)
                 k2 = feature_kernel(phi_t, config)
                 value, grad = _kl_grad(record.activations[student_idx], k2,
-                                       config, scale * weight)
-                kl_sum += weight * value
+                                       config, scale * expert.alpha)
+                kl_sum += expert.alpha * value
                 term_grads.append((student_idx, grad))
         act_grads = {}
         for layer, grad in reversed(term_grads):
@@ -418,7 +409,7 @@ def _objective(modes, config: PriorConfig, cache: FeatureCache | None = None,
     order, and each term reaches its own block only.  Every block walks the
     same seeds' batches, so the teacher logits are gathered once a step.
     The prior value is a lone mode's term (None for several)."""
-    prior = _prior_objective([(cache, mapping, 1.0)], config, config.alpha)
+    prior = _prior_objective([ExpertPrior(cache, mapping)], config, config.alpha)
 
     def objective(record, idx, labels):
         ce, logit_grad = softmax_cross_entropy(record.logits, labels)
@@ -463,8 +454,14 @@ def _check_cache_alignment(dataset: Dataset, cache: FeatureCache) -> None:
             "teacher features were extracted from different inputs")
 
 
-def _make_schedule(train: Dataset, plan: TrainPlan) -> BatchSchedule:
-    return BatchSchedule(train.source_indices, plan.batch_size, plan.seed)
+def _make_schedule(plan: TrainPlan, schedule=None, train: Dataset | None = None,
+                   dataset: Dataset | None = None) -> BatchSchedule:
+    """``schedule`` if given, else the plan's batches of ``train``'s rows
+    (by default every row of ``dataset``)."""
+    if schedule is not None:
+        return schedule
+    rows = train if train is not None else dataset
+    return BatchSchedule(rows.source_indices, plan.batch_size, plan.seed)
 
 
 def train_teacher(dataset: Dataset, spec: NetworkSpec, plan: TrainPlan, *,
@@ -475,8 +472,8 @@ def train_teacher(dataset: Dataset, spec: NetworkSpec, plan: TrainPlan, *,
     if split is None:
         split = split_and_batch(dataset, test_fraction, plan.batch_size, plan.seed)
     model, _ = _fit_mode(init_params(spec, plan.seed), dataset,
-                         _make_schedule(split.train, plan), replace(plan, mode="naive"),
-                         test=split.test, log=log)
+                         _make_schedule(plan, train=split.train),
+                         replace(plan, mode="naive"), test=split.test, log=log)
     metrics = evaluate(model, split.test)
     return model, MetricsReport.single(plan.seed, metrics)
 
@@ -494,15 +491,22 @@ def phase1_feature_fit(student: Model, dataset: Dataset, cache: FeatureCache,
     a stacked student, its mean over seeds).  An empty mapping returns the
     student unchanged.
     """
-    model = student.copy()
     if not mapping.entries:
-        return model, None
-    _check_cache_alignment(dataset, cache)
-    mapping.validate_for(student.spec, cache)
-    if schedule is None:
-        schedule = _make_schedule(train if train is not None else dataset, plan)
-    objective = _prior_objective([(cache, mapping, 1.0)], plan.prior)
-    final_kl = _fit_epochs(model, dataset, schedule, plan, objective,
+        return student.copy(), None
+    return _phase1_fit(student, dataset, (ExpertPrior(cache, mapping),), plan,
+                       _make_schedule(plan, schedule, train, dataset), test, log)
+
+
+def _phase1_fit(student: Model, dataset: Dataset, experts, plan: TrainPlan, schedule,
+                test: Dataset | None, log: list | None) -> tuple[Model, float | None]:
+    """Phase 1 of two_phase and of combined experts: the trained copy of
+    ``student`` minimizing sum_j alpha_j * KL_j, and the final epoch's KL."""
+    for expert in experts:
+        _check_cache_alignment(dataset, expert.cache)
+        expert.mapping.validate_for(student.spec, expert.cache)
+    model = student.copy()
+    final_kl = _fit_epochs(model, dataset, schedule, plan,
+                           _prior_objective(experts, plan.prior),
                            epochs=plan.phase1_epochs, lr=plan.lr_phase1,
                            phase=1, test=test, log=log)
     if np.ndim(final_kl):  # fsum / S, as statistics.fmean computes a mean of seeds
@@ -522,8 +526,7 @@ def phase2_task_fit(student: Model, dataset: Dataset, plan: TrainPlan,
     layer_ids = model.param_layer_ids()
     if all(lid in frozen for lid in layer_ids):
         raise AllLayersFrozen("every parameter is frozen; nothing to train")
-    if schedule is None:
-        schedule = _make_schedule(train if train is not None else dataset, plan)
+    schedule = _make_schedule(plan, schedule, train, dataset)
     if epoch_offset is None:
         epoch_offset = plan.phase1_epochs
     _fit_epochs(model, dataset, schedule, plan, _objective(("naive",), plan.prior),
@@ -541,8 +544,7 @@ def joint_fit(student: Model, dataset: Dataset, cache: FeatureCache,
     """Single-phase MAP objective: cross-entropy + alpha * sum of KLs.
     With alpha = 0 the prior term is skipped entirely, reproducing naive
     training bit for bit under the same schedule."""
-    if schedule is None:
-        schedule = _make_schedule(train if train is not None else dataset, plan)
+    schedule = _make_schedule(plan, schedule, train, dataset)
     return _fit_mode(student, dataset, schedule, replace(plan, mode="joint"),
                      cache=cache, mapping=mapping, test=test, log=log)[0]
 
@@ -555,20 +557,9 @@ def combine_experts_fit(student: Model, dataset: Dataset,
                         log: list | None = None) -> Model:
     """Multiple teachers as independent priors: phase 1 minimizes
     sum_j alpha_j * KL_j, then phase 2 trains the remaining layers."""
-    model = student.copy()
-    terms = []
-    frozen: set[int] = set()
-    for expert in experts.experts:
-        _check_cache_alignment(dataset, expert.cache)
-        expert.mapping.validate_for(student.spec, expert.cache)
-        terms.append((expert.cache, expert.mapping, expert.alpha))
-        frozen |= expert.mapping.student_layers()
-    if schedule is None:
-        schedule = _make_schedule(train if train is not None else dataset, plan)
-    objective = _prior_objective(terms, plan.prior)
-    _fit_epochs(model, dataset, schedule, plan, objective,
-                epochs=plan.phase1_epochs, lr=plan.lr_phase1, phase=1,
-                test=test, log=log)
+    schedule = _make_schedule(plan, schedule, train, dataset)
+    model, _ = _phase1_fit(student, dataset, experts.experts, plan, schedule, test, log)
+    frozen = set().union(*(e.mapping.student_layers() for e in experts.experts))
     return phase2_task_fit(model, dataset, plan, frozen, schedule=schedule,
                            test=test, log=log)
 
@@ -595,7 +586,7 @@ def run_distillation(student_spec: NetworkSpec, dataset: Dataset,
     log: list[LogRow] = []
     model, final_kl = _fit_mode(
         init_params(student_spec, plan.seed), dataset,
-        _make_schedule(split.train, plan), plan, cache=cache, mapping=mapping,
+        _make_schedule(plan, train=split.train), plan, cache=cache, mapping=mapping,
         experts=experts, logits_group=logits_group, test=split.test, log=log)
     return RunResult(model=model, metrics=evaluate(model, split.test),
                      log=log, final_kl=final_kl)
@@ -610,6 +601,8 @@ def _fit_mode(student: Model, dataset: Dataset, schedule, plan: TrainPlan, *, mo
     final KL (two_phase only).  ``modes``, one-phase modes, splits a
     stacked student into that many equal blocks, each trained in its mode."""
     modes = modes or (plan.mode,)
+    if experts is not None and modes != ("two_phase",):
+        raise ConfigError(f"expert priors need two_phase mode, not {'/'.join(modes)}")
     final_kl = None
     if experts is not None:
         model = combine_experts_fit(student, dataset, experts, plan,
@@ -681,13 +674,15 @@ def format_topk_table(reports: dict[str, MetricsReport], ks=(1, 2, 3)) -> str:
 
 @dataclass
 class _StackedSchedule:
-    """Seeds' schedules stepped together, row s of a batch from schedule s;
-    zip and np.stack raise unless every seed's batches match in shape."""
+    """Seeds' schedules stepped together, row s of a batch from schedule s,
+    and that stack repeated ``blocks`` times, a block per mode; zip and
+    np.stack raise unless every seed's batches match in shape."""
 
     schedules: list[BatchSchedule]
+    blocks: int = 1
 
     def epoch_batches(self, epoch: int) -> list[np.ndarray]:
-        return [np.stack(step) for step in zip(
+        return [np.tile(np.stack(step), (self.blocks, 1)) for step in zip(
             *(s.epoch_batches(epoch) for s in self.schedules), strict=True)]
 
 
@@ -727,7 +722,7 @@ def compare_methods(dataset: Dataset, teacher_spec: NetworkSpec,
                      for split, seed in zip(splits, seeds)]
         model, _ = _fit_mode(
             stack_models([init_params(spec, seed) for seed in seeds] * len(modes)),
-            dataset, _StackedSchedule(schedules * len(modes)), plan, modes=modes,
+            dataset, _StackedSchedule(schedules, len(modes)), plan, modes=modes,
             **kwargs)
         models = unstack_model(model)
         return [models[b * len(seeds):(b + 1) * len(seeds)] for b in range(len(modes))]

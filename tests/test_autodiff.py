@@ -22,7 +22,7 @@ from featprior.network import (
     init_params,
     stack_models,
 )
-from featprior.train import LayerGroupMapping, _objective, _prior_objective
+from featprior.train import ExpertPrior, LayerGroupMapping, _objective, _prior_objective
 
 from oracles import central_diff_gradient, relative_error
 
@@ -92,8 +92,8 @@ class TestObjectiveGradients:
         # two terms on layer 1 and one on layer 0, at weights 1 and 0.5
         rng, x, labels = batch
         cache = teacher_cache(rng, {0: 4, 1: 7})
-        terms = [(cache, LayerGroupMapping(((1, 0), (0, 1))), 1.0),
-                 (cache, LayerGroupMapping(((1, 1),)), 0.5)]
+        terms = [ExpertPrior(cache, LayerGroupMapping(((1, 0), (0, 1))), 1.0),
+                 ExpertPrior(cache, LayerGroupMapping(((1, 1),)), 0.5)]
         model = init_params(NetworkSpec.dense(3, [6, 4, 5], 3, activation), 2)
         objective = _prior_objective(terms, CFG)
         assert objective_error(model, x, labels, objective) < TOL
@@ -187,7 +187,7 @@ class TestEarlyStop:
         cache = teacher_cache(rng, {0: 4})
         model = init_params(NetworkSpec.dense(3, [6, 4, 5], 3), 6)
         objective = _prior_objective(
-            [(cache, LayerGroupMapping(((1, 0),)), 1.0)], CFG)
+            [ExpertPrior(cache, LayerGroupMapping(((1, 0),)))], CFG)
         record = forward(model, x)
         _, _, _, act_grads, logit_grad = objective(record, np.arange(BATCH), labels)
         grads = backward(model, x, record, act_grads, logit_grad, 0)

@@ -64,15 +64,14 @@ class TestConfigParsing:
             parse_config(cfg)
 
     @pytest.mark.parametrize("distance", ["gp_kl", "hinton", "l2"])
-    def test_prior_distance_key_accepted_and_dropped(self, distance):
+    def test_prior_distance_key_rejected(self, distance):
+        # the removed "distance" key is an unknown key, whatever its value
         cfg = base_config()
         cfg["plan"]["prior"] = {"jitter": 1e-3, "distance": distance}
-        parsed = parse_config(cfg)
-        assert parsed.plan.prior == PriorConfig(jitter=1e-3)
-        assert not hasattr(parsed.plan.prior, "distance")
+        with pytest.raises(ConfigError, match=r"unknown keys \['distance'\] in prior"):
+            parse_config(cfg)
 
     def test_reference_config_loads(self):
-        # its prior block still carries "distance": "gp_kl"
         cfg = load_config(str(REFERENCE_CONFIG))
         assert cfg.plan.prior == PriorConfig(alpha=1.0, jitter=1e-4,
                                              normalize_by_width=True,
@@ -244,6 +243,20 @@ class TestExtractAndDistill:
         lines = (out / "run_log.csv").read_text().strip().split("\n")[1:]
         phases = [l.split(",")[1] for l in lines]
         assert "1" in phases and "2" in phases
+
+    @pytest.mark.parametrize("mode", ["naive", "joint", "hinton_baseline"])
+    def test_distill_experts_other_mode_exit_1(self, tmp_path, capsys, mode):
+        # expert priors are a two-phase fit; another mode is refused, not
+        # trained two-phase under that mode's name
+        _, out = self.pipeline(tmp_path)
+        cfg = base_config()
+        cfg["plan"]["mode"] = mode
+        cfg["experts"] = [{"cache": str(out / "features.fpfc"), "mapping": [[0, 0]]}]
+        expert_cfg = write_config(tmp_path, cfg, name="experts.json")
+        assert run("distill", "--config", expert_cfg, "--out", str(out)) == 1
+        assert f"need two_phase mode, not {mode}" in capsys.readouterr().err
+        assert not (out / "student.fpnn").exists()
+        assert not (out / "run_log.csv").exists()
 
     def test_stale_cache_rejected(self, tmp_path, capsys):
         path, out = self.pipeline(tmp_path)

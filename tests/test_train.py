@@ -438,13 +438,31 @@ class TestExperts:
 
         experts = ExpertPriorSet(experts=(
             ExpertPrior(cache=cache, mapping=mapping, alpha=1.0),))
+        combined_log, plain_log = [], []
         combined = combine_experts_fit(student, ds, experts, plan,
-                                       train=split.train)
+                                       train=split.train, test=split.test,
+                                       log=combined_log)
         after1, _ = phase1_feature_fit(student, ds, cache, mapping, plan,
-                                       train=split.train)
+                                       train=split.train, test=split.test,
+                                       log=plain_log)
         plain = phase2_task_fit(after1, ds, plan, mapping.student_layers(),
-                                train=split.train)
+                                train=split.train, test=split.test,
+                                log=plain_log)
         assert params_equal(combined, plain)
+        assert run_log_csv(combined_log) == run_log_csv(plain_log)
+        assert [r.phase for r in combined_log] == [1] * 4 + [2] * 4
+
+    @pytest.mark.parametrize("mode", ["naive", "joint", "hinton_baseline",
+                                      "l2_baseline"])
+    def test_experts_need_two_phase(self, rings_setup, mode):
+        ds, split, _, cache = rings_setup
+        experts = ExpertPriorSet(experts=(
+            ExpertPrior(cache=cache, mapping=LayerGroupMapping(entries=((0, 1),))),))
+        plan = TrainPlan(seed=16, batch_size=16, phase1_epochs=1,
+                         phase2_epochs=1, mode=mode)
+        with pytest.raises(ConfigError, match=f"need two_phase mode, not {mode}"):
+            run_distillation(NetworkSpec.dense(2, [8], 2), ds, split, plan,
+                             cache=cache, experts=experts, logits_group=2)
 
     def test_identical_experts_additive(self, rings_setup):
         ds, split, _, cache = rings_setup
@@ -543,6 +561,18 @@ class TestEvaluate:
         assert metrics.f1_macro == pytest.approx(1.0 / 3.0)
         assert metrics.f1_micro == pytest.approx(0.5)
 
+    def test_class_absent_from_truth_and_predictions(self):
+        # class 2 is neither a label nor a prediction: its F1 counts as 0
+        ds = self.onehot_dataset()
+        ds = Dataset(inputs=ds.inputs, labels=ds.labels, class_count=3)
+        spec = NetworkSpec(layers=(), output_head=3)
+        model = Model(spec, [], [], 10.0 * np.eye(2, 3, dtype=np.float32),
+                      np.array([0.0, 0.0, -10.0], dtype=np.float32))
+        metrics = evaluate(model, ds)
+        assert metrics.accuracy == 1.0
+        assert metrics.f1_micro == 1.0
+        assert metrics.f1_macro == pytest.approx(2.0 / 3.0)
+
     def test_top_c_is_one(self):
         ds = self.onehot_dataset()
         model = init_params(NetworkSpec.dense(2, [4], 2), seed=30)
@@ -618,6 +648,29 @@ class TestCompareMethods:
         result = compare_methods(seeds=[1, 2], **self.tiny_args(blobs))
         assert set(result.methods) == set(MODES)
         assert len(calls) == 2 * 6
+
+    def test_stacked_schedule_tiles_each_seeds_draw(self, blobs, monkeypatch):
+        # a stack of 4 mode blocks draws each seed's permutation once an
+        # epoch, and its batches equal the schedules repeated once per block
+        split = split_and_batch(blobs, 0.5, 16, seed=1)
+        schedules = [BatchSchedule(split.train.source_indices, 16, s) for s in (1, 2, 3)]
+        draws, epoch_batches = [], BatchSchedule.epoch_batches
+
+        def counting_epoch_batches(schedule, epoch):
+            draws.append(schedule.seed)
+            return epoch_batches(schedule, epoch)
+
+        for epoch in (0, 3):
+            repeated = train._StackedSchedule(schedules * 4).epoch_batches(epoch)
+            with monkeypatch.context() as m:
+                m.setattr(BatchSchedule, "epoch_batches", counting_epoch_batches)
+                tiled = train._StackedSchedule(schedules, 4).epoch_batches(epoch)
+            assert draws == [1, 2, 3]
+            draws.clear()
+            assert len(tiled) == len(repeated) > 1
+            for a, b in zip(tiled, repeated):
+                assert a.shape == (12, b.shape[1])
+                np.testing.assert_array_equal(a, b)
 
     def assert_stacked_match_single_runs(self, monkeypatch, args):
         """compare_methods' (mode, seed) models, metrics and phase-1 KL each
