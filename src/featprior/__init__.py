@@ -57,7 +57,6 @@ from .network import (
     init_params,
     load_model,
     model_fingerprint,
-    save_model,
     serialize_model,
     sgd_step,
 )

@@ -65,7 +65,8 @@ def cmd_extract_features(cfg: ExperimentConfig, dataset: Dataset, out: Path,
                          args) -> None:
     teacher_path = Path(args.teacher) if args.teacher else out / "teacher.fpnn"
     model = load_model(_require_file(teacher_path, "teacher model"))
-    cache = extract_features(model, dataset, cfg.feature_group_ids())
+    # every hidden layer of the configured teacher, plus its logits group
+    cache = extract_features(model, dataset, range(len(cfg.teacher.hidden) + 1))
     _atomic_write_bytes(out / "features.fpfc", serialize_cache(cache))
     widths = {gid: mat.shape[1] for gid, mat in sorted(cache.groups.items())}
     print(f"extracted groups {widths} -> {out / 'features.fpfc'}")
@@ -80,7 +81,7 @@ def cmd_distill(cfg: ExperimentConfig, dataset: Dataset, out: Path, args) -> Non
     experts = cache = None
     if cfg.experts:
         experts = ExpertPriorSet(tuple(
-            ExpertPrior(read_cache(_require_file(Path(e.cache_path), "expert cache"),
+            ExpertPrior(read_cache(_require_file(Path(e.cache), "expert cache"),
                                    expect_dataset=dataset), e.mapping, e.alpha)
             for e in cfg.experts))
     elif plan.mode != "naive":

@@ -374,11 +374,6 @@ def grad_check(model: Model, loss_fn, h: float = 1e-5,
 
 # -- serialization -----------------------------------------------------------
 
-def save_model(path, model: Model) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize_model(model))
-
-
 def serialize_model(model: Model) -> bytes:
     """Little-endian binary layout; the classifier head is the last layer
     and always carries the identity tag."""

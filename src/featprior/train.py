@@ -491,8 +491,6 @@ def phase1_feature_fit(student: Model, dataset: Dataset, cache: FeatureCache,
     a stacked student, its mean over seeds).  An empty mapping returns the
     student unchanged.
     """
-    if not mapping.entries:
-        return student.copy(), None
     return _phase1_fit(student, dataset, (ExpertPrior(cache, mapping),), plan,
                        _make_schedule(plan, schedule, train, dataset), test, log)
 
@@ -500,11 +498,14 @@ def phase1_feature_fit(student: Model, dataset: Dataset, cache: FeatureCache,
 def _phase1_fit(student: Model, dataset: Dataset, experts, plan: TrainPlan, schedule,
                 test: Dataset | None, log: list | None) -> tuple[Model, float | None]:
     """Phase 1 of two_phase and of combined experts: the trained copy of
-    ``student`` minimizing sum_j alpha_j * KL_j, and the final epoch's KL."""
+    ``student`` minimizing sum_j alpha_j * KL_j, and the final epoch's KL.
+    With no mapped layer it is the untrained copy and None, and logs nothing."""
     for expert in experts:
         _check_cache_alignment(dataset, expert.cache)
         expert.mapping.validate_for(student.spec, expert.cache)
     model = student.copy()
+    if not any(expert.mapping.entries for expert in experts):
+        return model, None
     final_kl = _fit_epochs(model, dataset, schedule, plan,
                            _prior_objective(experts, plan.prior),
                            epochs=plan.phase1_epochs, lr=plan.lr_phase1,

@@ -4,6 +4,8 @@ byte-level determinism of rerun outputs."""
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +15,10 @@ from featprior.cli import main
 from featprior.config import load_config, parse_config
 from featprior.errors import ConfigError
 from featprior.gp_prior import PriorConfig
+from featprior.train import TrainPlan
 
 REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
+README = REFERENCE_CONFIG.parent.parent / "README.md"
 
 
 def base_config():
@@ -33,6 +37,22 @@ def base_config():
     }
 
 
+def non_default_fields(cls, shift: int) -> dict:
+    """A JSON object giving every field of the plan or prior dataclass
+    ``cls`` a valid value other than its default; numbers move by ``shift``."""
+    out = {}
+    for f in fields(cls):
+        if isinstance(f.default, PriorConfig):
+            out[f.name] = non_default_fields(PriorConfig, shift)
+        elif isinstance(f.default, bool):
+            out[f.name] = not f.default
+        elif isinstance(f.default, str):
+            out[f.name] = {"optimizer": "sgd", "mode": "joint"}[f.name]
+        else:
+            out[f.name] = f.default + shift
+    return out
+
+
 def write_config(tmp_path, cfg=None, name="config.json"):
     cfg = cfg if cfg is not None else base_config()
     path = tmp_path / name
@@ -46,10 +66,12 @@ def run(*argv):
 
 class TestConfigParsing:
     def test_unknown_top_level_key(self):
-        cfg = base_config()
-        cfg["learning_rate"] = 0.1
-        with pytest.raises(ConfigError, match="learning_rate"):
-            parse_config(cfg)
+        # feature_layers is retired: extract-features writes every group
+        for key, value in (("learning_rate", 0.1), ("feature_layers", [0, 1])):
+            cfg = base_config()
+            cfg[key] = value
+            with pytest.raises(ConfigError, match=rf"unknown keys \['{key}'\] in config"):
+                parse_config(cfg)
 
     def test_unknown_plan_key(self):
         cfg = base_config()
@@ -87,6 +109,20 @@ class TestConfigParsing:
         assert run("train-teacher", "--config", path, "--out", str(out)) == 1
         assert "distance" in capsys.readouterr().err
         assert not (out / "teacher.fpnn").exists()
+
+    def test_every_plan_and_prior_field_round_trips(self):
+        cfg = base_config()
+        cfg["plan"] = non_default_fields(TrainPlan, 1)
+        cfg["teacher_plan"] = non_default_fields(TrainPlan, 2)
+        plan, teacher_plan = (TrainPlan(**{**raw, "prior": PriorConfig(**raw["prior"])})
+                              for raw in (cfg["plan"], cfg["teacher_plan"]))
+        parsed = parse_config(cfg)
+        assert parsed.plan == plan
+        assert parsed.teacher_plan == replace(teacher_plan, mode="naive")
+
+    def test_readme_config_is_the_reference_config(self):
+        block = re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1)
+        assert parse_config(json.loads(block)) == load_config(str(REFERENCE_CONFIG))
 
     def test_unknown_dataset_key(self):
         cfg = base_config()

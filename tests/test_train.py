@@ -434,23 +434,24 @@ class TestExperts:
         student = init_params(spec, seed=16)
         plan = TrainPlan(seed=16, batch_size=16, phase1_epochs=4,
                          phase2_epochs=4, lr_phase1=1e-2)
-        mapping = LayerGroupMapping(entries=((0, 1),))
-
-        experts = ExpertPriorSet(experts=(
-            ExpertPrior(cache=cache, mapping=mapping, alpha=1.0),))
-        combined_log, plain_log = [], []
-        combined = combine_experts_fit(student, ds, experts, plan,
-                                       train=split.train, test=split.test,
-                                       log=combined_log)
-        after1, _ = phase1_feature_fit(student, ds, cache, mapping, plan,
-                                       train=split.train, test=split.test,
-                                       log=plain_log)
-        plain = phase2_task_fit(after1, ds, plan, mapping.student_layers(),
-                                train=split.train, test=split.test,
-                                log=plain_log)
-        assert params_equal(combined, plain)
-        assert run_log_csv(combined_log) == run_log_csv(plain_log)
-        assert [r.phase for r in combined_log] == [1] * 4 + [2] * 4
+        # an empty mapping has nothing to fit: no phase-1 rows either way
+        for entries, phase1_rows in ((((0, 1),), 4), ((), 0)):
+            mapping = LayerGroupMapping(entries=entries)
+            experts = ExpertPriorSet(experts=(
+                ExpertPrior(cache=cache, mapping=mapping, alpha=1.0),))
+            combined_log, plain_log = [], []
+            combined = combine_experts_fit(student, ds, experts, plan,
+                                           train=split.train, test=split.test,
+                                           log=combined_log)
+            after1, _ = phase1_feature_fit(student, ds, cache, mapping, plan,
+                                           train=split.train, test=split.test,
+                                           log=plain_log)
+            plain = phase2_task_fit(after1, ds, plan, mapping.student_layers(),
+                                    train=split.train, test=split.test,
+                                    log=plain_log)
+            assert params_equal(combined, plain)
+            assert run_log_csv(combined_log) == run_log_csv(plain_log)
+            assert [r.phase for r in combined_log] == [1] * phase1_rows + [2] * 4
 
     @pytest.mark.parametrize("mode", ["naive", "joint", "hinton_baseline",
                                       "l2_baseline"])
