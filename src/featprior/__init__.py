@@ -30,6 +30,7 @@ from .gp_prior import (
     BasisKernel,
     KernelMatrix,
     PriorConfig,
+    TeacherKernel,
     feature_kernel,
     feature_kl_and_grad,
     gp_kl,

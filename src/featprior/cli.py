@@ -61,10 +61,20 @@ def cmd_train_teacher(cfg: ExperimentConfig, dataset: Dataset, out: Path, args) 
           f"-> {out / 'teacher.fpnn'}")
 
 
+def _architecture(spec) -> str:
+    acts = "/".join(sorted({layer.activation for layer in spec.layers}))
+    return (f"{spec.input_width} -> {[layer.out_width for layer in spec.layers]} "
+            f"{acts} -> {spec.output_head}")
+
+
 def cmd_extract_features(cfg: ExperimentConfig, dataset: Dataset, out: Path,
                          args) -> None:
     teacher_path = Path(args.teacher) if args.teacher else out / "teacher.fpnn"
     model = load_model(_require_file(teacher_path, "teacher model"))
+    expected = cfg.teacher.spec_for(dataset)
+    if model.spec != expected:
+        raise ConfigError(f"teacher model {teacher_path} is {_architecture(model.spec)}, "
+                          f"but the config's teacher is {_architecture(expected)}")
     # every hidden layer of the configured teacher, plus its logits group
     cache = extract_features(model, dataset, range(len(cfg.teacher.hidden) + 1))
     _atomic_write_bytes(out / "features.fpfc", serialize_cache(cache))

@@ -58,8 +58,12 @@ is factored as an n x n kernel (``gram_kernel``), as both always are in
 ``gp_kl`` and ``gp_kl_and_grad``.
 
 ``feature_kernel`` and ``feature_kl_and_grad`` also take a stack of
-batches (S x n x p, one per seed) and give each seed the bits of its own
-call; jitter escalates per seed.
+batches (... x n x p, with any leading axes: seeds, steps or both) and give
+each slice the bits of its own call; jitter escalates per slice.  Training
+builds the teacher side as a ``TeacherKernel`` (``TeacherKernel.of``), which
+also holds log|K2| and ||L2^{-1}||_F^2 (||L_B^{-1}||_F^2 for a basis
+kernel), the parts of the KL that no student changes, so that a stack of
+batches forms them in one pass.
 
 Baselines kept for comparison: temperature-softened soft-target matching
 on logits (which requires equal logit counts, the restriction the KL prior
@@ -142,6 +146,44 @@ class BasisKernel:
         return self.core.jitter
 
 
+@dataclass(frozen=True)
+class TeacherKernel:
+    """A ``feature_kernel`` result with the parts of the KL against it that
+    no student changes: log|K| and ||L^{-1}||_F^2 of its factor (of its
+    core's factor for a BasisKernel), one per slice of a stack."""
+
+    kernel: KernelMatrix | BasisKernel
+    log_det: float | np.ndarray
+    inv_sq_norm: float | np.ndarray
+
+    @staticmethod
+    def of(k: KernelMatrix | BasisKernel) -> "TeacherKernel":
+        if isinstance(k, BasisKernel):
+            f = k.core.factor
+            log_det = linalg.log_det(f) + (k.size - f.size) * _log(k.jitter)
+        else:
+            f = k.factor
+            log_det = linalg.log_det(f)
+        return TeacherKernel(k, log_det, _sq_norm(f.inverse))
+
+    @property
+    def size(self) -> int:
+        return self.kernel.size
+
+    def __getitem__(self, i) -> "TeacherKernel":
+        """Slice i of a stack, as views."""
+        return TeacherKernel(_kernel_slice(self.kernel, i), self.log_det[i],
+                             self.inv_sq_norm[i])
+
+
+def _kernel_slice(k: KernelMatrix | BasisKernel, i) -> KernelMatrix | BasisKernel:
+    if isinstance(k, BasisKernel):
+        return BasisKernel(k.basis[i], _kernel_slice(k.core, i))
+    f = k.factor
+    return KernelMatrix(k.gram[i], k.jitter[i],
+                        linalg.CholeskyFactor(f.lower[i], f.inverse[i], f.size))
+
+
 def _as_features(phi, stacked: bool = False) -> np.ndarray:
     arr = np.asarray(phi, dtype=np.float64)
     if (not (arr.ndim == 2 or stacked and arr.ndim > 2)
@@ -162,13 +204,18 @@ def _scaled_gram(x: np.ndarray, p: int, config: PriorConfig) -> np.ndarray:
 
 
 def _sq_norm(a: np.ndarray):
-    """||a||_F^2 by np.vdot, one per matrix of a stack."""
-    return float(np.vdot(a, a)) if a.ndim == 2 else np.array([np.vdot(m, m) for m in a])
+    """||a||_F^2 by np.vdot, one per matrix of a stack with any leading axes."""
+    if a.ndim == 2:
+        return float(np.vdot(a, a))
+    mats = a.reshape(-1, *a.shape[-2:])
+    return np.array([np.vdot(m, m) for m in mats]).reshape(a.shape[:-2])
 
 
 def _log(x):
     """math.log of a jitter, or of each jitter of a stack."""
-    return math.log(x) if np.ndim(x) == 0 else np.array([math.log(v) for v in x])
+    if np.ndim(x) == 0:
+        return math.log(x)
+    return np.array([math.log(v) for v in np.ravel(x)]).reshape(np.shape(x))
 
 
 def _factor_jittered(base: np.ndarray, jitter: float, what: str):
@@ -270,14 +317,17 @@ def gp_kl(k1: KernelMatrix, k2: KernelMatrix) -> float:
     )
 
 
-def _kl_against_teacher(arr: np.ndarray, k_t: KernelMatrix | BasisKernel,
-                        c: float, jitter_s: float, log_det_s: float):
+def _kl_against_teacher(arr: np.ndarray, k_t, c: float, jitter_s: float,
+                        log_det_s: float):
     """KL value and K_t^{-1} Phi for the student Gram K_s = c Phi Phi^T +
     jitter_s I with log|K_s| = log_det_s, by the formulas in the module
     docstring: from A = L_t^{-1} Phi against an n x n kernel, from
     G = Q^T Phi, E = Phi - Q G and A = L_B^{-1} G against a BasisKernel.
+    A TeacherKernel brings log|K_t| and ||L^{-1}||_F^2 formed already.
     """
+    t = k_t if isinstance(k_t, TeacherKernel) else TeacherKernel.of(k_t)
     n = arr.shape[-2]
+    k_t = t.kernel
     if isinstance(k_t, BasisKernel):
         q, j = k_t.basis, k_t.jitter
         inv_b = k_t.core.factor.inverse
@@ -286,16 +336,14 @@ def _kl_against_teacher(arr: np.ndarray, k_t: KernelMatrix | BasisKernel,
         e = arr - q @ g
         a = inv_b @ g
         trace = (c * (_sq_norm(a) + _sq_norm(e) / j)
-                 + jitter_s * (_sq_norm(inv_b) + rest / j))
-        log_det_t = linalg.log_det(k_t.core.factor) + rest * _log(j)
+                 + jitter_s * (t.inv_sq_norm + rest / j))
         kt_phi = q @ (inv_b.swapaxes(-1, -2) @ a) + e / np.expand_dims(j, (-2, -1))
     else:
         inv_t = k_t.factor.inverse
         a = inv_t @ arr
-        trace = c * _sq_norm(a) + jitter_s * _sq_norm(inv_t)
-        log_det_t = linalg.log_det(k_t.factor)
+        trace = c * _sq_norm(a) + jitter_s * t.inv_sq_norm
         kt_phi = inv_t.swapaxes(-1, -2) @ a
-    return 0.5 * (trace - n + log_det_t - log_det_s), kt_phi
+    return 0.5 * (trace - n + t.log_det - log_det_s), kt_phi
 
 
 def gp_kl_and_grad(phi_s, k_s: KernelMatrix, k_t: KernelMatrix,
@@ -321,10 +369,11 @@ def _kl_and_grad(arr: np.ndarray, k_s: KernelMatrix, k_t: KernelMatrix, config):
     return value, c * (kt_phi - inv_s.swapaxes(-1, -2) @ (inv_s @ arr))
 
 
-def feature_kl_and_grad(phi_s, k_t: KernelMatrix | BasisKernel,
+def feature_kl_and_grad(phi_s, k_t: KernelMatrix | BasisKernel | TeacherKernel,
                         config: PriorConfig) -> tuple[float, np.ndarray]:
     """gp_kl(gram_kernel(phi_s, config), k_t) and its gradient d/d Phi_s,
-    for a teacher kernel from ``feature_kernel`` or any n x n KernelMatrix.
+    for a teacher kernel from ``feature_kernel`` (bare or as a
+    ``TeacherKernel``) or any n x n KernelMatrix.
     When p < n the student side is the p x p matrix M = jI_p + c Phi^T Phi
     of the module docstring, whose jitter escalates like gram_kernel's
     (zero jitter raises FactorizationFailed); otherwise this is exactly

@@ -12,6 +12,10 @@ Conventions shared by every routine here:
   two-phase runs split the same budget between the label-free feature fit
   and the task fit.
 * Training functions copy the incoming model and return the trained copy.
+* An epoch hands its batch list to the objective (``objective.epoch``)
+  before its first step.  A prior term then builds its teacher kernels in
+  stacked calls over consecutive batches (``_teacher_kernels``), jitter
+  still escalating per batch, and each step takes its slice.
 * A step is ``forward``, an objective returning (loss, task value, prior
   value, {hidden layer: dL/dh}, dL/dlogits), then ``autodiff.backward``
   down to the lowest unfrozen layer.  Term gradients are summed in one
@@ -57,6 +61,7 @@ from .errors import (
 )
 from .gp_prior import (
     PriorConfig,
+    TeacherKernel,
     _soft_target,
     _softmax,
     feature_kernel,
@@ -79,6 +84,10 @@ from .network import (
 )
 
 MODES = ("two_phase", "joint", "naive", "hinton_baseline", "l2_baseline")
+
+# float64 teacher features gathered for one stacked kernel build: bounds
+# what a prior term holds at once, where whole epochs would grow the RSS
+_TEACHER_CHUNK_BYTES = 512 * 1024
 
 METRIC_NAMES = ("accuracy", "top1", "top2", "top3", "f1_micro", "f1_macro")
 
@@ -321,7 +330,9 @@ def _fit_epochs(model: Model, dataset: Dataset, schedule: BatchSchedule,
     for local_epoch in range(epochs):
         epoch = epoch_offset + local_epoch
         task_vals, kl_vals = [], []
-        for idx in schedule.epoch_batches(epoch):
+        batches = schedule.epoch_batches(epoch)
+        objective.epoch(batches)
+        for idx in batches:
             x = dataset.inputs[idx]
             record = forward(model, x)
             loss, task_val, kl_val, act_grads, logit_grad = objective(
@@ -363,8 +374,29 @@ def _kl_grad(phi: np.ndarray, teacher_kernel, config: PriorConfig,
 
 
 def _rows(group: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """A cache group's rows idx; a stacked group is indexed seed by seed."""
+    """A cache group's rows idx; a stacked group is indexed seed by seed
+    (idx ... x S x n, with any leading step axes)."""
     return group[idx] if group.ndim == 2 else group[np.arange(len(group))[:, None], idx]
+
+
+def _teacher_kernels(group: np.ndarray, batches, config: PriorConfig):
+    """Each batch's ``TeacherKernel`` of cache group rows, in order.  Runs of
+    consecutive batches of one shape are gathered with one fancy index and
+    built in one stacked call, at most ``_TEACHER_CHUNK_BYTES`` of features
+    a run; a run of one batch takes the plain call.  Each slice has the
+    bits, and the escalated jitter, of its own batch's call."""
+    start = 0
+    while start < len(batches):
+        room = max(1, _TEACHER_CHUNK_BYTES // (batches[start].size * group.shape[-1] * 8))
+        end = start + 1
+        while (end < min(len(batches), start + room)
+               and batches[end].shape == batches[start].shape):
+            end += 1
+        idx = batches[start] if end - start == 1 else np.stack(batches[start:end])
+        kernels = TeacherKernel.of(feature_kernel(_rows(group, idx).astype(np.float64),
+                                                  config))
+        yield from [kernels] if end - start == 1 else [kernels[i] for i in range(end - start)]
+        start = end
 
 
 def _hinton_grad(logits: np.ndarray, teacher_logits: np.ndarray,
@@ -383,22 +415,30 @@ def _l2_grad(logits: np.ndarray, teacher_logits: np.ndarray,
 
 def _prior_objective(experts, config: PriorConfig, scale: float = 1.0):
     """Sum over ``ExpertPrior``s of alpha * the sum of their group KLs; the
-    gradients carry ``scale``, the caller's weight on the whole sum."""
+    gradients carry ``scale``, the caller's weight on the whole sum.  After
+    ``objective.epoch(batches)`` the steps must come in that batch order;
+    without it each step builds its own teacher kernels."""
+    terms = [(expert.alpha, student_idx, expert.cache.groups[gid])
+             for expert in experts for student_idx, gid in expert.mapping.entries]
+    kernels = []  # this epoch's teacher kernels, an iterator per term
+
+    def epoch(batches):
+        kernels[:] = [_teacher_kernels(group, batches, config) for _, _, group in terms]
+
     def objective(record, idx, labels):
+        steps = kernels or [_teacher_kernels(group, [idx], config) for _, _, group in terms]
         kl_sum = 0.0
         term_grads = []
-        for expert in experts:
-            for student_idx, gid in expert.mapping.entries:
-                phi_t = _rows(expert.cache.groups[gid], idx).astype(np.float64)
-                k2 = feature_kernel(phi_t, config)
-                value, grad = _kl_grad(record.activations[student_idx], k2,
-                                       config, scale * expert.alpha)
-                kl_sum += expert.alpha * value
-                term_grads.append((student_idx, grad))
+        for (alpha, student_idx, _), k2 in zip(terms, steps):
+            value, grad = _kl_grad(record.activations[student_idx], next(k2),
+                                   config, scale * alpha)
+            kl_sum += alpha * value
+            term_grads.append((student_idx, grad))
         act_grads = {}
         for layer, grad in reversed(term_grads):
             act_grads[layer] = act_grads[layer] + grad if layer in act_grads else grad
         return kl_sum, None, kl_sum, act_grads, None
+    objective.epoch = epoch
     return objective
 
 
@@ -409,16 +449,26 @@ def _objective(modes, config: PriorConfig, cache: FeatureCache | None = None,
     order, and each term reaches its own block only.  Every block walks the
     same seeds' batches, so the teacher logits are gathered once a step.
     The prior value is a lone mode's term (None for several)."""
-    prior = _prior_objective([ExpertPrior(cache, mapping)], config, config.alpha)
+    prior = (_prior_objective([ExpertPrior(cache, mapping)], config, config.alpha)
+             if "joint" in modes and mapping.entries and config.alpha > 0.0 else None)
+
+    def block(b, total):
+        """Mode b's rows of a stacked axis of ``total`` rows."""
+        size = total // len(modes)
+        return slice(b * size, (b + 1) * size) if len(modes) > 1 else ...
+
+    def epoch(batches):
+        if prior is not None:
+            joint = modes.index("joint")
+            prior.epoch([idx[block(joint, len(idx))] for idx in batches])
 
     def objective(record, idx, labels):
         ce, logit_grad = softmax_cross_entropy(record.logits, labels)
         losses, kl, act_grads, teacher = [], None, {}, None
-        size = len(record.logits) // len(modes)
         for b, mode in enumerate(modes):
-            rows = slice(b * size, (b + 1) * size) if len(modes) > 1 else ...
+            rows = block(b, len(record.logits))
             term = 0.0
-            if mode == "joint" and mapping.entries and config.alpha > 0.0:
+            if mode == "joint" and prior is not None:
                 view = replace(record, activations=[a[rows] for a in record.activations])
                 kl, _, _, act_grads, _ = prior(view, idx[rows], None)
                 act_grads = BlockGrads(act_grads, rows)
@@ -439,6 +489,7 @@ def _objective(modes, config: PriorConfig, cache: FeatureCache | None = None,
             losses.append((ce[rows] if len(modes) > 1 else ce) + term)
         loss = losses[0] if len(modes) == 1 else np.concatenate(losses)
         return loss, ce, kl if len(modes) == 1 else None, act_grads, logit_grad
+    objective.epoch = epoch
     return objective
 
 

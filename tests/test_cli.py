@@ -205,6 +205,27 @@ class TestExtractAndDistill:
                    str(tmp_path / "empty")) == 1
         assert "teacher model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,named", [
+        ("hidden", [8, 8], "[8, 8] relu"),
+        ("activation", "tanh", "[8] tanh"),
+    ], ids=["hidden", "activation"])
+    def test_extract_other_teacher_architecture_exit_1(self, tmp_path, capsys,
+                                                       key, value, named):
+        # a [8, 8] teacher read under an [8] config would have its second
+        # hidden layer written as the logits group
+        other = base_config()
+        other["teacher"][key] = value
+        trained = tmp_path / "other"
+        assert run("train-teacher", "--config", write_config(tmp_path, other, "other.json"),
+                   "--out", str(trained)) == 0
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert run("extract-features", "--config", write_config(tmp_path), "--out",
+                   str(out), "--teacher", str(trained / "teacher.fpnn")) == 1
+        err = capsys.readouterr().err
+        assert f"is 2 -> {named} -> 2, but the config's teacher is 2 -> [8] relu -> 2" in err
+        assert not (out / "features.fpfc").exists()
+
     def test_distill_two_phase_outputs(self, tmp_path):
         path, out = self.pipeline(tmp_path)
         assert run("distill", "--config", path, "--out", str(out)) == 0

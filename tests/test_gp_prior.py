@@ -20,6 +20,7 @@ from featprior import gp_prior
 from featprior.gp_prior import (
     BasisKernel,
     PriorConfig,
+    TeacherKernel,
     feature_kernel,
     feature_kl_and_grad,
     gp_kl,
@@ -515,6 +516,41 @@ class TestStackedSeeds:
     def test_public_gram_kernel_takes_one_batch(self):
         with pytest.raises(DimensionMismatch):
             gram_kernel(np.ones((2, 3, 3)), PriorConfig())
+
+
+class TestStackAxes:
+    """A stack may carry any leading axes (steps ahead of seeds): each
+    slice of a 2 x 3 stack gets the bits of its own 2-d call."""
+
+    def test_sq_norm(self):
+        a = np.random.default_rng(95).standard_normal((2, 3, 5, 5))
+        norms = gp_prior._sq_norm(a)
+        assert norms.shape == (2, 3)
+        for i in range(2):
+            for s in range(3):
+                assert norms[i, s] == gp_prior._sq_norm(a[i, s])
+
+    def test_log(self):
+        jitters = np.array([[1e-4, 1e-3, 1e-2], [1e-1, 1.0, 3.0]])
+        logs = gp_prior._log(jitters)
+        assert logs.shape == (2, 3)
+        for i in range(2):
+            for s in range(3):
+                assert logs[i, s] == gp_prior._log(float(jitters[i, s]))
+
+    @pytest.mark.parametrize("p", [7, 3], ids=["dense", "basis"])
+    def test_teacher_kernel_parts(self, p):
+        phi = np.random.default_rng(96).standard_normal((2, 3, 5, p))
+        cfg = PriorConfig()
+        stacked = TeacherKernel.of(feature_kernel(phi, cfg))
+        for i in range(2):
+            for s in range(3):
+                single = TeacherKernel.of(feature_kernel(phi[i, s], cfg))
+                sliced = stacked[i][s]
+                assert type(sliced.kernel) is type(single.kernel)
+                assert sliced.log_det == single.log_det
+                assert sliced.inv_sq_norm == single.inv_sq_norm
+                assert sliced.kernel.jitter == single.kernel.jitter
 
 
 class TestPriorLogDensity:

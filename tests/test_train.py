@@ -201,20 +201,28 @@ class TestPhase1:
         medians = [float(np.median(kls[i:i + 10])) for i in range(0, 50, 10)]
         assert all(b <= a + 1e-9 for a, b in zip(medians, medians[1:]))
 
+    @staticmethod
+    def per_slice(shape) -> list:
+        """One n x n shape per matrix of a (stacked) factored array."""
+        return [tuple(shape[-2:])] * math.prod(shape[:-2])
+
     @pytest.mark.parametrize("width,calls_per_step", [(4, 1), (32, 2)])
     def test_narrow_student_gram_never_factored(self, blobs, monkeypatch,
                                                 width, calls_per_step):
-        # only the teacher's n x n Gram goes through gram_kernel while the
-        # batch outnumbers the student's features; a student wider than
-        # the batch still has its own Gram formed and factored
-        calls = []
-        original = gp_prior.gram_kernel
+        # only the teacher's Gram is formed and factored while the batch
+        # outnumbers the student's features; a student wider than the
+        # batch still has its own 16 x 16 Gram formed and factored.  The
+        # teacher's are built a stack of batches at a time, so every
+        # factored Gram counts once per slice
+        sizes = []
+        original = gp_prior._gram_kernel
 
-        def counted(phi, config):
-            calls.append(np.shape(phi))
-            return original(phi, config)
+        def counted(arr, config):
+            kernel = original(arr, config)
+            sizes.extend(self.per_slice(kernel.factor.lower.shape))
+            return kernel
 
-        monkeypatch.setattr(gp_prior, "gram_kernel", counted)
+        monkeypatch.setattr(gp_prior, "_gram_kernel", counted)
         teacher = init_params(NetworkSpec.dense(2, [8], 2), seed=0)
         cache = extract_features(teacher, blobs, [0])
         student = init_params(NetworkSpec.dense(2, [width], 2), seed=1)
@@ -225,16 +233,19 @@ class TestPhase1:
                            LayerGroupMapping(entries=((0, 0),)), plan,
                            schedule=schedule)
         steps = 2 * 64 // 16
-        assert len(calls) == calls_per_step * steps
+        assert len(sizes) == calls_per_step * steps
+        assert sizes.count((8, 8)) == steps
+        assert sizes.count((16, 16)) == (calls_per_step - 1) * steps
 
     def test_narrow_teacher_gram_never_factored(self, blobs, monkeypatch):
         # with the batch outnumbering both the student's and the teacher's
-        # features, only the p x p matrices of either side are factored
+        # features, only the p x p matrices of either side are factored,
+        # counted once per slice of a stacked factorization
         sizes = []
         original = linalg.cholesky
 
         def recorded(a):
-            sizes.append(np.shape(a))
+            sizes.extend(self.per_slice(np.shape(a)))
             return original(a)
 
         monkeypatch.setattr(linalg, "cholesky", recorded)
@@ -342,6 +353,112 @@ class TestPhase1:
         with pytest.raises(BatchMismatch) as excinfo:
             fit(synth_rings(60, 2, noise=0.1, seed=3))
         assert not isinstance(excinfo.value, FingerprintMismatch)
+
+
+class TestEpochTeacherKernels:
+    """An epoch's teacher kernels, built a stack of batches at a time,
+    give each step the KL value, gradient and teacher jitter of that
+    step's own ``feature_kernel`` call, bit for bit.  50 rows in batches
+    of 8 make six full batches and a tail of 2; a budget of four batches
+    cuts the full ones into chunks of 4 and 2, and the tail is built alone."""
+
+    def check(self, monkeypatch, group, batches, cfg, p_s):
+        """Steps through ``_teacher_kernels`` against per-batch kernels;
+        returns the stack shape of each build and each step's jitter."""
+        step_bytes = batches[0].size * group.shape[-1] * 8
+        monkeypatch.setattr(train, "_TEACHER_CHUNK_BYTES", 4 * step_bytes)
+        builds = []
+        original = train.feature_kernel
+
+        def recorded(phi, config):
+            builds.append(np.shape(phi)[:-2])
+            return original(phi, config)
+
+        monkeypatch.setattr(train, "feature_kernel", recorded)
+        rng = np.random.default_rng(94)
+        jitters = []
+        for idx, k_t in zip(batches, train._teacher_kernels(group, batches, cfg),
+                            strict=True):
+            ref = gp_prior.feature_kernel(train._rows(group, idx).astype(np.float64), cfg)
+            assert type(k_t.kernel) is type(ref)
+            np.testing.assert_array_equal(k_t.kernel.jitter, ref.jitter)
+            phi_s = rng.standard_normal(idx.shape + (p_s,))
+            value, grad = gp_prior.feature_kl_and_grad(phi_s, k_t, cfg)
+            ref_value, ref_grad = gp_prior.feature_kl_and_grad(phi_s, ref, cfg)
+            np.testing.assert_array_equal(value, ref_value)
+            np.testing.assert_array_equal(grad, ref_grad)
+            jitters.append(np.asarray(k_t.kernel.jitter).tolist())
+        return builds, jitters
+
+    @staticmethod
+    def group(p_t, seeds=None):
+        shape = (50, p_t) if seeds is None else (seeds, 50, p_t)
+        return np.random.default_rng(p_t).standard_normal(shape).astype(np.float32)
+
+    # p_t = 10 >= 8 gives dense kernels, p_t = 5 < 8 basis kernels (and a
+    # dense one for the tail of 2); students 12 and 3 wide take the n x n
+    # and the p x p branch of the student side
+    @pytest.mark.parametrize("p_t,p_s", [(10, 12), (5, 3)], ids=["dense", "basis"])
+    def test_one_run(self, monkeypatch, p_t, p_s):
+        batches = BatchSchedule(np.arange(50), 8, seed=1).epoch_batches(0)
+        builds, jitters = self.check(monkeypatch, self.group(p_t), batches,
+                                     PriorConfig(jitter=1e-3), p_s)
+        assert builds == [(4,), (2,), ()]
+        assert jitters == [1e-3] * 7
+
+    @pytest.mark.parametrize("p_t,p_s", [(10, 12), (5, 3)], ids=["dense", "basis"])
+    def test_seed_stacked_cache(self, monkeypatch, p_t, p_s):
+        batches = train._StackedSchedule(
+            [BatchSchedule(np.arange(50), 8, seed) for seed in (1, 2)]).epoch_batches(0)
+        builds, _ = self.check(monkeypatch, self.group(p_t, seeds=2), batches,
+                               PriorConfig(jitter=1e-3), p_s)
+        assert builds == [(4, 2), (2, 2), (2,)]
+
+    def test_one_slice_of_a_chunk_escalates(self, monkeypatch):
+        # the second batch starts with two copies of e_1, so its Gram is
+        # singular at jitter 1e-16 (1 + 1e-16 rounds to 1) and factors at
+        # 1e-15; its chunk is refactored slice by slice, the others not
+        cfg = PriorConfig(jitter=1e-16, normalize_by_width=False)
+        batches = BatchSchedule(np.arange(50), 8, seed=1).epoch_batches(0)
+        group = self.group(10)
+        group[batches[1][:2]] = np.eye(10, dtype=np.float32)[0]
+        builds, jitters = self.check(monkeypatch, group, batches, cfg, 12)
+        assert builds == [(4,), (2,), ()]
+        assert jitters == [1e-16, 1e-15] + [1e-16] * 5
+
+    @pytest.mark.parametrize("mode", ["two_phase", "joint"])
+    def test_fit_matches_per_batch_kernels(self, rings_setup, monkeypatch, mode):
+        # 100 train rows in batches of 16: one stack of six and a tail of 4;
+        # a zero budget builds every batch alone, as one call a step
+        ds, split, _, cache = rings_setup
+        plan = TrainPlan(seed=3, batch_size=16, phase1_epochs=2, phase2_epochs=1,
+                         lr_phase1=1e-2, mode=mode)
+
+        def fit():
+            result = run_distillation(NetworkSpec.dense(2, [4], 2), ds, split, plan,
+                                      cache=cache, mapping=LayerGroupMapping(((0, 1),)))
+            return result.model, run_log_csv(result.log)
+
+        stacked_model, stacked_log = fit()
+        monkeypatch.setattr(train, "_TEACHER_CHUNK_BYTES", 0)
+        model, log = fit()
+        assert params_equal(stacked_model, model)
+        assert stacked_log == log
+
+    def test_compare_matches_per_batch_kernels(self, rings_setup, monkeypatch):
+        # seeds stacked, and joint's block of a (mode, seed) stack
+        ds = rings_setup[0]
+        plan = TrainPlan(batch_size=16, phase1_epochs=1, phase2_epochs=1, lr_phase1=1e-2)
+
+        def table():
+            return compare_methods(
+                ds, NetworkSpec.dense(2, [8], 2), NetworkSpec.dense(2, [4], 2), plan,
+                [1, 2], teacher_plan=replace(plan, phase2_epochs=3),
+                mapping=LayerGroupMapping(((0, 0),)), test_fraction=0.5).comparison_csv()
+
+        stacked = table()
+        monkeypatch.setattr(train, "_TEACHER_CHUNK_BYTES", 0)
+        assert stacked == table()
 
 
 class TestPhase2:
