@@ -56,23 +56,18 @@ def backward(model, x, record, act_grads, logit_grad, lowest: int = 0) -> list:
     activations and at the logits.
 
     ``record`` is ``forward(model, x)``; ``act_grads`` maps a hidden-layer
-    index to dL/d(activation) and ``logit_grad`` is dL/dlogits or None (a
-    head-less model's logits are its last activation).  The walk starts at
-    the head when there is a logit gradient, else at the deepest layer in
-    ``act_grads``, and stops at layer ``lowest``.  ``BlockGrads`` need a
-    classifier head.  Parameters it does not reach get None, which the
-    optimizers skip; the rest are views of one ``ParamGrads.flat`` buffer.
+    index to dL/d(activation) and ``logit_grad`` is dL/dlogits or None.  The
+    head is layer L, the hidden-layer count, with the identity activation.
+    The walk starts at the head when there is a logit gradient, else at the
+    deepest layer in ``act_grads``, and stops at layer ``lowest``.
+    Parameters it does not reach get None, which the optimizers skip; the
+    rest are views of one ``ParamGrads.flat`` buffer.
     """
-    activations = [layer.activation for layer in model.spec.layers]
+    activations = [layer.activation for layer in model.spec.layers] + ["identity"]
     params = model.parameters()  # weight and bias of each layer, the head last
     injected, rows = dict(act_grads), getattr(act_grads, "rows", ...)
-    if model.head_weight is not None:
-        activations.append("identity")
-        if logit_grad is not None:
-            injected[len(activations) - 1] = logit_grad
-    elif logit_grad is not None:
-        last = len(activations) - 1
-        injected[last] = injected[last] + logit_grad if last in injected else logit_grad
+    if logit_grad is not None:
+        injected[len(activations) - 1] = logit_grad
     grads = ParamGrads([None] * len(params))
     grads.flat, o = np.zeros(model.flat.shape), model.offsets
     inputs = [np.asarray(x, dtype=np.float64)] + list(record.activations)

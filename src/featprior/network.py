@@ -1,6 +1,9 @@
 """Dense networks: architecture specs, parameters, forward passes,
 initialization, optimizers, gradient checking and binary model files.
 
+Every network is one or more hidden dense layers plus a softmax-classifier
+head: the head's output is the logits.
+
 Parameters are stored in float32 (that is also the file format), in one
 flat vector per model that the optimizers update in one pass; all
 arithmetic runs in float64.  Per-layer activations are first-class outputs
@@ -14,6 +17,7 @@ gets the bits of its own 2-d model.
 from __future__ import annotations
 
 import hashlib
+import numbers
 import struct
 from dataclasses import dataclass, field
 
@@ -50,27 +54,26 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Hidden dense layers plus an optional softmax-classifier head.
-
-    ``output_head=None`` gives a feature-only network (used for gradient
-    checking edge cases); such models cannot be written to disk.
-    """
+    """One or more hidden dense layers plus a softmax-classifier head of
+    ``output_head`` classes."""
 
     layers: tuple[LayerSpec, ...]
-    output_head: int | None
+    output_head: int
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
+        if not self.layers:
+            raise FeatPriorError("a network needs at least one hidden layer")
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if prev.out_width != nxt.in_width:
                 raise FeatPriorError(
                     f"layer widths do not chain: {prev.out_width} -> {nxt.in_width}"
                 )
-        if self.output_head is not None and self.output_head < 1:
-            raise FeatPriorError("output head width must be >= 1")
+        if not isinstance(self.output_head, numbers.Integral) or self.output_head < 1:
+            raise FeatPriorError("output head width must be an integer >= 1")
 
     @staticmethod
-    def dense(input_width: int, hidden, classes: int | None,
+    def dense(input_width: int, hidden, classes: int,
               activation: str = "relu") -> "NetworkSpec":
         layers = []
         w = input_width
@@ -81,11 +84,7 @@ class NetworkSpec:
 
     @property
     def input_width(self) -> int:
-        if self.layers:
-            return self.layers[0].in_width
-        if self.output_head is not None:
-            raise FeatPriorError("head-only spec needs an explicit input width")
-        return 0
+        return self.layers[0].in_width
 
     @property
     def hidden_count(self) -> int:
@@ -93,7 +92,7 @@ class NetworkSpec:
 
     @property
     def last_width(self) -> int:
-        return self.layers[-1].out_width if self.layers else self.input_width
+        return self.layers[-1].out_width
 
 
 @dataclass
@@ -108,32 +107,27 @@ class Model:
     spec: NetworkSpec
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    head_weight: np.ndarray | None
-    head_bias: np.ndarray | None
+    head_weight: np.ndarray
+    head_bias: np.ndarray
     flat: np.ndarray = field(init=False, repr=False, compare=False)
     offsets: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arrays = [np.asarray(p) for p in self.parameters()]
-        lead = arrays[0].shape[:-2] if arrays else ()  # the seed axis, if any
+        lead = arrays[0].shape[:-2]  # the seed axis, if any
         rows = [a.reshape(*lead, -1) for a in arrays]
-        # concatenate copies; the empty float32 array types a parameterless model
-        self.flat = np.concatenate([*rows, np.zeros((*lead, 0), np.float32)], axis=-1)
+        self.flat = np.concatenate(rows, axis=-1)  # copies
         self.offsets = [0] + np.cumsum([r.shape[-1] for r in rows], dtype=int).tolist()
         views = [self.flat[..., start:stop].reshape(a.shape) for a, start, stop
                  in zip(arrays, self.offsets, self.offsets[1:])]
-        hidden = 2 * len(self.weights)
-        self.weights, self.biases = views[0:hidden:2], views[1:hidden:2]
-        if self.head_weight is not None:
-            self.head_weight, self.head_bias = views[hidden:]
+        self.weights, self.biases = views[0:-2:2], views[1:-2:2]
+        self.head_weight, self.head_bias = views[-2:]
 
     def parameters(self) -> list[np.ndarray]:
         params: list[np.ndarray] = []
         for w, b in zip(self.weights, self.biases):
             params.extend((w, b))
-        if self.head_weight is not None:
-            params.extend((self.head_weight, self.head_bias))
-        return params
+        return params + [self.head_weight, self.head_bias]
 
     def param_layer_ids(self) -> list[int]:
         """Layer index of each parameter; the head counts as layer L."""
@@ -144,9 +138,7 @@ class Model:
 
 
 def _from_parameters(spec: NetworkSpec, params) -> Model:
-    hidden = 2 * len(spec.layers)
-    return Model(spec, params[0:hidden:2], params[1:hidden:2],
-                 *(params[hidden:] or (None, None)))
+    return Model(spec, params[0:-2:2], params[1:-2:2], *params[-2:])
 
 
 def stack_models(models) -> Model:
@@ -163,9 +155,8 @@ def unstack_model(model: Model) -> list[Model]:
 
 @dataclass
 class ForwardRecord:
-    """Per-layer activations (batch x width each) and the final logits,
-    as float64 arrays.  For head-less models ``logits`` aliases the last
-    activation."""
+    """Per-layer activations (batch x width each) and the head's logits,
+    as float64 arrays."""
 
     activations: list
     logits: np.ndarray
@@ -187,11 +178,9 @@ def init_params(spec: NetworkSpec, seed) -> Model:
     for layer in spec.layers:
         weights.append(draw(layer.in_width, layer.out_width, layer.activation))
         biases.append(np.zeros(layer.out_width, dtype=np.float32))
-    head_w = head_b = None
-    if spec.output_head is not None:
-        head_w = draw(spec.last_width, spec.output_head, "identity")
-        head_b = np.zeros(spec.output_head, dtype=np.float32)
-    return Model(spec, weights, biases, head_w, head_b)
+    return Model(spec, weights, biases,
+                 draw(spec.last_width, spec.output_head, "identity"),
+                 np.zeros(spec.output_head, dtype=np.float32))
 
 
 def _apply_activation(x: np.ndarray, name: str) -> np.ndarray:
@@ -207,12 +196,7 @@ def forward(model: Model, batch) -> ForwardRecord:
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim < 2:
         raise DimensionMismatch(f"batch must be 2-d, got shape {x.shape}")
-    if model.weights:
-        expected = model.weights[0].shape[-2]
-    elif model.head_weight is not None:
-        expected = model.head_weight.shape[-2]
-    else:
-        expected = x.shape[-1]
+    expected = model.weights[0].shape[-2]
     if x.shape[-1] != expected:
         raise DimensionMismatch(
             f"batch width {x.shape[-1]} != network input width {expected}"
@@ -226,11 +210,9 @@ def forward(model: Model, batch) -> ForwardRecord:
                               + b.astype(np.float64)[..., None, :], layer.activation)
         _check_finite(h, f"layer {i}")
         activations.append(h)
-    logits = h
-    if model.head_weight is not None:
-        logits = (h @ model.head_weight.astype(np.float64)
-                  + model.head_bias.astype(np.float64)[..., None, :])
-        _check_finite(logits, "logits")
+    logits = (h @ model.head_weight.astype(np.float64)
+              + model.head_bias.astype(np.float64)[..., None, :])
+    _check_finite(logits, "logits")
     return ForwardRecord(activations=activations, logits=logits)
 
 
@@ -342,12 +324,12 @@ def grad_check(model: Model, loss_fn, h: float = 1e-5,
     ``loss_fn(model)`` returns ``(loss, grads)`` with grads in
     ``parameters()`` order (``autodiff.backward`` gives them; None counts
     as a zero gradient); finite differences re-evaluate its loss on a
-    float64 copy of the model.  Returns 0.0 for a model without parameters.
+    float64 copy of the model.
     """
     _, grads = loss_fn(model)
     analytic_flat = np.concatenate(
         [np.zeros(p.size) if g is None else np.ravel(g)
-         for p, g in zip(model.parameters(), grads)] + [np.zeros(0)])
+         for p, g in zip(model.parameters(), grads)], dtype=np.float64)
 
     coords = range(model.flat.size)
     if max_coords is not None and len(coords) > max_coords:
@@ -377,8 +359,6 @@ def grad_check(model: Model, loss_fn, h: float = 1e-5,
 def serialize_model(model: Model) -> bytes:
     """Little-endian binary layout; the classifier head is the last layer
     and always carries the identity tag."""
-    if model.head_weight is None:
-        raise FeatPriorError("head-less models cannot be serialized")
     chunks = [_MODEL_MAGIC, struct.pack("<II", _MODEL_VERSION,
                                         len(model.weights) + 1)]
     rows = list(zip(model.weights, model.biases,
@@ -406,8 +386,8 @@ def deserialize_model(data: bytes) -> Model:
     version, n_layers = struct.unpack_from("<II", data, 4)
     if version != _MODEL_VERSION:
         raise CorruptFile(f"unsupported model format version {version}")
-    if n_layers < 1:
-        raise CorruptFile("model file declares no layers")
+    if n_layers < 2:
+        raise CorruptFile(f"{n_layers}-layer model file: it needs a hidden layer and a head")
     offset = 12
     rows = []
     for _ in range(n_layers):

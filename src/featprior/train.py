@@ -54,6 +54,7 @@ from .errors import (
     BatchMismatch,
     BatchTooSmall,
     ConfigError,
+    DimensionMismatch,
     DivergedTraining,
     EmptyExpertSet,
     FingerprintMismatch,
@@ -217,11 +218,14 @@ def evaluate(model: Model, dataset: Dataset, ks=(1, 2, 3)) -> Metrics:
     Macro F1 averages per-class F1 uniformly, counting classes absent from
     both truth and predictions as 0.  Micro F1 is accuracy: with one label
     and one prediction a row, each miss is one false positive and one false
-    negative.
+    negative.  A model whose head width is not the dataset's class count
+    raises ``DimensionMismatch``.
     """
+    c, classes = model.spec.output_head, dataset.class_count
+    if c != classes:
+        raise DimensionMismatch(f"model has {c} classes, dataset has {classes}")
     logits = predict_logits(model, dataset.inputs)
     labels = dataset.labels
-    c = logits.shape[1]
     # stable descending sort: ties broken toward the smaller class index
     order = np.argsort(-logits, axis=1, kind="stable")
     predictions = order[:, 0]
@@ -232,7 +236,6 @@ def evaluate(model: Model, dataset: Dataset, ks=(1, 2, 3)) -> Metrics:
         kk = min(int(k), c)
         top_k[int(k)] = float(np.mean((order[:, :kk] == labels[:, None]).any(axis=1)))
 
-    classes = dataset.class_count
     tp, predicted, true = (np.bincount(x, minlength=classes)[:classes] for x in
                            (labels[predictions == labels], predictions, labels))
     # per class F1 = 2 tp / (2 tp + fp + fn), where 2 tp + fp + fn = predicted + true
@@ -290,7 +293,7 @@ def extract_features(model: Model, dataset: Dataset, layer_ids,
     which the soft-target and logit-regression baselines consume.
     """
     layer_ids = sorted(int(i) for i in set(layer_ids))
-    max_id = model.spec.hidden_count - (0 if model.head_weight is not None else 1)
+    max_id = model.spec.hidden_count
     for lid in layer_ids:
         if not 0 <= lid <= max_id:
             raise LayerOutOfRange(f"layer id {lid} outside 0..{max_id}")
@@ -417,20 +420,23 @@ def _prior_objective(experts, config: PriorConfig, scale: float = 1.0):
     """Sum over ``ExpertPrior``s of alpha * the sum of their group KLs; the
     gradients carry ``scale``, the caller's weight on the whole sum.  After
     ``objective.epoch(batches)`` the steps must come in that batch order;
-    without it each step builds its own teacher kernels."""
+    without it each step builds its own teacher kernels.  Terms that read
+    one group array share its kernels."""
     terms = [(expert.alpha, student_idx, expert.cache.groups[gid])
              for expert in experts for student_idx, gid in expert.mapping.entries]
-    kernels = []  # this epoch's teacher kernels, an iterator per term
+    groups = list({id(group): group for _, _, group in terms}.values())
+    kernels = []  # this epoch's teacher kernels, an iterator per group
 
     def epoch(batches):
-        kernels[:] = [_teacher_kernels(group, batches, config) for _, _, group in terms]
+        kernels[:] = [_teacher_kernels(group, batches, config) for group in groups]
 
     def objective(record, idx, labels):
-        steps = kernels or [_teacher_kernels(group, [idx], config) for _, _, group in terms]
+        steps = kernels or [_teacher_kernels(group, [idx], config) for group in groups]
+        k2 = {id(group): next(k) for group, k in zip(groups, steps)}
         kl_sum = 0.0
         term_grads = []
-        for (alpha, student_idx, _), k2 in zip(terms, steps):
-            value, grad = _kl_grad(record.activations[student_idx], next(k2),
+        for alpha, student_idx, group in terms:
+            value, grad = _kl_grad(record.activations[student_idx], k2[id(group)],
                                    config, scale * alpha)
             kl_sum += alpha * value
             term_grads.append((student_idx, grad))
@@ -569,8 +575,7 @@ def _phase1_fit(student: Model, dataset: Dataset, experts, plan: TrainPlan, sche
 def phase2_task_fit(student: Model, dataset: Dataset, plan: TrainPlan,
                     frozen_layers, *, schedule: BatchSchedule | None = None,
                     train: Dataset | None = None, test: Dataset | None = None,
-                    log: list | None = None,
-                    epoch_offset: int | None = None) -> Model:
+                    log: list | None = None) -> Model:
     """Cross-entropy training of the unfrozen layers only; frozen
     parameters come back bitwise identical."""
     model = student.copy()
@@ -579,11 +584,9 @@ def phase2_task_fit(student: Model, dataset: Dataset, plan: TrainPlan,
     if all(lid in frozen for lid in layer_ids):
         raise AllLayersFrozen("every parameter is frozen; nothing to train")
     schedule = _make_schedule(plan, schedule, train, dataset)
-    if epoch_offset is None:
-        epoch_offset = plan.phase1_epochs
     _fit_epochs(model, dataset, schedule, plan, _objective(("naive",), plan.prior),
                 epochs=plan.phase2_epochs, lr=plan.lr_phase2, phase=2,
-                epoch_offset=epoch_offset, frozen_layers=frozen,
+                epoch_offset=plan.phase1_epochs, frozen_layers=frozen,
                 test=test, log=log)
     return model
 

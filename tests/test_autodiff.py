@@ -118,15 +118,15 @@ class TestObjectiveGradients:
         assert objective_error(model, x, labels, objective) < TOL
 
     @pytest.mark.parametrize("activation", ACTIVATIONS)
-    def test_head_less_model(self, batch, activation):
-        # the last activation serves as logits: CE and a KL term both
-        # reach layer 1
+    def test_kl_and_cross_entropy_meet_at_top_layer(self, batch, activation):
+        # CE through the head and a KL term both reach the top hidden
+        # layer, layer 1, where the walk adds the KL onto the head's gradient
         rng, x, labels = batch
         cache = teacher_cache(rng, {0: 4})
         cfg = PriorConfig(jitter=1e-3, alpha=0.5)
         objective = _objective(("joint",), cfg, cache,
                                LayerGroupMapping(((1, 0), (0, 0))))
-        model = init_params(NetworkSpec.dense(3, [6, 3], None, activation), 5)
+        model = init_params(NetworkSpec.dense(3, [6, 3], 3, activation), 5)
         assert objective_error(model, x, labels, objective) < TOL
 
     @pytest.mark.parametrize("modes", [
@@ -215,15 +215,18 @@ class TestBackwardBasics:
         assert grads == [None] * 4
 
     def test_sum_of_parameters_gives_ones(self):
-        # one row of ones through an identity layer: the output sum is the
-        # sum of the layer's parameters
-        spec = NetworkSpec(layers=(LayerSpec(2, 3, "identity"),), output_head=None)
-        model = Model(spec, [np.arange(6.0).reshape(2, 3)], [np.ones(3)], None, None)
+        # one row of ones through an identity layer and an identity head:
+        # the logit sum is the sum of the hidden layer's parameters
+        spec = NetworkSpec(layers=(LayerSpec(2, 3, "identity"),), output_head=3)
+        model = Model(spec, [np.arange(6.0).reshape(2, 3)], [np.ones(3)],
+                      np.eye(3), np.zeros(3))
         x = np.ones((1, 2))
         record = forward(model, x)
-        gw, gb = backward(model, x, record, {}, np.ones_like(record.logits), 0)
+        gw, gb, ghw, ghb = backward(model, x, record, {}, np.ones_like(record.logits), 0)
         np.testing.assert_array_equal(gw, np.ones((2, 3)))
         np.testing.assert_array_equal(gb, np.ones(3))
+        np.testing.assert_array_equal(ghw, record.activations[0].T @ np.ones((1, 3)))
+        np.testing.assert_array_equal(ghb, np.ones(3))
 
 
 class TestGradientsMatchFiniteDifferences:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import re
+import struct
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from featprior.cli import main
 from featprior.config import load_config, parse_config
 from featprior.errors import ConfigError
 from featprior.gp_prior import PriorConfig
+from featprior.network import NetworkSpec, init_params, serialize_model
 from featprior.train import TrainPlan
 
 REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
@@ -285,6 +287,23 @@ class TestExtractAndDistill:
         accuracy = float((out / "metrics.csv")
                          .read_text().strip().split("\n")[1].split(",")[1])
         assert accuracy >= 0.99
+
+    @pytest.mark.parametrize("blob,named", [
+        # a 3-class model scored on the config's 2-class blobs
+        (serialize_model(init_params(NetworkSpec.dense(2, [4], 3), 0)),
+         "3 classes, dataset has 2"),
+        # version 1, one 2 x 2 identity layer: a head with no hidden layer
+        (struct.pack("<4sIIIIB", b"FPNN", 1, 1, 2, 2, 2) + bytes(4 * 6),
+         "1-layer model file"),
+    ], ids=["class-count", "one-layer"])
+    def test_evaluate_unusable_model_exit_1(self, tmp_path, capsys, blob, named):
+        path = write_config(tmp_path)
+        model, out = tmp_path / "model.fpnn", tmp_path / "run"
+        model.write_bytes(blob)
+        assert run("evaluate", "--config", path, "--out", str(out),
+                   "--model", str(model)) == 1
+        assert named in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
 
     def test_distill_with_expert_caches(self, tmp_path):
         path, out = self.pipeline(tmp_path)

@@ -38,13 +38,12 @@ from oracles import adam_step_per_tensor, sgd_step_per_tensor
 
 
 def scalar_model(value: float) -> Model:
-    spec = NetworkSpec(layers=(LayerSpec(1, 1, "identity"),), output_head=None)
+    """A 1 -> 1 identity layer of weight ``value`` and a 1 -> 1 head; the
+    optimizer tests give the head None gradients."""
+    spec = NetworkSpec(layers=(LayerSpec(1, 1, "identity"),), output_head=1)
     return Model(spec, [np.array([[value]], dtype=np.float32)],
-                 [np.zeros(1, dtype=np.float32)], None, None)
-
-
-def empty_model() -> Model:
-    return Model(NetworkSpec(layers=(), output_head=None), [], [], None, None)
+                 [np.zeros(1, dtype=np.float32)], np.ones((1, 1), dtype=np.float32),
+                 np.zeros(1, dtype=np.float32))
 
 
 def cross_entropy_and_grads(model: Model, x, labels):
@@ -68,6 +67,17 @@ class TestSpec:
         with pytest.raises(FeatPriorError):
             LayerSpec(0, 3)
 
+    def test_head_required(self):
+        for head in (None, 0, 2.0):
+            with pytest.raises(FeatPriorError, match="output head width"):
+                NetworkSpec(layers=(LayerSpec(2, 3),), output_head=head)
+
+    def test_hidden_layer_required(self):
+        with pytest.raises(FeatPriorError, match="at least one hidden layer"):
+            NetworkSpec(layers=(), output_head=2)
+        with pytest.raises(FeatPriorError, match="at least one hidden layer"):
+            NetworkSpec.dense(2, [], 2)
+
 
 class TestForward:
     def test_zero_parameters_relu(self):
@@ -79,12 +89,10 @@ class TestForward:
             np.testing.assert_array_equal(act, 0.0)
 
     def test_identity_layer_passes_input_through(self):
-        model = scalar_model(1.0)
-        model.weights[0] = np.eye(2, dtype=np.float32)
-        model.biases[0] = np.zeros(2, dtype=np.float32)
+        eye, zero = np.eye(2, dtype=np.float32), np.zeros(2, dtype=np.float32)
         model = Model(NetworkSpec(layers=(LayerSpec(2, 2, "identity"),),
-                                  output_head=None),
-                      model.weights, model.biases, None, None)
+                                  output_head=2),
+                      [eye], [zero], eye, zero)
         x = np.array([[0.5, -1.5], [2.0, 0.25]])
         record = forward(model, x)
         np.testing.assert_array_equal(record.activations[0], x)
@@ -145,15 +153,6 @@ class TestGradCheck:
 
         assert grad_check(model, loss) < 1e-4
 
-    def test_zero_parameter_model_vacuous(self):
-        def loss(m):
-            x = np.ones((2, 3))
-            record = forward(m, x)
-            return (float(record.logits.sum()),
-                    backward(m, x, record, {}, np.ones_like(record.logits)))
-
-        assert grad_check(empty_model(), loss) == 0.0
-
     def test_coordinate_sampling_deterministic(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((3, 4))
@@ -199,21 +198,21 @@ class TestOptimizers:
     def test_sgd_zero_gradient_is_noop(self):
         model = scalar_model(1.0)
         before = [p.copy() for p in model.parameters()]
-        sgd_step(model, [np.zeros((1, 1)), np.zeros(1)], SgdState(),
+        sgd_step(model, [np.zeros((1, 1)), np.zeros(1), None, None], SgdState(),
                  SgdConfig(lr=0.1))
         for p, b in zip(model.parameters(), before):
             np.testing.assert_array_equal(p, b)
 
     def test_sgd_plain_step(self):
         model = scalar_model(1.0)
-        sgd_step(model, [np.array([[1.0]]), np.zeros(1)], SgdState(),
+        sgd_step(model, [np.array([[1.0]]), np.zeros(1), None, None], SgdState(),
                  SgdConfig(lr=0.1))
         assert model.weights[0][0, 0] == pytest.approx(0.9)
 
     def test_adam_first_step_magnitude_is_lr(self):
         for g in (1e-3, 1.0, 1e3):
             model = scalar_model(1.0)
-            adam_step(model, [np.array([[g]]), np.zeros(1)], AdamState(),
+            adam_step(model, [np.array([[g]]), np.zeros(1), None, None], AdamState(),
                       AdamConfig(lr=0.01))
             assert abs(1.0 - model.weights[0][0, 0]) == pytest.approx(
                 0.01, rel=1e-4)
@@ -221,14 +220,14 @@ class TestOptimizers:
     def test_none_gradient_skips_parameter(self):
         model = scalar_model(1.0)
         state = AdamState()
-        adam_step(model, [None, np.ones(1)], state, AdamConfig(lr=0.1))
+        adam_step(model, [None, np.ones(1), None, None], state, AdamConfig(lr=0.1))
         assert model.weights[0][0, 0] == np.float32(1.0)
         assert model.biases[0][0] != 0.0
 
     def test_non_finite_gradient_rejected(self):
         model = scalar_model(1.0)
         with pytest.raises(NonFiniteGradient):
-            adam_step(model, [np.array([[np.nan]]), np.zeros(1)], AdamState(),
+            adam_step(model, [np.array([[np.nan]]), np.zeros(1), None, None], AdamState(),
                       AdamConfig())
 
 
@@ -246,8 +245,8 @@ class TestFlatModel:
 
     def test_constructor_and_copy_do_not_alias(self):
         w = np.ones((2, 3), dtype=np.float32)
-        model = Model(NetworkSpec.dense(2, [3], None), [w],
-                      [np.zeros(3, dtype=np.float32)], None, None)
+        model = Model(NetworkSpec.dense(2, [3], 2), [w], [np.zeros(3, dtype=np.float32)],
+                      np.ones((3, 2), dtype=np.float32), np.zeros(2, dtype=np.float32))
         w[...] = 5.0
         copy = model.copy()
         copy.weights[0][...] = 2.0
@@ -429,9 +428,13 @@ class TestSerialization:
         with pytest.raises(CorruptFile):
             deserialize_model(blob[:-3])
 
-    def test_headless_not_serializable(self):
-        with pytest.raises(FeatPriorError):
-            serialize_model(scalar_model(1.0))
+    def test_one_layer_file_is_corrupt(self):
+        # version 1, one 2 x 2 identity layer: a head with no hidden layer
+        import struct
+
+        one_layer = struct.pack("<4sIIIIB", b"FPNN", 1, 1, 2, 2, 2) + bytes(4 * 6)
+        with pytest.raises(CorruptFile, match="1-layer model file"):
+            deserialize_model(one_layer)
 
     def test_fingerprint_tracks_parameters(self):
         model = init_params(NetworkSpec.dense(2, [2], 2), seed=0)

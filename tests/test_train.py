@@ -23,6 +23,7 @@ from featprior.errors import (
     AllLayersFrozen,
     BatchMismatch,
     ConfigError,
+    DimensionMismatch,
     EmptyExpertSet,
     FingerprintMismatch,
     LayerOutOfRange,
@@ -445,6 +446,37 @@ class TestEpochTeacherKernels:
         assert params_equal(stacked_model, model)
         assert stacked_log == log
 
+    def test_terms_share_a_group_kernel(self, rings_setup, monkeypatch):
+        # mapping [[0, 1], [1, 1]] reads group 1 twice: its kernels are built
+        # once a batch, and the fit has the bits of [[0, 1], [1, 3]], where
+        # group 3 is a copy of group 1 and so is built on its own
+        ds, split, _, cache = rings_setup
+        plan = TrainPlan(seed=3, batch_size=16, phase1_epochs=2, phase2_epochs=1,
+                         lr_phase1=1e-2)
+        copied = replace(cache, groups={**cache.groups, 3: cache.groups[1].copy()})
+        built = []  # teacher batches per feature_kernel call
+        original = train.feature_kernel
+
+        def recorded(phi, config):
+            built.append(int(np.prod(np.shape(phi)[:-2])))
+            return original(phi, config)
+
+        monkeypatch.setattr(train, "feature_kernel", recorded)
+
+        def fit(cache, second):
+            built.clear()
+            result = run_distillation(
+                NetworkSpec.dense(2, [4, 4], 2), ds, split, plan, cache=cache,
+                mapping=LayerGroupMapping(((0, 1), (1, second))))
+            return result.model, run_log_csv(result.log), sum(built)
+
+        shared_model, shared_log, shared_built = fit(cache, 1)
+        model, log, separate_built = fit(copied, 3)
+        # 100 train rows in batches of 16: 7 batches an epoch, 2 epochs
+        assert (shared_built, separate_built) == (2 * 7, 2 * 2 * 7)
+        assert params_equal(shared_model, model)
+        assert shared_log == log
+
     def test_compare_matches_per_batch_kernels(self, rings_setup, monkeypatch):
         # seeds stacked, and joint's block of a (mode, seed) stack
         ds = rings_setup[0]
@@ -469,7 +501,7 @@ class TestPhase2:
         plan = TrainPlan(seed=10, batch_size=16, phase1_epochs=0,
                          phase2_epochs=6, mode="naive")
         via_phase2 = phase2_task_fit(student, ds, plan, frozen_layers=(),
-                                     train=split.train, epoch_offset=0)
+                                     train=split.train)
         naive = run_distillation(spec, ds, split, plan)
         assert params_equal(via_phase2, naive.model)
 
@@ -649,11 +681,18 @@ class TestExperts:
             ExpertPriorSet(experts=())
 
 
+def identity_hidden_model(head_weight, head_bias) -> Model:
+    """A 2 -> 2 identity hidden layer under the given head."""
+    spec = NetworkSpec(layers=(LayerSpec(2, 2, "identity"),),
+                       output_head=len(head_bias))
+    return Model(spec, [np.eye(2, dtype=np.float32)], [np.zeros(2, dtype=np.float32)],
+                 np.asarray(head_weight, dtype=np.float32),
+                 np.asarray(head_bias, dtype=np.float32))
+
+
 class TestEvaluate:
     def perfect_model(self):
-        spec = NetworkSpec(layers=(), output_head=2)
-        return Model(spec, [], [], 10.0 * np.eye(2, dtype=np.float32),
-                     np.zeros(2, dtype=np.float32))
+        return identity_hidden_model(10.0 * np.eye(2), np.zeros(2))
 
     def onehot_dataset(self):
         labels = np.array([0, 1, 0, 1])
@@ -670,9 +709,7 @@ class TestEvaluate:
 
     def test_constant_prediction_macro_f1(self):
         ds = self.onehot_dataset()
-        spec = NetworkSpec(layers=(), output_head=2)
-        model = Model(spec, [], [], np.zeros((2, 2), dtype=np.float32),
-                      np.array([1.0, 0.0], dtype=np.float32))
+        model = identity_hidden_model(np.zeros((2, 2)), [1.0, 0.0])
         metrics = evaluate(model, ds)
         # always predicts class 0: acc 1/2; F1 = (2/3 + 0) / 2 = 1/3
         assert metrics.accuracy == pytest.approx(0.5)
@@ -683,13 +720,18 @@ class TestEvaluate:
         # class 2 is neither a label nor a prediction: its F1 counts as 0
         ds = self.onehot_dataset()
         ds = Dataset(inputs=ds.inputs, labels=ds.labels, class_count=3)
-        spec = NetworkSpec(layers=(), output_head=3)
-        model = Model(spec, [], [], 10.0 * np.eye(2, 3, dtype=np.float32),
-                      np.array([0.0, 0.0, -10.0], dtype=np.float32))
+        model = identity_hidden_model(10.0 * np.eye(2, 3), [0.0, 0.0, -10.0])
         metrics = evaluate(model, ds)
         assert metrics.accuracy == 1.0
         assert metrics.f1_micro == 1.0
         assert metrics.f1_macro == pytest.approx(2.0 / 3.0)
+
+    def test_head_width_must_match_class_count(self):
+        # a 3-output head on 2-class data: its class-2 predictions would
+        # fall outside the per-class F1 counts
+        model = identity_hidden_model(10.0 * np.eye(2, 3), np.zeros(3))
+        with pytest.raises(DimensionMismatch, match="3 classes, dataset has 2"):
+            evaluate(model, self.onehot_dataset())
 
     def test_top_c_is_one(self):
         ds = self.onehot_dataset()
