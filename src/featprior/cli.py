@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config
-from .data import Dataset, read_cache, serialize_cache, split_and_batch
+from .data import Dataset, read_cache, split_and_batch, write_cache
 from .errors import ConfigError, FeatPriorError, NumericalError
 from .network import load_model, serialize_model
 from .train import (
@@ -33,11 +33,20 @@ from .train import (
 )
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
+def _atomic_write(path: Path, write) -> None:
+    """``write(tmp)`` fills a sibling temporary file that then replaces
+    ``path``; a failed write removes the temporary file."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _atomic_write_bytes(path: Path, data: bytes) -> None:
+    _atomic_write(path, lambda tmp: tmp.write_bytes(data))
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -77,7 +86,7 @@ def cmd_extract_features(cfg: ExperimentConfig, dataset: Dataset, out: Path,
                           f"but the config's teacher is {_architecture(expected)}")
     # every hidden layer of the configured teacher, plus its logits group
     cache = extract_features(model, dataset, range(len(cfg.teacher.hidden) + 1))
-    _atomic_write_bytes(out / "features.fpfc", serialize_cache(cache))
+    _atomic_write(out / "features.fpfc", lambda tmp: write_cache(tmp, cache))
     widths = {gid: mat.shape[1] for gid, mat in sorted(cache.groups.items())}
     print(f"extracted groups {widths} -> {out / 'features.fpfc'}")
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv as _csv
 import hashlib
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -37,6 +38,7 @@ _IDX_LABELS_MAGIC = 0x00000801
 
 _CACHE_MAGIC = b"FPFC"
 _CACHE_VERSION = 1
+_CACHE_HEADER_BYTES = 4 + 4 + 32 + 32 + 4  # magic, version, 2 hashes, group count
 
 
 @dataclass(frozen=True)
@@ -93,8 +95,8 @@ class Dataset:
 def dataset_fingerprint(dataset: Dataset) -> bytes:
     """32-byte content hash over raw input bytes, labels and class count."""
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(dataset.inputs).tobytes())
-    h.update(np.ascontiguousarray(dataset.labels).tobytes())
+    h.update(np.ascontiguousarray(dataset.inputs))  # hashed in place, not copied
+    h.update(np.ascontiguousarray(dataset.labels))
     h.update(struct.pack("<q", dataset.class_count))
     return h.digest()
 
@@ -311,58 +313,66 @@ class FeatureCache:
         return next(iter(self.groups.values())).shape[-2] if self.groups else 0
 
 
-def serialize_cache(cache: FeatureCache) -> bytes:
-    chunks = [
-        _CACHE_MAGIC,
-        struct.pack("<I", _CACHE_VERSION),
-        cache.dataset_fingerprint,
-        cache.teacher_fingerprint,
-        struct.pack("<I", len(cache.groups)),
-    ]
+def _cache_chunks(cache: FeatureCache):
+    """The ``.fpfc`` layout in file order: the file header, then per group
+    its header and its little-endian float32 values (the group itself when
+    it is already C-contiguous ``<f4``, else a float32 copy of it)."""
+    yield b"".join([_CACHE_MAGIC, struct.pack("<I", _CACHE_VERSION),
+                    cache.dataset_fingerprint, cache.teacher_fingerprint,
+                    struct.pack("<I", len(cache.groups))])
     for gid in sorted(cache.groups):
         mat = cache.groups[gid]
-        chunks.append(struct.pack("<IQI", gid, mat.shape[0], mat.shape[1]))
-        chunks.append(np.ascontiguousarray(mat, dtype="<f4").tobytes())
-    return b"".join(chunks)
+        yield struct.pack("<IQI", gid, mat.shape[0], mat.shape[1])
+        yield np.ascontiguousarray(mat, dtype="<f4")
+
+
+def serialize_cache(cache: FeatureCache) -> bytes:
+    return b"".join(_cache_chunks(cache))
 
 
 def write_cache(path, cache: FeatureCache) -> None:
+    """Write the cache group by group, without a copy of its payload."""
     with open(path, "wb") as fh:
-        fh.write(serialize_cache(cache))
+        for chunk in _cache_chunks(cache):
+            fh.write(chunk)
 
 
 def read_cache(path, expect_dataset: Dataset | None = None,
                expect_teacher_fingerprint: bytes | None = None) -> FeatureCache:
-    """Read an FPFC file, optionally verifying it matches the dataset and
-    teacher the caller is about to use."""
+    """Read an FPFC file group by group into float32 arrays, optionally
+    verifying it matches the dataset and teacher the caller is about to use.
+    A group's size is checked against the bytes left in the file before
+    its array is allocated."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != _CACHE_MAGIC:
-        raise BadMagic(f"{path}: bad cache magic; expected FPFC")
-    if len(data) < 4 + 4 + 32 + 32 + 4:
-        raise CorruptFile(f"{path}: truncated cache header")
-    (version,) = struct.unpack_from("<I", data, 4)
-    if version != _CACHE_VERSION:
-        raise CorruptFile(f"{path}: unsupported cache version {version}")
-    ds_fp = data[8:40]
-    teacher_fp = data[40:72]
-    (group_count,) = struct.unpack_from("<I", data, 72)
-    offset = 76
-    groups: dict[int, np.ndarray] = {}
-    for _ in range(group_count):
-        if offset + 16 > len(data):
-            raise CorruptFile(f"{path}: truncated group header")
-        gid, n, width = struct.unpack_from("<IQI", data, offset)
-        offset += 16
-        need = 4 * n * width
-        if offset + need > len(data):
-            raise CorruptFile(f"{path}: truncated group payload")
-        mat = np.frombuffer(data, dtype="<f4", count=n * width,
-                            offset=offset).reshape(n, width).copy()
-        offset += need
-        groups[int(gid)] = mat
-    if offset != len(data):
-        raise CorruptFile(f"{path}: trailing bytes after cache payload")
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(_CACHE_HEADER_BYTES)
+        if header[:4] != _CACHE_MAGIC:
+            raise BadMagic(f"{path}: bad cache magic; expected FPFC")
+        if len(header) < _CACHE_HEADER_BYTES:
+            raise CorruptFile(f"{path}: truncated cache header")
+        (version,) = struct.unpack_from("<I", header, 4)
+        if version != _CACHE_VERSION:
+            raise CorruptFile(f"{path}: unsupported cache version {version}")
+        ds_fp = header[8:40]
+        teacher_fp = header[40:72]
+        (group_count,) = struct.unpack_from("<I", header, 72)
+        groups: dict[int, np.ndarray] = {}
+        for _ in range(group_count):
+            group_header = fh.read(16)
+            if len(group_header) < 16:
+                raise CorruptFile(f"{path}: truncated group header")
+            gid, n, width = struct.unpack("<IQI", group_header)
+            need = 4 * n * width
+            if need > size - fh.tell():
+                raise CorruptFile(f"{path}: truncated group payload")
+            if gid in groups:
+                raise CorruptFile(f"{path}: group {gid} appears twice")
+            mat = np.empty((n, width), dtype="<f4")
+            if fh.readinto(mat) != need:
+                raise CorruptFile(f"{path}: truncated group payload")
+            groups[gid] = mat
+        if fh.tell() != size:
+            raise CorruptFile(f"{path}: trailing bytes after cache payload")
     cache = FeatureCache(groups=groups, dataset_fingerprint=ds_fp,
                          teacher_fingerprint=teacher_fp)
     verify_cache(cache, expect_dataset, expect_teacher_fingerprint)

@@ -183,12 +183,16 @@ def init_params(spec: NetworkSpec, seed) -> Model:
                  np.zeros(spec.output_head, dtype=np.float32))
 
 
-def _apply_activation(x: np.ndarray, name: str) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(x, 0.0)
-    if name == "tanh":
-        return np.tanh(x)
-    return x
+def _dense(h: np.ndarray, w: np.ndarray, b: np.ndarray,
+           activation: str = "identity") -> np.ndarray:
+    """``activation(h @ w + b)`` in float64, built in one fresh buffer."""
+    t = h @ w.astype(np.float64)
+    t += b.astype(np.float64)[..., None, :]
+    if activation == "relu":
+        np.maximum(t, 0.0, out=t)
+    elif activation == "tanh":
+        np.tanh(t, out=t)
+    return t
 
 
 def forward(model: Model, batch) -> ForwardRecord:
@@ -206,12 +210,10 @@ def forward(model: Model, batch) -> ForwardRecord:
     h = x
     for i, (layer, w, b) in enumerate(zip(model.spec.layers, model.weights,
                                           model.biases)):
-        h = _apply_activation(h @ w.astype(np.float64)
-                              + b.astype(np.float64)[..., None, :], layer.activation)
+        h = _dense(h, w, b, layer.activation)
         _check_finite(h, f"layer {i}")
         activations.append(h)
-    logits = (h @ model.head_weight.astype(np.float64)
-              + model.head_bias.astype(np.float64)[..., None, :])
+    logits = _dense(h, model.head_weight, model.head_bias)
     _check_finite(logits, "logits")
     return ForwardRecord(activations=activations, logits=logits)
 
@@ -261,8 +263,11 @@ class ParamGrads(list):
 
 def _grad_runs(model: Model, grads) -> list:
     """(start, stop, the run's gradients laid out like ``Model.flat``) per
-    maximal run of non-None gradients; checks them all before any
-    parameter changes.  ``ParamGrads`` runs are slices of its buffer."""
+    maximal run of non-None gradients; checks their count (one per
+    parameter) and values before any parameter changes.  ``ParamGrads`` runs are slices of its buffer."""
+    if len(grads) != len(model.offsets) - 1:
+        raise DimensionMismatch(f"{len(grads)} gradients for "
+                                f"{len(model.offsets) - 1} parameters")
     flat = getattr(grads, "flat", None)
     runs, first = [], None
     for i, g in enumerate([*grads, None]):

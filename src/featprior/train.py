@@ -298,14 +298,15 @@ def extract_features(model: Model, dataset: Dataset, layer_ids,
         if not 0 <= lid <= max_id:
             raise LayerOutOfRange(f"layer id {lid} outside 0..{max_id}")
 
-    collected: dict[int, list[np.ndarray]] = {lid: [] for lid in layer_ids}
+    widths = [layer.out_width for layer in model.spec.layers] + [model.spec.output_head]
+    groups = {lid: np.empty((dataset.n, widths[lid]), dtype=np.float32)
+              for lid in layer_ids}
     for i in range(0, dataset.n, chunk):
         record = forward(model, dataset.inputs[i:i + chunk])
+        layers = record.activations + [record.logits]
         for lid in layer_ids:
-            mat = record.logits if lid == model.spec.hidden_count \
-                else record.activations[lid]
-            collected[lid].append(np.asarray(mat, dtype=np.float32))
-    groups = {lid: np.vstack(parts) for lid, parts in collected.items()}
+            groups[lid][i:i + chunk] = layers[lid]
+        del record, layers  # one chunk of activations live at a time
     return FeatureCache(
         groups=groups,
         dataset_fingerprint=dataset_fingerprint(dataset),
@@ -794,6 +795,7 @@ def compare_methods(dataset: Dataset, teacher_spec: NetworkSpec,
         groups={gid: np.stack([c.groups[gid] for c in caches]) for gid in group_ids},
         dataset_fingerprint=caches[0].dataset_fingerprint,
         teacher_fingerprint=b"".join(c.teacher_fingerprint for c in caches))
+    del caches  # the stacked groups are the one copy the fits read
     groups: dict[TrainPlan, list[str]] = {}  # one-phase modes of equal plans fit together
     for mode, plan in plans.items():
         groups.setdefault(replace(plan, mode="two_phase" if mode == "two_phase"

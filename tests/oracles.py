@@ -7,12 +7,27 @@ uses eigendecompositions and keeps the general mean term, gradients come
 from central finite differences, the IDX decoder reads bytes one at a
 time, the linear probe is a least-squares classifier, and the reference
 optimizers update one parameter tensor at a time with state kept per
-tensor (no flat buffer).
+tensor (no flat buffer).  ``traced_peak`` measures allocations through
+the interpreter's tracemalloc, which also sees numpy's array buffers.
 """
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the peak bytes it had allocated at once,
+    counting what its result still holds."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def jacobi_eigenvalues(a, sweeps: int = 30, tol: float = 1e-14) -> np.ndarray:

@@ -16,8 +16,9 @@ from featprior.cli import main
 from featprior.config import load_config, parse_config
 from featprior.errors import ConfigError
 from featprior.gp_prior import PriorConfig
-from featprior.network import NetworkSpec, init_params, serialize_model
-from featprior.train import TrainPlan
+from featprior.data import serialize_cache
+from featprior.network import NetworkSpec, init_params, load_model, serialize_model
+from featprior.train import TrainPlan, extract_features
 
 REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
 README = REFERENCE_CONFIG.parent.parent / "README.md"
@@ -227,6 +228,29 @@ class TestExtractAndDistill:
         err = capsys.readouterr().err
         assert f"is 2 -> {named} -> 2, but the config's teacher is 2 -> [8] relu -> 2" in err
         assert not (out / "features.fpfc").exists()
+
+    def test_extract_writes_the_serialized_cache(self, tmp_path):
+        path, out = self.pipeline(tmp_path)
+        cfg = load_config(path)
+        dataset = cfg.load_dataset()
+        teacher = load_model(out / "teacher.fpnn")
+        cache = extract_features(teacher, dataset, [0, 1])
+        assert (out / "features.fpfc").read_bytes() == serialize_cache(cache)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "features.fpfc", "teacher.fpnn", "teacher_metrics.csv"]
+
+    def test_failed_extract_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        path, out = self.pipeline(tmp_path)
+        (out / "features.fpfc").unlink()
+
+        def failing_write(target, cache):
+            Path(target).write_bytes(b"FPFC")
+            raise OSError("disk full")
+
+        monkeypatch.setattr("featprior.cli.write_cache", failing_write)
+        assert run("extract-features", "--config", path, "--out", str(out)) == 1
+        assert "disk full" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["teacher.fpnn", "teacher_metrics.csv"]
 
     def test_distill_two_phase_outputs(self, tmp_path):
         path, out = self.pipeline(tmp_path)

@@ -36,7 +36,7 @@ from featprior.errors import (
     UnknownLabelColumn,
 )
 
-from oracles import decode_idx_reference, linear_probe_accuracy
+from oracles import decode_idx_reference, linear_probe_accuracy, traced_peak
 
 
 def idx_image_bytes(images: np.ndarray) -> bytes:
@@ -309,6 +309,104 @@ class TestFeatureCache:
         path.write_bytes(b"NOPE" + bytes(80))
         with pytest.raises(BadMagic):
             read_cache(path)
+
+    @pytest.mark.parametrize("blob, error, message", [
+        (b"", BadMagic, "bad cache magic"),
+        (b"FPFC" + bytes(10), CorruptFile, "truncated cache header"),
+        (b"FPFC" + struct.pack("<I", 2) + bytes(68), CorruptFile,
+         "unsupported cache version 2"),
+        (b"FPFC" + struct.pack("<I", 1) + bytes(68) + b"x", CorruptFile,
+         "trailing bytes after cache payload"),
+    ], ids=["empty", "short_header", "version", "trailing"])
+    def test_header_checks(self, tmp_path, blob, error, message):
+        path = tmp_path / "c.fpfc"
+        path.write_bytes(blob)
+        with pytest.raises(error, match=message):
+            read_cache(path)
+
+    # make_cache's file: header 76 bytes, group 0 at 76 (16 + 96 bytes),
+    # group 2 at 188 (16 + 192 bytes), 396 bytes in all
+    @pytest.mark.parametrize("length, message", [
+        (196, "truncated group header"),
+        (300, "truncated group payload"),
+        (395, "truncated group payload"),
+    ])
+    def test_truncated_second_group(self, tmp_path, length, message):
+        blob = serialize_cache(self.make_cache())
+        assert len(blob) == 396
+        path = tmp_path / "c.fpfc"
+        path.write_bytes(blob[:length])
+        with pytest.raises(CorruptFile, match=message):
+            read_cache(path)
+
+    @pytest.mark.parametrize("rows", [10 ** 6, 2 ** 60])
+    def test_oversized_row_count_is_corrupt_before_allocating(self, tmp_path, rows):
+        blob = bytearray(serialize_cache(self.make_cache()))
+        struct.pack_into("<Q", blob, 76 + 4, rows)  # group 0's row count
+        path = tmp_path / "c.fpfc"
+        path.write_bytes(bytes(blob))
+
+        def read():
+            with pytest.raises(CorruptFile, match="truncated group payload"):
+                read_cache(path)
+
+        _, peak = traced_peak(read)
+        assert peak < 64 * 1024  # 10**6 rows of width 4 would be 16 MB
+
+    def test_repeated_group_id_is_corrupt(self, tmp_path):
+        blob = b"".join([
+            b"FPFC", struct.pack("<I", 1), bytes(64), struct.pack("<I", 2),
+            struct.pack("<IQI", 0, 2, 1), struct.pack("<2f", 1.0, 2.0),
+            struct.pack("<IQI", 0, 2, 1), struct.pack("<2f", 3.0, 4.0),
+        ])
+        path = tmp_path / "c.fpfc"
+        path.write_bytes(blob)
+        with pytest.raises(CorruptFile, match="group 0 appears twice"):
+            read_cache(path)
+
+    @pytest.mark.parametrize("layout", ["float64", "non_contiguous", "fortran"])
+    def test_write_cache_equals_serialize_cache(self, tmp_path, layout):
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal((6, 10))
+        mat = {"float64": values,
+               "non_contiguous": values.astype(np.float32)[:, ::2],
+               "fortran": np.asfortranarray(values.astype(np.float32))}[layout]
+        cache = FeatureCache(groups={1: mat, 0: values[:, :3].astype(np.float32)},
+                             dataset_fingerprint=bytes(range(32)),
+                             teacher_fingerprint=bytes(range(32, 64)))
+        path = tmp_path / "c.fpfc"
+        write_cache(path, cache)
+        expected = b"".join([
+            b"FPFC", struct.pack("<I", 1), bytes(range(64)), struct.pack("<I", 2),
+            struct.pack("<IQI", 0, 6, 3), values[:, :3].astype("<f4").tobytes(),
+            struct.pack("<IQI", 1, *mat.shape), mat.astype("<f4").tobytes(order="C"),
+        ])
+        assert path.read_bytes() == serialize_cache(cache) == expected
+
+    def large_cache(self):
+        rng = np.random.default_rng(8)
+        return FeatureCache(
+            groups={gid: rng.standard_normal((2048, 64)).astype(np.float32)
+                    for gid in (0, 1)},
+            dataset_fingerprint=bytes(32), teacher_fingerprint=bytes(32))
+
+    def test_write_cache_does_not_copy_the_payload(self, tmp_path):
+        cache = self.large_cache()
+        payload = sum(m.nbytes for m in cache.groups.values())  # 1 MiB
+        _, peak = traced_peak(write_cache, tmp_path / "c.fpfc", cache)
+        assert peak < 0.1 * payload
+
+    def test_read_cache_holds_the_payload_once(self, tmp_path):
+        cache = self.large_cache()
+        payload = sum(m.nbytes for m in cache.groups.values())
+        path = tmp_path / "c.fpfc"
+        write_cache(path, cache)
+        restored, peak = traced_peak(read_cache, path)
+        assert peak <= payload + 64 * 1024
+        for gid, mat in cache.groups.items():
+            got = restored.groups[gid]
+            assert got.dtype == np.float32 and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, mat)
 
     def test_fingerprint_sensitive_to_labels(self):
         ds = synth_blobs(5, 2, 2, 1.0, seed=0)

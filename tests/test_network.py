@@ -131,6 +131,38 @@ class TestForward:
         with pytest.raises(NonFiniteActivation):
             forward(model, np.ones((1, 2)))
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_in_place_layers_match_two_temporaries(self, activation, stacked):
+        # each layer is built in one buffer; the bits are those of
+        # activation(h @ w + b) with its two temporaries
+        act = {"relu": lambda t: np.maximum(t, 0.0), "tanh": np.tanh,
+               "identity": lambda t: t}[activation]
+
+        def reference(model, x):
+            acts, h = [], x
+            for w, b in zip(model.weights, model.biases):
+                h = act(h @ w.astype(np.float64) + b.astype(np.float64)[..., None, :])
+                acts.append(h)
+            return acts, (h @ model.head_weight.astype(np.float64)
+                          + model.head_bias.astype(np.float64)[..., None, :])
+
+        spec = NetworkSpec.dense(5, [7, 6], 3, activation)
+        models = [init_params(spec, seed=s) for s in (3, 4)]
+        rng = np.random.default_rng(5)
+        for m in models:
+            for b in m.biases + [m.head_bias]:
+                b[...] = rng.standard_normal(b.shape)
+        model = stack_models(models) if stacked else models[0]
+        x = rng.standard_normal((2, 9, 5) if stacked else (9, 5))
+        record = forward(model, x)
+        acts, logits = reference(model, x)
+        for got, want in zip(record.activations + [record.logits], acts + [logits]):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(record.activations)
+                       for b in record.activations[i + 1:] + [record.logits, x])
+
 
 class TestGradCheck:
     def test_quadratic_loss(self):
@@ -340,6 +372,22 @@ class TestFlatOptimizersMatchPerTensor:
             adam_step(model, grads, state, AdamConfig())
         np.testing.assert_array_equal(model.flat, before)
         assert state.m is None and state.t == 0
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("count", ["short", "long"])
+    def test_gradient_count_must_match_parameters(self, kind, count):
+        # a short list used to train only its prefix, a long one to fail
+        # with a bare IndexError
+        model, _, _ = optimizer_case([3], (), seed=0)
+        before = model.flat.copy()
+        grads = [np.ones(p.shape) for p in model.parameters()]
+        grads = grads[:1] if count == "short" else grads + [np.ones(1)]
+        step, state, cfg = ((sgd_step, SgdState(), SgdConfig(lr=0.1)) if kind == "sgd"
+                            else (adam_step, AdamState(), AdamConfig()))
+        with pytest.raises(DimensionMismatch, match=f"{len(grads)} gradients for 4 parameters"):
+            step(model, grads, state, cfg)
+        np.testing.assert_array_equal(model.flat, before)
+        assert state == type(state)()
 
 
 class TestStackedModel:

@@ -56,6 +56,7 @@ from featprior.train import (
     run_log_csv,
     train_teacher,
 )
+from oracles import traced_peak
 
 
 def params_equal(a: Model, b: Model) -> bool:
@@ -151,6 +152,28 @@ class TestExtractFeatures:
         ds, _, teacher, _ = rings_setup
         with pytest.raises(LayerOutOfRange):
             extract_features(teacher, ds, [7])
+
+    def test_groups_equal_stacked_chunks(self):
+        # 150 rows in chunks of 16 leave a 6-row tail
+        ds = synth_rings(50, 3, noise=0.1, seed=2)
+        teacher = init_params(NetworkSpec.dense(2, [9, 5], 3, "tanh"), seed=4)
+        cache = extract_features(teacher, ds, [2, 0, 1], chunk=16)
+        records = [forward(teacher, ds.inputs[i:i + 16]) for i in range(0, ds.n, 16)]
+        for lid in (0, 1, 2):
+            stacked = np.vstack([np.asarray((r.activations + [r.logits])[lid],
+                                            dtype=np.float32) for r in records])
+            got = cache.groups[lid]
+            assert got.dtype == np.float32 and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, stacked)
+
+    def test_peak_memory_is_groups_plus_two_chunks(self):
+        # 4098 rows: the last of nine 512-row chunks holds 2
+        ds = synth_rings(1366, 3, noise=0.1, seed=2)
+        teacher = init_params(NetworkSpec.dense(2, [64, 64], 3), seed=0)
+        cache, peak = traced_peak(extract_features, teacher, ds, [0, 1, 2], chunk=512)
+        groups = sum(m.nbytes for m in cache.groups.values())
+        chunk_activations = 512 * (64 + 64 + 3) * 8  # float64
+        assert peak <= groups + 2 * chunk_activations
 
 
 class TestPhase1:
