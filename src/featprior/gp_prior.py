@@ -57,6 +57,12 @@ Neither identity subtracts nearly equal terms.  When p >= n either side
 is factored as an n x n kernel (``gram_kernel``), as both always are in
 ``gp_kl`` and ``gp_kl_and_grad``.
 
+Each KL value and gradient is a student half (``StudentHalf``: c, j1,
+log|K1| and K1^{-1} Phi, set by the student's features alone) taken
+against one teacher kernel by the teacher half (``_teacher_half``).
+Training forms a student layer's half once a step, and every term on that
+layer shares it.
+
 ``feature_kernel`` and ``feature_kl_and_grad`` also take a stack of
 batches (... x n x p, with any leading axes: seeds, steps or both) and give
 each slice the bits of its own call; jitter escalates per slice.  Training
@@ -72,6 +78,7 @@ removes) and the plain mean-squared feature distance.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -218,13 +225,20 @@ def _log(x):
     return np.array([math.log(v) for v in np.ravel(x)]).reshape(np.shape(x))
 
 
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.flags.writeable = False  # one per size, shared by every caller
+    return eye
+
+
 def _factor_jittered(base: np.ndarray, jitter: float, what: str):
     """(base + jitter I, jitter used, its Cholesky factor).  On
     factorization failure the jitter escalates once by x10 before giving
     up with FactorizationFailed.  A stack that fails is refactored slice
     by slice, so each slice escalates on its own; its jitter is an array."""
     if base.ndim > 2:
-        mat = base + jitter * np.eye(base.shape[-1])
+        mat = base + jitter * _identity(base.shape[-1])
         try:
             return mat, np.full(base.shape[:-2], jitter), linalg.cholesky(mat)
         except NotPositiveDefinite:
@@ -233,7 +247,7 @@ def _factor_jittered(base: np.ndarray, jitter: float, what: str):
                                        np.stack([f.inverse for f in fs]), fs[0].size)
         return np.stack(mats), np.array(jitters), factor
     for attempt in range(2):
-        mat = base + jitter * np.eye(base.shape[0])
+        mat = base + jitter * _identity(base.shape[0])
         try:
             return mat, jitter, linalg.cholesky(mat)
         except NotPositiveDefinite:
@@ -317,16 +331,52 @@ def gp_kl(k1: KernelMatrix, k2: KernelMatrix) -> float:
     )
 
 
-def _kl_against_teacher(arr: np.ndarray, k_t, c: float, jitter_s: float,
-                        log_det_s: float):
-    """KL value and K_t^{-1} Phi for the student Gram K_s = c Phi Phi^T +
-    jitter_s I with log|K_s| = log_det_s, by the formulas in the module
-    docstring: from A = L_t^{-1} Phi against an n x n kernel, from
-    G = Q^T Phi, E = Phi - Q G and A = L_B^{-1} G against a BasisKernel.
-    A TeacherKernel brings log|K_t| and ||L^{-1}||_F^2 formed already.
-    """
-    t = k_t if isinstance(k_t, TeacherKernel) else TeacherKernel.of(k_t)
+@dataclass(frozen=True)
+class StudentHalf:
+    """c, jitter, log|K_s| and K_s^{-1} Phi of K_s = c Phi Phi^T + jitter I:
+    the part of a KL term that the student's features Phi alone set."""
+
+    features: np.ndarray
+    c: float
+    jitter: float | np.ndarray
+    log_det: float | np.ndarray
+    solved: np.ndarray  # K_s^{-1} Phi
+
+    @staticmethod
+    def of_kernel(arr: np.ndarray, k_s: KernelMatrix, c: float) -> "StudentHalf":
+        inv_s = k_s.factor.inverse
+        return StudentHalf(arr, c, k_s.jitter, linalg.log_det(k_s.factor),
+                           inv_s.swapaxes(-1, -2) @ (inv_s @ arr))
+
+
+def _student_half(arr: np.ndarray, config: PriorConfig) -> StudentHalf:
+    """The StudentHalf of checked features (a batch or a stack): from the
+    n x n Gram when p >= n, else from the p x p matrix M = jI + c Phi^T Phi
+    of the module docstring, whose jitter escalates like gram_kernel's
+    (zero jitter raises FactorizationFailed)."""
+    n, p = arr.shape[-2:]
+    c = 1.0 / p if config.normalize_by_width else 1.0
+    if p >= n:
+        kernel = gram_kernel if arr.ndim == 2 else _gram_kernel
+        return StudentHalf.of_kernel(arr, kernel(arr, config), c)
+    if config.jitter == 0.0:
+        raise _rank_deficient(n, p)
+    cols = arr.swapaxes(-1, -2)
+    _, jitter, f = _factor_jittered(_scaled_gram(cols, p, config), config.jitter,
+                                    f"jI + c Phi^T Phi of width {p}")
+    return StudentHalf(arr, c, jitter, (n - p) * _log(jitter) + linalg.log_det(f),
+                       linalg.solve_spd(f, cols).swapaxes(-1, -2))
+
+
+def _teacher_half(s: StudentHalf, k_t) -> tuple[float, np.ndarray]:
+    """KL value and gradient c (K_t^{-1} - K_s^{-1}) Phi of one term, by the
+    formulas in the module docstring: from A = L_t^{-1} Phi against an
+    n x n kernel, from G = Q^T Phi, E = Phi - Q G and A = L_B^{-1} G
+    against a BasisKernel.  A TeacherKernel brings log|K_t| and
+    ||L^{-1}||_F^2 formed already."""
+    arr, c = s.features, s.c
     n = arr.shape[-2]
+    t = k_t if isinstance(k_t, TeacherKernel) else TeacherKernel.of(k_t)
     k_t = t.kernel
     if isinstance(k_t, BasisKernel):
         q, j = k_t.basis, k_t.jitter
@@ -336,14 +386,14 @@ def _kl_against_teacher(arr: np.ndarray, k_t, c: float, jitter_s: float,
         e = arr - q @ g
         a = inv_b @ g
         trace = (c * (_sq_norm(a) + _sq_norm(e) / j)
-                 + jitter_s * (t.inv_sq_norm + rest / j))
+                 + s.jitter * (t.inv_sq_norm + rest / j))
         kt_phi = q @ (inv_b.swapaxes(-1, -2) @ a) + e / np.expand_dims(j, (-2, -1))
     else:
         inv_t = k_t.factor.inverse
         a = inv_t @ arr
-        trace = c * _sq_norm(a) + jitter_s * t.inv_sq_norm
+        trace = c * _sq_norm(a) + s.jitter * t.inv_sq_norm
         kt_phi = inv_t.swapaxes(-1, -2) @ a
-    return 0.5 * (trace - n + t.log_det - log_det_s), kt_phi
+    return 0.5 * (trace - n + t.log_det - s.log_det), c * (kt_phi - s.solved)
 
 
 def gp_kl_and_grad(phi_s, k_s: KernelMatrix, k_t: KernelMatrix,
@@ -352,50 +402,30 @@ def gp_kl_and_grad(phi_s, k_s: KernelMatrix, k_t: KernelMatrix,
     gram_kernel(phi_s, config), from one product A = L_t^{-1} Phi_s: the
     gradient is c (L_t^{-T} A - L_s^{-T} L_s^{-1} Phi_s), c = 1/p under
     width normalization (else 1)."""
-    return _kl_and_grad(_as_features(phi_s, stacked=True), k_s, k_t, config)
-
-
-def _kl_and_grad(arr: np.ndarray, k_s: KernelMatrix, k_t: KernelMatrix, config):
-    """gp_kl_and_grad of checked features."""
+    arr = _as_features(phi_s, stacked=True)
     n, p = arr.shape[-2:]
     if k_s.size != n or k_t.size != n:
         raise DimensionMismatch(
             f"kernels of size {k_s.size}/{k_t.size} do not match batch {n}"
         )
     c = 1.0 / p if config.normalize_by_width else 1.0
-    value, kt_phi = _kl_against_teacher(arr, k_t, c, k_s.jitter,
-                                        linalg.log_det(k_s.factor))
-    inv_s = k_s.factor.inverse
-    return value, c * (kt_phi - inv_s.swapaxes(-1, -2) @ (inv_s @ arr))
+    return _teacher_half(StudentHalf.of_kernel(arr, k_s, c), k_t)
 
 
 def feature_kl_and_grad(phi_s, k_t: KernelMatrix | BasisKernel | TeacherKernel,
                         config: PriorConfig) -> tuple[float, np.ndarray]:
     """gp_kl(gram_kernel(phi_s, config), k_t) and its gradient d/d Phi_s,
     for a teacher kernel from ``feature_kernel`` (bare or as a
-    ``TeacherKernel``) or any n x n KernelMatrix.
-    When p < n the student side is the p x p matrix M = jI_p + c Phi^T Phi
-    of the module docstring, whose jitter escalates like gram_kernel's
-    (zero jitter raises FactorizationFailed); otherwise this is exactly
+    ``TeacherKernel``) or any n x n KernelMatrix: the teacher half of the
+    student's half (``_student_half``).  When p >= n this is exactly
     ``gp_kl_and_grad(phi_s, gram_kernel(phi_s, config), k_t, config)``."""
     arr = _as_features(phi_s, stacked=True)
-    n, p = arr.shape[-2:]
+    n = arr.shape[-2]
     if k_t.size != n:
         raise DimensionMismatch(
             f"teacher kernel of size {k_t.size} does not match batch {n}"
         )
-    if p >= n:
-        kernel = gram_kernel if arr.ndim == 2 else _gram_kernel
-        return _kl_and_grad(arr, kernel(arr, config), k_t, config)
-    if config.jitter == 0.0:
-        raise _rank_deficient(n, p)
-    cols = arr.swapaxes(-1, -2)
-    _, jitter, f = _factor_jittered(_scaled_gram(cols, p, config), config.jitter,
-                                    f"jI + c Phi^T Phi of width {p}")
-    log_det_s = (n - p) * _log(jitter) + linalg.log_det(f)
-    c = 1.0 / p if config.normalize_by_width else 1.0
-    value, kt_phi = _kl_against_teacher(arr, k_t, c, jitter, log_det_s)
-    return value, c * (kt_phi - linalg.solve_spd(f, cols).swapaxes(-1, -2))
+    return _teacher_half(_student_half(arr, config), k_t)
 
 
 def gp_kl_grad(phi_s, k1: KernelMatrix, k2: KernelMatrix,

@@ -65,8 +65,9 @@ from .gp_prior import (
     TeacherKernel,
     _soft_target,
     _softmax,
+    _student_half,
+    _teacher_half,
     feature_kernel,
-    feature_kl_and_grad,
 )
 from .network import (
     AdamConfig,
@@ -129,15 +130,17 @@ class TrainPlan:
 @dataclass(frozen=True)
 class LayerGroupMapping:
     """Pairs (student hidden-layer index, teacher feature group id); one
-    prior term per pair."""
+    prior term per pair, so a repeated pair, which would double its term's
+    weight, is a ``ConfigError``."""
 
     entries: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "entries",
-            tuple((int(s), int(g)) for s, g in self.entries),
-        )
+        entries = tuple((int(s), int(g)) for s, g in self.entries)
+        object.__setattr__(self, "entries", entries)
+        for i, pair in enumerate(entries):
+            if pair in entries[:i]:
+                raise ConfigError(f"mapping pair {list(pair)} is repeated")
 
     def student_layers(self) -> set[int]:
         return {s for s, _ in self.entries}
@@ -359,7 +362,10 @@ def _fit_epochs(model: Model, dataset: Dataset, schedule: BatchSchedule,
         if kl_vals:
             final_kl = epoch_kl
         if log is not None:
-            acc = evaluate(model, test).accuracy if test is not None else None
+            # evaluate's accuracy: argmax, like its stable sort, takes the
+            # first of tied logits, and forward has rejected NaN
+            acc = (float(np.mean(np.argmax(predict_logits(model, test.inputs), axis=1)
+                                 == test.labels)) if test is not None else None)
             log.append(LogRow(
                 epoch=epoch, phase=phase,
                 task_loss=float(np.mean(task_vals)) if task_vals else None,
@@ -369,13 +375,6 @@ def _fit_epochs(model: Model, dataset: Dataset, schedule: BatchSchedule,
 
 
 # -- objectives ---------------------------------------------------------------
-
-def _kl_grad(phi: np.ndarray, teacher_kernel, config: PriorConfig,
-             scale: float) -> tuple[float, np.ndarray]:
-    """gp_kl(gram(phi), teacher) and ``scale`` times its feature gradient."""
-    value, grad = feature_kl_and_grad(phi, teacher_kernel, config)
-    return value, scale * grad
-
 
 def _rows(group: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """A cache group's rows idx; a stacked group is indexed seed by seed
@@ -422,10 +421,14 @@ def _prior_objective(experts, config: PriorConfig, scale: float = 1.0):
     gradients carry ``scale``, the caller's weight on the whole sum.  After
     ``objective.epoch(batches)`` the steps must come in that batch order;
     without it each step builds its own teacher kernels.  Terms that read
-    one group array share its kernels."""
+    one group array share its kernels, and the terms on one student layer
+    share its half of the KL (``_student_half``), formed once a step, in
+    first-use order, from ``forward``'s activations (which it has already
+    checked finite)."""
     terms = [(expert.alpha, student_idx, expert.cache.groups[gid])
              for expert in experts for student_idx, gid in expert.mapping.entries]
     groups = list({id(group): group for _, _, group in terms}.values())
+    layers = list(dict.fromkeys(student_idx for _, student_idx, _ in terms))
     kernels = []  # this epoch's teacher kernels, an iterator per group
 
     def epoch(batches):
@@ -434,13 +437,14 @@ def _prior_objective(experts, config: PriorConfig, scale: float = 1.0):
     def objective(record, idx, labels):
         steps = kernels or [_teacher_kernels(group, [idx], config) for group in groups]
         k2 = {id(group): next(k) for group, k in zip(groups, steps)}
+        halves = {layer: _student_half(record.activations[layer], config)
+                  for layer in layers}
         kl_sum = 0.0
         term_grads = []
         for alpha, student_idx, group in terms:
-            value, grad = _kl_grad(record.activations[student_idx], k2[id(group)],
-                                   config, scale * alpha)
+            value, grad = _teacher_half(halves[student_idx], k2[id(group)])
             kl_sum += alpha * value
-            term_grads.append((student_idx, grad))
+            term_grads.append((student_idx, scale * alpha * grad))
         act_grads = {}
         for layer, grad in reversed(term_grads):
             act_grads[layer] = act_grads[layer] + grad if layer in act_grads else grad

@@ -160,7 +160,7 @@ def test_a2_gradient_suite():
         assert err < 1e-4
 
     # 5 networks with the KL prior attached to a hidden layer
-    from featprior.train import _kl_grad
+    from featprior.gp_prior import _student_half, _teacher_half
     for _ in range(5):
         batch = int(rng.integers(2, 5))
         cfg = PriorConfig(jitter=1e-3)
@@ -173,7 +173,7 @@ def test_a2_gradient_suite():
         def loss(m, x=x, labels=labels, k2=k2, cfg=cfg):
             record = forward(m, x)
             ce, logit_grad = softmax_cross_entropy(record.logits, labels)
-            kl, kl_grad = _kl_grad(record.activations[0], k2, cfg, 1.0)
+            kl, kl_grad = _teacher_half(_student_half(record.activations[0], cfg), k2)
             return ce + kl, backward(m, x, record, {0: kl_grad}, logit_grad)
 
         err = grad_check(model, loss)

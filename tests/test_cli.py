@@ -146,6 +146,30 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="mapping"):
             parsed.validate_cross_refs(parsed.load_dataset())
 
+    @pytest.mark.parametrize("where", ["mapping", "expert"])
+    def test_repeated_mapping_pair_exit_1(self, tmp_path, capsys, where):
+        # one term per pair: a repeated pair would double that term's weight
+        cfg = base_config()
+        cfg["mapping"] = [[0, 1], [0, 0], [0, 1]]
+        if where == "expert":
+            cfg["mapping"] = [[0, 0]]
+            cfg["experts"] = [{"cache": str(tmp_path / "features.fpfc"),
+                               "mapping": [[0, 1], [0, 1]]}]
+        path = write_config(tmp_path, cfg)
+        with pytest.raises(ConfigError, match=r"mapping pair \[0, 1\] is repeated"):
+            load_config(path)
+        assert run("distill", "--config", path, "--out", str(tmp_path / "o")) == 1
+        assert "mapping pair [0, 1] is repeated" in capsys.readouterr().err
+
+    def test_pair_repeated_across_experts_is_legal(self):
+        # two experts are two priors, each with its own term on the pair
+        cfg = base_config()
+        cfg["experts"] = [{"cache": "a.fpfc", "mapping": [[0, 1]]},
+                          {"cache": "b.fpfc", "mapping": [[0, 1]], "alpha": 0.5}]
+        parsed = parse_config(cfg)
+        assert [e.mapping.entries for e in parsed.experts] == [((0, 1),), ((0, 1),)]
+        parsed.validate_cross_refs(parsed.load_dataset())
+
     def test_teacher_seed_differing_from_plan_seed_exit_1(self, tmp_path, capsys):
         # train-teacher splits on the teacher seed and distill on the plan
         # seed; differing seeds would leak student test rows into the teacher

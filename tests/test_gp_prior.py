@@ -16,7 +16,7 @@ from featprior.errors import (
     FactorizationFailed,
     NonFiniteActivation,
 )
-from featprior import gp_prior
+from featprior import gp_prior, linalg
 from featprior.gp_prior import (
     BasisKernel,
     PriorConfig,
@@ -73,6 +73,14 @@ class TestGramKernel:
         phi = np.array([[1.0], [1.0]])
         with pytest.raises(FactorizationFailed):
             gram_kernel(phi, PriorConfig(jitter=0.0, normalize_by_width=False))
+
+    def test_jitter_identity_shared_and_read_only(self):
+        # one identity per size serves every factorization, so none may write it
+        eye = gp_prior._identity(3)
+        assert gp_prior._identity(3) is eye
+        np.testing.assert_array_equal(eye, np.eye(3))
+        with pytest.raises(ValueError):
+            eye[0, 1] = 1.0
 
 
 class TestGpKl:
@@ -551,6 +559,45 @@ class TestStackAxes:
                 assert sliced.log_det == single.log_det
                 assert sliced.inv_sq_norm == single.inv_sq_norm
                 assert sliced.kernel.jitter == single.kernel.jitter
+
+
+class TestStudentHalf:
+    """One student half serves every KL term on its layer: each teacher
+    half of it has the bits of that term's own feature_kl_and_grad call,
+    for either student branch, a batch or a 2 x 3 stack, and a dense or a
+    basis teacher, bare or as a TeacherKernel."""
+
+    @pytest.mark.parametrize("stack", [(), (2, 3)], ids=["single", "stacked"])
+    @pytest.mark.parametrize("p", [5, 12], ids=["narrow", "wide"])
+    def test_teacher_halves_match_per_term_calls(self, stack, p):
+        rng = np.random.default_rng(97)
+        cfg = PriorConfig()
+        phi_s = rng.standard_normal((*stack, 8, p))
+        teachers = [feature_kernel(rng.standard_normal((*stack, 8, w)), cfg)
+                    for w in (3, 16)]
+        assert [type(k) for k in teachers] == [BasisKernel, gp_prior.KernelMatrix]
+        teachers += [TeacherKernel.of(k) for k in teachers]
+        half = gp_prior._student_half(phi_s, cfg)
+        for k_t in teachers + teachers[::-1]:
+            value, grad = gp_prior._teacher_half(half, k_t)
+            ref_value, ref_grad = feature_kl_and_grad(phi_s, k_t, cfg)
+            np.testing.assert_array_equal(value, ref_value)
+            np.testing.assert_array_equal(grad, ref_grad)
+
+    def test_wide_half_is_the_gram_kernels(self):
+        # p >= n: gp_kl_and_grad's student side, from gram_kernel
+        rng = np.random.default_rng(98)
+        cfg = PriorConfig()
+        phi_s = rng.standard_normal((6, 9))
+        k_t = gram_kernel(rng.standard_normal((6, 4)), cfg)
+        half = gp_prior._student_half(phi_s, cfg)
+        k_s = gram_kernel(phi_s, cfg)
+        assert half.jitter == k_s.jitter
+        assert half.log_det == linalg.log_det(k_s.factor)
+        value, grad = gp_prior._teacher_half(half, k_t)
+        ref_value, ref_grad = gp_kl_and_grad(phi_s, k_s, k_t, cfg)
+        assert value == ref_value
+        np.testing.assert_array_equal(grad, ref_grad)
 
 
 class TestPriorLogDensity:

@@ -516,6 +516,56 @@ class TestEpochTeacherKernels:
         assert stacked == table()
 
 
+class TestStudentHalves:
+    """Three terms on two student layers: teacher A's groups 0 and 1 on
+    layer 1, teacher B's group 2 on layer 0 at weight 0.5.  Each step forms
+    a layer's half of the KL once and shares it among the layer's terms."""
+
+    @staticmethod
+    def experts(cache):
+        return (ExpertPrior(cache, LayerGroupMapping(((1, 0), (1, 1)))),
+                ExpertPrior(cache, LayerGroupMapping(((0, 2),)), 0.5))
+
+    def test_step_matches_per_term_calls(self, rings_setup):
+        # value and summed gradients have the bits of one feature_kl_and_grad
+        # call per term, layer 1's gradients summed last term first
+        ds, _, _, cache = rings_setup
+        cfg = PriorConfig()
+        idx = np.arange(16)
+        record = forward(init_params(NetworkSpec.dense(2, [4, 20], 2), 18), ds.inputs[idx])
+        objective = train._prior_objective(self.experts(cache), cfg, scale=2.0)
+        kl, _, _, act_grads, _ = objective(record, idx, None)
+
+        def term(layer, gid):
+            k_t = gp_prior.feature_kernel(cache.groups[gid][idx].astype(np.float64), cfg)
+            return gp_prior.feature_kl_and_grad(record.activations[layer], k_t, cfg)
+
+        (v10, g10), (v11, g11), (v02, g02) = term(1, 0), term(1, 1), term(0, 2)
+        assert kl == 0.0 + 1.0 * v10 + 1.0 * v11 + 0.5 * v02
+        assert sorted(act_grads) == [0, 1]
+        np.testing.assert_array_equal(act_grads[0], 2.0 * 0.5 * g02)
+        np.testing.assert_array_equal(act_grads[1], 2.0 * 1.0 * g11 + 2.0 * 1.0 * g10)
+
+    def test_one_half_per_layer_a_step(self, rings_setup, monkeypatch):
+        ds, split, _, cache = rings_setup
+        halves = []
+        original = train._student_half
+
+        def recorded(arr, config):
+            halves.append(arr.shape[-1])
+            return original(arr, config)
+
+        monkeypatch.setattr(train, "_student_half", recorded)
+        plan = TrainPlan(seed=19, batch_size=16, phase1_epochs=1, phase2_epochs=1,
+                         lr_phase1=1e-2)
+        combine_experts_fit(init_params(NetworkSpec.dense(2, [4, 3], 2), 19), ds,
+                            ExpertPriorSet(self.experts(cache)), plan,
+                            train=split.train)
+        # 100 train rows in batches of 16 make 7 steps, each forming two
+        # halves for its three terms, layer 1's first
+        assert halves == [3, 4] * 7
+
+
 class TestPhase2:
     def test_freeze_nothing_reduces_to_naive(self, rings_setup):
         ds, split, _, _ = rings_setup
@@ -1012,6 +1062,42 @@ class TestRunLog:
         assert [r.epoch for r in kept.log] == [0, 1, 2, 3]
         assert all(r.test_accuracy is not None for r in kept.log)
         assert kept.log[-1].test_accuracy == kept.metrics.accuracy
+
+    def test_logged_accuracy_is_evaluate_accuracy(self, rings_setup, monkeypatch):
+        ds, split, _, cache = rings_setup
+        scored = []  # a copy of the model at each scoring of the test split
+        original = train.predict_logits
+
+        def recorded(model, inputs, chunk=1024):
+            scored.append(model.copy())
+            return original(model, inputs, chunk)
+
+        monkeypatch.setattr(train, "predict_logits", recorded)
+        plan = TrainPlan(seed=44, batch_size=16, phase1_epochs=2, phase2_epochs=3,
+                         lr_phase1=1e-2, lr_phase2=1e-2)
+        result = run_distillation(NetworkSpec.dense(2, [8], 2), ds, split, plan,
+                                  cache=cache, mapping=LayerGroupMapping(((0, 1),)))
+        monkeypatch.undo()
+        # one scoring per logged epoch, then the final metrics'
+        assert len(scored) == len(result.log) + 1 == 6
+        assert [r.test_accuracy for r in result.log] == [
+            evaluate(m, split.test).accuracy for m in scored[:-1]]
+
+    def test_tied_logits_log_class_0(self, rings_setup):
+        # a zero head, frozen, ties every logit: both the logged accuracy and
+        # evaluate's pick class 0, so each reads the test split's class-0 share
+        ds, split, _, _ = rings_setup
+        student = init_params(NetworkSpec.dense(2, [4], 2), seed=45)
+        student.head_weight[...] = 0.0
+        student.head_bias[...] = 0.0
+        log = []
+        plan = TrainPlan(seed=45, batch_size=16, phase1_epochs=0, phase2_epochs=2)
+        model = phase2_task_fit(student, ds, plan, [1], train=split.train,
+                                test=split.test, log=log)
+        share = float(np.mean(split.test.labels == 0))
+        assert share != 1.0 - share  # class 1's pick would read differently
+        assert evaluate(model, split.test).accuracy == share
+        assert [r.test_accuracy for r in log] == [share, share]
 
     def test_rerun_identical(self, blobs):
         split = split_and_batch(blobs, 0.5, 16, seed=2)
