@@ -57,13 +57,13 @@ def backward(model, x, record, act_grads, logit_grad, lowest: int = 0) -> list:
 
     ``record`` is ``forward(model, x)``; ``act_grads`` maps a hidden-layer
     index to dL/d(activation) and ``logit_grad`` is dL/dlogits or None.  The
-    head is layer L, the hidden-layer count, with the identity activation.
+    head, the last of ``model.spec.layers``, is layer L, the hidden-layer count.
     The walk starts at the head when there is a logit gradient, else at the
     deepest layer in ``act_grads``, and stops at layer ``lowest``.
     Parameters it does not reach get None, which the optimizers skip; the
     rest are views of one ``ParamGrads.flat`` buffer.
     """
-    activations = [layer.activation for layer in model.spec.layers] + ["identity"]
+    activations = [layer.activation for layer in model.spec.layers]
     params = model.parameters()  # weight and bias of each layer, the head last
     injected, rows = dict(act_grads), getattr(act_grads, "rows", ...)
     if logit_grad is not None:

@@ -71,8 +71,9 @@ def cmd_train_teacher(cfg: ExperimentConfig, dataset: Dataset, out: Path, args) 
 
 
 def _architecture(spec) -> str:
-    acts = "/".join(sorted({layer.activation for layer in spec.layers}))
-    return (f"{spec.input_width} -> {[layer.out_width for layer in spec.layers]} "
+    *hidden, _ = spec.layers
+    acts = "/".join(sorted({layer.activation for layer in hidden}))
+    return (f"{spec.input_width} -> {[layer.out_width for layer in hidden]} "
             f"{acts} -> {spec.output_head}")
 
 

@@ -15,6 +15,7 @@ validated before any training starts.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, fields, replace
 from functools import partial
 
@@ -47,14 +48,28 @@ def _section(cls, d: dict, where: str, **parse):
         raise ConfigError(f"bad {where}: {exc}") from None
 
 
-# kind -> (loader in .data, its arguments in order).  Every argument is a
-# required key: a partially specified data source is a typo.  The loader is
-# looked up by name when called, so a wrapper installed on .data runs.
+def _integer(low: int):
+    return (f"an integer >= {low}", lambda v: isinstance(v, numbers.Integral)
+            and not isinstance(v, bool) and v >= low)
+
+
+# what a loader argument must be, and the test of that
+_COUNT = _integer(1)
+_NUMBER = ("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool))
+_STRING = ("a string", lambda v: isinstance(v, str))
+
+# kind -> (loader in .data, its arguments in order with their rules).  Every
+# argument is a required key: a partially specified data source is a typo.
+# The loader is looked up by name when called, so a wrapper installed on
+# .data runs.
 _DATASETS = {
-    "synth_blobs": ("synth_blobs", "n_per_class classes dim separation seed"),
-    "synth_rings": ("synth_rings", "n_per_class classes noise seed"),
-    "idx": ("load_idx", "images labels"),
-    "csv": ("load_csv", "path label_column"),
+    "synth_blobs": ("synth_blobs", {"n_per_class": _COUNT, "classes": _COUNT,
+                                    "dim": _COUNT, "separation": _NUMBER,
+                                    "seed": _integer(0)}),
+    "synth_rings": ("synth_rings", {"n_per_class": _COUNT, "classes": _COUNT,
+                                    "noise": _NUMBER, "seed": _integer(0)}),
+    "idx": ("load_idx", {"images": _STRING, "labels": _STRING}),
+    "csv": ("load_csv", {"path": _STRING, "label_column": _STRING}),
 }
 
 
@@ -104,7 +119,7 @@ class ExperimentConfig:
 
     def load_dataset(self) -> Dataset:
         loader, args = _DATASETS[self.dataset["kind"]]
-        return getattr(data, loader)(*(self.dataset[a] for a in args.split()))
+        return getattr(data, loader)(*(self.dataset[a] for a in args))
 
     def validate_cross_refs(self, dataset: Dataset) -> None:
         """Reject every inconsistent reference before training compute."""
@@ -148,11 +163,15 @@ def _parse_dataset(ds) -> dict:
         raise ConfigError("dataset section needs a 'kind'")
     if ds["kind"] not in _DATASETS:
         raise ConfigError(f"unknown dataset kind {ds['kind']!r}")
-    keys = {"kind", *_DATASETS[ds["kind"]][1].split()}
+    args = _DATASETS[ds["kind"]][1]
+    keys = {"kind", *args}
     _check_keys(ds, keys, "dataset")
     missing = keys - set(ds)
     if missing:
         raise ConfigError(f"dataset section is missing {sorted(missing)}")
+    for arg, (what, valid) in args.items():
+        if not valid(ds[arg]):
+            raise ConfigError(f"dataset {arg} must be {what}, got {ds[arg]!r}")
     return ds
 
 

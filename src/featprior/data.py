@@ -341,8 +341,8 @@ def read_cache(path, expect_dataset: Dataset | None = None,
                expect_teacher_fingerprint: bytes | None = None) -> FeatureCache:
     """Read an FPFC file group by group into float32 arrays, optionally
     verifying it matches the dataset and teacher the caller is about to use.
-    A group's size is checked against the bytes left in the file before
-    its array is allocated."""
+    A group's size is checked against the bytes left in the file before its
+    array is allocated, and its values are checked finite before the next."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         header = fh.read(_CACHE_HEADER_BYTES)
@@ -370,6 +370,9 @@ def read_cache(path, expect_dataset: Dataset | None = None,
             mat = np.empty((n, width), dtype="<f4")
             if fh.readinto(mat) != need:
                 raise CorruptFile(f"{path}: truncated group payload")
+            # min and max are finite iff every entry is; no n x width temporary
+            if not np.isfinite([mat.min(initial=0.0), mat.max(initial=0.0)]).all():
+                raise CorruptFile(f"{path}: group {gid} holds NaN or infinity")
             groups[gid] = mat
         if fh.tell() != size:
             raise CorruptFile(f"{path}: trailing bytes after cache payload")

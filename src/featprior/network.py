@@ -1,8 +1,9 @@
 """Dense networks: architecture specs, parameters, forward passes,
 initialization, optimizers, gradient checking and binary model files.
 
-Every network is one or more hidden dense layers plus a softmax-classifier
-head: the head's output is the logits.
+Every network is a chain of dense layers: one or more hidden layers, then
+the softmax-classifier head, the last layer, whose identity output is the
+logits.  A model file holds exactly those layers in that order.
 
 Parameters are stored in float32 (that is also the file format), in one
 flat vector per model that the optimizers update in one pass; all
@@ -46,41 +47,40 @@ class LayerSpec:
     activation: str = "relu"
 
     def __post_init__(self):
-        if self.in_width < 1 or self.out_width < 1:
-            raise FeatPriorError(f"layer widths must be >= 1, got {self}")
+        for width in (self.in_width, self.out_width):
+            if not isinstance(width, numbers.Integral) or width < 1:
+                raise FeatPriorError(f"layer widths must be integers >= 1, got {self}")
         if self.activation not in ACTIVATIONS:
             raise FeatPriorError(f"unknown activation {self.activation!r}")
 
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """One or more hidden dense layers plus a softmax-classifier head of
-    ``output_head`` classes."""
+    """Dense layers in order: one or more hidden layers, then the
+    softmax-classifier head of ``output_head`` classes, which is layer L
+    (``hidden_count``) and has the identity activation."""
 
     layers: tuple[LayerSpec, ...]
-    output_head: int
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
-        if not self.layers:
-            raise FeatPriorError("a network needs at least one hidden layer")
+        if len(self.layers) < 2:
+            raise FeatPriorError("a network needs at least one hidden layer and a head")
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if prev.out_width != nxt.in_width:
                 raise FeatPriorError(
                     f"layer widths do not chain: {prev.out_width} -> {nxt.in_width}"
                 )
-        if not isinstance(self.output_head, numbers.Integral) or self.output_head < 1:
-            raise FeatPriorError("output head width must be an integer >= 1")
+        if self.layers[-1].activation != "identity":
+            raise FeatPriorError("the head (last layer) needs the identity activation")
 
     @staticmethod
     def dense(input_width: int, hidden, classes: int,
               activation: str = "relu") -> "NetworkSpec":
-        layers = []
-        w = input_width
-        for h in hidden:
-            layers.append(LayerSpec(w, int(h), activation))
-            w = int(h)
-        return NetworkSpec(layers=tuple(layers), output_head=classes)
+        widths = [input_width, *(int(h) for h in hidden), classes]
+        activations = [activation] * (len(widths) - 2) + ["identity"]
+        return NetworkSpec(tuple(LayerSpec(*layer) for layer in
+                                 zip(widths, widths[1:], activations)))
 
     @property
     def input_width(self) -> int:
@@ -88,16 +88,17 @@ class NetworkSpec:
 
     @property
     def hidden_count(self) -> int:
-        return len(self.layers)
+        return len(self.layers) - 1
 
     @property
-    def last_width(self) -> int:
+    def output_head(self) -> int:
         return self.layers[-1].out_width
 
 
 @dataclass
 class Model:
-    """A spec plus its float32 parameters, held as reshaped views into one
+    """A spec plus its float32 parameters, one weight and one bias per layer
+    of ``spec.layers`` (the head last), held as reshaped views into one
     vector ``flat`` in ``parameters()`` order: parameter i is
     ``flat[..., offsets[i]:offsets[i + 1]]``.  The constructor copies the
     given arrays into it in their common dtype (float64 for
@@ -107,8 +108,6 @@ class Model:
     spec: NetworkSpec
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    head_weight: np.ndarray
-    head_bias: np.ndarray
     flat: np.ndarray = field(init=False, repr=False, compare=False)
     offsets: list[int] = field(init=False, repr=False, compare=False)
 
@@ -120,14 +119,10 @@ class Model:
         self.offsets = [0] + np.cumsum([r.shape[-1] for r in rows], dtype=int).tolist()
         views = [self.flat[..., start:stop].reshape(a.shape) for a, start, stop
                  in zip(arrays, self.offsets, self.offsets[1:])]
-        self.weights, self.biases = views[0:-2:2], views[1:-2:2]
-        self.head_weight, self.head_bias = views[-2:]
+        self.weights, self.biases = views[0::2], views[1::2]
 
     def parameters(self) -> list[np.ndarray]:
-        params: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            params.extend((w, b))
-        return params + [self.head_weight, self.head_bias]
+        return [p for wb in zip(self.weights, self.biases) for p in wb]
 
     def param_layer_ids(self) -> list[int]:
         """Layer index of each parameter; the head counts as layer L."""
@@ -138,7 +133,7 @@ class Model:
 
 
 def _from_parameters(spec: NetworkSpec, params) -> Model:
-    return Model(spec, params[0:-2:2], params[1:-2:2], *params[-2:])
+    return Model(spec, params[0::2], params[1::2])
 
 
 def stack_models(models) -> Model:
@@ -174,17 +169,11 @@ def init_params(spec: NetworkSpec, seed) -> Model:
             limit = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(np.float32)
 
-    weights, biases = [], []
-    for layer in spec.layers:
-        weights.append(draw(layer.in_width, layer.out_width, layer.activation))
-        biases.append(np.zeros(layer.out_width, dtype=np.float32))
-    return Model(spec, weights, biases,
-                 draw(spec.last_width, spec.output_head, "identity"),
-                 np.zeros(spec.output_head, dtype=np.float32))
+    return Model(spec, [draw(l.in_width, l.out_width, l.activation) for l in spec.layers],
+                 [np.zeros(l.out_width, dtype=np.float32) for l in spec.layers])
 
 
-def _dense(h: np.ndarray, w: np.ndarray, b: np.ndarray,
-           activation: str = "identity") -> np.ndarray:
+def _dense(h: np.ndarray, w: np.ndarray, b: np.ndarray, activation: str) -> np.ndarray:
     """``activation(h @ w + b)`` in float64, built in one fresh buffer."""
     t = h @ w.astype(np.float64)
     t += b.astype(np.float64)[..., None, :]
@@ -206,16 +195,13 @@ def forward(model: Model, batch) -> ForwardRecord:
             f"batch width {x.shape[-1]} != network input width {expected}"
         )
 
-    activations = []
-    h = x
+    h, activations = x, []
     for i, (layer, w, b) in enumerate(zip(model.spec.layers, model.weights,
                                           model.biases)):
         h = _dense(h, w, b, layer.activation)
-        _check_finite(h, f"layer {i}")
+        _check_finite(h, f"layer {i}" if i < model.spec.hidden_count else "logits")
         activations.append(h)
-    logits = _dense(h, model.head_weight, model.head_bias)
-    _check_finite(logits, "logits")
-    return ForwardRecord(activations=activations, logits=logits)
+    return ForwardRecord(activations=activations[:-1], logits=h)
 
 
 def _check_finite(x: np.ndarray, where: str) -> None:
@@ -364,14 +350,10 @@ def grad_check(model: Model, loss_fn, h: float = 1e-5,
 def serialize_model(model: Model) -> bytes:
     """Little-endian binary layout; the classifier head is the last layer
     and always carries the identity tag."""
-    chunks = [_MODEL_MAGIC, struct.pack("<II", _MODEL_VERSION,
-                                        len(model.weights) + 1)]
-    rows = list(zip(model.weights, model.biases,
-                    (l.activation for l in model.spec.layers)))
-    rows.append((model.head_weight, model.head_bias, "identity"))
-    for w, b, activation in rows:
+    chunks = [_MODEL_MAGIC, struct.pack("<II", _MODEL_VERSION, len(model.weights))]
+    for w, b, layer in zip(model.weights, model.biases, model.spec.layers):
         chunks.append(struct.pack("<IIB", w.shape[0], w.shape[1],
-                                  _ACT_TAGS[activation]))
+                                  _ACT_TAGS[layer.activation]))
         chunks.append(np.ascontiguousarray(w, dtype="<f4").tobytes())
         chunks.append(np.ascontiguousarray(b, dtype="<f4").tobytes())
     return b"".join(chunks)
@@ -391,8 +373,6 @@ def deserialize_model(data: bytes) -> Model:
     version, n_layers = struct.unpack_from("<II", data, 4)
     if version != _MODEL_VERSION:
         raise CorruptFile(f"unsupported model format version {version}")
-    if n_layers < 2:
-        raise CorruptFile(f"{n_layers}-layer model file: it needs a hidden layer and a head")
     offset = 12
     rows = []
     for _ in range(n_layers):
@@ -405,21 +385,17 @@ def deserialize_model(data: bytes) -> Model:
         need = 4 * (rows_in * cols_out + cols_out)
         if offset + need > len(data):
             raise CorruptFile("model file truncated in layer payload")
-        w = np.frombuffer(data, dtype="<f4", count=rows_in * cols_out,
-                          offset=offset).reshape(rows_in, cols_out)
-        offset += 4 * rows_in * cols_out
-        b = np.frombuffer(data, dtype="<f4", count=cols_out, offset=offset)
-        offset += 4 * cols_out
-        rows.append((w, b, _TAG_ACTS[tag]))
+        wb = np.frombuffer(data, dtype="<f4", count=need // 4, offset=offset)
+        offset += need
+        rows.append((wb[:rows_in * cols_out].reshape(rows_in, cols_out),
+                     wb[rows_in * cols_out:], _TAG_ACTS[tag]))
     if offset != len(data):
         raise CorruptFile("trailing bytes after model payload")
-    *hidden, head = rows
-    if head[2] != "identity":
-        raise CorruptFile("final (head) layer must carry the identity tag")
-    spec = NetworkSpec(
-        layers=tuple(LayerSpec(w.shape[0], w.shape[1], act) for w, b, act in hidden),
-        output_head=head[0].shape[1],
-    )
+    try:
+        spec = NetworkSpec(tuple(LayerSpec(w.shape[0], w.shape[1], act)
+                                 for w, _, act in rows))
+    except FeatPriorError as exc:
+        raise CorruptFile(f"{n_layers}-layer model file: {exc}") from None
     return _from_parameters(spec, [a for w, b, _ in rows for a in (w, b)])
 
 

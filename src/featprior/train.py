@@ -301,9 +301,8 @@ def extract_features(model: Model, dataset: Dataset, layer_ids,
         if not 0 <= lid <= max_id:
             raise LayerOutOfRange(f"layer id {lid} outside 0..{max_id}")
 
-    widths = [layer.out_width for layer in model.spec.layers] + [model.spec.output_head]
-    groups = {lid: np.empty((dataset.n, widths[lid]), dtype=np.float32)
-              for lid in layer_ids}
+    groups = {lid: np.empty((dataset.n, model.spec.layers[lid].out_width),
+                            dtype=np.float32) for lid in layer_ids}
     for i in range(0, dataset.n, chunk):
         record = forward(model, dataset.inputs[i:i + chunk])
         layers = record.activations + [record.logits]

@@ -57,8 +57,7 @@ def stacked_setup(modes, activation, seeds=2):
     spec = NetworkSpec.dense(3, [6, 4], 3, activation)
     m = stack_models([init_params(spec, s) for s in range(seeds)] * len(modes))
     model = Model(spec, [w.astype(np.float64) for w in m.weights],
-                  [b.astype(np.float64) for b in m.biases],
-                  m.head_weight.astype(np.float64), m.head_bias.astype(np.float64))
+                  [b.astype(np.float64) for b in m.biases])
     x = np.concatenate([rng.standard_normal((seeds, BATCH, 3))] * len(modes))
     labels = np.concatenate([rng.integers(0, 3, size=(seeds, BATCH))] * len(modes))
     cache = FeatureCache(
@@ -170,8 +169,7 @@ class TestStackedBlocks:
         for b, mode in enumerate(modes):
             rows = slice(2 * b, 2 * b + 2)
             block = Model(model.spec, [w[rows] for w in model.weights],
-                          [bias[rows] for bias in model.biases],
-                          model.head_weight[rows], model.head_bias[rows])
+                          [bias[rows] for bias in model.biases])
             record = forward(block, x[rows])
             one = _objective((mode,), cfg, cache, mapping, 2)
             b_loss, b_ce, _, b_act, b_logit = one(record, idx[rows], labels[rows])
@@ -217,9 +215,9 @@ class TestBackwardBasics:
     def test_sum_of_parameters_gives_ones(self):
         # one row of ones through an identity layer and an identity head:
         # the logit sum is the sum of the hidden layer's parameters
-        spec = NetworkSpec(layers=(LayerSpec(2, 3, "identity"),), output_head=3)
-        model = Model(spec, [np.arange(6.0).reshape(2, 3)], [np.ones(3)],
-                      np.eye(3), np.zeros(3))
+        spec = NetworkSpec((LayerSpec(2, 3, "identity"), LayerSpec(3, 3, "identity")))
+        model = Model(spec, [np.arange(6.0).reshape(2, 3), np.eye(3)],
+                      [np.ones(3), np.zeros(3)])
         x = np.ones((1, 2))
         record = forward(model, x)
         gw, gb, ghw, ghb = backward(model, x, record, {}, np.ones_like(record.logits), 0)
@@ -233,9 +231,9 @@ class TestGradientsMatchFiniteDifferences:
     def test_dense_relu_chain(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((3, 4))
-        spec = NetworkSpec(layers=(LayerSpec(4, 5, "relu"),), output_head=2)
-        model = Model(spec, [rng.standard_normal((4, 5))], [rng.standard_normal(5)],
-                      rng.standard_normal((5, 2)), np.zeros(2))
+        spec = NetworkSpec((LayerSpec(4, 5, "relu"), LayerSpec(5, 2, "identity")))
+        model = Model(spec, [rng.standard_normal((4, 5)), rng.standard_normal((5, 2))],
+                      [rng.standard_normal(5), np.zeros(2)])
         # loss = 0.5 * sum(tanh(logits)), gradient 0.5 * (1 - tanh^2)
         record = forward(model, x)
         y = np.tanh(record.logits)
@@ -246,7 +244,7 @@ class TestGradientsMatchFiniteDifferences:
             def f(flat, i=i):
                 w0, b0, wh, bh = [flat.reshape(p.shape) if j == i else p
                                   for j, p in enumerate(params)]
-                probe = Model(spec, [w0], [b0], wh, bh)
+                probe = Model(spec, [w0, wh], [b0, bh])
                 return 0.5 * float(np.tanh(forward(probe, x).logits).sum())
 
             fd = central_diff_gradient(f, arr.ravel()).reshape(arr.shape)
@@ -261,7 +259,7 @@ class TestGradientsMatchFiniteDifferences:
         grads = backward(model, x, forward(model, x), {}, logit_grad, 0)
         np.testing.assert_allclose(grads[3], logit_grad.sum(axis=0))
         np.testing.assert_allclose(
-            grads[1], (logit_grad @ model.head_weight.astype(np.float64).T).sum(axis=0))
+            grads[1], (logit_grad @ model.weights[-1].astype(np.float64).T).sum(axis=0))
 
 
 class TestSoftmaxCrossEntropy:

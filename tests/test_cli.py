@@ -16,7 +16,7 @@ from featprior.cli import main
 from featprior.config import load_config, parse_config
 from featprior.errors import ConfigError
 from featprior.gp_prior import PriorConfig
-from featprior.data import serialize_cache
+from featprior.data import read_cache, serialize_cache, write_cache
 from featprior.network import NetworkSpec, init_params, load_model, serialize_model
 from featprior.train import TrainPlan, extract_features
 
@@ -206,6 +206,34 @@ class TestTrainTeacherCommand:
                    str(tmp_path / "o")) == 1
         assert "nope-images" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dataset,named", [
+        ({"classes": 3.0}, "classes must be an integer >= 1, got 3.0"),
+        ({"classes": "3"}, "classes must be an integer >= 1, got '3'"),
+        ({"classes": -1}, "classes must be an integer >= 1, got -1"),
+        ({"classes": True}, "classes must be an integer >= 1, got True"),
+        ({"dim": 0}, "dim must be an integer >= 1, got 0"),
+        ({"n_per_class": 0}, "n_per_class must be an integer >= 1, got 0"),
+        ({"seed": -3}, "seed must be an integer >= 0, got -3"),
+        ({"separation": "8"}, "separation must be a number, got '8'"),
+        ({"kind": "synth_rings", "n_per_class": 40, "classes": 2, "noise": None,
+          "seed": 5}, "noise must be a number, got None"),
+        ({"kind": "csv", "path": 7, "label_column": "y"},
+         "path must be a string, got 7"),
+        ({"kind": "idx", "images": "i.idx", "labels": ["l.idx"]},
+         "labels must be a string, got ['l.idx']"),
+    ], ids=["classes-float", "classes-str", "classes-negative", "classes-bool",
+            "dim-0", "n_per_class-0", "seed-negative", "separation-str",
+            "noise-null", "csv-path", "idx-labels"])
+    def test_bad_dataset_argument_exit_1(self, tmp_path, capsys, dataset, named):
+        # each is refused when the config is read, before any data is made
+        cfg = base_config()
+        cfg["dataset"] = dataset if "kind" in dataset else {**cfg["dataset"], **dataset}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert run("train-teacher", "--config", path, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: dataset {named}\n"
+        assert not (out / "teacher.fpnn").exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "run"
@@ -343,15 +371,32 @@ class TestExtractAndDistill:
         # version 1, one 2 x 2 identity layer: a head with no hidden layer
         (struct.pack("<4sIIIIB", b"FPNN", 1, 1, 2, 2, 2) + bytes(4 * 6),
          "1-layer model file"),
-    ], ids=["class-count", "one-layer"])
+        # a 2 -> 4 relu hidden layer under a head that takes 5 inputs
+        (struct.pack("<4sIIIIB", b"FPNN", 1, 2, 2, 4, 0) + bytes(4 * 12)
+         + struct.pack("<IIB", 5, 2, 2) + bytes(4 * 12),
+         "layer widths do not chain: 4 -> 5"),
+    ], ids=["class-count", "one-layer", "head-chain"])
     def test_evaluate_unusable_model_exit_1(self, tmp_path, capsys, blob, named):
         path = write_config(tmp_path)
         model, out = tmp_path / "model.fpnn", tmp_path / "run"
         model.write_bytes(blob)
         assert run("evaluate", "--config", path, "--out", str(out),
                    "--model", str(model)) == 1
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
         assert not (out / "metrics.csv").exists()
+
+    def test_non_finite_cache_exit_1(self, tmp_path, capsys):
+        # a NaN column in the mapped group is refused as the cache is read,
+        # not found in phase 1 as a numerical failure
+        path, out = self.pipeline(tmp_path)
+        cache = read_cache(out / "features.fpfc")
+        cache.groups[0][:, 1] = np.nan
+        write_cache(out / "features.fpfc", cache)
+        assert run("distill", "--config", path, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "group 0 holds NaN or infinity" in err
+        assert not (out / "student.fpnn").exists()
 
     def test_distill_with_expert_caches(self, tmp_path):
         path, out = self.pipeline(tmp_path)

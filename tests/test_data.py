@@ -304,6 +304,26 @@ class TestFeatureCache:
         with pytest.raises(CorruptFile):
             read_cache(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_group_is_corrupt(self, tmp_path, bad):
+        # a valid writer never stores NaN or infinity: forward rejects them
+        cache = self.make_cache()
+        cache.groups[2][3, 1] = bad
+        path = tmp_path / "c.fpfc"
+        write_cache(path, cache)
+        with pytest.raises(CorruptFile, match="group 2 holds NaN or infinity"):
+            read_cache(path)
+
+    def test_non_finite_group_is_corrupt_before_the_next_is_read(self, tmp_path):
+        # group 0 is checked before group 2's header: cut inside that header,
+        # the file still fails on group 0's values
+        cache = self.make_cache()
+        cache.groups[0][:, 1] = np.nan
+        path = tmp_path / "c.fpfc"
+        path.write_bytes(serialize_cache(cache)[:196])
+        with pytest.raises(CorruptFile, match="group 0 holds NaN or infinity"):
+            read_cache(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "c.fpfc"
         path.write_bytes(b"NOPE" + bytes(80))

@@ -40,10 +40,10 @@ from oracles import adam_step_per_tensor, sgd_step_per_tensor
 def scalar_model(value: float) -> Model:
     """A 1 -> 1 identity layer of weight ``value`` and a 1 -> 1 head; the
     optimizer tests give the head None gradients."""
-    spec = NetworkSpec(layers=(LayerSpec(1, 1, "identity"),), output_head=1)
-    return Model(spec, [np.array([[value]], dtype=np.float32)],
-                 [np.zeros(1, dtype=np.float32)], np.ones((1, 1), dtype=np.float32),
-                 np.zeros(1, dtype=np.float32))
+    spec = NetworkSpec((LayerSpec(1, 1, "identity"), LayerSpec(1, 1, "identity")))
+    return Model(spec, [np.array([[value]], dtype=np.float32),
+                        np.ones((1, 1), dtype=np.float32)],
+                 [np.zeros(1, dtype=np.float32), np.zeros(1, dtype=np.float32)])
 
 
 def cross_entropy_and_grads(model: Model, x, labels):
@@ -58,23 +58,38 @@ class TestSpec:
         assert spec.input_width == 4
         assert spec.hidden_count == 2
         assert spec.output_head == 3
+        assert spec.layers[-1] == LayerSpec(8, 3, "identity")
 
     def test_nonconforming_widths_rejected(self):
         with pytest.raises(FeatPriorError):
-            NetworkSpec(layers=(LayerSpec(2, 3), LayerSpec(4, 2)), output_head=2)
+            NetworkSpec((LayerSpec(2, 3), LayerSpec(4, 2, "identity")))
 
     def test_zero_width_rejected(self):
         with pytest.raises(FeatPriorError):
             LayerSpec(0, 3)
 
     def test_head_required(self):
+        with pytest.raises(FeatPriorError, match="hidden layer and a head"):
+            NetworkSpec((LayerSpec(2, 3),))
         for head in (None, 0, 2.0):
-            with pytest.raises(FeatPriorError, match="output head width"):
-                NetworkSpec(layers=(LayerSpec(2, 3),), output_head=head)
+            with pytest.raises(FeatPriorError, match="integers >= 1"):
+                NetworkSpec.dense(2, [3], head)
+
+    def test_integer_widths_required(self):
+        for width in (None, 3.0, "3"):
+            with pytest.raises(FeatPriorError, match="integers >= 1"):
+                LayerSpec(2, width)
+            with pytest.raises(FeatPriorError, match="integers >= 1"):
+                LayerSpec(width, 2)
+
+    def test_head_must_be_identity(self):
+        for activation in ("relu", "tanh"):
+            with pytest.raises(FeatPriorError, match="identity activation"):
+                NetworkSpec((LayerSpec(2, 3), LayerSpec(3, 2, activation)))
 
     def test_hidden_layer_required(self):
         with pytest.raises(FeatPriorError, match="at least one hidden layer"):
-            NetworkSpec(layers=(), output_head=2)
+            NetworkSpec(layers=())
         with pytest.raises(FeatPriorError, match="at least one hidden layer"):
             NetworkSpec.dense(2, [], 2)
 
@@ -90,22 +105,21 @@ class TestForward:
 
     def test_identity_layer_passes_input_through(self):
         eye, zero = np.eye(2, dtype=np.float32), np.zeros(2, dtype=np.float32)
-        model = Model(NetworkSpec(layers=(LayerSpec(2, 2, "identity"),),
-                                  output_head=2),
-                      [eye], [zero], eye, zero)
+        model = Model(NetworkSpec((LayerSpec(2, 2, "identity"),) * 2),
+                      [eye, eye], [zero, zero])
         x = np.array([[0.5, -1.5], [2.0, 0.25]])
         record = forward(model, x)
         np.testing.assert_array_equal(record.activations[0], x)
         np.testing.assert_array_equal(record.logits, x)
 
     def test_hand_computed_2_2_2(self):
-        spec = NetworkSpec(layers=(LayerSpec(2, 2, "relu"),), output_head=2)
+        spec = NetworkSpec((LayerSpec(2, 2, "relu"), LayerSpec(2, 2, "identity")))
         model = Model(
             spec,
-            [np.array([[1.0, -1.0], [0.5, 2.0]], dtype=np.float32)],
-            [np.array([0.1, -0.2], dtype=np.float32)],
-            np.eye(2, dtype=np.float32),
-            np.zeros(2, dtype=np.float32),
+            [np.array([[1.0, -1.0], [0.5, 2.0]], dtype=np.float32),
+             np.eye(2, dtype=np.float32)],
+            [np.array([0.1, -0.2], dtype=np.float32),
+             np.zeros(2, dtype=np.float32)],
         )
         record = forward(model, np.array([[1.0, 2.0]]))
         # pre-activation: [1*1 + 2*0.5 + 0.1, 1*(-1) + 2*2 - 0.2] = [2.1, 2.8]
@@ -141,17 +155,17 @@ class TestForward:
 
         def reference(model, x):
             acts, h = [], x
-            for w, b in zip(model.weights, model.biases):
+            for w, b in zip(model.weights[:-1], model.biases[:-1]):
                 h = act(h @ w.astype(np.float64) + b.astype(np.float64)[..., None, :])
                 acts.append(h)
-            return acts, (h @ model.head_weight.astype(np.float64)
-                          + model.head_bias.astype(np.float64)[..., None, :])
+            return acts, (h @ model.weights[-1].astype(np.float64)
+                          + model.biases[-1].astype(np.float64)[..., None, :])
 
         spec = NetworkSpec.dense(5, [7, 6], 3, activation)
         models = [init_params(spec, seed=s) for s in (3, 4)]
         rng = np.random.default_rng(5)
         for m in models:
-            for b in m.biases + [m.head_bias]:
+            for b in m.biases:
                 b[...] = rng.standard_normal(b.shape)
         model = stack_models(models) if stacked else models[0]
         x = rng.standard_normal((2, 9, 5) if stacked else (9, 5))
@@ -223,7 +237,7 @@ class TestInit:
     def test_biases_zero(self):
         model = init_params(NetworkSpec.dense(4, [5], 2), seed=9)
         np.testing.assert_array_equal(model.biases[0], 0.0)
-        np.testing.assert_array_equal(model.head_bias, 0.0)
+        np.testing.assert_array_equal(model.biases[-1], 0.0)
 
 
 class TestOptimizers:
@@ -272,13 +286,13 @@ class TestFlatModel:
             model.flat, np.concatenate([p.ravel() for p in model.parameters()]))
         model.flat[0] = np.float32(7.0)
         assert model.weights[0][0, 0] == np.float32(7.0)
-        model.head_bias[...] = 1.0
+        model.biases[-1][...] = 1.0
         np.testing.assert_array_equal(model.flat[-3:], 1.0)
 
     def test_constructor_and_copy_do_not_alias(self):
         w = np.ones((2, 3), dtype=np.float32)
-        model = Model(NetworkSpec.dense(2, [3], 2), [w], [np.zeros(3, dtype=np.float32)],
-                      np.ones((3, 2), dtype=np.float32), np.zeros(2, dtype=np.float32))
+        model = Model(NetworkSpec.dense(2, [3], 2), [w, np.ones((3, 2), dtype=np.float32)],
+                      [np.zeros(3, dtype=np.float32), np.zeros(2, dtype=np.float32)])
         w[...] = 5.0
         copy = model.copy()
         copy.weights[0][...] = 2.0
@@ -484,6 +498,23 @@ class TestSerialization:
         with pytest.raises(CorruptFile, match="1-layer model file"):
             deserialize_model(one_layer)
 
+    @pytest.mark.parametrize("head,named", [
+        ((5, 2, 2), "layer widths do not chain: 4 -> 5"),
+        ((4, 2, 0), "identity activation"),
+    ], ids=["unchained", "relu-head"])
+    def test_malformed_head_is_corrupt(self, head, named):
+        # a 2 -> 4 relu hidden layer under a head that does not fit it
+        import struct
+
+        rows_in, cols_out, _ = head
+        blob = b"".join([
+            struct.pack("<4sII", b"FPNN", 1, 2),
+            struct.pack("<IIB", 2, 4, 0), bytes(4 * (8 + 4)),
+            struct.pack("<IIB", *head), bytes(4 * (rows_in * cols_out + cols_out)),
+        ])
+        with pytest.raises(CorruptFile, match=f"2-layer model file: .*{named}"):
+            deserialize_model(blob)
+
     def test_fingerprint_tracks_parameters(self):
         model = init_params(NetworkSpec.dense(2, [2], 2), seed=0)
         fp1 = model_fingerprint(model)
@@ -495,13 +526,13 @@ class TestSerialization:
         # pin the wire format itself, not just the round trip
         import struct
 
-        spec = NetworkSpec(layers=(LayerSpec(2, 1, "relu"),), output_head=2)
+        spec = NetworkSpec((LayerSpec(2, 1, "relu"), LayerSpec(1, 2, "identity")))
         model = Model(
             spec,
-            [np.array([[1.5], [-2.0]], dtype=np.float32)],
-            [np.array([0.25], dtype=np.float32)],
-            np.array([[3.0, -4.0]], dtype=np.float32),
-            np.array([0.5, -0.5], dtype=np.float32),
+            [np.array([[1.5], [-2.0]], dtype=np.float32),
+             np.array([[3.0, -4.0]], dtype=np.float32)],
+            [np.array([0.25], dtype=np.float32),
+             np.array([0.5, -0.5], dtype=np.float32)],
         )
         expected = b"".join([
             b"FPNN",

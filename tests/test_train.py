@@ -113,12 +113,10 @@ class TestTrainTeacher:
 
 class TestExtractFeatures:
     def identity_model(self):
-        spec = NetworkSpec(layers=(LayerSpec(2, 2, "identity"),), output_head=2)
+        spec = NetworkSpec((LayerSpec(2, 2, "identity"),) * 2)
         return Model(spec,
-                     [np.eye(2, dtype=np.float32)],
-                     [np.zeros(2, dtype=np.float32)],
-                     np.eye(2, dtype=np.float32),
-                     np.zeros(2, dtype=np.float32))
+                     [np.eye(2, dtype=np.float32), np.eye(2, dtype=np.float32)],
+                     [np.zeros(2, dtype=np.float32), np.zeros(2, dtype=np.float32)])
 
     def test_identity_network_cache_equals_inputs(self):
         inputs = np.array([[0.25, -1.5], [2.0, 0.5], [1.0, 3.0]])
@@ -139,7 +137,7 @@ class TestExtractFeatures:
 
     def test_final_layer_width_matches_spec(self, rings_setup):
         _, _, teacher, cache = rings_setup
-        assert cache.groups[1].shape[1] == teacher.spec.layers[-1].out_width
+        assert cache.groups[1].shape[1] == teacher.spec.layers[1].out_width
 
     def test_logits_group(self, rings_setup):
         ds, _, teacher, cache = rings_setup
@@ -181,11 +179,11 @@ class TestPhase1:
         ds, split, teacher, cache = rings_setup
         # student whose feature layers are a bitwise copy of the teacher's
         student = Model(
-            spec=NetworkSpec(layers=teacher.spec.layers, output_head=2),
-            weights=[w.copy() for w in teacher.weights],
-            biases=[b.copy() for b in teacher.biases],
-            head_weight=init_params(teacher.spec, 99).head_weight,
-            head_bias=np.zeros(2, dtype=np.float32),
+            spec=teacher.spec,
+            weights=[w.copy() for w in teacher.weights[:-1]]
+            + [init_params(teacher.spec, 99).weights[-1]],
+            biases=[b.copy() for b in teacher.biases[:-1]]
+            + [np.zeros(2, dtype=np.float32)],
         )
         plan = TrainPlan(seed=2, batch_size=16, phase1_epochs=10,
                          phase2_epochs=0, optimizer="sgd", momentum=0.0,
@@ -587,7 +585,7 @@ class TestPhase2:
         for i in range(2):
             np.testing.assert_array_equal(fitted.weights[i], student.weights[i])
             np.testing.assert_array_equal(fitted.biases[i], student.biases[i])
-        assert not np.array_equal(fitted.head_weight, student.head_weight)
+        assert not np.array_equal(fitted.weights[-1], student.weights[-1])
 
     def test_all_layers_frozen_rejected(self, rings_setup):
         ds, split, _, _ = rings_setup
@@ -608,7 +606,7 @@ class TestPhase2:
                                  train=split.train)
         np.testing.assert_array_equal(after2.weights[0], after1.weights[0])
         np.testing.assert_array_equal(after2.biases[0], after1.biases[0])
-        assert not np.array_equal(after2.head_weight, after1.head_weight)
+        assert not np.array_equal(after2.weights[-1], after1.weights[-1])
 
 
 class TestJoint:
@@ -756,11 +754,11 @@ class TestExperts:
 
 def identity_hidden_model(head_weight, head_bias) -> Model:
     """A 2 -> 2 identity hidden layer under the given head."""
-    spec = NetworkSpec(layers=(LayerSpec(2, 2, "identity"),),
-                       output_head=len(head_bias))
-    return Model(spec, [np.eye(2, dtype=np.float32)], [np.zeros(2, dtype=np.float32)],
-                 np.asarray(head_weight, dtype=np.float32),
-                 np.asarray(head_bias, dtype=np.float32))
+    spec = NetworkSpec((LayerSpec(2, 2, "identity"),
+                        LayerSpec(2, len(head_bias), "identity")))
+    return Model(spec, [np.eye(2, dtype=np.float32),
+                        np.asarray(head_weight, dtype=np.float32)],
+                 [np.zeros(2, dtype=np.float32), np.asarray(head_bias, dtype=np.float32)])
 
 
 class TestEvaluate:
@@ -1088,8 +1086,8 @@ class TestRunLog:
         # evaluate's pick class 0, so each reads the test split's class-0 share
         ds, split, _, _ = rings_setup
         student = init_params(NetworkSpec.dense(2, [4], 2), seed=45)
-        student.head_weight[...] = 0.0
-        student.head_bias[...] = 0.0
+        student.weights[-1][...] = 0.0
+        student.biases[-1][...] = 0.0
         log = []
         plan = TrainPlan(seed=45, batch_size=16, phase1_epochs=0, phase2_epochs=2)
         model = phase2_task_fit(student, ds, plan, [1], train=split.train,
