@@ -14,6 +14,7 @@ from .data import (
     BatchSchedule,
     Dataset,
     FeatureCache,
+    Rows,
     SplitBatches,
     dataset_fingerprint,
     load_csv,

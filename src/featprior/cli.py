@@ -123,7 +123,7 @@ def cmd_evaluate(cfg: ExperimentConfig, dataset: Dataset, out: Path, args) -> No
     model = load_model(_require_file(model_path, "model"))
     split = split_and_batch(dataset, cfg.test_fraction, cfg.plan.batch_size,
                             cfg.plan.seed)
-    metrics = evaluate(model, split.test)
+    metrics = evaluate(model, dataset, split.test)
     _atomic_write_text(out / "metrics.csv", metrics_csv(metrics))
     print(f"accuracy {metrics.accuracy:.4f} -> {out / 'metrics.csv'}")
 

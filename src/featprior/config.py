@@ -6,10 +6,11 @@ Each section is the dataclass it builds, and its allowed keys are exactly
 that dataclass's fields: the top level is ``ExperimentConfig``, ``plan`` and
 ``teacher_plan`` are ``TrainPlan``, ``prior`` is ``PriorConfig``, ``teacher``
 and ``student`` are ``ArchConfig`` and each ``experts`` entry is an
-``ExpertConfig``.  The ``dataset`` keys are its kind's loader arguments.
-Unknown keys anywhere in the document are hard errors (they are almost
-always typos in hyperparameter names), and every cross-reference is
-validated before any training starts.
+``ExpertConfig``.  A value must have its field's type; nothing is coerced.
+The ``dataset`` keys are its kind's loader arguments.  Unknown keys
+anywhere in the document are hard errors (they are almost always typos in
+hyperparameter names), and every cross-reference is validated before any
+training starts.
 """
 
 from __future__ import annotations
@@ -38,9 +39,15 @@ def _check_keys(d: dict, allowed, where: str) -> None:
 def _section(cls, d: dict, where: str, **parse):
     """The dataclass ``cls`` built from the JSON object ``d``, whose keys
     must be fields of ``cls``.  ``parse`` maps a key to the parser of its
-    value; values are parsed in field order."""
+    value; values are parsed in field order.  A value without a parser must
+    pass the rule in ``_FIELDS`` for its field's annotation."""
     names = [f.name for f in fields(cls)]
     _check_keys(d, names, where)
+    for f in fields(cls):
+        if f.name in d and f.name not in parse and f.type in _FIELDS:
+            what, valid = _FIELDS[f.type]
+            if not valid(d[f.name]):
+                raise ConfigError(f"{where} {f.name} must be {what}, got {d[f.name]!r}")
     kwargs = {k: parse[k](d[k]) if k in parse else d[k] for k in names if k in d}
     try:
         return cls(**kwargs)
@@ -48,15 +55,23 @@ def _section(cls, d: dict, where: str, **parse):
         raise ConfigError(f"bad {where}: {exc}") from None
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def _integer(low: int):
-    return (f"an integer >= {low}", lambda v: isinstance(v, numbers.Integral)
-            and not isinstance(v, bool) and v >= low)
+    return f"an integer >= {low}", lambda v: _is_int(v) and v >= low
 
 
-# what a loader argument must be, and the test of that
+# what a loader argument or a field's value must be, and the test of that
 _COUNT = _integer(1)
 _NUMBER = ("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool))
 _STRING = ("a string", lambda v: isinstance(v, str))
+
+# a dataclass field's annotation -> the rule its JSON value must pass
+_FIELDS = {"int": ("an integer", _is_int), "float": _NUMBER, "str": _STRING,
+           "bool": ("true or false", lambda v: isinstance(v, bool)),
+           "str | None": ("a string or null", lambda v: v is None or isinstance(v, str))}
 
 # kind -> (loader in .data, its arguments in order with their rules).  Every
 # argument is a required key: a partially specified data source is a typo.
@@ -79,9 +94,11 @@ class ArchConfig:
     activation: str = "relu"
 
     def __post_init__(self):
-        if not isinstance(self.hidden, (list, tuple)) or not self.hidden:
-            raise ConfigError("hidden must be a non-empty list of widths")
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        if not (isinstance(self.hidden, (list, tuple)) and self.hidden
+                and all(map(_COUNT[1], self.hidden))):
+            raise ConfigError("hidden must be a non-empty list of integers >= 1, "
+                              f"got {self.hidden!r}")
+        object.__setattr__(self, "hidden", tuple(self.hidden))
 
     def spec_for(self, dataset: Dataset) -> NetworkSpec:
         return NetworkSpec.dense(dataset.dim, self.hidden,
@@ -180,9 +197,9 @@ def _parse_mapping(raw, where: str) -> LayerGroupMapping:
         raise ConfigError(f"{where} must be a list of [student_layer, group] pairs")
     entries = []
     for item in raw:
-        if not isinstance(item, list) or len(item) != 2:
-            raise ConfigError(f"{where} entries must be pairs, got {item!r}")
-        entries.append((int(item[0]), int(item[1])))
+        if not isinstance(item, list) or len(item) != 2 or not all(map(_is_int, item)):
+            raise ConfigError(f"{where} entries must be pairs of integers, got {item!r}")
+        entries.append(tuple(item))
     return LayerGroupMapping(entries=tuple(entries))
 
 
@@ -193,15 +210,15 @@ def _parse_plan(d: dict, where: str) -> TrainPlan:
 
 def _parse_experts(raw) -> tuple[ExpertConfig, ...]:
     return tuple(
-        _section(ExpertConfig, e, f"experts[{i}]", cache=str, alpha=float,
+        _section(ExpertConfig, e, f"experts[{i}]",
                  mapping=partial(_parse_mapping, where=f"experts[{i}].mapping"))
         for i, e in enumerate(raw))
 
 
 def _parse_seeds(seeds) -> tuple[int, ...]:
-    if not isinstance(seeds, list):
-        raise ConfigError("seeds must be a list of integers")
-    return tuple(int(s) for s in seeds)
+    if not isinstance(seeds, list) or not all(map(_is_int, seeds)):
+        raise ConfigError(f"seeds must be a list of integers, got {seeds!r}")
+    return tuple(seeds)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -210,7 +227,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             ExperimentConfig, raw, "config", dataset=_parse_dataset,
             teacher=partial(_section, ArchConfig, where="teacher"),
             student=partial(_section, ArchConfig, where="student"),
-            test_fraction=float, plan=partial(_parse_plan, where="plan"),
+            plan=partial(_parse_plan, where="plan"),
             # teacher_plan inherits every plan field it does not set
             teacher_plan=lambda d: _parse_plan({**raw.get("plan", {}), **d},
                                                "teacher_plan"),

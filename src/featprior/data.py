@@ -3,9 +3,10 @@ structure, deterministic splits and batch schedules, and the binary
 teacher-feature cache.
 
 Every loader and generator is a deterministic function of its inputs and
-seed.  Datasets remember the original row index of each example
-(``source_indices``) so batches of a train split can be aligned with
-feature-cache rows extracted over the full dataset.
+seed.  A split holds no inputs of its own: its halves are ``Rows``, sorted
+row indices into the full dataset, so batches of the train half line up
+with feature-cache rows extracted over that dataset, and the test half is
+gathered a chunk at a time when it is scored.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import csv as _csv
 import hashlib
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,13 +44,11 @@ _CACHE_HEADER_BYTES = 4 + 4 + 32 + 32 + 4  # magic, version, 2 hashes, group cou
 
 @dataclass(frozen=True)
 class Dataset:
-    """Inputs (n x d), integer class labels, and bookkeeping."""
+    """Inputs (n x d) and integer class labels in [0, class_count)."""
 
     inputs: np.ndarray
     labels: np.ndarray
     class_count: int
-    name: str = "dataset"
-    source_indices: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -66,12 +65,6 @@ class Dataset:
             raise LabelOutOfRange(
                 f"labels must lie in [0, {self.class_count})"
             )
-        if self.source_indices is None:
-            object.__setattr__(self, "source_indices",
-                               np.arange(inputs.shape[0], dtype=np.int64))
-        else:
-            object.__setattr__(self, "source_indices",
-                               np.asarray(self.source_indices, dtype=np.int64))
 
     @property
     def n(self) -> int:
@@ -80,16 +73,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.inputs.shape[1]
-
-    def subset(self, rows, name: str | None = None) -> "Dataset":
-        rows = np.asarray(rows, dtype=np.int64)
-        return Dataset(
-            inputs=self.inputs[rows],
-            labels=self.labels[rows],
-            class_count=self.class_count,
-            name=name or self.name,
-            source_indices=self.source_indices[rows],
-        )
 
 
 def dataset_fingerprint(dataset: Dataset) -> bytes:
@@ -144,8 +127,7 @@ def load_idx(images_path, labels_path) -> Dataset:
                            offset=offset).astype(np.int64)
 
     class_count = int(labels.max()) + 1 if labels.size else 1
-    return Dataset(inputs=inputs, labels=labels, class_count=class_count,
-                   name=str(images_path))
+    return Dataset(inputs=inputs, labels=labels, class_count=class_count)
 
 
 def load_csv(path, label_column: str) -> Dataset:
@@ -188,7 +170,7 @@ def load_csv(path, label_column: str) -> Dataset:
         raise LabelOutOfRange(f"{path}: negative class label")
     class_count = int(labels_arr.max()) + 1 if labels_arr.size else 1
     return Dataset(inputs=np.asarray(features, dtype=np.float64),
-                   labels=labels_arr, class_count=class_count, name=str(path))
+                   labels=labels_arr, class_count=class_count)
 
 
 # -- synthetic generators ----------------------------------------------------
@@ -217,8 +199,7 @@ def synth_blobs(n_per_class: int, classes: int, dim: int, separation: float,
         for k in range(classes)
     ])
     labels = np.repeat(np.arange(classes, dtype=np.int64), n_per_class)
-    return Dataset(inputs=inputs, labels=labels, class_count=classes,
-                   name=f"blobs{classes}x{n_per_class}")
+    return Dataset(inputs=inputs, labels=labels, class_count=classes)
 
 
 def synth_rings(n_per_class: int, classes: int, noise: float,
@@ -236,8 +217,7 @@ def synth_rings(n_per_class: int, classes: int, noise: float,
                                        radii * np.sin(angles))))
     inputs = np.vstack(points)
     labels = np.repeat(np.arange(classes, dtype=np.int64), n_per_class)
-    return Dataset(inputs=inputs, labels=labels, class_count=classes,
-                   name=f"rings{classes}x{n_per_class}")
+    return Dataset(inputs=inputs, labels=labels, class_count=classes)
 
 
 # -- splitting and batching --------------------------------------------------
@@ -267,15 +247,27 @@ class BatchSchedule:
 
 
 @dataclass(frozen=True)
+class Rows:
+    """One half of a split: sorted row indices into the full dataset."""
+
+    source_indices: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.source_indices.size
+
+
+@dataclass(frozen=True)
 class SplitBatches:
-    train: Dataset
-    test: Dataset
+    train: Rows
+    test: Rows
     schedule: BatchSchedule
 
 
 def split_and_batch(dataset: Dataset, test_fraction: float, batch_size: int,
                     seed: int) -> SplitBatches:
-    """Shuffled train/test partition plus the train batch schedule."""
+    """Shuffled train/test partition of ``dataset``'s rows plus the train
+    batch schedule."""
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError(f"test_fraction must be in (0, 1), got {test_fraction}")
     n = dataset.n
@@ -283,10 +275,8 @@ def split_and_batch(dataset: Dataset, test_fraction: float, batch_size: int,
     n_test = min(max(n_test, 1), n - 1)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    test_rows = np.sort(perm[:n_test])
-    train_rows = np.sort(perm[n_test:])
-    train = dataset.subset(train_rows, name=f"{dataset.name}/train")
-    test = dataset.subset(test_rows, name=f"{dataset.name}/test")
+    test = Rows(np.sort(perm[:n_test]))
+    train = Rows(np.sort(perm[n_test:]))
     schedule = BatchSchedule(train.source_indices, batch_size, seed)
     return SplitBatches(train=train, test=test, schedule=schedule)
 

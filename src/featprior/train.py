@@ -4,9 +4,9 @@ evaluation metrics and multi-seed method comparisons.
 
 Conventions shared by every routine here:
 
-* ``dataset`` is always the full dataset; batch schedules yield row
-  indices into it, so teacher-feature cache rows stay aligned with
-  student batches after splitting and shuffling.
+* ``dataset`` is always the full dataset; split halves (``Rows``) and batch
+  schedules are row indices into it, so teacher-feature cache rows stay
+  aligned with student batches, and test rows are gathered when scored.
 * Task-only fits (teachers, the naive mode, the joint mode and the two
   logit-matching baselines) run ``phase1_epochs + phase2_epochs`` epochs;
   two-phase runs split the same budget between the label-free feature fit
@@ -45,6 +45,7 @@ from .data import (
     BatchSchedule,
     Dataset,
     FeatureCache,
+    Rows,
     SplitBatches,
     dataset_fingerprint,
     split_and_batch,
@@ -215,8 +216,10 @@ class MetricsReport:
         return float(np.std(vals, ddof=1) / math.sqrt(vals.size))
 
 
-def evaluate(model: Model, dataset: Dataset, ks=(1, 2, 3)) -> Metrics:
-    """Accuracy, top-k accuracies and micro/macro F1 on a dataset.
+def evaluate(model: Model, dataset: Dataset, rows: Rows | None = None,
+             ks=(1, 2, 3)) -> Metrics:
+    """Accuracy, top-k accuracies and micro/macro F1 on ``dataset``'s
+    ``rows`` (every row when None).
 
     Macro F1 averages per-class F1 uniformly, counting classes absent from
     both truth and predictions as 0.  Micro F1 is accuracy: with one label
@@ -227,8 +230,9 @@ def evaluate(model: Model, dataset: Dataset, ks=(1, 2, 3)) -> Metrics:
     c, classes = model.spec.output_head, dataset.class_count
     if c != classes:
         raise DimensionMismatch(f"model has {c} classes, dataset has {classes}")
-    logits = predict_logits(model, dataset.inputs)
-    labels = dataset.labels
+    idx = np.arange(dataset.n) if rows is None else rows.source_indices
+    logits = predict_logits(model, dataset.inputs, idx)
+    labels = dataset.labels[idx]
     # stable descending sort: ties broken toward the smaller class index
     order = np.argsort(-logits, axis=1, kind="stable")
     predictions = order[:, 0]
@@ -248,11 +252,12 @@ def evaluate(model: Model, dataset: Dataset, ks=(1, 2, 3)) -> Metrics:
                    f1_macro=float(np.mean(f1)))
 
 
-def predict_logits(model: Model, inputs, chunk: int = 1024) -> np.ndarray:
+def predict_logits(model: Model, inputs, idx=None, chunk: int = 1024) -> np.ndarray:
+    """Logits of ``inputs``' rows ``idx`` (all when None), ``chunk`` at a time."""
     inputs = np.asarray(inputs, dtype=np.float64)
-    parts = [forward(model, inputs[i:i + chunk]).logits
-             for i in range(0, inputs.shape[0], chunk)]
-    return np.vstack(parts)
+    idx = np.arange(inputs.shape[0]) if idx is None else idx
+    return np.vstack([forward(model, inputs[idx[i:i + chunk]]).logits
+                      for i in range(0, len(idx), chunk)])
 
 
 # -- run logs -----------------------------------------------------------------
@@ -321,7 +326,7 @@ def extract_features(model: Model, dataset: Dataset, layer_ids,
 def _fit_epochs(model: Model, dataset: Dataset, schedule: BatchSchedule,
                 plan: TrainPlan, objective, *, epochs: int, lr: float,
                 phase: int, epoch_offset: int = 0, frozen_layers=(),
-                test: Dataset | None = None, log: list | None = None) -> float | None:
+                test: Rows | None = None, log: list | None = None) -> float | None:
     """Run ``epochs`` epochs in place; returns the final epoch's mean
     prior-loss value (None for task-only objectives; one per seed for a
     stacked model).  Frozen parameters get None gradients, which leaves
@@ -363,8 +368,9 @@ def _fit_epochs(model: Model, dataset: Dataset, schedule: BatchSchedule,
         if log is not None:
             # evaluate's accuracy: argmax, like its stable sort, takes the
             # first of tied logits, and forward has rejected NaN
-            acc = (float(np.mean(np.argmax(predict_logits(model, test.inputs), axis=1)
-                                 == test.labels)) if test is not None else None)
+            idx = None if test is None else test.source_indices
+            acc = None if idx is None else float(np.mean(np.argmax(
+                predict_logits(model, dataset.inputs, idx), axis=1) == dataset.labels[idx]))
             log.append(LogRow(
                 epoch=epoch, phase=phase,
                 task_loss=float(np.mean(task_vals)) if task_vals else None,
@@ -515,14 +521,14 @@ def _check_cache_alignment(dataset: Dataset, cache: FeatureCache) -> None:
             "teacher features were extracted from different inputs")
 
 
-def _make_schedule(plan: TrainPlan, schedule=None, train: Dataset | None = None,
+def _make_schedule(plan: TrainPlan, schedule=None, train: Rows | None = None,
                    dataset: Dataset | None = None) -> BatchSchedule:
     """``schedule`` if given, else the plan's batches of ``train``'s rows
     (by default every row of ``dataset``)."""
     if schedule is not None:
         return schedule
-    rows = train if train is not None else dataset
-    return BatchSchedule(rows.source_indices, plan.batch_size, plan.seed)
+    rows = train.source_indices if train is not None else np.arange(dataset.n)
+    return BatchSchedule(rows, plan.batch_size, plan.seed)
 
 
 def train_teacher(dataset: Dataset, spec: NetworkSpec, plan: TrainPlan, *,
@@ -535,15 +541,15 @@ def train_teacher(dataset: Dataset, spec: NetworkSpec, plan: TrainPlan, *,
     model, _ = _fit_mode(init_params(spec, plan.seed), dataset,
                          _make_schedule(plan, train=split.train),
                          replace(plan, mode="naive"), test=split.test, log=log)
-    metrics = evaluate(model, split.test)
+    metrics = evaluate(model, dataset, split.test)
     return model, MetricsReport.single(plan.seed, metrics)
 
 
 def phase1_feature_fit(student: Model, dataset: Dataset, cache: FeatureCache,
                        mapping: LayerGroupMapping, plan: TrainPlan, *,
                        schedule: BatchSchedule | None = None,
-                       train: Dataset | None = None,
-                       test: Dataset | None = None,
+                       train: Rows | None = None,
+                       test: Rows | None = None,
                        log: list | None = None) -> tuple[Model, float | None]:
     """Label-free phase: fit mapped student layers so their batch Grams
     match the teacher's, by KL gradient descent.
@@ -557,7 +563,7 @@ def phase1_feature_fit(student: Model, dataset: Dataset, cache: FeatureCache,
 
 
 def _phase1_fit(student: Model, dataset: Dataset, experts, plan: TrainPlan, schedule,
-                test: Dataset | None, log: list | None) -> tuple[Model, float | None]:
+                test: Rows | None, log: list | None) -> tuple[Model, float | None]:
     """Phase 1 of two_phase and of combined experts: the trained copy of
     ``student`` minimizing sum_j alpha_j * KL_j, and the final epoch's KL.
     With no mapped layer it is the untrained copy and None, and logs nothing."""
@@ -578,7 +584,7 @@ def _phase1_fit(student: Model, dataset: Dataset, experts, plan: TrainPlan, sche
 
 def phase2_task_fit(student: Model, dataset: Dataset, plan: TrainPlan,
                     frozen_layers, *, schedule: BatchSchedule | None = None,
-                    train: Dataset | None = None, test: Dataset | None = None,
+                    train: Rows | None = None, test: Rows | None = None,
                     log: list | None = None) -> Model:
     """Cross-entropy training of the unfrozen layers only; frozen
     parameters come back bitwise identical."""
@@ -598,7 +604,7 @@ def phase2_task_fit(student: Model, dataset: Dataset, plan: TrainPlan,
 def joint_fit(student: Model, dataset: Dataset, cache: FeatureCache,
               mapping: LayerGroupMapping, plan: TrainPlan, *,
               schedule: BatchSchedule | None = None,
-              train: Dataset | None = None, test: Dataset | None = None,
+              train: Rows | None = None, test: Rows | None = None,
               log: list | None = None) -> Model:
     """Single-phase MAP objective: cross-entropy + alpha * sum of KLs.
     With alpha = 0 the prior term is skipped entirely, reproducing naive
@@ -611,8 +617,8 @@ def joint_fit(student: Model, dataset: Dataset, cache: FeatureCache,
 def combine_experts_fit(student: Model, dataset: Dataset,
                         experts: ExpertPriorSet, plan: TrainPlan, *,
                         schedule: BatchSchedule | None = None,
-                        train: Dataset | None = None,
-                        test: Dataset | None = None,
+                        train: Rows | None = None,
+                        test: Rows | None = None,
                         log: list | None = None) -> Model:
     """Multiple teachers as independent priors: phase 1 minimizes
     sum_j alpha_j * KL_j, then phase 2 trains the remaining layers."""
@@ -647,14 +653,14 @@ def run_distillation(student_spec: NetworkSpec, dataset: Dataset,
         init_params(student_spec, plan.seed), dataset,
         _make_schedule(plan, train=split.train), plan, cache=cache, mapping=mapping,
         experts=experts, logits_group=logits_group, test=split.test, log=log)
-    return RunResult(model=model, metrics=evaluate(model, split.test),
+    return RunResult(model=model, metrics=evaluate(model, dataset, split.test),
                      log=log, final_kl=final_kl)
 
 
 def _fit_mode(student: Model, dataset: Dataset, schedule, plan: TrainPlan, *, modes=None,
               cache: FeatureCache | None = None, mapping: LayerGroupMapping | None = None,
               experts: ExpertPriorSet | None = None, logits_group: int | None = None,
-              test: Dataset | None = None,
+              test: Rows | None = None,
               log: list | None = None) -> tuple[Model, float | None]:
     """The trained copy of ``student`` in the plan's mode, and phase 1's
     final KL (two_phase only).  ``modes``, one-phase modes, splits a
@@ -788,7 +794,7 @@ def compare_methods(dataset: Dataset, teacher_spec: NetworkSpec,
 
     def report(models: list[Model]) -> MetricsReport:
         return MetricsReport(seeds=seeds, per_seed=[
-            evaluate(m, split.test) for m, split in zip(models, splits)])
+            evaluate(m, dataset, split.test) for m, split in zip(models, splits)])
 
     teachers = fit(teacher_spec, replace(teacher_plan, mode="naive"), ("naive",))[0]
     logits_group = teacher_spec.hidden_count

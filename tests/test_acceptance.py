@@ -351,8 +351,7 @@ def test_a7_combining_experts():
         for lo in (0, 2):
             mask = np.isin(full.labels, [lo, lo + 1])
             sub = Dataset(inputs=full.inputs[mask],
-                          labels=full.labels[mask] - lo, class_count=2,
-                          name=f"subtask{lo}")
+                          labels=full.labels[mask] - lo, class_count=2)
             expert, _ = train_teacher(
                 sub, expert_spec,
                 TrainPlan(seed=seed, batch_size=16, phase1_epochs=0,
@@ -370,7 +369,7 @@ def test_a7_combining_experts():
         student = init_params(student_spec, seed)
         model = combine_experts_fit(student, full, experts, plan,
                                     train=split.train)
-        accuracies.append(evaluate(model, split.test).accuracy)
+        accuracies.append(evaluate(model, full, split.test).accuracy)
 
     mean_acc = float(np.mean(accuracies))
     chance = 1.0 / 4.0
@@ -406,7 +405,7 @@ def test_a8_phase_separation_and_label_blindness():
     # label blindness: permuting every label changes phase 1 not at all
     rng = np.random.default_rng(0)
     permuted = Dataset(inputs=ds.inputs, labels=rng.permutation(ds.labels),
-                       class_count=ds.class_count, name=ds.name)
+                       class_count=ds.class_count)
     permuted_split = split_and_batch(permuted, 0.5, 16, seed=1)
     permuted_cache = extract_features(teacher, permuted, [0, 1, 2])
     b, _ = phase1_feature_fit(student, permuted, permuted_cache, mapping, plan,

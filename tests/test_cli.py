@@ -123,6 +123,53 @@ class TestConfigParsing:
         assert parsed.plan == plan
         assert parsed.teacher_plan == replace(teacher_plan, mode="naive")
 
+    @pytest.mark.parametrize("where, key, value, named", [
+        ("teacher", "hidden", [8.7], "bad teacher: hidden must be a non-empty "
+         "list of integers >= 1, got [8.7]"),
+        ("teacher", "hidden", ["4"], "bad teacher: hidden must be a non-empty "
+         "list of integers >= 1, got ['4']"),
+        ("student", "hidden", [True], "bad student: hidden must be a non-empty "
+         "list of integers >= 1, got [True]"),
+        ("config", "mapping", [[0.9, 1.6]],
+         "mapping entries must be pairs of integers, got [0.9, 1.6]"),
+        ("config", "seeds", [1.5, 2], "seeds must be a list of integers, got [1.5, 2]"),
+        ("plan", "batch_size", 16.5, "plan batch_size must be an integer, got 16.5"),
+        ("prior", "normalize_by_width", "no",
+         "prior normalize_by_width must be true or false, got 'no'"),
+        ("prior", "alpha", True, "prior alpha must be a number, got True"),
+        ("teacher_plan", "lr_phase2", "0.003",
+         "teacher_plan lr_phase2 must be a number, got '0.003'"),
+        ("teacher_plan", "phase2_epochs", 1.5,
+         "teacher_plan phase2_epochs must be an integer, got 1.5"),
+        ("config", "test_fraction", "0.5", "config test_fraction must be a number, got '0.5'"),
+        ("config", "out_dir", 5, "config out_dir must be a string or null, got 5"),
+        ("experts", "alpha", "1", "experts[0] alpha must be a number, got '1'"),
+        ("experts", "cache", 7, "experts[0] cache must be a string, got 7"),
+    ], ids=["hidden-float", "hidden-str", "hidden-bool", "mapping-float", "seeds-float",
+            "batch_size-float", "normalize_by_width-str", "alpha-bool", "lr_phase2-str",
+            "phase2_epochs-float", "test_fraction-str", "out_dir-int", "expert-alpha-str",
+            "expert-cache-int"])
+    def test_mistyped_value_exit_1(self, tmp_path, capsys, where, key, value, named):
+        # refused as the config is read: nothing is truncated or coerced
+        cfg = base_config()
+        cfg["plan"]["prior"] = {}
+        cfg["experts"] = [{"cache": "a.fpfc", "mapping": [[0, 0]]}]
+        sections = {**cfg, "config": cfg, "prior": cfg["plan"]["prior"],
+                    "experts": cfg["experts"][0]}
+        sections[where][key] = value
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert run("train-teacher", "--config", path, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not (out / "teacher.fpnn").exists()
+
+    def test_float_fields_take_json_integers(self):
+        cfg = base_config()
+        cfg["plan"].update(lr_phase1=1, prior={"alpha": 2, "temperature": 3})
+        parsed = parse_config(cfg)
+        assert parsed.plan.lr_phase1 == 1
+        assert parsed.plan.prior == PriorConfig(alpha=2.0, temperature=3.0)
+
     def test_readme_config_is_the_reference_config(self):
         block = re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1)
         assert parse_config(json.loads(block)) == load_config(str(REFERENCE_CONFIG))

@@ -39,6 +39,14 @@ from featprior.errors import (
 from oracles import decode_idx_reference, linear_probe_accuracy, traced_peak
 
 
+def split_probe_accuracy(ds, parts) -> float:
+    """``linear_probe_accuracy`` fit on a split's train rows of ``ds`` and
+    scored on its test rows."""
+    train, test = parts.train.source_indices, parts.test.source_indices
+    return linear_probe_accuracy(ds.inputs[train], ds.labels[train],
+                                 ds.inputs[test], ds.labels[test], ds.class_count)
+
+
 def idx_image_bytes(images: np.ndarray) -> bytes:
     n, rows, cols = images.shape
     return struct.pack(">IIII", 0x803, n, rows, cols) + images.astype(np.uint8).tobytes()
@@ -167,17 +175,13 @@ class TestSynthBlobs:
     def test_wide_separation_linearly_separable(self):
         ds = synth_blobs(100, 2, 2, separation=10.0, seed=0)
         parts = split_and_batch(ds, 0.5, 16, seed=1)
-        acc = linear_probe_accuracy(parts.train.inputs, parts.train.labels,
-                                    parts.test.inputs, parts.test.labels,
-                                    ds.class_count)
+        acc = split_probe_accuracy(ds, parts)
         assert acc >= 0.999
 
     def test_tiny_separation_near_chance(self):
         ds = synth_blobs(200, 2, 2, separation=0.01, seed=0)
         parts = split_and_batch(ds, 0.5, 16, seed=1)
-        acc = linear_probe_accuracy(parts.train.inputs, parts.train.labels,
-                                    parts.test.inputs, parts.test.labels,
-                                    ds.class_count)
+        acc = split_probe_accuracy(ds, parts)
         assert acc <= 0.6
 
     def test_deterministic(self):
@@ -200,9 +204,7 @@ class TestSynthRings:
     def test_linear_probe_fails_on_rings(self):
         ds = synth_rings(200, 3, noise=0.1, seed=4)
         parts = split_and_batch(ds, 0.5, 16, seed=5)
-        acc = linear_probe_accuracy(parts.train.inputs, parts.train.labels,
-                                    parts.test.inputs, parts.test.labels,
-                                    ds.class_count)
+        acc = split_probe_accuracy(ds, parts)
         assert acc <= 0.6
 
     def test_deterministic(self):
@@ -253,6 +255,22 @@ class TestSplitAndBatch:
         ds = synth_blobs(10, 2, 2, 1.0, seed=0)
         with pytest.raises(ConfigError):
             split_and_batch(ds, 1.5, 2, seed=0)
+
+    @pytest.mark.parametrize("n_per_class, fraction, seed",
+                             [(5, 0.5, 0), (20, 0.3, 1), (33, 0.25, 7)])
+    def test_halves_are_sorted_rows_of_the_seeded_permutation(
+            self, n_per_class, fraction, seed):
+        ds = synth_blobs(n_per_class, 3, 2, 1.0, seed=0)
+        parts = split_and_batch(ds, fraction, 2, seed=seed)
+        train, test = parts.train.source_indices, parts.test.source_indices
+        for rows in (train, test):
+            assert np.all(np.diff(rows) > 0)  # sorted, no repeats
+        assert np.intersect1d(train, test).size == 0
+        np.testing.assert_array_equal(np.union1d(train, test), np.arange(ds.n))
+        assert (parts.train.n, parts.test.n) == (train.size, test.size)
+        perm = np.random.default_rng(seed).permutation(ds.n)
+        np.testing.assert_array_equal(test, np.sort(perm[:test.size]))
+        np.testing.assert_array_equal(train, np.sort(perm[test.size:]))
 
 
 class TestFeatureCache:

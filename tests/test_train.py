@@ -5,16 +5,18 @@ and the multi-seed comparison."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from featprior import gp_prior, linalg, train
 from featprior.data import (
     BatchSchedule,
     Dataset,
     FeatureCache,
+    Rows,
     split_and_batch,
     synth_blobs,
     synth_rings,
@@ -52,6 +54,7 @@ from featprior.train import (
     extract_features,
     phase1_feature_fit,
     phase2_task_fit,
+    predict_logits,
     run_distillation,
     run_log_csv,
     train_teacher,
@@ -334,7 +337,7 @@ class TestPhase1:
         rng = np.random.default_rng(0)
         permuted = Dataset(inputs=ds.inputs,
                            labels=rng.permutation(ds.labels),
-                           class_count=ds.class_count, name=ds.name)
+                           class_count=ds.class_count)
         permuted_split = split_and_batch(permuted, 0.5, 16, seed=1)
         permuted_cache = extract_features(teacher, permuted, [0, 1, 2])
         np.testing.assert_array_equal(permuted_split.train.source_indices,
@@ -720,7 +723,7 @@ class TestExperts:
         for lo in (0, 2):
             mask = np.isin(full.labels, [lo, lo + 1])
             sub = Dataset(inputs=full.inputs[mask], labels=full.labels[mask] - lo,
-                          class_count=2, name=f"sub{lo}")
+                          class_count=2)
             expert, _ = train_teacher(
                 sub, expert_spec,
                 TrainPlan(seed=22, batch_size=16, phase1_epochs=0,
@@ -737,14 +740,15 @@ class TestExperts:
                          phase2_epochs=20, lr_phase1=1e-2, lr_phase2=3e-3)
         model = combine_experts_fit(student, full, experts, plan,
                                     train=split.train)
-        metrics = evaluate(model, split.test)
+        metrics = evaluate(model, full, split.test)
         assert metrics.accuracy >= 0.375  # 1.5x chance on 4 classes
         # above chance restricted to each subtask's examples
-        from featprior.train import predict_logits
-        predictions = np.argmax(predict_logits(model, split.test.inputs), axis=1)
+        rows = split.test.source_indices
+        predictions = np.argmax(predict_logits(model, full.inputs, rows), axis=1)
+        test_labels = full.labels[rows]
         for lo in (0, 2):
-            mask = np.isin(split.test.labels, [lo, lo + 1])
-            acc = float(np.mean(predictions[mask] == split.test.labels[mask]))
+            mask = np.isin(test_labels, [lo, lo + 1])
+            acc = float(np.mean(predictions[mask] == test_labels[mask]))
             assert acc > 0.3
 
     def test_empty_expert_set_rejected(self):
@@ -809,6 +813,49 @@ class TestEvaluate:
         model = init_params(NetworkSpec.dense(2, [4], 2), seed=30)
         metrics = evaluate(model, ds, ks=(1, 2))
         assert metrics.top_k[2] == 1.0
+
+    @staticmethod
+    def assert_metrics_equal(a: Metrics, b: Metrics) -> None:
+        for f in fields(Metrics):
+            assert getattr(a, f.name) == getattr(b, f.name), f.name
+
+    def test_rows_score_as_a_materialized_dataset(self):
+        # 2,500 test rows are three chunks of predict_logits' 1024
+        ds = synth_blobs(1000, 4, 6, 2.0, seed=32)
+        rows = split_and_batch(ds, 0.625, 16, seed=33).test
+        assert rows.n == 2500
+        r = rows.source_indices
+        copy = Dataset(ds.inputs[r], ds.labels[r], ds.class_count)
+        model = init_params(NetworkSpec.dense(6, [8], 4), seed=34)
+        np.testing.assert_array_equal(predict_logits(model, ds.inputs, r),
+                                      predict_logits(model, copy.inputs))
+        self.assert_metrics_equal(evaluate(model, ds, rows), evaluate(model, copy))
+
+    def test_no_rows_scores_every_row(self):
+        ds = synth_blobs(700, 2, 3, 2.0, seed=35)
+        model = init_params(NetworkSpec.dense(3, [5], 2), seed=36)
+        every = np.arange(ds.n)
+        logits = predict_logits(model, ds.inputs)
+        assert logits.shape == (ds.n, 2)
+        np.testing.assert_array_equal(logits, predict_logits(model, ds.inputs, every))
+        self.assert_metrics_equal(evaluate(model, ds), evaluate(model, ds, Rows(every)))
+
+    def test_scoring_the_test_split_copies_no_inputs(self):
+        # one trace over split and scoring: a split that copied its halves
+        # would still hold them while the test rows are scored
+        ds = synth_blobs(1250, 4, 784, 4.0, seed=37)  # 5,000 x 784
+        model = init_params(NetworkSpec.dense(784, [16], 4), seed=38)
+        tracemalloc.start()
+        try:
+            split = split_and_batch(ds, 0.25, 32, seed=39)
+            held, _ = tracemalloc.get_traced_memory()
+            assert held < 0.01 * ds.inputs.nbytes
+            tracemalloc.reset_peak()
+            evaluate(model, ds, split.test)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * ds.inputs.nbytes
 
     def test_micro_f1_equals_accuracy(self, blobs):
         model = init_params(NetworkSpec.dense(2, [5], 2), seed=31)
@@ -1066,9 +1113,9 @@ class TestRunLog:
         scored = []  # a copy of the model at each scoring of the test split
         original = train.predict_logits
 
-        def recorded(model, inputs, chunk=1024):
+        def recorded(model, inputs, idx=None, chunk=1024):
             scored.append(model.copy())
-            return original(model, inputs, chunk)
+            return original(model, inputs, idx, chunk)
 
         monkeypatch.setattr(train, "predict_logits", recorded)
         plan = TrainPlan(seed=44, batch_size=16, phase1_epochs=2, phase2_epochs=3,
@@ -1079,7 +1126,7 @@ class TestRunLog:
         # one scoring per logged epoch, then the final metrics'
         assert len(scored) == len(result.log) + 1 == 6
         assert [r.test_accuracy for r in result.log] == [
-            evaluate(m, split.test).accuracy for m in scored[:-1]]
+            evaluate(m, ds, split.test).accuracy for m in scored[:-1]]
 
     def test_tied_logits_log_class_0(self, rings_setup):
         # a zero head, frozen, ties every logit: both the logged accuracy and
@@ -1092,9 +1139,9 @@ class TestRunLog:
         plan = TrainPlan(seed=45, batch_size=16, phase1_epochs=0, phase2_epochs=2)
         model = phase2_task_fit(student, ds, plan, [1], train=split.train,
                                 test=split.test, log=log)
-        share = float(np.mean(split.test.labels == 0))
+        share = float(np.mean(ds.labels[split.test.source_indices] == 0))
         assert share != 1.0 - share  # class 1's pick would read differently
-        assert evaluate(model, split.test).accuracy == share
+        assert evaluate(model, ds, split.test).accuracy == share
         assert [r.test_accuracy for r in log] == [share, share]
 
     def test_rerun_identical(self, blobs):
