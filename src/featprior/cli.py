@@ -23,6 +23,7 @@ from .network import load_model, serialize_model
 from .train import (
     ExpertPrior,
     ExpertPriorSet,
+    cache_groups,
     compare_methods,
     evaluate,
     extract_features,
@@ -98,20 +99,25 @@ def cmd_distill(cfg: ExperimentConfig, dataset: Dataset, out: Path, args) -> Non
                             plan.seed)
     student_spec = cfg.student.spec_for(dataset)
 
+    logits_group = len(cfg.teacher.hidden)
+
+    def read(path: Path, what: str, mapping):
+        return read_cache(_require_file(path, what), expect_dataset=dataset,
+                          groups=cache_groups(plan.mode, mapping, logits_group))
+
     experts = cache = None
     if cfg.experts:
         experts = ExpertPriorSet(tuple(
-            ExpertPrior(read_cache(_require_file(Path(e.cache), "expert cache"),
-                                   expect_dataset=dataset), e.mapping, e.alpha)
+            ExpertPrior(read(Path(e.cache), "expert cache", e.mapping), e.mapping,
+                        e.alpha)
             for e in cfg.experts))
     elif plan.mode != "naive":
         cache_path = Path(args.features) if args.features else out / "features.fpfc"
-        cache = read_cache(_require_file(cache_path, "feature cache"),
-                           expect_dataset=dataset)
+        cache = read(cache_path, "feature cache", cfg.mapping)
 
     result = run_distillation(
         student_spec, dataset, split, plan, cache=cache, mapping=cfg.mapping,
-        experts=experts, logits_group=len(cfg.teacher.hidden))
+        experts=experts, logits_group=logits_group)
     _atomic_write_bytes(out / "student.fpnn", serialize_model(result.model))
     _atomic_write_text(out / "run_log.csv", run_log_csv(result.log))
     print(f"{plan.mode} student accuracy {result.metrics.accuracy:.4f} "

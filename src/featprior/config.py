@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 from functools import partial
 
 from . import data
-from .data import Dataset
+from .data import Dataset, _is_int
 from .errors import ConfigError, FeatPriorError
 from .gp_prior import PriorConfig
 from .network import NetworkSpec
@@ -53,10 +53,6 @@ def _section(cls, d: dict, where: str, **parse):
         return cls(**kwargs)
     except (TypeError, FeatPriorError) as exc:
         raise ConfigError(f"bad {where}: {exc}") from None
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _integer(low: int):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv as _csv
 import hashlib
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -40,6 +41,13 @@ _IDX_LABELS_MAGIC = 0x00000801
 _CACHE_MAGIC = b"FPFC"
 _CACHE_VERSION = 1
 _CACHE_HEADER_BYTES = 4 + 4 + 32 + 32 + 4  # magic, version, 2 hashes, group count
+# float32 values at a time in which a group that is not kept is checked
+_SKIP_VALUES = 65536
+
+
+def _is_int(v) -> bool:
+    """An integer (numpy's too) that is not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -231,6 +239,8 @@ class BatchSchedule:
     """
 
     def __init__(self, indices, batch_size: int, seed: int):
+        if not _is_int(batch_size):
+            raise ConfigError(f"batch_size must be an integer, got {batch_size!r}")
         if batch_size < 2:
             raise BatchTooSmall(
                 f"batch size {batch_size} < 2: Gram matrix would be degenerate"
@@ -328,11 +338,16 @@ def write_cache(path, cache: FeatureCache) -> None:
 
 
 def read_cache(path, expect_dataset: Dataset | None = None,
-               expect_teacher_fingerprint: bytes | None = None) -> FeatureCache:
+               expect_teacher_fingerprint: bytes | None = None,
+               groups=None) -> FeatureCache:
     """Read an FPFC file group by group into float32 arrays, optionally
     verifying it matches the dataset and teacher the caller is about to use.
     A group's size is checked against the bytes left in the file before its
-    array is allocated, and its values are checked finite before the next."""
+    array is allocated, and its values are checked finite before the next.
+    ``groups`` (default every group) names the groups kept; the others are
+    checked the same way, streamed through one bounded buffer, so a file is
+    refused whichever groups are kept.  A named group the file lacks is not
+    an error here."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         header = fh.read(_CACHE_HEADER_BYTES)
@@ -346,30 +361,44 @@ def read_cache(path, expect_dataset: Dataset | None = None,
         ds_fp = header[8:40]
         teacher_fp = header[40:72]
         (group_count,) = struct.unpack_from("<I", header, 72)
-        groups: dict[int, np.ndarray] = {}
+        kept: dict[int, np.ndarray] = {}
+        row_counts: dict[int, int] = {}  # every group's, kept or not
         for _ in range(group_count):
             group_header = fh.read(16)
             if len(group_header) < 16:
                 raise CorruptFile(f"{path}: truncated group header")
             gid, n, width = struct.unpack("<IQI", group_header)
-            need = 4 * n * width
-            if need > size - fh.tell():
+            if 4 * n * width > size - fh.tell():
                 raise CorruptFile(f"{path}: truncated group payload")
-            if gid in groups:
+            if gid in row_counts:
                 raise CorruptFile(f"{path}: group {gid} appears twice")
-            mat = np.empty((n, width), dtype="<f4")
-            if fh.readinto(mat) != need:
-                raise CorruptFile(f"{path}: truncated group payload")
-            # min and max are finite iff every entry is; no n x width temporary
-            if not np.isfinite([mat.min(initial=0.0), mat.max(initial=0.0)]).all():
-                raise CorruptFile(f"{path}: group {gid} holds NaN or infinity")
-            groups[gid] = mat
+            row_counts[gid] = n
+            if groups is None or gid in groups:
+                kept[gid] = np.empty((n, width), dtype="<f4")
+                _read_finite(fh, kept[gid], path, gid)
+            else:
+                buf = np.empty(min(n * width, _SKIP_VALUES), dtype="<f4")
+                for done in range(0, n * width, buf.size):
+                    _read_finite(fh, buf[:n * width - done], path, gid)
         if fh.tell() != size:
             raise CorruptFile(f"{path}: trailing bytes after cache payload")
-    cache = FeatureCache(groups=groups, dataset_fingerprint=ds_fp,
+    if len(set(row_counts.values())) > 1:  # FeatureCache's check, over every group
+        sizes = {(n,) for n in row_counts.values()}
+        raise FeatPriorError(f"cache groups disagree on row count: {sizes}")
+    cache = FeatureCache(groups=kept, dataset_fingerprint=ds_fp,
                          teacher_fingerprint=teacher_fp)
     verify_cache(cache, expect_dataset, expect_teacher_fingerprint)
     return cache
+
+
+def _read_finite(fh, out: np.ndarray, path, gid: int) -> None:
+    """Fill ``out`` from ``fh``; a short read or a NaN or infinity in it is
+    ``CorruptFile``."""
+    if fh.readinto(out) != out.nbytes:
+        raise CorruptFile(f"{path}: truncated group payload")
+    # min and max are finite iff every entry is; no temporary the size of out
+    if not np.isfinite([out.min(initial=0.0), out.max(initial=0.0)]).all():
+        raise CorruptFile(f"{path}: group {gid} holds NaN or infinity")
 
 
 def verify_cache(cache: FeatureCache, dataset: Dataset | None,

@@ -67,9 +67,10 @@ layer shares it.
 batches (... x n x p, with any leading axes: seeds, steps or both) and give
 each slice the bits of its own call; jitter escalates per slice.  Training
 builds the teacher side as a ``TeacherKernel`` (``TeacherKernel.of``), which
-also holds log|K2| and ||L2^{-1}||_F^2 (||L_B^{-1}||_F^2 for a basis
-kernel), the parts of the KL that no student changes, so that a stack of
-batches forms them in one pass.
+keeps only what the KL reads: L2^{-1} (Q and L_B^{-1} for a basis kernel),
+the jitter, and log|K2| and ||L2^{-1}||_F^2 (||L_B^{-1}||_F^2), the parts
+no student changes, so that a stack of batches forms them in one pass.
+It drops the Gram and L.
 
 Baselines kept for comparison: temperature-softened soft-target matching
 on logits (which requires equal logit counts, the restriction the KL prior
@@ -155,40 +156,34 @@ class BasisKernel:
 
 @dataclass(frozen=True)
 class TeacherKernel:
-    """A ``feature_kernel`` result with the parts of the KL against it that
-    no student changes: log|K| and ||L^{-1}||_F^2 of its factor (of its
-    core's factor for a BasisKernel), one per slice of a stack."""
+    """What the KL against a ``feature_kernel`` result reads, one per slice
+    of a stack: L^{-1}, the jitter, and the parts no student changes, log|K|
+    and ||L^{-1}||_F^2.  For a BasisKernel, ``inverse`` is its core's L_B^{-1}
+    and ``basis`` is Q; the Gram and L are not kept."""
 
-    kernel: KernelMatrix | BasisKernel
+    inverse: np.ndarray
+    jitter: float | np.ndarray
     log_det: float | np.ndarray
     inv_sq_norm: float | np.ndarray
+    basis: np.ndarray | None = None
 
     @staticmethod
     def of(k: KernelMatrix | BasisKernel) -> "TeacherKernel":
         if isinstance(k, BasisKernel):
-            f = k.core.factor
+            f, basis = k.core.factor, k.basis
             log_det = linalg.log_det(f) + (k.size - f.size) * _log(k.jitter)
         else:
-            f = k.factor
+            f, basis = k.factor, None
             log_det = linalg.log_det(f)
-        return TeacherKernel(k, log_det, _sq_norm(f.inverse))
+        return TeacherKernel(f.inverse, k.jitter, log_det, _sq_norm(f.inverse), basis)
 
     @property
     def size(self) -> int:
-        return self.kernel.size
+        return self.inverse.shape[-1] if self.basis is None else self.basis.shape[-2]
 
     def __getitem__(self, i) -> "TeacherKernel":
         """Slice i of a stack, as views."""
-        return TeacherKernel(_kernel_slice(self.kernel, i), self.log_det[i],
-                             self.inv_sq_norm[i])
-
-
-def _kernel_slice(k: KernelMatrix | BasisKernel, i) -> KernelMatrix | BasisKernel:
-    if isinstance(k, BasisKernel):
-        return BasisKernel(k.basis[i], _kernel_slice(k.core, i))
-    f = k.factor
-    return KernelMatrix(k.gram[i], k.jitter[i],
-                        linalg.CholeskyFactor(f.lower[i], f.inverse[i], f.size))
+        return TeacherKernel(*(None if v is None else v[i] for v in vars(self).values()))
 
 
 def _as_features(phi, stacked: bool = False) -> np.ndarray:
@@ -377,10 +372,8 @@ def _teacher_half(s: StudentHalf, k_t) -> tuple[float, np.ndarray]:
     arr, c = s.features, s.c
     n = arr.shape[-2]
     t = k_t if isinstance(k_t, TeacherKernel) else TeacherKernel.of(k_t)
-    k_t = t.kernel
-    if isinstance(k_t, BasisKernel):
-        q, j = k_t.basis, k_t.jitter
-        inv_b = k_t.core.factor.inverse
+    if t.basis is not None:
+        q, j, inv_b = t.basis, t.jitter, t.inverse
         rest = n - q.shape[-1]
         g = q.swapaxes(-1, -2) @ arr
         e = arr - q @ g
@@ -389,10 +382,9 @@ def _teacher_half(s: StudentHalf, k_t) -> tuple[float, np.ndarray]:
                  + s.jitter * (t.inv_sq_norm + rest / j))
         kt_phi = q @ (inv_b.swapaxes(-1, -2) @ a) + e / np.expand_dims(j, (-2, -1))
     else:
-        inv_t = k_t.factor.inverse
-        a = inv_t @ arr
+        a = t.inverse @ arr
         trace = c * _sq_norm(a) + s.jitter * t.inv_sq_norm
-        kt_phi = inv_t.swapaxes(-1, -2) @ a
+        kt_phi = t.inverse.swapaxes(-1, -2) @ a
     return 0.5 * (trace - n + t.log_det - s.log_det), c * (kt_phi - s.solved)
 
 

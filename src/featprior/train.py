@@ -15,7 +15,9 @@ Conventions shared by every routine here:
 * An epoch hands its batch list to the objective (``objective.epoch``)
   before its first step.  A prior term then builds its teacher kernels in
   stacked calls over consecutive batches (``_teacher_kernels``), jitter
-  still escalating per batch, and each step takes its slice.
+  still escalating per batch, and each step takes its slice.  One run of
+  a group's kernels is alive at a time, dropped before the next is built,
+  and each holds L^{-1} (``TeacherKernel``), not the Gram or L.
 * A step is ``forward``, an objective returning (loss, task value, prior
   value, {hidden layer: dL/dh}, dL/dlogits), then ``autodiff.backward``
   down to the lowest unfrozen layer.  Term gradients are summed in one
@@ -47,6 +49,7 @@ from .data import (
     FeatureCache,
     Rows,
     SplitBatches,
+    _is_int,
     dataset_fingerprint,
     split_and_batch,
 )
@@ -112,6 +115,10 @@ class TrainPlan:
     mode: str = "two_phase"
 
     def __post_init__(self):
+        for name in ("seed", "batch_size", "phase1_epochs", "phase2_epochs"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.phase1_epochs < 0 or self.phase2_epochs < 0:
@@ -137,6 +144,11 @@ class LayerGroupMapping:
     entries: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        for pair in self.entries:
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and all(map(_is_int, pair))):
+                raise ConfigError(
+                    f"mapping entries must be pairs of integers, got {pair!r}")
         entries = tuple((int(s), int(g)) for s, g in self.entries)
         object.__setattr__(self, "entries", entries)
         for i, pair in enumerate(entries):
@@ -145,6 +157,9 @@ class LayerGroupMapping:
 
     def student_layers(self) -> set[int]:
         return {s for s, _ in self.entries}
+
+    def groups(self) -> set[int]:
+        return {g for _, g in self.entries}
 
     def validate_for(self, spec: NetworkSpec, cache: FeatureCache) -> None:
         for student_idx, gid in self.entries:
@@ -404,6 +419,7 @@ def _teacher_kernels(group: np.ndarray, batches, config: PriorConfig):
         kernels = TeacherKernel.of(feature_kernel(_rows(group, idx).astype(np.float64),
                                                   config))
         yield from [kernels] if end - start == 1 else [kernels[i] for i in range(end - start)]
+        del kernels  # this run's arrays go before the next run is built
         start = end
 
 
@@ -657,6 +673,16 @@ def run_distillation(student_spec: NetworkSpec, dataset: Dataset,
                      log=log, final_kl=final_kl)
 
 
+def cache_groups(mode: str, mapping: LayerGroupMapping, logits_group: int) -> set[int]:
+    """The teacher cache groups a fit in ``mode`` reads, and so all that a
+    distill loads: the mapping's for the feature priors (two_phase, joint,
+    and each expert under its own mapping), the logits group for the two
+    logit baselines, none for naive."""
+    if mode in ("hinton_baseline", "l2_baseline"):
+        return {logits_group}
+    return set() if mode == "naive" else mapping.groups()
+
+
 def _fit_mode(student: Model, dataset: Dataset, schedule, plan: TrainPlan, *, modes=None,
               cache: FeatureCache | None = None, mapping: LayerGroupMapping | None = None,
               experts: ExpertPriorSet | None = None, logits_group: int | None = None,
@@ -688,6 +714,8 @@ def _fit_mode(student: Model, dataset: Dataset, schedule, plan: TrainPlan, *, mo
             _check_cache_alignment(dataset, cache)
             if mode == "joint":
                 mapping.validate_for(student.spec, cache)
+            elif logits_group not in cache.groups:
+                raise ConfigError(f"feature group {logits_group} not present in cache")
         model = student.copy()
         _fit_epochs(model, dataset, schedule, plan,
                     _objective(modes, plan.prior, cache, mapping, logits_group),
@@ -798,7 +826,7 @@ def compare_methods(dataset: Dataset, teacher_spec: NetworkSpec,
 
     teachers = fit(teacher_spec, replace(teacher_plan, mode="naive"), ("naive",))[0]
     logits_group = teacher_spec.hidden_count
-    group_ids = sorted({gid for _, gid in mapping.entries} | {logits_group})
+    group_ids = sorted(mapping.groups() | {logits_group})
     caches = [extract_features(t, dataset, group_ids) for t in teachers]
     cache = FeatureCache(
         groups={gid: np.stack([c.groups[gid] for c in caches]) for gid in group_ids},

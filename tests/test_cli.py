@@ -460,6 +460,65 @@ class TestExtractAndDistill:
         phases = [l.split(",")[1] for l in lines]
         assert "1" in phases and "2" in phases
 
+    @pytest.mark.parametrize("mode", ["two_phase", "joint", "hinton_baseline",
+                                      "l2_baseline", "experts"])
+    def test_distill_holds_only_the_groups_it_reads(self, tmp_path, monkeypatch, mode):
+        # an [8, 8] teacher writes groups 0 and 1 and its logits as group 2; a
+        # distill keeps the groups its mode and mapping read, and writes the
+        # bytes of a distill that keeps every group
+        cfg = base_config()
+        cfg["teacher"]["hidden"] = [8, 8]
+        cfg["mapping"] = [[0, 1]]
+        cfg["plan"]["mode"] = "two_phase" if mode == "experts" else mode
+        path, out = self.pipeline(tmp_path, cfg)
+        if mode == "experts":
+            cfg["experts"] = [
+                {"cache": str(out / "features.fpfc"), "mapping": [[0, 1]]},
+                {"cache": str(out / "features.fpfc"), "mapping": [[0, 0]], "alpha": 0.5}]
+            path = write_config(tmp_path, cfg, name="experts.json")
+        held = []
+
+        def recorded(*args, **kwargs):
+            cache = read_cache(*args, **kwargs)
+            held.append(set(cache.groups))
+            return cache
+
+        def distill(to):
+            assert run("distill", "--config", path, "--out", str(to),
+                       "--features", str(out / "features.fpfc")) == 0
+            return [(to / f).read_bytes() for f in ("student.fpnn", "run_log.csv")]
+
+        monkeypatch.setattr("featprior.cli.read_cache", recorded)
+        kept = distill(tmp_path / "kept")
+        assert held == {"two_phase": [{1}], "joint": [{1}], "hinton_baseline": [{2}],
+                        "l2_baseline": [{2}], "experts": [{1}, {0}]}[mode]
+        monkeypatch.setattr("featprior.cli.read_cache", lambda path, *, expect_dataset,
+                            groups: read_cache(path, expect_dataset=expect_dataset))
+        assert kept == distill(tmp_path / "full")
+
+    @pytest.mark.parametrize("mode, group", [
+        ("two_phase", 0), ("joint", 0), ("experts", 5), ("hinton_baseline", 1),
+        ("l2_baseline", 1)])
+    def test_distill_group_missing_from_cache_exit_1(self, tmp_path, capsys, mode, group):
+        # the cache lacks the group the run reads: two_phase and joint map
+        # group 0 and the baselines read the logits, group 1, of a cache
+        # holding the other group only; the expert maps group 5 of an intact one
+        path, out = self.pipeline(tmp_path)
+        cache = read_cache(out / "features.fpfc")
+        cfg = base_config()
+        cfg["plan"]["mode"] = "two_phase" if mode == "experts" else mode
+        if mode == "experts":
+            cfg["experts"] = [{"cache": str(out / "features.fpfc"), "mapping": [[0, 5]]}]
+        else:
+            write_cache(out / "features.fpfc", replace(cache, groups={
+                1 - group: cache.groups[1 - group]}))
+        path = write_config(tmp_path, cfg, name="missing.json")
+        capsys.readouterr()
+        assert run("distill", "--config", path, "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: feature group {group} not present in cache\n")
+        assert not (out / "student.fpnn").exists()
+
     @pytest.mark.parametrize("mode", ["naive", "joint", "hinton_baseline"])
     def test_distill_experts_other_mode_exit_1(self, tmp_path, capsys, mode):
         # expert priors are a two-phase fit; another mode is refused, not

@@ -9,6 +9,7 @@ import struct
 import numpy as np
 import pytest
 
+from featprior import data
 from featprior.data import (
     Dataset,
     FeatureCache,
@@ -28,6 +29,7 @@ from featprior.errors import (
     ConfigError,
     CorruptFile,
     CountMismatch,
+    FeatPriorError,
     FingerprintMismatch,
     LabelOutOfRange,
     NonNumericCell,
@@ -55,6 +57,14 @@ def idx_image_bytes(images: np.ndarray) -> bytes:
 def idx_label_bytes(labels) -> bytes:
     labels = np.asarray(labels, dtype=np.uint8)
     return struct.pack(">II", 0x801, labels.size) + labels.tobytes()
+
+
+def packed_at(fmt, offset, *values):
+    """A function that packs ``values`` into a bytearray at ``offset``."""
+    def corrupt(blob: bytearray) -> bytearray:
+        struct.pack_into(fmt, blob, offset, *values)
+        return blob
+    return corrupt
 
 
 class TestLoadIdx:
@@ -402,6 +412,54 @@ class TestFeatureCache:
         with pytest.raises(CorruptFile, match="group 0 appears twice"):
             read_cache(path)
 
+    @pytest.mark.parametrize("keep", [{0}, {2}, {0, 2}, set(), {2, 5}])
+    def test_kept_groups_equal_a_full_read(self, tmp_path, monkeypatch, keep):
+        # a group that is not kept streams through the buffer in 5-value pieces
+        monkeypatch.setattr(data, "_SKIP_VALUES", 5)
+        path = tmp_path / "c.fpfc"
+        write_cache(path, self.make_cache())
+        full = read_cache(path)
+        kept = read_cache(path, groups=keep)
+        assert set(kept.groups) == keep & {0, 2}
+        for gid, mat in kept.groups.items():
+            assert mat.dtype == np.float32 and mat.flags.c_contiguous
+            np.testing.assert_array_equal(mat, full.groups[gid])
+        assert kept.dataset_fingerprint == full.dataset_fingerprint
+        assert kept.teacher_fingerprint == full.teacher_fingerprint
+
+    # each fault sits in group 2 (at 188; its values at 204), or in its id or
+    # row count; a read that keeps group 0 only, or no group, must refuse the
+    # file with the error of a full read, before allocating an oversized group
+    @pytest.mark.parametrize("corrupt, error, message", [
+        (lambda b: b[:196], CorruptFile, "truncated group header"),
+        (lambda b: b[:300], CorruptFile, "truncated group payload"),
+        (lambda b: b[:395], CorruptFile, "truncated group payload"),
+        (packed_at("<f", 204, np.nan), CorruptFile, "group 2 holds NaN or infinity"),
+        (packed_at("<f", 392, np.inf), CorruptFile, "group 2 holds NaN or infinity"),
+        (packed_at("<f", 392, -np.inf), CorruptFile, "group 2 holds NaN or infinity"),
+        (packed_at("<I", 188, 0), CorruptFile, "group 0 appears twice"),
+        (packed_at("<Q", 192, 10 ** 6), CorruptFile, "truncated group payload"),
+        (packed_at("<Q", 192, 2 ** 60), CorruptFile, "truncated group payload"),
+        (lambda b: b + b"x", CorruptFile, "trailing bytes after cache payload"),
+        # 12 x 4 in place of 6 x 8: the same payload, a different row count
+        (packed_at("<QI", 192, 12, 4), FeatPriorError, "disagree on row count"),
+    ], ids=["header", "payload", "last-value", "nan", "inf", "-inf", "repeated-id",
+            "rows-1e6", "rows-2^60", "trailing", "row-counts"])
+    @pytest.mark.parametrize("keep", [None, {0}, set()], ids=["all", "other", "none"])
+    def test_groups_not_kept_are_checked(self, tmp_path, monkeypatch, corrupt, error,
+                                         message, keep):
+        monkeypatch.setattr(data, "_SKIP_VALUES", 5)
+        blob = corrupt(bytearray(serialize_cache(self.make_cache())))
+        path = tmp_path / "c.fpfc"
+        path.write_bytes(bytes(blob))
+
+        def read():
+            with pytest.raises(error, match=message):
+                read_cache(path, groups=keep)
+
+        _, peak = traced_peak(read)
+        assert peak < 64 * 1024  # 10**6 rows of width 8 would be 32 MB
+
     @pytest.mark.parametrize("layout", ["float64", "non_contiguous", "fortran"])
     def test_write_cache_equals_serialize_cache(self, tmp_path, layout):
         rng = np.random.default_rng(7)
@@ -445,6 +503,16 @@ class TestFeatureCache:
             got = restored.groups[gid]
             assert got.dtype == np.float32 and got.flags.c_contiguous
             np.testing.assert_array_equal(got, mat)
+
+    def test_read_cache_holds_only_the_kept_groups(self, tmp_path):
+        # group 0 is checked through a buffer of _SKIP_VALUES float32 values
+        cache = self.large_cache()
+        path = tmp_path / "c.fpfc"
+        write_cache(path, cache)
+        restored, peak = traced_peak(read_cache, path, groups={1})
+        assert set(restored.groups) == {1}
+        assert peak <= cache.groups[1].nbytes + 4 * data._SKIP_VALUES + 64 * 1024
+        np.testing.assert_array_equal(restored.groups[1], cache.groups[1])
 
     def test_fingerprint_sensitive_to_labels(self):
         ds = synth_blobs(5, 2, 2, 1.0, seed=0)

@@ -555,10 +555,14 @@ class TestStackAxes:
             for s in range(3):
                 single = TeacherKernel.of(feature_kernel(phi[i, s], cfg))
                 sliced = stacked[i][s]
-                assert type(sliced.kernel) is type(single.kernel)
+                assert (sliced.basis is None) == (single.basis is None) == (p >= 5)
                 assert sliced.log_det == single.log_det
                 assert sliced.inv_sq_norm == single.inv_sq_norm
-                assert sliced.kernel.jitter == single.kernel.jitter
+                assert sliced.jitter == single.jitter
+                assert sliced.size == single.size == 5
+                np.testing.assert_array_equal(sliced.inverse, single.inverse)
+                if p < 5:
+                    np.testing.assert_array_equal(sliced.basis, single.basis)
 
 
 class TestStudentHalf:

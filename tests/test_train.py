@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -83,6 +84,28 @@ def rings_setup():
     teacher, _ = train_teacher(ds, teacher_spec, plan, split=split)
     cache = extract_features(teacher, ds, [0, 1, 2])
     return ds, split, teacher, cache
+
+
+class TestApiTypes:
+    """The Python API refuses the non-integers the config refuses, naming
+    the field and the value, rather than truncating or taking a bool."""
+
+    @pytest.mark.parametrize("build, named", [
+        (lambda: LayerGroupMapping(entries=((0.9, 1.6),)), "(0.9, 1.6)"),
+        (lambda: LayerGroupMapping(entries=((True, 1),)), "(True, 1)"),
+        (lambda: LayerGroupMapping(entries=((0, 1, 2),)), "(0, 1, 2)"),
+        (lambda: TrainPlan(batch_size=16.5), "batch_size must be an integer, got 16.5"),
+        (lambda: TrainPlan(phase1_epochs=1.5), "phase1_epochs must be an integer, got 1.5"),
+        (lambda: TrainPlan(phase2_epochs=2.0), "phase2_epochs must be an integer, got 2.0"),
+        (lambda: TrainPlan(seed=True), "seed must be an integer, got True"),
+        (lambda: BatchSchedule(np.arange(10), 3.7, 1),
+         "batch_size must be an integer, got 3.7"),
+    ], ids=["mapping-float", "mapping-bool", "mapping-triple", "batch_size",
+            "phase1_epochs", "phase2_epochs", "seed", "schedule-batch_size"])
+    def test_non_integer_is_config_error(self, build, named):
+        with pytest.raises(ConfigError) as excinfo:
+            build()
+        assert named in str(excinfo.value)
 
 
 class TestTrainTeacher:
@@ -405,14 +428,14 @@ class TestEpochTeacherKernels:
         for idx, k_t in zip(batches, train._teacher_kernels(group, batches, cfg),
                             strict=True):
             ref = gp_prior.feature_kernel(train._rows(group, idx).astype(np.float64), cfg)
-            assert type(k_t.kernel) is type(ref)
-            np.testing.assert_array_equal(k_t.kernel.jitter, ref.jitter)
+            assert (k_t.basis is None) == isinstance(ref, gp_prior.KernelMatrix)
+            np.testing.assert_array_equal(k_t.jitter, ref.jitter)
             phi_s = rng.standard_normal(idx.shape + (p_s,))
             value, grad = gp_prior.feature_kl_and_grad(phi_s, k_t, cfg)
             ref_value, ref_grad = gp_prior.feature_kl_and_grad(phi_s, ref, cfg)
             np.testing.assert_array_equal(value, ref_value)
             np.testing.assert_array_equal(grad, ref_grad)
-            jitters.append(np.asarray(k_t.kernel.jitter).tolist())
+            jitters.append(np.asarray(k_t.jitter).tolist())
         return builds, jitters
 
     @staticmethod
@@ -450,6 +473,38 @@ class TestEpochTeacherKernels:
         builds, jitters = self.check(monkeypatch, group, batches, cfg, 12)
         assert builds == [(4,), (2,), ()]
         assert jitters == [1e-16, 1e-15] + [1e-16] * 5
+
+    @pytest.mark.parametrize("p_t", [10, 5], ids=["dense", "basis"])
+    def test_one_run_alive_at_a_time(self, monkeypatch, p_t):
+        # runs of 4, 2 and a lone tail batch, stepped as the objective steps
+        # them, holding one slice at a time: no array of a run is alive while
+        # the next run is built, and a slice holds L^{-1} and not the Gram or L
+        batches = BatchSchedule(np.arange(50), 8, seed=1).epoch_batches(0)
+        group = self.group(p_t)
+        monkeypatch.setattr(train, "_TEACHER_CHUNK_BYTES", 4 * 8 * p_t * 8)
+        runs = []  # per run: weakrefs to (its inverse and Q, its Gram and L)
+        original = train.feature_kernel
+
+        def recorded(phi, config):
+            assert all(ref() is None for kept, dropped in runs for ref in kept + dropped)
+            k = original(phi, config)
+            core = k.core if isinstance(k, gp_prior.BasisKernel) else k
+            kept = [core.factor.inverse] + ([k.basis] if core is not k else [])
+            runs.append(([weakref.ref(a) for a in kept],
+                         [weakref.ref(core.gram), weakref.ref(core.factor.lower)]))
+            return k
+
+        monkeypatch.setattr(train, "feature_kernel", recorded)
+        kernels = train._teacher_kernels(group, batches, PriorConfig(jitter=1e-3))
+        for run in [0] * 4 + [1] * 2 + [2]:
+            k_t = next(kernels)
+            assert len(runs) == run + 1
+            kept, dropped = runs[run]
+            assert k_t.inverse.base is kept[0]() or k_t.inverse is kept[0]()
+            assert all(ref() is None for ref in dropped)
+            del k_t
+        assert next(kernels, None) is None
+        assert all(ref() is None for kept, dropped in runs for ref in kept + dropped)
 
     @pytest.mark.parametrize("mode", ["two_phase", "joint"])
     def test_fit_matches_per_batch_kernels(self, rings_setup, monkeypatch, mode):
