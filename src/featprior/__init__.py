@@ -28,7 +28,6 @@ from .data import (
     write_cache,
 )
 from .gp_prior import (
-    BasisKernel,
     KernelMatrix,
     PriorConfig,
     TeacherKernel,

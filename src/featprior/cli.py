@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config
-from .data import Dataset, read_cache, split_and_batch, write_cache
+from .data import Dataset, cache_widths, read_cache, split_and_batch, write_cache
 from .errors import ConfigError, FeatPriorError, NumericalError
 from .network import load_model, serialize_model
 from .train import (
@@ -114,6 +114,13 @@ def cmd_distill(cfg: ExperimentConfig, dataset: Dataset, out: Path, args) -> Non
     elif plan.mode != "naive":
         cache_path = Path(args.features) if args.features else out / "features.fpfc"
         cache = read(cache_path, "feature cache", cfg.mapping)
+        # the config's teacher names the groups: hidden layers, then logits
+        teacher = dict(enumerate([*cfg.teacher.hidden, dataset.class_count]))
+        for gid, width in sorted(cache_widths(cache_path).items()):
+            if teacher.get(gid) != width:
+                raise ConfigError(f"feature cache {cache_path} holds group {gid} of width "
+                                  f"{width}, which the config's teacher lacks: its "
+                                  f"groups are {teacher} (the last is its logits)")
 
     result = run_distillation(
         student_spec, dataset, split, plan, cache=cache, mapping=cfg.mapping,

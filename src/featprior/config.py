@@ -16,6 +16,7 @@ training starts.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -61,7 +62,9 @@ def _integer(low: int):
 
 # what a loader argument or a field's value must be, and the test of that
 _COUNT = _integer(1)
-_NUMBER = ("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool))
+# JSON has no NaN or Infinity, though Python's json module reads them
+_NUMBER = ("a number", lambda v: (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                                  and math.isfinite(v)))
 _STRING = ("a string", lambda v: isinstance(v, str))
 
 # a dataclass field's annotation -> the rule its JSON value must pass

@@ -391,6 +391,20 @@ def read_cache(path, expect_dataset: Dataset | None = None,
     return cache
 
 
+def cache_widths(path) -> dict[int, int]:
+    """Each group's width in an FPFC file that ``read_cache`` accepts, read
+    from the group headers alone: the payloads are skipped, not read."""
+    with open(path, "rb") as fh:
+        fh.seek(_CACHE_HEADER_BYTES - 4)
+        (group_count,) = struct.unpack("<I", fh.read(4))
+        widths = {}
+        for _ in range(group_count):
+            gid, n, width = struct.unpack("<IQI", fh.read(16))
+            widths[gid] = width
+            fh.seek(4 * n * width, os.SEEK_CUR)
+    return widths
+
+
 def _read_finite(fh, out: np.ndarray, path, gid: int) -> None:
     """Fill ``out`` from ``fh``; a short read or a NaN or infinity in it is
     ``CorruptFile``."""

@@ -26,7 +26,7 @@ K1 = c Phi Phi^T + j1 I the trace term needs no solve against K1:
 
 and the gradient reuses A as K2^{-1} Phi = L2^{-T} A.
 
-Training builds the teacher side with ``feature_kernel``.  When the batch
+The teacher side is ``feature_kernel``'s ``TeacherKernel``.  When the batch
 outnumbers the teacher's p2 features, the thin QR Phi2 = Q R holds
 everything about K2 = c2 Phi2 Phi2^T + j I in the p2 x p2 core
 B = c2 R R^T + j I, which is ``gram_kernel(R)`` because R is p2 wide:
@@ -65,12 +65,12 @@ layer shares it.
 
 ``feature_kernel`` and ``feature_kl_and_grad`` also take a stack of
 batches (... x n x p, with any leading axes: seeds, steps or both) and give
-each slice the bits of its own call; jitter escalates per slice.  Training
-builds the teacher side as a ``TeacherKernel`` (``TeacherKernel.of``), which
-keeps only what the KL reads: L2^{-1} (Q and L_B^{-1} for a basis kernel),
-the jitter, and log|K2| and ||L2^{-1}||_F^2 (||L_B^{-1}||_F^2), the parts
-no student changes, so that a stack of batches forms them in one pass.
-It drops the Gram and L.
+each slice the bits of its own call; jitter escalates per slice.  The
+``TeacherKernel`` keeps only what the KL reads: L2^{-1} (Q and L_B^{-1} in
+the feature basis), the jitter, and log|K2| and ||L2^{-1}||_F^2
+(||L_B^{-1}||_F^2), the parts no student changes, so that a stack of
+batches forms them in one pass.  It drops the Gram and L.  The n x n
+KernelMatrix that the public KL functions also take becomes one there.
 
 Baselines kept for comparison: temperature-softened soft-target matching
 on logits (which requires equal logit counts, the restriction the KL prior
@@ -82,7 +82,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -114,12 +114,12 @@ class PriorConfig:
     def __post_init__(self):
         # alpha = 0 is allowed so the joint objective can degenerate to
         # plain task training; negative strength is meaningless.
-        if self.alpha < 0.0:
-            raise FeatPriorError(f"alpha must be >= 0, got {self.alpha}")
-        if self.jitter < 0.0:
-            raise FeatPriorError(f"jitter must be >= 0, got {self.jitter}")
-        if not self.temperature > 0.0:
-            raise FeatPriorError(f"temperature must be > 0, got {self.temperature}")
+        if not 0.0 <= self.alpha < math.inf:
+            raise FeatPriorError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not 0.0 <= self.jitter < math.inf:
+            raise FeatPriorError(f"jitter must be finite and >= 0, got {self.jitter}")
+        if not 0.0 < self.temperature < math.inf:
+            raise FeatPriorError(f"temperature must be finite and > 0, got {self.temperature}")
 
 
 @dataclass(frozen=True)
@@ -134,32 +134,17 @@ class KernelMatrix:
     def size(self) -> int:
         return self.factor.size
 
-
-@dataclass(frozen=True)
-class BasisKernel:
-    """Jittered Gram K = c Phi Phi^T + jI of an n x p feature batch with
-    p < n, held in the batch's own feature basis: with the thin QR
-    Phi = Q R, K = Q B Q^T + j (I - Q Q^T) for the p x p core
-    B = c R R^T + jI.  Nothing n x n is formed."""
-
-    basis: np.ndarray
-    core: KernelMatrix
-
-    @property
-    def size(self) -> int:
-        return self.basis.shape[-2]
-
-    @property
-    def jitter(self) -> float:
-        return self.core.jitter
+    def _teacher(self) -> "TeacherKernel":
+        return TeacherKernel.of(self)
 
 
 @dataclass(frozen=True)
 class TeacherKernel:
-    """What the KL against a ``feature_kernel`` result reads, one per slice
-    of a stack: L^{-1}, the jitter, and the parts no student changes, log|K|
-    and ||L^{-1}||_F^2.  For a BasisKernel, ``inverse`` is its core's L_B^{-1}
-    and ``basis`` is Q; the Gram and L are not kept."""
+    """The teacher side of a KL, as ``feature_kernel`` returns it, one per
+    slice of a stack: L^{-1}, the jitter, and the parts no student changes,
+    log|K| and ||L^{-1}||_F^2.  In the feature basis (p < n) ``basis`` is Q
+    and ``inverse`` the core's L_B^{-1}.  The Gram and L are not kept; ``of``
+    takes them from an n x n KernelMatrix."""
 
     inverse: np.ndarray
     jitter: float | np.ndarray
@@ -168,14 +153,9 @@ class TeacherKernel:
     basis: np.ndarray | None = None
 
     @staticmethod
-    def of(k: KernelMatrix | BasisKernel) -> "TeacherKernel":
-        if isinstance(k, BasisKernel):
-            f, basis = k.core.factor, k.basis
-            log_det = linalg.log_det(f) + (k.size - f.size) * _log(k.jitter)
-        else:
-            f, basis = k.factor, None
-            log_det = linalg.log_det(f)
-        return TeacherKernel(f.inverse, k.jitter, log_det, _sq_norm(f.inverse), basis)
+    def of(k: KernelMatrix) -> "TeacherKernel":
+        f = k.factor
+        return TeacherKernel(f.inverse, k.jitter, linalg.log_det(f), _sq_norm(f.inverse))
 
     @property
     def size(self) -> int:
@@ -184,6 +164,9 @@ class TeacherKernel:
     def __getitem__(self, i) -> "TeacherKernel":
         """Slice i of a stack, as views."""
         return TeacherKernel(*(None if v is None else v[i] for v in vars(self).values()))
+
+    def _teacher(self) -> "TeacherKernel":
+        return self
 
 
 def _as_features(phi, stacked: bool = False) -> np.ndarray:
@@ -280,22 +263,24 @@ def _rank_deficient(n: int, p: int) -> FactorizationFailed:
     )
 
 
-def feature_kernel(phi, config: PriorConfig) -> KernelMatrix | BasisKernel:
-    """The jittered Gram of a feature batch, in the form the KL against it
-    is cheapest in: when p < n a BasisKernel whose core is
-    ``gram_kernel(R, config)`` for the thin QR Phi = Q R (R is p wide, so
-    width normalization and escalation act as on any Gram; zero jitter
-    raises FactorizationFailed), else exactly ``gram_kernel(phi, config)``.
+def feature_kernel(phi, config: PriorConfig) -> TeacherKernel:
+    """The TeacherKernel of a feature batch's jittered Gram, in the form the
+    KL against it is cheapest in: when p < n, with Q as its basis, that of
+    the core ``gram_kernel(R, config)`` for the thin QR Phi = Q R (R is p
+    wide, so width normalization and escalation act as on any Gram; zero
+    jitter raises FactorizationFailed) and log|K| = log|B| + (n - p) log j,
+    else ``TeacherKernel.of(gram_kernel(phi, config))``.
     """
     arr = _as_features(phi, stacked=True)
     n, p = arr.shape[-2:]
     kernel = gram_kernel if arr.ndim == 2 else _gram_kernel
     if p >= n:
-        return kernel(arr, config)
+        return TeacherKernel.of(kernel(arr, config))
     if config.jitter == 0.0:
         raise _rank_deficient(n, p)
     q, r = np.linalg.qr(arr)
-    return BasisKernel(basis=q, core=kernel(r, config))
+    core = TeacherKernel.of(kernel(r, config))
+    return replace(core, log_det=core.log_det + (n - p) * _log(core.jitter), basis=q)
 
 
 def kernel_from_gram(gram, jitter: float = 0.0) -> KernelMatrix:
@@ -363,15 +348,14 @@ def _student_half(arr: np.ndarray, config: PriorConfig) -> StudentHalf:
                        linalg.solve_spd(f, cols).swapaxes(-1, -2))
 
 
-def _teacher_half(s: StudentHalf, k_t) -> tuple[float, np.ndarray]:
+def _teacher_half(s: StudentHalf, t: TeacherKernel) -> tuple[float, np.ndarray]:
     """KL value and gradient c (K_t^{-1} - K_s^{-1}) Phi of one term, by the
     formulas in the module docstring: from A = L_t^{-1} Phi against an
     n x n kernel, from G = Q^T Phi, E = Phi - Q G and A = L_B^{-1} G
-    against a BasisKernel.  A TeacherKernel brings log|K_t| and
+    against a kernel with a basis.  The teacher brings log|K_t| and
     ||L^{-1}||_F^2 formed already."""
     arr, c = s.features, s.c
     n = arr.shape[-2]
-    t = k_t if isinstance(k_t, TeacherKernel) else TeacherKernel.of(k_t)
     if t.basis is not None:
         q, j, inv_b = t.basis, t.jitter, t.inverse
         rest = n - q.shape[-1]
@@ -401,15 +385,15 @@ def gp_kl_and_grad(phi_s, k_s: KernelMatrix, k_t: KernelMatrix,
             f"kernels of size {k_s.size}/{k_t.size} do not match batch {n}"
         )
     c = 1.0 / p if config.normalize_by_width else 1.0
-    return _teacher_half(StudentHalf.of_kernel(arr, k_s, c), k_t)
+    return _teacher_half(StudentHalf.of_kernel(arr, k_s, c), TeacherKernel.of(k_t))
 
 
-def feature_kl_and_grad(phi_s, k_t: KernelMatrix | BasisKernel | TeacherKernel,
+def feature_kl_and_grad(phi_s, k_t: TeacherKernel | KernelMatrix,
                         config: PriorConfig) -> tuple[float, np.ndarray]:
     """gp_kl(gram_kernel(phi_s, config), k_t) and its gradient d/d Phi_s,
-    for a teacher kernel from ``feature_kernel`` (bare or as a
-    ``TeacherKernel``) or any n x n KernelMatrix: the teacher half of the
-    student's half (``_student_half``).  When p >= n this is exactly
+    for a teacher kernel from ``feature_kernel`` or any n x n KernelMatrix
+    (converted by ``TeacherKernel.of``): the teacher half of the student's
+    half (``_student_half``).  When p >= n this is exactly
     ``gp_kl_and_grad(phi_s, gram_kernel(phi_s, config), k_t, config)``."""
     arr = _as_features(phi_s, stacked=True)
     n = arr.shape[-2]
@@ -417,7 +401,7 @@ def feature_kl_and_grad(phi_s, k_t: KernelMatrix | BasisKernel | TeacherKernel,
         raise DimensionMismatch(
             f"teacher kernel of size {k_t.size} does not match batch {n}"
         )
-    return _teacher_half(_student_half(arr, config), k_t)
+    return _teacher_half(_student_half(arr, config), k_t._teacher())
 
 
 def gp_kl_grad(phi_s, k1: KernelMatrix, k2: KernelMatrix,

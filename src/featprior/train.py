@@ -66,7 +66,6 @@ from .errors import (
 )
 from .gp_prior import (
     PriorConfig,
-    TeacherKernel,
     _soft_target,
     _softmax,
     _student_half,
@@ -178,8 +177,8 @@ class ExpertPrior:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ConfigError(f"expert weight must be > 0, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ConfigError(f"expert weight must be finite and > 0, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -416,8 +415,7 @@ def _teacher_kernels(group: np.ndarray, batches, config: PriorConfig):
                and batches[end].shape == batches[start].shape):
             end += 1
         idx = batches[start] if end - start == 1 else np.stack(batches[start:end])
-        kernels = TeacherKernel.of(feature_kernel(_rows(group, idx).astype(np.float64),
-                                                  config))
+        kernels = feature_kernel(_rows(group, idx).astype(np.float64), config)
         yield from [kernels] if end - start == 1 else [kernels[i] for i in range(end - start)]
         del kernels  # this run's arrays go before the next run is built
         start = end

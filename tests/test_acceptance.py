@@ -160,7 +160,7 @@ def test_a2_gradient_suite():
         assert err < 1e-4
 
     # 5 networks with the KL prior attached to a hidden layer
-    from featprior.gp_prior import _student_half, _teacher_half
+    from featprior.gp_prior import _student_half, _teacher_half, feature_kernel
     for _ in range(5):
         batch = int(rng.integers(2, 5))
         cfg = PriorConfig(jitter=1e-3)
@@ -168,7 +168,7 @@ def test_a2_gradient_suite():
         model = init_params(spec, seed=int(rng.integers(0, 2 ** 31)))
         x = rng.standard_normal((batch, 3))
         labels = rng.integers(0, 2, size=batch)
-        k2 = gram_kernel(rng.standard_normal((batch, 5)), cfg)
+        k2 = feature_kernel(rng.standard_normal((batch, 5)), cfg)
 
         def loss(m, x=x, labels=labels, k2=k2, cfg=cfg):
             record = forward(m, x)

@@ -4,6 +4,7 @@ byte-level determinism of rerun outputs."""
 from __future__ import annotations
 
 import json
+import math
 import re
 import struct
 from dataclasses import fields, replace
@@ -145,12 +146,20 @@ class TestConfigParsing:
         ("config", "out_dir", 5, "config out_dir must be a string or null, got 5"),
         ("experts", "alpha", "1", "experts[0] alpha must be a number, got '1'"),
         ("experts", "cache", 7, "experts[0] cache must be a string, got 7"),
+        ("prior", "alpha", math.nan, "prior alpha must be a number, got nan"),
+        ("prior", "alpha", math.inf, "prior alpha must be a number, got inf"),
+        ("prior", "jitter", math.nan, "prior jitter must be a number, got nan"),
+        ("prior", "temperature", -math.inf, "prior temperature must be a number, got -inf"),
+        ("plan", "lr_phase1", math.inf, "plan lr_phase1 must be a number, got inf"),
+        ("experts", "alpha", math.inf, "experts[0] alpha must be a number, got inf"),
     ], ids=["hidden-float", "hidden-str", "hidden-bool", "mapping-float", "seeds-float",
             "batch_size-float", "normalize_by_width-str", "alpha-bool", "lr_phase2-str",
             "phase2_epochs-float", "test_fraction-str", "out_dir-int", "expert-alpha-str",
-            "expert-cache-int"])
+            "expert-cache-int", "alpha-nan", "alpha-inf", "jitter-nan", "temperature-inf",
+            "lr_phase1-inf", "expert-alpha-inf"])
     def test_mistyped_value_exit_1(self, tmp_path, capsys, where, key, value, named):
-        # refused as the config is read: nothing is truncated or coerced
+        # refused as the config is read: nothing is truncated or coerced, and
+        # the NaN and Infinity that Python's json reads are not numbers
         cfg = base_config()
         cfg["plan"]["prior"] = {}
         cfg["experts"] = [{"cache": "a.fpfc", "mapping": [[0, 0]]}]
@@ -262,6 +271,9 @@ class TestTrainTeacherCommand:
         ({"n_per_class": 0}, "n_per_class must be an integer >= 1, got 0"),
         ({"seed": -3}, "seed must be an integer >= 0, got -3"),
         ({"separation": "8"}, "separation must be a number, got '8'"),
+        ({"separation": math.nan}, "separation must be a number, got nan"),
+        ({"kind": "synth_rings", "n_per_class": 40, "classes": 2, "noise": math.inf,
+          "seed": 5}, "noise must be a number, got inf"),
         ({"kind": "synth_rings", "n_per_class": 40, "classes": 2, "noise": None,
           "seed": 5}, "noise must be a number, got None"),
         ({"kind": "csv", "path": 7, "label_column": "y"},
@@ -270,7 +282,7 @@ class TestTrainTeacherCommand:
          "labels must be a string, got ['l.idx']"),
     ], ids=["classes-float", "classes-str", "classes-negative", "classes-bool",
             "dim-0", "n_per_class-0", "seed-negative", "separation-str",
-            "noise-null", "csv-path", "idx-labels"])
+            "separation-nan", "noise-inf", "noise-null", "csv-path", "idx-labels"])
     def test_bad_dataset_argument_exit_1(self, tmp_path, capsys, dataset, named):
         # each is refused when the config is read, before any data is made
         cfg = base_config()
@@ -517,6 +529,36 @@ class TestExtractAndDistill:
         assert run("distill", "--config", path, "--out", str(out)) == 1
         assert capsys.readouterr().err == (
             f"error: feature group {group} not present in cache\n")
+        assert not (out / "student.fpnn").exists()
+
+    @pytest.mark.parametrize("mode", ["two_phase", "hinton_baseline"])
+    @pytest.mark.parametrize("cached, group, width", [
+        ("deeper", 2, 2), ("narrower", 0, 6), ("logits", 1, 3)])
+    def test_distill_cache_of_another_teacher_exit_1(self, tmp_path, capsys, mode,
+                                                     cached, group, width):
+        # the config's teacher is [8] with 2 classes, so its groups are
+        # {0: 8, 1: 2}; the cache comes from a [8, 2] teacher (an extra
+        # group 2), a [6] teacher (group 0 is 6 wide), or is a hand-made
+        # copy whose logits group is 3 wide.  two_phase reads group 0 and
+        # hinton_baseline group 1, so some refused groups are not kept
+        cfg = base_config()
+        cfg["teacher"]["hidden"] = {"deeper": [8, 2], "narrower": [6], "logits": [8]}[cached]
+        _, out = self.pipeline(tmp_path, cfg)
+        features = out / "features.fpfc"
+        if cached == "logits":
+            cache = read_cache(features)
+            write_cache(features, replace(cache, groups={
+                0: cache.groups[0], 1: np.zeros((cache.n, 3), dtype=np.float32)}))
+        cfg = base_config()
+        cfg["plan"]["mode"] = mode
+        path = write_config(tmp_path, cfg, name="student.json")
+        capsys.readouterr()
+        assert run("distill", "--config", path, "--out", str(out),
+                   "--features", str(features)) == 1
+        assert capsys.readouterr().err == (
+            f"error: feature cache {features} holds group {group} of width {width}, "
+            "which the config's teacher lacks: its groups are {0: 8, 1: 2} "
+            "(the last is its logits)\n")
         assert not (out / "student.fpnn").exists()
 
     @pytest.mark.parametrize("mode", ["naive", "joint", "hinton_baseline"])

@@ -18,7 +18,6 @@ from featprior.errors import (
 )
 from featprior import gp_prior, linalg
 from featprior.gp_prior import (
-    BasisKernel,
     PriorConfig,
     TeacherKernel,
     feature_kernel,
@@ -355,7 +354,7 @@ class TestFeatureKernel:
     @staticmethod
     def assert_matches_dense(phi_s, phi_t, cfg):
         k_t = feature_kernel(phi_t, cfg)
-        assert isinstance(k_t, BasisKernel)
+        assert k_t.basis is not None
         value, grad = feature_kl_and_grad(phi_s, k_t, cfg)
         ref_value, ref_grad = feature_kl_and_grad(phi_s, gram_kernel(phi_t, cfg), cfg)
         assert value == pytest.approx(ref_value, rel=1e-10)
@@ -407,7 +406,7 @@ class TestFeatureKernel:
         cfg = PriorConfig(jitter=1e-3, normalize_by_width=normalize)
         phi_s = rng.standard_normal((5, 2))
         k_t = feature_kernel(rng.standard_normal((5, 2)), cfg)
-        assert isinstance(k_t, BasisKernel)
+        assert k_t.basis is not None
         _, grad = feature_kl_and_grad(phi_s, k_t, cfg)
 
         def f(flat):
@@ -421,11 +420,30 @@ class TestFeatureKernel:
         cfg = PriorConfig()
         phi_t = np.random.default_rng(85).standard_normal((n, p))
         k_t = feature_kernel(phi_t, cfg)
-        ref = gram_kernel(phi_t, cfg)
+        ref = TeacherKernel.of(gram_kernel(phi_t, cfg))
+        assert k_t.basis is ref.basis is None
         assert k_t.jitter == ref.jitter
-        np.testing.assert_array_equal(k_t.gram, ref.gram)
-        np.testing.assert_array_equal(k_t.factor.lower, ref.factor.lower)
-        np.testing.assert_array_equal(k_t.factor.inverse, ref.factor.inverse)
+        assert k_t.log_det == ref.log_det
+        assert k_t.inv_sq_norm == ref.inv_sq_norm
+        assert k_t.size == ref.size == n
+        np.testing.assert_array_equal(k_t.inverse, ref.inverse)
+
+    @pytest.mark.parametrize("n,p", [(8, 3), (64, 16), (256, 64)])
+    def test_narrow_teacher_is_its_core(self, n, p):
+        # p < n: Q of the thin QR, the core gram_kernel(R)'s L^{-1}, jitter
+        # and ||L^{-1}||_F^2, and log|K| = log|B| + (n - p) log j
+        cfg = PriorConfig()
+        phi_t = np.random.default_rng(87).standard_normal((n, p))
+        k_t = feature_kernel(phi_t, cfg)
+        q, r = np.linalg.qr(phi_t)
+        core = gram_kernel(r, cfg)
+        assert k_t.jitter == core.jitter == cfg.jitter
+        assert k_t.log_det == (linalg.log_det(core.factor)
+                               + (n - p) * math.log(core.jitter))
+        assert k_t.inv_sq_norm == float(np.vdot(core.factor.inverse, core.factor.inverse))
+        assert k_t.size == n
+        np.testing.assert_array_equal(k_t.basis, q)
+        np.testing.assert_array_equal(k_t.inverse, core.factor.inverse)
 
     def test_zero_jitter_narrow_teacher_fails(self):
         phi_t = np.random.default_rng(86).standard_normal((8, 3))
@@ -516,7 +534,7 @@ class TestStackedSeeds:
         phi_t = np.stack([[[0.0, 1.0], [0, 1], [0, 0]],
                           rng.standard_normal((3, 2))])
         k_t = feature_kernel(phi_t, self.CFG)
-        assert isinstance(k_t, BasisKernel)
+        assert k_t.basis is not None
         assert k_t.jitter.tolist() == [feature_kernel(t, self.CFG).jitter
                                        for t in phi_t] == [1e-15, 1e-16]
         self.check(phi_s, phi_t)
@@ -550,10 +568,10 @@ class TestStackAxes:
     def test_teacher_kernel_parts(self, p):
         phi = np.random.default_rng(96).standard_normal((2, 3, 5, p))
         cfg = PriorConfig()
-        stacked = TeacherKernel.of(feature_kernel(phi, cfg))
+        stacked = feature_kernel(phi, cfg)
         for i in range(2):
             for s in range(3):
-                single = TeacherKernel.of(feature_kernel(phi[i, s], cfg))
+                single = feature_kernel(phi[i, s], cfg)
                 sliced = stacked[i][s]
                 assert (sliced.basis is None) == (single.basis is None) == (p >= 5)
                 assert sliced.log_det == single.log_det
@@ -569,7 +587,7 @@ class TestStudentHalf:
     """One student half serves every KL term on its layer: each teacher
     half of it has the bits of that term's own feature_kl_and_grad call,
     for either student branch, a batch or a 2 x 3 stack, and a dense or a
-    basis teacher, bare or as a TeacherKernel."""
+    basis TeacherKernel."""
 
     @pytest.mark.parametrize("stack", [(), (2, 3)], ids=["single", "stacked"])
     @pytest.mark.parametrize("p", [5, 12], ids=["narrow", "wide"])
@@ -579,8 +597,7 @@ class TestStudentHalf:
         phi_s = rng.standard_normal((*stack, 8, p))
         teachers = [feature_kernel(rng.standard_normal((*stack, 8, w)), cfg)
                     for w in (3, 16)]
-        assert [type(k) for k in teachers] == [BasisKernel, gp_prior.KernelMatrix]
-        teachers += [TeacherKernel.of(k) for k in teachers]
+        assert [k.basis is None for k in teachers] == [False, True]
         half = gp_prior._student_half(phi_s, cfg)
         for k_t in teachers + teachers[::-1]:
             value, grad = gp_prior._teacher_half(half, k_t)
@@ -598,7 +615,7 @@ class TestStudentHalf:
         k_s = gram_kernel(phi_s, cfg)
         assert half.jitter == k_s.jitter
         assert half.log_det == linalg.log_det(k_s.factor)
-        value, grad = gp_prior._teacher_half(half, k_t)
+        value, grad = gp_prior._teacher_half(half, TeacherKernel.of(k_t))
         ref_value, ref_grad = gp_kl_and_grad(phi_s, k_s, k_t, cfg)
         assert value == ref_value
         np.testing.assert_array_equal(grad, ref_grad)

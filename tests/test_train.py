@@ -28,6 +28,7 @@ from featprior.errors import (
     ConfigError,
     DimensionMismatch,
     EmptyExpertSet,
+    FeatPriorError,
     FingerprintMismatch,
     LayerOutOfRange,
 )
@@ -106,6 +107,26 @@ class TestApiTypes:
         with pytest.raises(ConfigError) as excinfo:
             build()
         assert named in str(excinfo.value)
+
+    @pytest.mark.parametrize("build, named", [
+        (lambda: PriorConfig(alpha=math.nan), "alpha must be finite and >= 0, got nan"),
+        (lambda: PriorConfig(alpha=math.inf), "alpha must be finite and >= 0, got inf"),
+        (lambda: PriorConfig(jitter=math.nan), "jitter must be finite and >= 0, got nan"),
+        (lambda: PriorConfig(jitter=math.inf), "jitter must be finite and >= 0, got inf"),
+        (lambda: PriorConfig(temperature=math.nan),
+         "temperature must be finite and > 0, got nan"),
+        (lambda: PriorConfig(temperature=math.inf),
+         "temperature must be finite and > 0, got inf"),
+        (lambda: ExpertPrior(None, LayerGroupMapping(((0, 0),)), math.nan),
+         "expert weight must be finite and > 0, got nan"),
+        (lambda: ExpertPrior(None, LayerGroupMapping(((0, 0),)), math.inf),
+         "expert weight must be finite and > 0, got inf"),
+    ], ids=["alpha-nan", "alpha-inf", "jitter-nan", "jitter-inf", "temperature-nan",
+            "temperature-inf", "expert-alpha-nan", "expert-alpha-inf"])
+    def test_non_finite_is_refused(self, build, named):
+        with pytest.raises(FeatPriorError) as excinfo:
+            build()
+        assert str(excinfo.value) == named
 
 
 class TestTrainTeacher:
@@ -428,7 +449,7 @@ class TestEpochTeacherKernels:
         for idx, k_t in zip(batches, train._teacher_kernels(group, batches, cfg),
                             strict=True):
             ref = gp_prior.feature_kernel(train._rows(group, idx).astype(np.float64), cfg)
-            assert (k_t.basis is None) == isinstance(ref, gp_prior.KernelMatrix)
+            assert (k_t.basis is None) == (ref.basis is None) == (group.shape[-1] >= idx.shape[-1])
             np.testing.assert_array_equal(k_t.jitter, ref.jitter)
             phi_s = rng.standard_normal(idx.shape + (p_s,))
             value, grad = gp_prior.feature_kl_and_grad(phi_s, k_t, cfg)
@@ -483,17 +504,25 @@ class TestEpochTeacherKernels:
         group = self.group(p_t)
         monkeypatch.setattr(train, "_TEACHER_CHUNK_BYTES", 4 * 8 * p_t * 8)
         runs = []  # per run: weakrefs to (its inverse and Q, its Gram and L)
-        original = train.feature_kernel
+        original, factor_jittered = train.feature_kernel, gp_prior._factor_jittered
+        factored = []  # what feature_kernel factored: (Gram, its factor)
+
+        def observed(base, jitter, what):
+            gram, used, factor = factor_jittered(base, jitter, what)
+            factored.append((gram, factor))
+            return gram, used, factor
 
         def recorded(phi, config):
             assert all(ref() is None for kept, dropped in runs for ref in kept + dropped)
             k = original(phi, config)
-            core = k.core if isinstance(k, gp_prior.BasisKernel) else k
-            kept = [core.factor.inverse] + ([k.basis] if core is not k else [])
+            (gram, factor), = factored
+            factored.clear()
+            kept = [factor.inverse] + ([k.basis] if k.basis is not None else [])
             runs.append(([weakref.ref(a) for a in kept],
-                         [weakref.ref(core.gram), weakref.ref(core.factor.lower)]))
+                         [weakref.ref(gram), weakref.ref(factor.lower)]))
             return k
 
+        monkeypatch.setattr(gp_prior, "_factor_jittered", observed)
         monkeypatch.setattr(train, "feature_kernel", recorded)
         kernels = train._teacher_kernels(group, batches, PriorConfig(jitter=1e-3))
         for run in [0] * 4 + [1] * 2 + [2]:
