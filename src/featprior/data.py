@@ -245,6 +245,8 @@ class BatchSchedule:
             raise BatchTooSmall(
                 f"batch size {batch_size} < 2: Gram matrix would be degenerate"
             )
+        if not (_is_int(seed) and seed >= 0):
+            raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
         self.indices = np.asarray(indices, dtype=np.int64)
         self.batch_size = int(batch_size)
         self.seed = int(seed)

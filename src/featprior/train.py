@@ -22,10 +22,11 @@ Conventions shared by every routine here:
   value, {hidden layer: dL/dh}, dL/dlogits), then ``autodiff.backward``
   down to the lowest unfrozen layer.  Term gradients are summed in one
   fixed order: a layer's prior terms last term first, baselines before CE.
-* Every prior term is an ``ExpertPrior`` (cache, mapping, alpha), and phase 1
-  has one body, ``_phase1_fit``: two_phase runs it on one expert at alpha 1,
-  ``combine_experts_fit`` on the expert set.  Expert priors train in
-  two_phase mode only; any other mode raises ``ConfigError``.
+* Every prior term is an ``ExpertPrior`` (cache, mapping, alpha).  Phase 1
+  is ``phase1_feature_fit`` over an ``ExpertPriorSet``; a plain cache and
+  mapping is one expert at alpha 1, and every two_phase fit reports phase 1's
+  final KL.  Expert priors train in two_phase mode only; any other mode
+  raises ``ConfigError``.
 * ``compare_methods`` trains each fit as one problem: the model, optimizer
   state, batches and teacher caches carry a leading seed axis, losses are
   one per slice, and each slice gets the bits of its own run.  The one-phase
@@ -124,6 +125,11 @@ class TrainPlan:
             raise ConfigError("epoch counts must be >= 0")
         if self.batch_size < 2:
             raise BatchTooSmall(f"batch size {self.batch_size} < 2")
+        for name, lr in (("lr_phase1", self.lr_phase1), ("lr_phase2", self.lr_phase2)):
+            if not 0.0 < lr < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {lr}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.mode not in MODES:
@@ -314,7 +320,10 @@ def extract_features(model: Model, dataset: Dataset, layer_ids,
     Layer index L (the hidden-layer count) selects the classifier logits,
     which the soft-target and logit-regression baselines consume.
     """
-    layer_ids = sorted(int(i) for i in set(layer_ids))
+    layer_ids = list(layer_ids)
+    if not all(map(_is_int, layer_ids)):
+        raise ConfigError(f"layer ids must be integers, got {layer_ids!r}")
+    layer_ids = sorted(set(map(int, layer_ids)))
     max_id = model.spec.hidden_count
     for lid in layer_ids:
         if not 0 <= lid <= max_id:
@@ -559,36 +568,26 @@ def train_teacher(dataset: Dataset, spec: NetworkSpec, plan: TrainPlan, *,
     return model, MetricsReport.single(plan.seed, metrics)
 
 
-def phase1_feature_fit(student: Model, dataset: Dataset, cache: FeatureCache,
-                       mapping: LayerGroupMapping, plan: TrainPlan, *,
-                       schedule: BatchSchedule | None = None,
-                       train: Rows | None = None,
-                       test: Rows | None = None,
+def phase1_feature_fit(student: Model, dataset: Dataset, experts: ExpertPriorSet,
+                       plan: TrainPlan, *, schedule: BatchSchedule | None = None,
+                       train: Rows | None = None, test: Rows | None = None,
                        log: list | None = None) -> tuple[Model, float | None]:
-    """Label-free phase: fit mapped student layers so their batch Grams
-    match the teacher's, by KL gradient descent.
+    """Label-free phase: fit the experts' mapped student layers so their
+    batch Grams match the teachers', by gradient descent on
+    sum_j alpha_j * KL_j; a single teacher is one expert at alpha 1.
 
     Returns the trained copy and the final epoch's mean per-batch KL (for
-    a stacked student, its mean over seeds).  An empty mapping returns the
-    student unchanged.
+    a stacked student, its mean over seeds).  With no mapped layer it is
+    the untrained copy and None, and logs nothing.
     """
-    return _phase1_fit(student, dataset, (ExpertPrior(cache, mapping),), plan,
-                       _make_schedule(plan, schedule, train, dataset), test, log)
-
-
-def _phase1_fit(student: Model, dataset: Dataset, experts, plan: TrainPlan, schedule,
-                test: Rows | None, log: list | None) -> tuple[Model, float | None]:
-    """Phase 1 of two_phase and of combined experts: the trained copy of
-    ``student`` minimizing sum_j alpha_j * KL_j, and the final epoch's KL.
-    With no mapped layer it is the untrained copy and None, and logs nothing."""
-    for expert in experts:
+    for expert in experts.experts:
         _check_cache_alignment(dataset, expert.cache)
         expert.mapping.validate_for(student.spec, expert.cache)
     model = student.copy()
-    if not any(expert.mapping.entries for expert in experts):
+    if not any(expert.mapping.entries for expert in experts.experts):
         return model, None
-    final_kl = _fit_epochs(model, dataset, schedule, plan,
-                           _prior_objective(experts, plan.prior),
+    final_kl = _fit_epochs(model, dataset, _make_schedule(plan, schedule, train, dataset),
+                           plan, _prior_objective(experts.experts, plan.prior),
                            epochs=plan.phase1_epochs, lr=plan.lr_phase1,
                            phase=1, test=test, log=log)
     if np.ndim(final_kl):  # fsum / S, as statistics.fmean computes a mean of seeds
@@ -628,19 +627,16 @@ def joint_fit(student: Model, dataset: Dataset, cache: FeatureCache,
                      cache=cache, mapping=mapping, test=test, log=log)[0]
 
 
-def combine_experts_fit(student: Model, dataset: Dataset,
-                        experts: ExpertPriorSet, plan: TrainPlan, *,
-                        schedule: BatchSchedule | None = None,
-                        train: Rows | None = None,
-                        test: Rows | None = None,
+def combine_experts_fit(student: Model, dataset: Dataset, experts: ExpertPriorSet,
+                        plan: TrainPlan, *, schedule: BatchSchedule | None = None,
+                        train: Rows | None = None, test: Rows | None = None,
                         log: list | None = None) -> Model:
-    """Multiple teachers as independent priors: phase 1 minimizes
-    sum_j alpha_j * KL_j, then phase 2 trains the remaining layers."""
+    """Multiple teachers as independent priors, trained two_phase whatever
+    the plan's mode: phase 1 minimizes sum_j alpha_j * KL_j, then phase 2
+    trains the remaining layers."""
     schedule = _make_schedule(plan, schedule, train, dataset)
-    model, _ = _phase1_fit(student, dataset, experts.experts, plan, schedule, test, log)
-    frozen = set().union(*(e.mapping.student_layers() for e in experts.experts))
-    return phase2_task_fit(model, dataset, plan, frozen, schedule=schedule,
-                           test=test, log=log)
+    return _fit_mode(student, dataset, schedule, replace(plan, mode="two_phase"),
+                     experts=experts, test=test, log=log)[0]
 
 
 # -- mode dispatch and comparisons -------------------------------------------
@@ -687,39 +683,37 @@ def _fit_mode(student: Model, dataset: Dataset, schedule, plan: TrainPlan, *, mo
               test: Rows | None = None,
               log: list | None = None) -> tuple[Model, float | None]:
     """The trained copy of ``student`` in the plan's mode, and phase 1's
-    final KL (two_phase only).  ``modes``, one-phase modes, splits a
+    final KL (two_phase only, for a plain cache and mapping or ``experts``;
+    None with no mapped layer).  ``modes``, one-phase modes, splits a
     stacked student into that many equal blocks, each trained in its mode."""
     modes = modes or (plan.mode,)
     if experts is not None and modes != ("two_phase",):
         raise ConfigError(f"expert priors need two_phase mode, not {'/'.join(modes)}")
-    final_kl = None
-    if experts is not None:
-        model = combine_experts_fit(student, dataset, experts, plan,
-                                    schedule=schedule, test=test, log=log)
-    elif modes == ("two_phase",):
-        if cache is None or mapping is None:
-            raise ConfigError("two_phase mode needs a feature cache and mapping")
-        model, final_kl = phase1_feature_fit(student, dataset, cache, mapping,
-                                             plan, schedule=schedule,
-                                             test=test, log=log)
-        model = phase2_task_fit(model, dataset, plan, mapping.student_layers(),
-                                schedule=schedule, test=test, log=log)
-    else:
-        for mode in (m for m in modes if m != "naive"):
-            if cache is None or (mapping if mode == "joint" else logits_group) is None:
-                raise ConfigError(f"{mode} mode needs a teacher feature cache and "
-                                  + ("a mapping" if mode == "joint" else "its logits"))
-            _check_cache_alignment(dataset, cache)
-            if mode == "joint":
-                mapping.validate_for(student.spec, cache)
-            elif logits_group not in cache.groups:
-                raise ConfigError(f"feature group {logits_group} not present in cache")
-        model = student.copy()
-        _fit_epochs(model, dataset, schedule, plan,
-                    _objective(modes, plan.prior, cache, mapping, logits_group),
-                    epochs=plan.total_epochs, lr=plan.lr_phase2, phase=2,
-                    test=test, log=log)
-    return model, final_kl
+    if modes == ("two_phase",):
+        if experts is None:
+            if cache is None or mapping is None:
+                raise ConfigError("two_phase mode needs a feature cache and mapping")
+            experts = ExpertPriorSet((ExpertPrior(cache, mapping),))
+        model, final_kl = phase1_feature_fit(student, dataset, experts, plan,
+                                             schedule=schedule, test=test, log=log)
+        frozen = set().union(*(e.mapping.student_layers() for e in experts.experts))
+        return phase2_task_fit(model, dataset, plan, frozen, schedule=schedule,
+                               test=test, log=log), final_kl
+    for mode in (m for m in modes if m != "naive"):
+        if cache is None or (mapping if mode == "joint" else logits_group) is None:
+            raise ConfigError(f"{mode} mode needs a teacher feature cache and "
+                              + ("a mapping" if mode == "joint" else "its logits"))
+        _check_cache_alignment(dataset, cache)
+        if mode == "joint":
+            mapping.validate_for(student.spec, cache)
+        elif logits_group not in cache.groups:
+            raise ConfigError(f"feature group {logits_group} not present in cache")
+    model = student.copy()
+    _fit_epochs(model, dataset, schedule, plan,
+                _objective(modes, plan.prior, cache, mapping, logits_group),
+                epochs=plan.total_epochs, lr=plan.lr_phase2, phase=2,
+                test=test, log=log)
+    return model, None
 
 
 @dataclass
@@ -789,6 +783,9 @@ def compare_methods(dataset: Dataset, teacher_spec: NetworkSpec,
     and feature cache.  The seeds train together (``_StackedSchedule``), and
     one-phase modes whose plans differ only in the mode share a fit.
     """
+    seeds = list(seeds)
+    if not all(map(_is_int, seeds)):
+        raise ConfigError(f"seeds must be integers, got {seeds!r}")
     seeds = [int(s) for s in seeds]
     if len(seeds) < 2:
         raise ConfigError("need at least 2 seeds for a standard error")

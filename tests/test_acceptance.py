@@ -217,8 +217,9 @@ def test_a3_reduction_checks():
         ExpertPriorSet(experts=(ExpertPrior(cache=cache, mapping=mapping,
                                             alpha=1.0),)),
         plan, train=split.train)
-    after1, _ = phase1_feature_fit(student, ds, cache, mapping, plan,
-                                   train=split.train)
+    after1, _ = phase1_feature_fit(
+        student, ds, ExpertPriorSet((ExpertPrior(cache, mapping),)), plan,
+        train=split.train)
     plain = phase2_task_fit(after1, ds, plan, mapping.student_layers(),
                             train=split.train)
     assert all(np.array_equal(p, q) for p, q in
@@ -395,8 +396,9 @@ def test_a8_phase_separation_and_label_blindness():
     student = init_params(spec, seed=21)
 
     # phase separation: phase 2 leaves the mapped layer bitwise untouched
-    after1, _ = phase1_feature_fit(student, ds, cache, mapping, plan,
-                                   train=split.train)
+    after1, _ = phase1_feature_fit(
+        student, ds, ExpertPriorSet((ExpertPrior(cache, mapping),)), plan,
+        train=split.train)
     after2 = phase2_task_fit(after1, ds, plan, mapping.student_layers(),
                              train=split.train)
     assert np.array_equal(after2.weights[0], after1.weights[0])
@@ -408,8 +410,9 @@ def test_a8_phase_separation_and_label_blindness():
                        class_count=ds.class_count)
     permuted_split = split_and_batch(permuted, 0.5, 16, seed=1)
     permuted_cache = extract_features(teacher, permuted, [0, 1, 2])
-    b, _ = phase1_feature_fit(student, permuted, permuted_cache, mapping, plan,
-                              train=permuted_split.train)
+    b, _ = phase1_feature_fit(
+        student, permuted, ExpertPriorSet((ExpertPrior(permuted_cache, mapping),)),
+        plan, train=permuted_split.train)
     assert all(np.array_equal(p, q) for p, q in
                zip(after1.parameters(), b.parameters()))
     report("A8", "frozen parameters bitwise unchanged by phase 2; "

@@ -43,10 +43,13 @@ def base_config():
 
 def non_default_fields(cls, shift: int) -> dict:
     """A JSON object giving every field of the plan or prior dataclass
-    ``cls`` a valid value other than its default; numbers move by ``shift``."""
+    ``cls`` a valid value other than its default; numbers move by ``shift``,
+    momentum, which must stay below 1, is divided by 1 + ``shift``."""
     out = {}
     for f in fields(cls):
-        if isinstance(f.default, PriorConfig):
+        if f.name == "momentum":
+            out[f.name] = f.default / (1 + shift)
+        elif isinstance(f.default, PriorConfig):
             out[f.name] = non_default_fields(PriorConfig, shift)
         elif isinstance(f.default, bool):
             out[f.name] = not f.default
@@ -152,11 +155,12 @@ class TestConfigParsing:
         ("prior", "temperature", -math.inf, "prior temperature must be a number, got -inf"),
         ("plan", "lr_phase1", math.inf, "plan lr_phase1 must be a number, got inf"),
         ("experts", "alpha", math.inf, "experts[0] alpha must be a number, got inf"),
+        ("plan", "lr_phase1", -0.01, "bad plan: lr_phase1 must be finite and > 0, got -0.01"),
     ], ids=["hidden-float", "hidden-str", "hidden-bool", "mapping-float", "seeds-float",
             "batch_size-float", "normalize_by_width-str", "alpha-bool", "lr_phase2-str",
             "phase2_epochs-float", "test_fraction-str", "out_dir-int", "expert-alpha-str",
             "expert-cache-int", "alpha-nan", "alpha-inf", "jitter-nan", "temperature-inf",
-            "lr_phase1-inf", "expert-alpha-inf"])
+            "lr_phase1-inf", "expert-alpha-inf", "lr_phase1-negative"])
     def test_mistyped_value_exit_1(self, tmp_path, capsys, where, key, value, named):
         # refused as the config is read: nothing is truncated or coerced, and
         # the NaN and Infinity that Python's json reads are not numbers

@@ -64,6 +64,11 @@ from featprior.train import (
 from oracles import traced_peak
 
 
+def one_expert(cache: FeatureCache, mapping: LayerGroupMapping) -> ExpertPriorSet:
+    """A single teacher's prior, as phase 1 takes it: one expert at alpha 1."""
+    return ExpertPriorSet((ExpertPrior(cache, mapping),))
+
+
 def params_equal(a: Model, b: Model) -> bool:
     return all(np.array_equal(p, q)
                for p, q in zip(a.parameters(), b.parameters()))
@@ -101,8 +106,18 @@ class TestApiTypes:
         (lambda: TrainPlan(seed=True), "seed must be an integer, got True"),
         (lambda: BatchSchedule(np.arange(10), 3.7, 1),
          "batch_size must be an integer, got 3.7"),
+        (lambda: BatchSchedule(np.arange(10), 4, 1.5), "seed must be an integer >= 0, got 1.5"),
+        (lambda: BatchSchedule(np.arange(10), 4, -1), "seed must be an integer >= 0, got -1"),
+        (lambda: compare_methods(synth_blobs(10, 2, 2, 4.0, seed=0), NetworkSpec.dense(2, [4], 2),
+                                 NetworkSpec.dense(2, [4], 2), TrainPlan(), [1.5, 2.7],
+                                 teacher_plan=TrainPlan(), mapping=LayerGroupMapping()),
+         "seeds must be integers, got [1.5, 2.7]"),
+        (lambda: extract_features(init_params(NetworkSpec.dense(2, [4], 2), 0),
+                                  synth_blobs(10, 2, 2, 4.0, seed=0), [0.7]),
+         "layer ids must be integers, got [0.7]"),
     ], ids=["mapping-float", "mapping-bool", "mapping-triple", "batch_size",
-            "phase1_epochs", "phase2_epochs", "seed", "schedule-batch_size"])
+            "phase1_epochs", "phase2_epochs", "seed", "schedule-batch_size",
+            "schedule-seed", "schedule-seed-negative", "compare-seeds", "layer-ids"])
     def test_non_integer_is_config_error(self, build, named):
         with pytest.raises(ConfigError) as excinfo:
             build()
@@ -121,8 +136,18 @@ class TestApiTypes:
          "expert weight must be finite and > 0, got nan"),
         (lambda: ExpertPrior(None, LayerGroupMapping(((0, 0),)), math.inf),
          "expert weight must be finite and > 0, got inf"),
+        # a step size <= 0 trains uphill or not at all; momentum >= 1 diverges
+        (lambda: TrainPlan(lr_phase1=-0.01), "lr_phase1 must be finite and > 0, got -0.01"),
+        (lambda: TrainPlan(lr_phase1=0.0), "lr_phase1 must be finite and > 0, got 0.0"),
+        (lambda: TrainPlan(lr_phase2=math.nan), "lr_phase2 must be finite and > 0, got nan"),
+        (lambda: TrainPlan(lr_phase2=math.inf), "lr_phase2 must be finite and > 0, got inf"),
+        (lambda: TrainPlan(momentum=-3.0), "momentum must be in [0, 1), got -3.0"),
+        (lambda: TrainPlan(momentum=1.0), "momentum must be in [0, 1), got 1.0"),
+        (lambda: TrainPlan(momentum=math.nan), "momentum must be in [0, 1), got nan"),
     ], ids=["alpha-nan", "alpha-inf", "jitter-nan", "jitter-inf", "temperature-nan",
-            "temperature-inf", "expert-alpha-nan", "expert-alpha-inf"])
+            "temperature-inf", "expert-alpha-nan", "expert-alpha-inf", "lr_phase1-negative",
+            "lr_phase1-zero", "lr_phase2-nan", "lr_phase2-inf", "momentum-negative",
+            "momentum-one", "momentum-nan"])
     def test_non_finite_is_refused(self, build, named):
         with pytest.raises(FeatPriorError) as excinfo:
             build()
@@ -238,7 +263,7 @@ class TestPhase1:
                          prior=PriorConfig(jitter=1e-3))
         log = []
         fitted, final_kl = phase1_feature_fit(
-            student, ds, cache, LayerGroupMapping(entries=((1, 1),)), plan,
+            student, ds, one_expert(cache, LayerGroupMapping(entries=((1, 1),))), plan,
             train=split.train, log=log)
         assert log[0].kl_loss < 1e-6
         assert final_kl < 1e-6
@@ -262,7 +287,7 @@ class TestPhase1:
                          prior=PriorConfig(jitter=1e-3))
         log = []
         _, final_kl = phase1_feature_fit(
-            student, ds, cache, LayerGroupMapping(entries=((0, 0),)), plan,
+            student, ds, one_expert(cache, LayerGroupMapping(entries=((0, 0),))), plan,
             train=split.train, log=log)
         assert final_kl < 0.1 * log[0].kl_loss
         # trend oracle: medians of 10-epoch windows never increase
@@ -298,8 +323,8 @@ class TestPhase1:
         plan = TrainPlan(seed=1, batch_size=16, phase1_epochs=2,
                          prior=PriorConfig(jitter=1e-3))
         schedule = BatchSchedule(np.arange(64), 16, seed=1)
-        phase1_feature_fit(student, blobs, cache,
-                           LayerGroupMapping(entries=((0, 0),)), plan,
+        phase1_feature_fit(student, blobs,
+                           one_expert(cache, LayerGroupMapping(entries=((0, 0),))), plan,
                            schedule=schedule)
         steps = 2 * 64 // 16
         assert len(sizes) == calls_per_step * steps
@@ -324,8 +349,8 @@ class TestPhase1:
         plan = TrainPlan(seed=1, batch_size=16, phase1_epochs=2,
                          prior=PriorConfig(jitter=1e-3))
         schedule = BatchSchedule(np.arange(64), 16, seed=1)
-        phase1_feature_fit(student, blobs, cache,
-                           LayerGroupMapping(entries=((0, 0),)), plan,
+        phase1_feature_fit(student, blobs,
+                           one_expert(cache, LayerGroupMapping(entries=((0, 0),))), plan,
                            schedule=schedule)
         steps = 2 * 64 // 16
         assert sorted(set(sizes)) == [(4, 4), (8, 8)]
@@ -341,8 +366,8 @@ class TestPhase1:
         mapping = LayerGroupMapping(entries=((0, 1),))
         seeds = (1, 2, 3)
         schedules = [BatchSchedule(split.train.source_indices, 4, s) for s in seeds]
-        singles = [phase1_feature_fit(init_params(spec, s), ds, cache, mapping, plan,
-                                      schedule=schedule)
+        singles = [phase1_feature_fit(init_params(spec, s), ds, one_expert(cache, mapping),
+                                      plan, schedule=schedule)
                    for s, schedule in zip(seeds, schedules)]
         stacked_cache = FeatureCache(
             groups={gid: np.stack([g] * 3) for gid, g in cache.groups.items()},
@@ -356,8 +381,9 @@ class TestPhase1:
 
         monkeypatch.setattr(train, "_fit_epochs", recording_fit_epochs)
         model, kl = phase1_feature_fit(
-            stack_models([init_params(spec, s) for s in seeds]), ds, stacked_cache,
-            mapping, plan, schedule=train._StackedSchedule(schedules))
+            stack_models([init_params(spec, s) for s in seeds]), ds,
+            one_expert(stacked_cache, mapping), plan,
+            schedule=train._StackedSchedule(schedules))
         # one final-epoch KL per seed, each that seed's own; the call returns
         # their mean with the arithmetic of statistics.fmean
         assert epoch_kls[0].tolist() == [k for _, k in singles]
@@ -370,7 +396,7 @@ class TestPhase1:
         student = init_params(NetworkSpec.dense(2, [8], 2), seed=6)
         log = []
         fitted, final_kl = phase1_feature_fit(
-            student, ds, cache, LayerGroupMapping(entries=()),
+            student, ds, one_expert(cache, LayerGroupMapping(entries=())),
             TrainPlan(seed=6, batch_size=16), train=split.train, log=log)
         assert params_equal(fitted, student)
         assert final_kl is None
@@ -391,9 +417,9 @@ class TestPhase1:
         plan = TrainPlan(seed=7, batch_size=16, phase1_epochs=5,
                          phase2_epochs=0, lr_phase1=1e-2)
         mapping = LayerGroupMapping(entries=((0, 1),))
-        a, _ = phase1_feature_fit(student, ds, cache, mapping, plan,
+        a, _ = phase1_feature_fit(student, ds, one_expert(cache, mapping), plan,
                                   train=split.train)
-        b, _ = phase1_feature_fit(student, permuted, permuted_cache, mapping,
+        b, _ = phase1_feature_fit(student, permuted, one_expert(permuted_cache, mapping),
                                   plan, train=permuted_split.train)
         assert params_equal(a, b)
 
@@ -402,8 +428,8 @@ class TestPhase1:
         other = synth_blobs(ds.n // 2, 2, 2, separation=2.0, seed=9)
         student = init_params(NetworkSpec.dense(2, [8], 2), seed=8)
         with pytest.raises(BatchMismatch):
-            phase1_feature_fit(student, other, cache,
-                               LayerGroupMapping(entries=((0, 1),)),
+            phase1_feature_fit(student, other,
+                               one_expert(cache, LayerGroupMapping(entries=((0, 1),))),
                                TrainPlan(seed=8, batch_size=16))
 
     def test_alignment_error_types(self, rings_setup):
@@ -411,8 +437,8 @@ class TestPhase1:
         student = init_params(NetworkSpec.dense(2, [8], 2), seed=8)
 
         def fit(dataset):
-            phase1_feature_fit(student, dataset, cache,
-                               LayerGroupMapping(entries=((0, 1),)),
+            phase1_feature_fit(student, dataset,
+                               one_expert(cache, LayerGroupMapping(entries=((0, 1),))),
                                TrainPlan(seed=8, batch_size=16))
 
         same_rows = synth_rings(100, 2, noise=0.1, seed=4)
@@ -687,7 +713,7 @@ class TestPhase2:
         plan = TrainPlan(seed=13, batch_size=16, phase1_epochs=4,
                          phase2_epochs=6, lr_phase1=1e-2)
         mapping = LayerGroupMapping(entries=((0, 1),))
-        after1, _ = phase1_feature_fit(student, ds, cache, mapping, plan,
+        after1, _ = phase1_feature_fit(student, ds, one_expert(cache, mapping), plan,
                                        train=split.train)
         after2 = phase2_task_fit(after1, ds, plan, mapping.student_layers(),
                                  train=split.train)
@@ -741,16 +767,17 @@ class TestExperts:
         student = init_params(spec, seed=16)
         plan = TrainPlan(seed=16, batch_size=16, phase1_epochs=4,
                          phase2_epochs=4, lr_phase1=1e-2)
-        # an empty mapping has nothing to fit: no phase-1 rows either way
+        # an empty mapping has nothing to fit: no phase-1 rows and no KL either way
         for entries, phase1_rows in ((((0, 1),), 4), ((), 0)):
             mapping = LayerGroupMapping(entries=entries)
             experts = ExpertPriorSet(experts=(
                 ExpertPrior(cache=cache, mapping=mapping, alpha=1.0),))
             combined_log, plain_log = [], []
-            combined = combine_experts_fit(student, ds, experts, plan,
+            # combined experts train two_phase whatever the plan's mode
+            combined = combine_experts_fit(student, ds, experts, replace(plan, mode="joint"),
                                            train=split.train, test=split.test,
                                            log=combined_log)
-            after1, _ = phase1_feature_fit(student, ds, cache, mapping, plan,
+            after1, _ = phase1_feature_fit(student, ds, one_expert(cache, mapping), plan,
                                            train=split.train, test=split.test,
                                            log=plain_log)
             plain = phase2_task_fit(after1, ds, plan, mapping.student_layers(),
@@ -759,6 +786,21 @@ class TestExperts:
             assert params_equal(combined, plain)
             assert run_log_csv(combined_log) == run_log_csv(plain_log)
             assert [r.phase for r in combined_log] == [1] * phase1_rows + [2] * 4
+            # a distill reports phase 1's final KL, the same bits either way
+            via_experts = run_distillation(spec, ds, split, plan, experts=experts)
+            via_plain = run_distillation(spec, ds, split, plan, cache=cache, mapping=mapping)
+            assert params_equal(via_experts.model, via_plain.model)
+            assert (via_plain.final_kl is None) == (not entries)
+            assert repr(via_experts.final_kl) == repr(via_plain.final_kl)
+        # with two experts it is the last phase-1 epoch's logged KL
+        experts = ExpertPriorSet(experts=(
+            ExpertPrior(cache=cache, mapping=LayerGroupMapping(entries=((0, 1),))),
+            ExpertPrior(cache=cache, mapping=LayerGroupMapping(entries=((0, 0),)),
+                        alpha=0.5)))
+        result = run_distillation(spec, ds, split, plan, experts=experts)
+        phase1_kls = [r.kl_loss for r in result.log if r.phase == 1]
+        assert len(phase1_kls) == 4
+        assert result.final_kl == phase1_kls[-1]
 
     @pytest.mark.parametrize("mode", ["naive", "joint", "hinton_baseline",
                                       "l2_baseline"])
