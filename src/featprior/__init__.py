@@ -24,7 +24,6 @@ from .data import (
     split_and_batch,
     synth_blobs,
     synth_rings,
-    verify_cache,
     write_cache,
 )
 from .gp_prior import (

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config
-from .data import Dataset, cache_widths, read_cache, split_and_batch, write_cache
+from .data import Dataset, read_cache, split_and_batch, write_cache
 from .errors import ConfigError, FeatPriorError, NumericalError
 from .network import load_model, serialize_model
 from .train import (
@@ -102,11 +102,15 @@ def cmd_distill(cfg: ExperimentConfig, dataset: Dataset, out: Path, args) -> Non
     logits_group = len(cfg.teacher.hidden)
 
     def read(path: Path, what: str, mapping):
-        return read_cache(_require_file(path, what), expect_dataset=dataset,
+        return read_cache(_require_file(path, what),
                           groups=cache_groups(plan.mode, mapping, logits_group))
 
     experts = cache = None
     if cfg.experts:
+        if args.features or cfg.mapping.entries:
+            raise ConfigError("distill with experts reads each expert's cache and "
+                              "mapping, so it takes neither --features nor a "
+                              "top-level mapping; drop them")
         experts = ExpertPriorSet(tuple(
             ExpertPrior(read(Path(e.cache), "expert cache", e.mapping), e.mapping,
                         e.alpha)
@@ -116,7 +120,7 @@ def cmd_distill(cfg: ExperimentConfig, dataset: Dataset, out: Path, args) -> Non
         cache = read(cache_path, "feature cache", cfg.mapping)
         # the config's teacher names the groups: hidden layers, then logits
         teacher = dict(enumerate([*cfg.teacher.hidden, dataset.class_count]))
-        for gid, width in sorted(cache_widths(cache_path).items()):
+        for gid, (_, width) in sorted(cache.shapes.items()):
             if teacher.get(gid) != width:
                 raise ConfigError(f"feature cache {cache_path} holds group {gid} of width "
                                   f"{width}, which the config's teacher lacks: its "

@@ -6,7 +6,8 @@ Every loader and generator is a deterministic function of its inputs and
 seed.  A split holds no inputs of its own: its halves are ``Rows``, sorted
 row indices into the full dataset, so batches of the train half line up
 with feature-cache rows extracted over that dataset, and the test half is
-gathered a chunk at a time when it is scored.
+gathered a chunk at a time when it is scored.  ``read_cache`` is the one
+``.fpfc`` parser; a fit, not the reader, checks a cache against its dataset.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import hashlib
 import numbers
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .errors import (
     CorruptFile,
     CountMismatch,
     FeatPriorError,
-    FingerprintMismatch,
     LabelOutOfRange,
     NonNumericCell,
     RaggedRows,
@@ -63,6 +63,8 @@ class Dataset:
         labels = np.asarray(self.labels, dtype=np.int64)
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "labels", labels)
+        if not _is_int(self.class_count):
+            raise FeatPriorError(f"class_count must be an integer, got {self.class_count!r}")
         if inputs.ndim != 2 or inputs.shape[0] < 1:
             raise FeatPriorError(f"inputs must be n x d with n >= 1, got {inputs.shape}")
         if labels.shape != (inputs.shape[0],):
@@ -299,20 +301,24 @@ def split_and_batch(dataset: Dataset, test_fraction: float, batch_size: int,
 class FeatureCache:
     """Per-group teacher feature matrices (float32, n rows each, after a
     leading seed axis when stacked) bound to a dataset and teacher by
-    content hashes."""
+    content hashes; ``shapes`` is every group's shape in the file it was
+    read from, kept or not (by default, and for kept groups, the arrays')."""
 
     groups: dict[int, np.ndarray]
     dataset_fingerprint: bytes
     teacher_fingerprint: bytes
+    shapes: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
-        sizes = {m.shape[:-1] for m in self.groups.values()}
+        shapes = {**self.shapes, **{gid: m.shape for gid, m in self.groups.items()}}
+        object.__setattr__(self, "shapes", shapes)
+        sizes = {shape[:-1] for shape in shapes.values()}
         if len(sizes) > 1:
             raise FeatPriorError(f"cache groups disagree on row count: {sizes}")
 
     @property
     def n(self) -> int:
-        return next(iter(self.groups.values())).shape[-2] if self.groups else 0
+        return next(iter(self.shapes.values()))[-2] if self.shapes else 0
 
 
 def _cache_chunks(cache: FeatureCache):
@@ -339,11 +345,9 @@ def write_cache(path, cache: FeatureCache) -> None:
             fh.write(chunk)
 
 
-def read_cache(path, expect_dataset: Dataset | None = None,
-               expect_teacher_fingerprint: bytes | None = None,
-               groups=None) -> FeatureCache:
-    """Read an FPFC file group by group into float32 arrays, optionally
-    verifying it matches the dataset and teacher the caller is about to use.
+def read_cache(path, groups=None) -> FeatureCache:
+    """Read an FPFC file group by group into float32 arrays, recording every
+    group's shape, kept or not, in ``shapes``.
     A group's size is checked against the bytes left in the file before its
     array is allocated, and its values are checked finite before the next.
     ``groups`` (default every group) names the groups kept; the others are
@@ -364,7 +368,7 @@ def read_cache(path, expect_dataset: Dataset | None = None,
         teacher_fp = header[40:72]
         (group_count,) = struct.unpack_from("<I", header, 72)
         kept: dict[int, np.ndarray] = {}
-        row_counts: dict[int, int] = {}  # every group's, kept or not
+        shapes: dict[int, tuple[int, int]] = {}  # every group's, kept or not
         for _ in range(group_count):
             group_header = fh.read(16)
             if len(group_header) < 16:
@@ -372,9 +376,9 @@ def read_cache(path, expect_dataset: Dataset | None = None,
             gid, n, width = struct.unpack("<IQI", group_header)
             if 4 * n * width > size - fh.tell():
                 raise CorruptFile(f"{path}: truncated group payload")
-            if gid in row_counts:
+            if gid in shapes:
                 raise CorruptFile(f"{path}: group {gid} appears twice")
-            row_counts[gid] = n
+            shapes[gid] = (n, width)
             if groups is None or gid in groups:
                 kept[gid] = np.empty((n, width), dtype="<f4")
                 _read_finite(fh, kept[gid], path, gid)
@@ -384,27 +388,8 @@ def read_cache(path, expect_dataset: Dataset | None = None,
                     _read_finite(fh, buf[:n * width - done], path, gid)
         if fh.tell() != size:
             raise CorruptFile(f"{path}: trailing bytes after cache payload")
-    if len(set(row_counts.values())) > 1:  # FeatureCache's check, over every group
-        sizes = {(n,) for n in row_counts.values()}
-        raise FeatPriorError(f"cache groups disagree on row count: {sizes}")
-    cache = FeatureCache(groups=kept, dataset_fingerprint=ds_fp,
-                         teacher_fingerprint=teacher_fp)
-    verify_cache(cache, expect_dataset, expect_teacher_fingerprint)
-    return cache
-
-
-def cache_widths(path) -> dict[int, int]:
-    """Each group's width in an FPFC file that ``read_cache`` accepts, read
-    from the group headers alone: the payloads are skipped, not read."""
-    with open(path, "rb") as fh:
-        fh.seek(_CACHE_HEADER_BYTES - 4)
-        (group_count,) = struct.unpack("<I", fh.read(4))
-        widths = {}
-        for _ in range(group_count):
-            gid, n, width = struct.unpack("<IQI", fh.read(16))
-            widths[gid] = width
-            fh.seek(4 * n * width, os.SEEK_CUR)
-    return widths
+    return FeatureCache(groups=kept, dataset_fingerprint=ds_fp,
+                        teacher_fingerprint=teacher_fp, shapes=shapes)
 
 
 def _read_finite(fh, out: np.ndarray, path, gid: int) -> None:
@@ -415,15 +400,3 @@ def _read_finite(fh, out: np.ndarray, path, gid: int) -> None:
     # min and max are finite iff every entry is; no temporary the size of out
     if not np.isfinite([out.min(initial=0.0), out.max(initial=0.0)]).all():
         raise CorruptFile(f"{path}: group {gid} holds NaN or infinity")
-
-
-def verify_cache(cache: FeatureCache, dataset: Dataset | None,
-                 teacher_fingerprint: bytes | None = None) -> None:
-    if dataset is not None:
-        if cache.dataset_fingerprint != dataset_fingerprint(dataset):
-            raise FingerprintMismatch(
-                "cache was built from a different dataset"
-            )
-    if teacher_fingerprint is not None:
-        if cache.teacher_fingerprint != teacher_fingerprint:
-            raise FingerprintMismatch("cache was built from a different teacher")

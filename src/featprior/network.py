@@ -18,12 +18,12 @@ gets the bits of its own 2-d model.
 from __future__ import annotations
 
 import hashlib
-import numbers
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import _is_int
 from .errors import (
     CorruptFile,
     DimensionMismatch,
@@ -48,8 +48,8 @@ class LayerSpec:
 
     def __post_init__(self):
         for width in (self.in_width, self.out_width):
-            if not isinstance(width, numbers.Integral) or width < 1:
-                raise FeatPriorError(f"layer widths must be integers >= 1, got {self}")
+            if not (_is_int(width) and width >= 1):
+                raise FeatPriorError(f"layer widths must be integers >= 1, got {width!r}")
         if self.activation not in ACTIVATIONS:
             raise FeatPriorError(f"unknown activation {self.activation!r}")
 
@@ -77,7 +77,7 @@ class NetworkSpec:
     @staticmethod
     def dense(input_width: int, hidden, classes: int,
               activation: str = "relu") -> "NetworkSpec":
-        widths = [input_width, *(int(h) for h in hidden), classes]
+        widths = [input_width, *hidden, classes]
         activations = [activation] * (len(widths) - 2) + ["identity"]
         return NetworkSpec(tuple(LayerSpec(*layer) for layer in
                                  zip(widths, widths[1:], activations)))

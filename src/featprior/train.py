@@ -7,6 +7,7 @@ Conventions shared by every routine here:
 * ``dataset`` is always the full dataset; split halves (``Rows``) and batch
   schedules are row indices into it, so teacher-feature cache rows stay
   aligned with student batches, and test rows are gathered when scored.
+  A fit checks its caches against it once (``_check_cache_alignment``).
 * Task-only fits (teachers, the naive mode, the joint mode and the two
   logit-matching baselines) run ``phase1_epochs + phase2_epochs`` epochs;
   two-phase runs split the same budget between the label-free feature fit
@@ -534,14 +535,15 @@ def _objective(modes, config: PriorConfig, cache: FeatureCache | None = None,
 
 # -- spec'd training operations ----------------------------------------------
 
-def _check_cache_alignment(dataset: Dataset, cache: FeatureCache) -> None:
-    if cache.groups and cache.n != dataset.n:
-        raise BatchMismatch(
-            f"cache rows ({cache.n}) != dataset rows ({dataset.n})"
-        )
-    if cache.dataset_fingerprint != dataset_fingerprint(dataset):
-        raise FingerprintMismatch(
-            "teacher features were extracted from different inputs")
+def _check_cache_alignment(dataset: Dataset, caches) -> None:
+    """The caches a fit reads come from ``dataset``: their row counts, then
+    their content hashes, the dataset hashed once for all of them."""
+    for cache in caches:
+        if cache.shapes and cache.n != dataset.n:
+            raise BatchMismatch(f"cache rows ({cache.n}) != dataset rows ({dataset.n})")
+    fingerprint = dataset_fingerprint(dataset)
+    if any(cache.dataset_fingerprint != fingerprint for cache in caches):
+        raise FingerprintMismatch("cache was built from a different dataset")
 
 
 def _make_schedule(plan: TrainPlan, schedule=None, train: Rows | None = None,
@@ -581,8 +583,8 @@ def phase1_feature_fit(student: Model, dataset: Dataset, experts: ExpertPriorSet
     the untrained copy and None, and logs nothing.
     """
     for expert in experts.experts:
-        _check_cache_alignment(dataset, expert.cache)
         expert.mapping.validate_for(student.spec, expert.cache)
+    _check_cache_alignment(dataset, [expert.cache for expert in experts.experts])
     model = student.copy()
     if not any(expert.mapping.entries for expert in experts.experts):
         return model, None
@@ -699,15 +701,17 @@ def _fit_mode(student: Model, dataset: Dataset, schedule, plan: TrainPlan, *, mo
         frozen = set().union(*(e.mapping.student_layers() for e in experts.experts))
         return phase2_task_fit(model, dataset, plan, frozen, schedule=schedule,
                                test=test, log=log), final_kl
-    for mode in (m for m in modes if m != "naive"):
+    cached = [m for m in modes if m != "naive"]
+    for mode in cached:
         if cache is None or (mapping if mode == "joint" else logits_group) is None:
             raise ConfigError(f"{mode} mode needs a teacher feature cache and "
                               + ("a mapping" if mode == "joint" else "its logits"))
-        _check_cache_alignment(dataset, cache)
         if mode == "joint":
             mapping.validate_for(student.spec, cache)
         elif logits_group not in cache.groups:
             raise ConfigError(f"feature group {logits_group} not present in cache")
+    if cached:
+        _check_cache_alignment(dataset, [cache])
     model = student.copy()
     _fit_epochs(model, dataset, schedule, plan,
                 _objective(modes, plan.prior, cache, mapping, logits_group),

@@ -464,6 +464,7 @@ class TestExtractAndDistill:
     def test_distill_with_expert_caches(self, tmp_path):
         path, out = self.pipeline(tmp_path)
         cfg = base_config()
+        cfg["mapping"] = []  # each expert brings its own
         cfg["experts"] = [
             {"cache": str(out / "features.fpfc"), "mapping": [[0, 0]],
              "alpha": 1.0},
@@ -487,7 +488,10 @@ class TestExtractAndDistill:
         cfg["mapping"] = [[0, 1]]
         cfg["plan"]["mode"] = "two_phase" if mode == "experts" else mode
         path, out = self.pipeline(tmp_path, cfg)
+        features = ["--features", str(out / "features.fpfc")]
         if mode == "experts":
+            # an expert distill reads each expert's cache and mapping only
+            cfg["mapping"], features = [], []
             cfg["experts"] = [
                 {"cache": str(out / "features.fpfc"), "mapping": [[0, 1]]},
                 {"cache": str(out / "features.fpfc"), "mapping": [[0, 0]], "alpha": 0.5}]
@@ -500,17 +504,35 @@ class TestExtractAndDistill:
             return cache
 
         def distill(to):
-            assert run("distill", "--config", path, "--out", str(to),
-                       "--features", str(out / "features.fpfc")) == 0
+            assert run("distill", "--config", path, "--out", str(to), *features) == 0
             return [(to / f).read_bytes() for f in ("student.fpnn", "run_log.csv")]
 
         monkeypatch.setattr("featprior.cli.read_cache", recorded)
         kept = distill(tmp_path / "kept")
         assert held == {"two_phase": [{1}], "joint": [{1}], "hinton_baseline": [{2}],
                         "l2_baseline": [{2}], "experts": [{1}, {0}]}[mode]
-        monkeypatch.setattr("featprior.cli.read_cache", lambda path, *, expect_dataset,
-                            groups: read_cache(path, expect_dataset=expect_dataset))
+        monkeypatch.setattr("featprior.cli.read_cache", lambda path, *, groups: read_cache(path))
         assert kept == distill(tmp_path / "full")
+
+    @pytest.mark.parametrize("mapping, features", [
+        ([[0, 0]], False), ([], True), ([[0, 0]], True)],
+        ids=["mapping", "features", "both"])
+    def test_distill_experts_with_features_or_mapping_exit_1(self, tmp_path, capsys,
+                                                             mapping, features):
+        # an expert distill would ignore --features and the top-level
+        # mapping, so it refuses them rather than train without them
+        _, out = self.pipeline(tmp_path)
+        cfg = base_config()
+        cfg["mapping"] = mapping
+        cfg["experts"] = [{"cache": str(out / "features.fpfc"), "mapping": [[0, 0]]}]
+        path = write_config(tmp_path, cfg, name="experts.json")
+        extra = ["--features", str(out / "features.fpfc")] if features else []
+        capsys.readouterr()
+        assert run("distill", "--config", path, "--out", str(out), *extra) == 1
+        assert capsys.readouterr().err == (
+            "error: distill with experts reads each expert's cache and mapping, so it "
+            "takes neither --features nor a top-level mapping; drop them\n")
+        assert not (out / "student.fpnn").exists()
 
     @pytest.mark.parametrize("mode, group", [
         ("two_phase", 0), ("joint", 0), ("experts", 5), ("hinton_baseline", 1),
@@ -524,6 +546,7 @@ class TestExtractAndDistill:
         cfg = base_config()
         cfg["plan"]["mode"] = "two_phase" if mode == "experts" else mode
         if mode == "experts":
+            cfg["mapping"] = []
             cfg["experts"] = [{"cache": str(out / "features.fpfc"), "mapping": [[0, 5]]}]
         else:
             write_cache(out / "features.fpfc", replace(cache, groups={
@@ -572,6 +595,7 @@ class TestExtractAndDistill:
         _, out = self.pipeline(tmp_path)
         cfg = base_config()
         cfg["plan"]["mode"] = mode
+        cfg["mapping"] = []
         cfg["experts"] = [{"cache": str(out / "features.fpfc"), "mapping": [[0, 0]]}]
         expert_cfg = write_config(tmp_path, cfg, name="experts.json")
         assert run("distill", "--config", expert_cfg, "--out", str(out)) == 1

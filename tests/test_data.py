@@ -315,14 +315,48 @@ class TestFeatureCache:
         assert restored.groups[2].shape == (6, 8)
 
     def test_tampered_fingerprint_detected(self, tmp_path):
-        cache = self.make_cache()
+        # the reader takes the hash as written; a fit that reads the cache
+        # refuses one that is not its dataset's
+        from featprior.network import NetworkSpec, init_params
+        from featprior.train import LayerGroupMapping, TrainPlan, joint_fit
+
+        ds = synth_blobs(3, 2, 2, 1.0, seed=0)
+        cache = FeatureCache(groups=self.make_cache().groups,
+                             dataset_fingerprint=dataset_fingerprint(ds),
+                             teacher_fingerprint=bytes(range(32, 64)))
         path = tmp_path / "c.fpfc"
         blob = bytearray(serialize_cache(cache))
         blob[10] ^= 0xFF  # inside the dataset fingerprint
         path.write_bytes(bytes(blob))
-        ds = synth_blobs(3, 2, 2, 1.0, seed=0)
-        with pytest.raises(FingerprintMismatch):
-            read_cache(path, expect_dataset=ds)
+
+        def fit(c):
+            joint_fit(init_params(NetworkSpec.dense(2, [4], 2), 0), ds, c,
+                      LayerGroupMapping(((0, 0),)),
+                      TrainPlan(batch_size=3, phase1_epochs=0, phase2_epochs=1))
+
+        fit(cache)
+        with pytest.raises(FingerprintMismatch, match="cache was built from a different dataset"):
+            fit(read_cache(path))
+
+    @pytest.mark.parametrize("keep", [None, {0}, {2}, set()])
+    def test_shapes_list_every_group(self, tmp_path, keep):
+        path = tmp_path / "c.fpfc"
+        write_cache(path, self.make_cache())
+        cache = read_cache(path, groups=keep)
+        assert cache.shapes == {0: (6, 4), 2: (6, 8)}
+        assert cache.n == 6
+
+    def test_skipped_group_row_count_is_refused(self, tmp_path):
+        # group 2 as 12 x 4 in place of 6 x 8: the same payload, another row
+        # count; refused when only group 0 is kept, as in memory
+        blob = packed_at("<QI", 192, 12, 4)(bytearray(serialize_cache(self.make_cache())))
+        path = tmp_path / "c.fpfc"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FeatPriorError, match=r"disagree on row count: {\(\d+,\), \(\d+,\)}"):
+            read_cache(path, groups={0})
+        with pytest.raises(FeatPriorError, match="disagree on row count"):
+            FeatureCache(groups={0: np.zeros((6, 4), np.float32)}, dataset_fingerprint=bytes(32),
+                         teacher_fingerprint=bytes(32), shapes={2: (12, 4)})
 
     def test_corrupt_payload(self, tmp_path):
         cache = self.make_cache()

@@ -124,6 +124,23 @@ class TestApiTypes:
         assert named in str(excinfo.value)
 
     @pytest.mark.parametrize("build, named", [
+        (lambda: NetworkSpec.dense(2, [8.7], 3), "layer widths must be integers >= 1, got 8.7"),
+        (lambda: NetworkSpec.dense(2, [True], 3), "layer widths must be integers >= 1, got True"),
+        (lambda: LayerSpec(True, 2), "layer widths must be integers >= 1, got True"),
+        (lambda: Dataset(np.zeros((2, 1)), [0, 1], class_count=2.5),
+         "class_count must be an integer, got 2.5"),
+        (lambda: Dataset(np.zeros((2, 1)), [0, 1], class_count=True),
+         "class_count must be an integer, got True"),
+    ], ids=["dense-float", "dense-bool", "layer-bool", "class_count-float",
+            "class_count-bool"])
+    def test_non_integer_width_or_class_count_is_refused(self, build, named):
+        # neither truncated (8.7 -> 8) nor taken as 1 (True), and no bare
+        # struct.error later from hashing a float class count
+        with pytest.raises(FeatPriorError) as excinfo:
+            build()
+        assert str(excinfo.value) == named
+
+    @pytest.mark.parametrize("build, named", [
         (lambda: PriorConfig(alpha=math.nan), "alpha must be finite and >= 0, got nan"),
         (lambda: PriorConfig(alpha=math.inf), "alpha must be finite and >= 0, got inf"),
         (lambda: PriorConfig(jitter=math.nan), "jitter must be finite and >= 0, got nan"),
@@ -197,13 +214,14 @@ class TestExtractFeatures:
         np.testing.assert_array_equal(cache.groups[0], inputs.astype(np.float32))
 
     def test_round_trip_through_file(self, tmp_path, rings_setup):
-        from featprior.data import read_cache, write_cache
+        from featprior.data import dataset_fingerprint, read_cache, write_cache
         from featprior.network import model_fingerprint
         ds, _, teacher, cache = rings_setup
         path = tmp_path / "f.fpfc"
         write_cache(path, cache)
-        restored = read_cache(path, expect_dataset=ds,
-                              expect_teacher_fingerprint=model_fingerprint(teacher))
+        restored = read_cache(path)
+        assert restored.dataset_fingerprint == dataset_fingerprint(ds)
+        assert restored.teacher_fingerprint == model_fingerprint(teacher)
         for gid, mat in cache.groups.items():
             np.testing.assert_array_equal(restored.groups[gid], mat)
 
