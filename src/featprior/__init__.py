@@ -38,7 +38,6 @@ from .gp_prior import (
     gram_kernel,
     hinton_soft_target,
     kernel_from_gram,
-    l2_feature_distance,
     prior_log_density,
 )
 from .linalg import CholeskyFactor, cholesky, log_det, reconstruct, solve_spd, trace_solve

@@ -4,7 +4,7 @@ Every loss featprior trains puts gradient in at two kinds of place:
 hidden activations (the GP-KL feature gradient, which ``gp_prior`` gives
 analytically) and the logits (cross-entropy, soft-target or L2).
 ``backward`` takes those input gradients, walks the network from the
-highest of them down to the lowest trained layer, and returns parameter
+highest of them down to the lowest unfrozen layer, and returns parameter
 gradients in ``Model.parameters()`` order.  Arithmetic is float64.  A
 leading axis (a stacked model) gives each slice its own call's bits.
 """
@@ -51,7 +51,7 @@ class BlockGrads(dict):
         self.rows = rows
 
 
-def backward(model, x, record, act_grads, logit_grad, lowest: int = 0) -> list:
+def backward(model, x, record, act_grads, logit_grad, frozen=()) -> list:
     """Parameter gradients of a loss whose gradient enters at hidden
     activations and at the logits.
 
@@ -59,12 +59,16 @@ def backward(model, x, record, act_grads, logit_grad, lowest: int = 0) -> list:
     index to dL/d(activation) and ``logit_grad`` is dL/dlogits or None.  The
     head, the last of ``model.spec.layers``, is layer L, the hidden-layer count.
     The walk starts at the head when there is a logit gradient, else at the
-    deepest layer in ``act_grads``, and stops at layer ``lowest``.
-    Parameters it does not reach get None, which the optimizers skip; the
-    rest are views of one ``ParamGrads.flat`` buffer.
+    deepest layer in ``act_grads``, and stops at the lowest layer not in
+    ``frozen``, passing through frozen layers.  Their parameters and those
+    it does not reach get None, which the optimizers skip; the rest are
+    views of one ``ParamGrads.flat`` buffer.
     """
     activations = [layer.activation for layer in model.spec.layers]
     params = model.parameters()  # weight and bias of each layer, the head last
+    lowest = 0  # the lowest layer the walk trains; above the head if none
+    while lowest in frozen:
+        lowest += 1
     injected, rows = dict(act_grads), getattr(act_grads, "rows", ...)
     if logit_grad is not None:
         injected[len(activations) - 1] = logit_grad
@@ -83,10 +87,11 @@ def backward(model, x, record, act_grads, logit_grad, lowest: int = 0) -> list:
         elif activations[layer] == "tanh":
             y = inputs[layer + 1]
             g = g * (1.0 - y * y)
-        for i in (2 * layer, 2 * layer + 1):
-            grads[i] = grads.flat[..., o[i]:o[i + 1]].reshape(params[i].shape)
-        np.matmul(inputs[layer].swapaxes(-1, -2), g, out=grads[2 * layer])
-        g.sum(axis=-2, out=grads[2 * layer + 1])
+        if layer not in frozen:
+            for i in (2 * layer, 2 * layer + 1):
+                grads[i] = grads.flat[..., o[i]:o[i + 1]].reshape(params[i].shape)
+            np.matmul(inputs[layer].swapaxes(-1, -2), g, out=grads[2 * layer])
+            g.sum(axis=-2, out=grads[2 * layer + 1])
         if layer > lowest:
             g = g @ params[2 * layer].astype(np.float64).swapaxes(-1, -2)
     return grads

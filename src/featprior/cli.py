@@ -115,6 +115,8 @@ def cmd_distill(cfg: ExperimentConfig, dataset: Dataset, out: Path, args) -> Non
             ExpertPrior(read(Path(e.cache), "expert cache", e.mapping), e.mapping,
                         e.alpha)
             for e in cfg.experts))
+    elif plan.mode == "naive" and args.features:
+        raise ConfigError("naive mode reads no feature cache, so distill takes no --features")
     elif plan.mode != "naive":
         cache_path = Path(args.features) if args.features else out / "features.fpfc"
         cache = read(cache_path, "feature cache", cfg.mapping)

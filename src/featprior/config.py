@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, fields, replace
 from functools import partial
 
 from . import data
-from .data import Dataset, _is_int
+from .data import Dataset, _is_int, _is_real
 from .errors import ConfigError, FeatPriorError
 from .gp_prior import PriorConfig
 from .network import NetworkSpec
@@ -63,8 +62,7 @@ def _integer(low: int):
 # what a loader argument or a field's value must be, and the test of that
 _COUNT = _integer(1)
 # JSON has no NaN or Infinity, though Python's json module reads them
-_NUMBER = ("a number", lambda v: (isinstance(v, numbers.Real) and not isinstance(v, bool)
-                                  and math.isfinite(v)))
+_NUMBER = ("a number", lambda v: _is_real(v) and math.isfinite(v))
 _STRING = ("a string", lambda v: isinstance(v, str))
 
 # a dataclass field's annotation -> the rule its JSON value must pass

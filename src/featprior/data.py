@@ -50,6 +50,11 @@ def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def _is_real(v) -> bool:
+    """A real number (numpy's too) that is not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Inputs (n x d) and integer class labels in [0, class_count)."""

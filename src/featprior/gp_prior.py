@@ -72,9 +72,9 @@ the feature basis), the jitter, and log|K2| and ||L2^{-1}||_F^2
 batches forms them in one pass.  It drops the Gram and L.  The n x n
 KernelMatrix that the public KL functions also take becomes one there.
 
-Baselines kept for comparison: temperature-softened soft-target matching
-on logits (which requires equal logit counts, the restriction the KL prior
-removes) and the plain mean-squared feature distance.
+The baseline kept for comparison is temperature-softened soft-target
+matching on logits, which requires equal logit counts, the restriction the
+KL prior removes.
 """
 
 from __future__ import annotations
@@ -87,6 +87,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg
+from .data import _is_real
 from .errors import (
     BatchMismatch,
     DimensionMismatch,
@@ -112,6 +113,12 @@ class PriorConfig:
     temperature: float = 4.0
 
     def __post_init__(self):
+        for name in ("alpha", "jitter", "temperature"):
+            if not _is_real(getattr(self, name)):
+                raise FeatPriorError(f"{name} must be a number, got {getattr(self, name)!r}")
+        if not isinstance(self.normalize_by_width, bool):
+            raise FeatPriorError("normalize_by_width must be a bool, "
+                                 f"got {self.normalize_by_width!r}")
         # alpha = 0 is allowed so the joint objective can degenerate to
         # plain task training; negative strength is meaningless.
         if not 0.0 <= self.alpha < math.inf:
@@ -133,9 +140,6 @@ class KernelMatrix:
     @property
     def size(self) -> int:
         return self.factor.size
-
-    def _teacher(self) -> "TeacherKernel":
-        return TeacherKernel.of(self)
 
 
 @dataclass(frozen=True)
@@ -164,9 +168,6 @@ class TeacherKernel:
     def __getitem__(self, i) -> "TeacherKernel":
         """Slice i of a stack, as views."""
         return TeacherKernel(*(None if v is None else v[i] for v in vars(self).values()))
-
-    def _teacher(self) -> "TeacherKernel":
-        return self
 
 
 def _as_features(phi, stacked: bool = False) -> np.ndarray:
@@ -401,7 +402,9 @@ def feature_kl_and_grad(phi_s, k_t: TeacherKernel | KernelMatrix,
         raise DimensionMismatch(
             f"teacher kernel of size {k_t.size} does not match batch {n}"
         )
-    return _teacher_half(_student_half(arr, config), k_t._teacher())
+    if isinstance(k_t, KernelMatrix):
+        k_t = TeacherKernel.of(k_t)
+    return _teacher_half(_student_half(arr, config), k_t)
 
 
 def gp_kl_grad(phi_s, k1: KernelMatrix, k2: KernelMatrix,
@@ -463,14 +466,3 @@ def _soft_target(logits_s, logits_t, temperature: float):
     p = _softmax(t / temperature)
     log_q = _log_softmax(s / temperature)
     return -(p * log_q).sum(axis=-1).sum(axis=-1) / s.shape[-2], p
-
-
-def l2_feature_distance(phi_s, phi_t) -> float:
-    """Mean squared entrywise difference between two feature matrices."""
-    s = np.asarray(phi_s, dtype=np.float64)
-    t = np.asarray(phi_t, dtype=np.float64)
-    if s.shape != t.shape:
-        raise DimensionMismatch(
-            f"L2 feature distance needs matching shapes, got {s.shape} vs {t.shape}"
-        )
-    return float(np.mean((s - t) ** 2))

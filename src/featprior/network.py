@@ -124,10 +124,6 @@ class Model:
     def parameters(self) -> list[np.ndarray]:
         return [p for wb in zip(self.weights, self.biases) for p in wb]
 
-    def param_layer_ids(self) -> list[int]:
-        """Layer index of each parameter; the head counts as layer L."""
-        return [i // 2 for i in range(len(self.offsets) - 1)]
-
     def copy(self) -> "Model":
         return _from_parameters(self.spec, self.parameters())
 
@@ -248,18 +244,22 @@ class ParamGrads(list):
 
 
 def _grad_runs(model: Model, grads) -> list:
-    """(start, stop, the run's gradients laid out like ``Model.flat``) per
-    maximal run of non-None gradients; checks their count (one per
-    parameter) and values before any parameter changes.  ``ParamGrads`` runs are slices of its buffer."""
+    """(start, stop, the run's gradients laid out like ``Model.flat``) per maximal
+    run of non-None gradients, checked in count, shape and value before any change."""
     if len(grads) != len(model.offsets) - 1:
         raise DimensionMismatch(f"{len(grads)} gradients for "
                                 f"{len(model.offsets) - 1} parameters")
     flat = getattr(grads, "flat", None)
+    if flat is None:
+        for i, (g, p) in enumerate(zip(grads, model.parameters())):
+            if g is not None and np.shape(g) != p.shape:
+                raise DimensionMismatch(f"gradient {i} has shape {np.shape(g)}, not {p.shape}")
     runs, first = [], None
     for i, g in enumerate([*grads, None]):
         if g is None and first is not None:
-            run = (np.concatenate(grads[first:i], axis=None) if flat is None
-                   else flat[..., model.offsets[first]:model.offsets[i]])
+            run = (flat[..., model.offsets[first]:model.offsets[i]] if flat is not None
+                   else np.concatenate([np.reshape(h, (*model.flat.shape[:-1], -1))
+                                        for h in grads[first:i]], axis=-1))
             if not np.isfinite(run).all():
                 raise NonFiniteGradient("gradient contains NaN or infinity")
             runs.append((model.offsets[first], model.offsets[i], run))

@@ -21,8 +21,8 @@ Conventions shared by every routine here:
   and each holds L^{-1} (``TeacherKernel``), not the Gram or L.
 * A step is ``forward``, an objective returning (loss, task value, prior
   value, {hidden layer: dL/dh}, dL/dlogits), then ``autodiff.backward``
-  down to the lowest unfrozen layer.  Term gradients are summed in one
-  fixed order: a layer's prior terms last term first, baselines before CE.
+  given the fit's frozen layers.  Term gradients are summed in one fixed
+  order: a layer's prior terms last term first, baselines before CE.
 * Every prior term is an ``ExpertPrior`` (cache, mapping, alpha).  Phase 1
   is ``phase1_feature_fit`` over an ``ExpertPriorSet``; a plain cache and
   mapping is one expert at alpha 1, and every two_phase fit reports phase 1's
@@ -52,6 +52,7 @@ from .data import (
     Rows,
     SplitBatches,
     _is_int,
+    _is_real,
     dataset_fingerprint,
     split_and_batch,
 )
@@ -116,10 +117,16 @@ class TrainPlan:
     mode: str = "two_phase"
 
     def __post_init__(self):
-        for name in ("seed", "batch_size", "phase1_epochs", "phase2_epochs"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for names, valid, what in (
+                (("seed", "batch_size", "phase1_epochs", "phase2_epochs"), _is_int,
+                 "an integer"),
+                (("lr_phase1", "lr_phase2", "momentum"), _is_real, "a number")):
+            for name in names:
+                value = getattr(self, name)
+                if not valid(value):
+                    raise ConfigError(f"{name} must be {what}, got {value!r}")
+        if not isinstance(self.prior, PriorConfig):
+            raise ConfigError(f"prior must be a PriorConfig, got {self.prior!r}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.phase1_epochs < 0 or self.phase2_epochs < 0:
@@ -184,8 +191,8 @@ class ExpertPrior:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.alpha < math.inf:
-            raise ConfigError(f"expert weight must be finite and > 0, got {self.alpha}")
+        if not (_is_real(self.alpha) and 0 < self.alpha < math.inf):
+            raise ConfigError(f"expert weight must be finite and > 0, got {self.alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -353,14 +360,11 @@ def _fit_epochs(model: Model, dataset: Dataset, schedule: BatchSchedule,
                 test: Rows | None = None, log: list | None = None) -> float | None:
     """Run ``epochs`` epochs in place; returns the final epoch's mean
     prior-loss value (None for task-only objectives; one per seed for a
-    stacked model).  Frozen parameters get None gradients, which leaves
-    them and their optimizer state as is."""
+    stacked model).  ``backward`` gives the layers in ``frozen_layers`` None
+    gradients, which leaves them and their optimizer state as is."""
     step = (partial(adam_step, state=AdamState(), cfg=AdamConfig(lr=lr))
             if plan.optimizer == "adam"
             else partial(sgd_step, state=SgdState(), cfg=SgdConfig(lr, plan.momentum)))
-    frozen = set(frozen_layers)
-    layer_ids = model.param_layer_ids()
-    lowest = min(set(layer_ids) - frozen, default=0)
     final_kl = None
     for local_epoch in range(epochs):
         epoch = epoch_offset + local_epoch
@@ -374,12 +378,7 @@ def _fit_epochs(model: Model, dataset: Dataset, schedule: BatchSchedule,
                 record, idx, dataset.labels[idx])
             if not np.isfinite(loss).all():
                 raise DivergedTraining(f"loss became {loss} at epoch {epoch}")
-            grads = backward(model, x, record, act_grads, logit_grad, lowest)
-            if frozen:
-                for i, lid in enumerate(layer_ids):
-                    if lid in frozen:
-                        grads[i] = None
-            step(model, grads)
+            step(model, backward(model, x, record, act_grads, logit_grad, frozen_layers))
             if task_val is not None:
                 task_vals.append(task_val)
             if kl_val is not None:
@@ -605,8 +604,7 @@ def phase2_task_fit(student: Model, dataset: Dataset, plan: TrainPlan,
     parameters come back bitwise identical."""
     model = student.copy()
     frozen = set(frozen_layers)
-    layer_ids = model.param_layer_ids()
-    if all(lid in frozen for lid in layer_ids):
+    if frozen.issuperset(range(len(model.spec.layers))):
         raise AllLayersFrozen("every parameter is frozen; nothing to train")
     schedule = _make_schedule(plan, schedule, train, dataset)
     _fit_epochs(model, dataset, schedule, plan, _objective(("naive",), plan.prior),

@@ -188,7 +188,7 @@ class TestEarlyStop:
             [ExpertPrior(cache, LayerGroupMapping(((1, 0),)))], CFG)
         record = forward(model, x)
         _, _, _, act_grads, logit_grad = objective(record, np.arange(BATCH), labels)
-        grads = backward(model, x, record, act_grads, logit_grad, 0)
+        grads = backward(model, x, record, act_grads, logit_grad)
         reached = [g is not None for g in grads]
         assert reached == [True] * 4 + [False] * 4
 
@@ -198,18 +198,42 @@ class TestEarlyStop:
         record = forward(model, x)
         _, _, _, act_grads, logit_grad = _objective(("naive",), CFG)(
             record, np.arange(BATCH), labels)
-        full = backward(model, x, record, act_grads, logit_grad, 0)
-        stopped = backward(model, x, record, act_grads, logit_grad, 2)
+        full = backward(model, x, record, act_grads, logit_grad)
+        stopped = backward(model, x, record, act_grads, logit_grad, frozen={0, 1})
         assert [g is None for g in stopped] == [True] * 4 + [False] * 4
         for g_full, g_stopped in zip(full[4:], stopped[4:]):
             np.testing.assert_array_equal(g_full, g_stopped)
+
+    @pytest.mark.parametrize("frozen", [{1}, {2}, {1, 3}])
+    def test_walk_passes_through_frozen_layers(self, batch, frozen):
+        # a frozen layer above a trained one still carries the gradient
+        # down; only its own weight and bias are left None
+        _, x, labels = batch
+        model = init_params(NetworkSpec.dense(3, [6, 4, 5], 3, "tanh"), 8)
+        record = forward(model, x)
+        _, _, _, act_grads, logit_grad = _objective(("naive",), CFG)(
+            record, np.arange(BATCH), labels)
+        full = backward(model, x, record, act_grads, logit_grad)
+        trained = backward(model, x, record, act_grads, logit_grad, frozen)
+        for i, (g_full, g_trained) in enumerate(zip(full, trained)):
+            if i // 2 in frozen:
+                assert g_trained is None, i
+            else:
+                np.testing.assert_array_equal(g_full, g_trained)
+
+    def test_all_layers_frozen_gives_no_gradients(self, batch):
+        _, x, labels = batch
+        model = init_params(NetworkSpec.dense(3, [6], 3), 9)
+        record = forward(model, x)
+        _, logit_grad = softmax_cross_entropy(record.logits, labels)
+        assert backward(model, x, record, {}, logit_grad, (0, 1)) == [None] * 4
 
 
 class TestBackwardBasics:
     def test_constant_loss_gives_zero_grads(self, batch):
         _, x, _ = batch
         model = init_params(NetworkSpec.dense(3, [4], 2), seed=0)
-        grads = backward(model, x, forward(model, x), {}, None, 0)
+        grads = backward(model, x, forward(model, x), {}, None)
         assert grads == [None] * 4
 
     def test_sum_of_parameters_gives_ones(self):
@@ -220,7 +244,7 @@ class TestBackwardBasics:
                       [np.ones(3), np.zeros(3)])
         x = np.ones((1, 2))
         record = forward(model, x)
-        gw, gb, ghw, ghb = backward(model, x, record, {}, np.ones_like(record.logits), 0)
+        gw, gb, ghw, ghb = backward(model, x, record, {}, np.ones_like(record.logits))
         np.testing.assert_array_equal(gw, np.ones((2, 3)))
         np.testing.assert_array_equal(gb, np.ones(3))
         np.testing.assert_array_equal(ghw, record.activations[0].T @ np.ones((1, 3)))
@@ -237,7 +261,7 @@ class TestGradientsMatchFiniteDifferences:
         # loss = 0.5 * sum(tanh(logits)), gradient 0.5 * (1 - tanh^2)
         record = forward(model, x)
         y = np.tanh(record.logits)
-        grads = backward(model, x, record, {}, 0.5 * (1.0 - y * y), 0)
+        grads = backward(model, x, record, {}, 0.5 * (1.0 - y * y))
 
         params = model.parameters()
         for i, arr in enumerate(params[:3]):
@@ -256,7 +280,7 @@ class TestGradientsMatchFiniteDifferences:
         _, x, _ = batch
         model = init_params(NetworkSpec.dense(3, [4], 2, "identity"), seed=1)
         logit_grad = np.arange(2.0 * BATCH).reshape(BATCH, 2)
-        grads = backward(model, x, forward(model, x), {}, logit_grad, 0)
+        grads = backward(model, x, forward(model, x), {}, logit_grad)
         np.testing.assert_allclose(grads[3], logit_grad.sum(axis=0))
         np.testing.assert_allclose(
             grads[1], (logit_grad @ model.weights[-1].astype(np.float64).T).sum(axis=0))

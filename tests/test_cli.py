@@ -603,6 +603,19 @@ class TestExtractAndDistill:
         assert not (out / "student.fpnn").exists()
         assert not (out / "run_log.csv").exists()
 
+    def test_distill_naive_with_features_exit_1(self, tmp_path, capsys):
+        # naive mode reads no cache; a --features it would ignore is refused,
+        # while the top-level mapping compare shares across modes stays legal
+        out = tmp_path / "naive"
+        cfg = base_config()
+        cfg["plan"]["mode"] = "naive"
+        naive_cfg = write_config(tmp_path, cfg, name="naive.json")
+        assert run("distill", "--config", naive_cfg, "--out", str(out),
+                   "--features", str(tmp_path / "missing.fpfc")) == 1
+        assert "takes no --features" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        assert run("distill", "--config", naive_cfg, "--out", str(out)) == 0
+
     def test_stale_cache_rejected(self, tmp_path, capsys):
         path, out = self.pipeline(tmp_path)
         cfg = base_config()

@@ -28,7 +28,6 @@ from featprior.gp_prior import (
     gram_kernel,
     hinton_soft_target,
     kernel_from_gram,
-    l2_feature_distance,
     prior_log_density,
 )
 
@@ -690,20 +689,3 @@ class TestHintonSoftTarget:
     def test_width_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             hinton_soft_target(np.zeros((2, 3)), np.zeros((2, 5)), 1.0)
-
-
-class TestL2FeatureDistance:
-    def test_equal_is_zero(self):
-        phi = np.arange(6.0).reshape(2, 3)
-        assert l2_feature_distance(phi, phi) == 0.0
-
-    def test_unit_shift(self):
-        phi = np.arange(6.0).reshape(2, 3)
-        assert l2_feature_distance(phi + 1.0, phi) == pytest.approx(1.0)
-
-    def test_hand_value(self):
-        assert l2_feature_distance([[1.0, 2.0]], [[0.0, 0.0]]) == pytest.approx(2.5)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            l2_feature_distance(np.zeros((2, 3)), np.zeros((2, 4)))

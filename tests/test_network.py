@@ -46,10 +46,10 @@ def scalar_model(value: float) -> Model:
                  [np.zeros(1, dtype=np.float32), np.zeros(1, dtype=np.float32)])
 
 
-def cross_entropy_and_grads(model: Model, x, labels):
+def cross_entropy_and_grads(model: Model, x, labels, frozen=()):
     record = forward(model, x)
     value, logit_grad = softmax_cross_entropy(record.logits, labels)
-    return value, backward(model, x, record, {}, logit_grad)
+    return value, backward(model, x, record, {}, logit_grad, frozen)
 
 
 class TestSpec:
@@ -306,13 +306,13 @@ def optimizer_case(hidden, frozen_layers, seed):
     model = init_params(NetworkSpec.dense(2, hidden, 3), seed=seed)
     reference = [p.copy() for p in model.parameters()]
     rng = np.random.default_rng(seed)
-    layer_ids = model.param_layer_ids()
     steps = []
     for step in range(200):
         scale = 10.0 ** rng.uniform(-4, 1)
-        steps.append([None if lid in frozen_layers
+        # parameter i is the weight or the bias of layer i // 2
+        steps.append([None if i // 2 in frozen_layers
                       else scale * rng.standard_normal(p.shape)
-                      for p, lid in zip(reference, layer_ids)])
+                      for i, p in enumerate(reference)])
     return model, reference, steps
 
 
@@ -324,10 +324,10 @@ def assert_flat_matches(flat, tensors, offsets):
 
 
 def assert_only_frozen_untouched(model, before, frozen_layers):
-    for i, lid in enumerate(model.param_layer_ids()):
+    for i in range(len(model.offsets) - 1):
         piece = slice(model.offsets[i], model.offsets[i + 1])
         untouched = np.array_equal(model.flat[piece], before[piece])
-        assert untouched == (lid in frozen_layers), i
+        assert untouched == (i // 2 in frozen_layers), i
 
 
 OPTIMIZER_CASES = {
@@ -403,6 +403,25 @@ class TestFlatOptimizersMatchPerTensor:
         np.testing.assert_array_equal(model.flat, before)
         assert state == type(state)()
 
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("index, shape", [(0, (3, 2)), (1, (4,))],
+                             ids=["transposed-weight", "long-bias"])
+    def test_gradient_shape_must_match_parameter(self, kind, index, shape):
+        # refused before any change: a transposed weight gradient is not
+        # flattened into the weight, and Adam's t does not move
+        model, _, _ = optimizer_case([3], (), seed=0)
+        before = model.flat.copy()
+        grads = [np.ones(p.shape) for p in model.parameters()]
+        expected = grads[index].shape
+        grads[index] = np.arange(np.prod(shape), dtype=float).reshape(shape)
+        step, state, cfg = ((sgd_step, SgdState(), SgdConfig(lr=0.1)) if kind == "sgd"
+                            else (adam_step, AdamState(), AdamConfig()))
+        with pytest.raises(DimensionMismatch) as excinfo:
+            step(model, grads, state, cfg)
+        assert str(excinfo.value) == f"gradient {index} has shape {shape}, not {expected}"
+        np.testing.assert_array_equal(model.flat, before)
+        assert state == type(state)()
+
 
 class TestStackedModel:
     """A model with a leading seed axis: seed slices train with the bits of
@@ -436,23 +455,40 @@ class TestStackedModel:
         step = adam_step if kind == "adam" else sgd_step
         states = [make() for _ in seeds]
         stacked_state, cfg = make()
-        layer_ids = stacked.param_layer_ids()
         for _ in range(5):
             x = rng.standard_normal((2, 16, 2))
             labels = rng.integers(0, 3, (2, 16))
-            value, grads = cross_entropy_and_grads(stacked, x, labels)
-            for i, lid in enumerate(layer_ids):
-                if lid in frozen:
-                    grads[i] = None
+            value, grads = cross_entropy_and_grads(stacked, x, labels, frozen)
+            assert [g is None for g in grads] == [i // 2 in frozen for i in range(6)]
             step(stacked, grads, stacked_state, cfg)
             for s, (model, (state, _)) in enumerate(zip(models, states)):
-                single_value, single = cross_entropy_and_grads(model, x[s], labels[s])
+                single_value, single = cross_entropy_and_grads(model, x[s], labels[s],
+                                                               frozen)
                 assert value[s] == single_value
-                for g, g1, lid in zip(grads, single, layer_ids):
-                    if lid not in frozen:
+                for g, g1 in zip(grads, single):
+                    if g is not None:
                         np.testing.assert_array_equal(g[s], g1)
-                step(model, [None if lid in frozen else g
-                             for g, lid in zip(single, layer_ids)], state, cfg)
+                step(model, single, state, cfg)
+        for s, model in enumerate(models):
+            np.testing.assert_array_equal(stacked.flat[s], model.flat)
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_plain_list_steps_match_per_seed_steps(self, kind):
+        # a plain gradient list of stacked arrays, with a None run between
+        models = [init_params(self.SPEC, seed) for seed in (1, 2)]
+        stacked = stack_models(models)
+        make = (lambda: (AdamState(), AdamConfig(lr=0.01))) if kind == "adam" \
+            else (lambda: (SgdState(), SgdConfig(lr=0.01, momentum=0.9)))
+        step = adam_step if kind == "adam" else sgd_step
+        states = [make() for _ in models]
+        stacked_state, cfg = make()
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            grads = [rng.standard_normal(p.shape) for p in stacked.parameters()]
+            grads[2:4] = [None, None]
+            step(stacked, grads, stacked_state, cfg)
+            for s, (model, (state, _)) in enumerate(zip(models, states)):
+                step(model, [None if g is None else g[s] for g in grads], state, cfg)
         for s, model in enumerate(models):
             np.testing.assert_array_equal(stacked.flat[s], model.flat)
 
@@ -461,8 +497,8 @@ class TestStackedModel:
         x = np.random.default_rng(1).standard_normal((8, 2))
         record = forward(model, x)
         _, logit_grad = softmax_cross_entropy(record.logits, np.zeros(8, dtype=int))
-        # the walk stops at layer 1, so layer 0's two parameters get None
-        grads = backward(model, x, record, {}, logit_grad, lowest=1)
+        # layer 0 is frozen, so its two parameters get None
+        grads = backward(model, x, record, {}, logit_grad, frozen={0})
         assert grads.flat.shape == model.flat.shape
         assert grads[:2] == [None, None]
         for i, g in enumerate(grads[2:], start=2):

@@ -93,8 +93,9 @@ def rings_setup():
 
 
 class TestApiTypes:
-    """The Python API refuses the non-integers the config refuses, naming
-    the field and the value, rather than truncating or taking a bool."""
+    """The Python API refuses the values of the wrong type or range that the
+    config refuses, naming the field and the value, rather than truncating,
+    taking a bool or failing later."""
 
     @pytest.mark.parametrize("build, named", [
         (lambda: LayerGroupMapping(entries=((0.9, 1.6),)), "(0.9, 1.6)"),
@@ -161,10 +162,32 @@ class TestApiTypes:
         (lambda: TrainPlan(momentum=-3.0), "momentum must be in [0, 1), got -3.0"),
         (lambda: TrainPlan(momentum=1.0), "momentum must be in [0, 1), got 1.0"),
         (lambda: TrainPlan(momentum=math.nan), "momentum must be in [0, 1), got nan"),
+        # numpy scalars pass the type rule and meet the same range checks
+        (lambda: PriorConfig(alpha=np.float64(math.inf)),
+         "alpha must be finite and >= 0, got inf"),
+        (lambda: TrainPlan(lr_phase1=np.float32(math.nan)),
+         "lr_phase1 must be finite and > 0, got nan"),
+        # a wrong type is neither taken as truthy or as 1 nor left to fail
+        # later with a bare TypeError or AttributeError
+        (lambda: PriorConfig(normalize_by_width="no"),
+         "normalize_by_width must be a bool, got 'no'"),
+        (lambda: PriorConfig(alpha=True), "alpha must be a number, got True"),
+        (lambda: PriorConfig(jitter="1e-4"), "jitter must be a number, got '1e-4'"),
+        (lambda: PriorConfig(temperature=None), "temperature must be a number, got None"),
+        (lambda: TrainPlan(lr_phase1=True), "lr_phase1 must be a number, got True"),
+        (lambda: TrainPlan(lr_phase2="0.01"), "lr_phase2 must be a number, got '0.01'"),
+        (lambda: TrainPlan(momentum="0.5"), "momentum must be a number, got '0.5'"),
+        (lambda: TrainPlan(prior={"alpha": 1.0}),
+         "prior must be a PriorConfig, got {'alpha': 1.0}"),
+        (lambda: ExpertPrior(None, LayerGroupMapping(((0, 0),)), True),
+         "expert weight must be finite and > 0, got True"),
     ], ids=["alpha-nan", "alpha-inf", "jitter-nan", "jitter-inf", "temperature-nan",
             "temperature-inf", "expert-alpha-nan", "expert-alpha-inf", "lr_phase1-negative",
             "lr_phase1-zero", "lr_phase2-nan", "lr_phase2-inf", "momentum-negative",
-            "momentum-one", "momentum-nan"])
+            "momentum-one", "momentum-nan", "alpha-numpy-inf", "lr_phase1-numpy-nan",
+            "normalize-string", "alpha-bool", "jitter-string", "temperature-none",
+            "lr_phase1-bool", "lr_phase2-string", "momentum-string", "prior-dict",
+            "expert-alpha-bool"])
     def test_non_finite_is_refused(self, build, named):
         with pytest.raises(FeatPriorError) as excinfo:
             build()
