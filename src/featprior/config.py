@@ -6,11 +6,12 @@ Each section is the dataclass it builds, and its allowed keys are exactly
 that dataclass's fields: the top level is ``ExperimentConfig``, ``plan`` and
 ``teacher_plan`` are ``TrainPlan``, ``prior`` is ``PriorConfig``, ``teacher``
 and ``student`` are ``ArchConfig`` and each ``experts`` entry is an
-``ExpertConfig``.  A value must have its field's type; nothing is coerced.
-The ``dataset`` keys are its kind's loader arguments.  Unknown keys
-anywhere in the document are hard errors (they are almost always typos in
-hyperparameter names), and every cross-reference is validated before any
-training starts.
+``ExpertConfig``.  Each dataclass checks its own values, the same way
+whether they come from JSON or from Python, and nothing is coerced; this
+module checks only keys and structure.  The ``dataset`` keys are its kind's
+loader arguments, checked here.  Unknown keys anywhere in the document are
+hard errors (they are almost always typos in hyperparameter names), and
+every cross-reference is validated before any training starts.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from dataclasses import dataclass, fields, replace
 from functools import partial
 
 from . import data
-from .data import Dataset, _is_int, _is_real
+from .data import Dataset, _check_test_fraction, _is_int, _is_real, _require
 from .errors import ConfigError, FeatPriorError
 from .gp_prior import PriorConfig
-from .network import NetworkSpec
-from .train import LayerGroupMapping, TrainPlan
+from .network import ACTIVATIONS, NetworkSpec
+from .train import LayerGroupMapping, TrainPlan, _check_expert_alpha
 
 
 def _check_keys(d: dict, allowed, where: str) -> None:
@@ -39,15 +40,9 @@ def _check_keys(d: dict, allowed, where: str) -> None:
 def _section(cls, d: dict, where: str, **parse):
     """The dataclass ``cls`` built from the JSON object ``d``, whose keys
     must be fields of ``cls``.  ``parse`` maps a key to the parser of its
-    value; values are parsed in field order.  A value without a parser must
-    pass the rule in ``_FIELDS`` for its field's annotation."""
+    value; values are parsed in field order, and ``cls`` checks them."""
     names = [f.name for f in fields(cls)]
     _check_keys(d, names, where)
-    for f in fields(cls):
-        if f.name in d and f.name not in parse and f.type in _FIELDS:
-            what, valid = _FIELDS[f.type]
-            if not valid(d[f.name]):
-                raise ConfigError(f"{where} {f.name} must be {what}, got {d[f.name]!r}")
     kwargs = {k: parse[k](d[k]) if k in parse else d[k] for k in names if k in d}
     try:
         return cls(**kwargs)
@@ -59,16 +54,11 @@ def _integer(low: int):
     return f"an integer >= {low}", lambda v: _is_int(v) and v >= low
 
 
-# what a loader argument or a field's value must be, and the test of that
+# what a loader argument must be, and the test of that
 _COUNT = _integer(1)
 # JSON has no NaN or Infinity, though Python's json module reads them
 _NUMBER = ("a number", lambda v: _is_real(v) and math.isfinite(v))
 _STRING = ("a string", lambda v: isinstance(v, str))
-
-# a dataclass field's annotation -> the rule its JSON value must pass
-_FIELDS = {"int": ("an integer", _is_int), "float": _NUMBER, "str": _STRING,
-           "bool": ("true or false", lambda v: isinstance(v, bool)),
-           "str | None": ("a string or null", lambda v: v is None or isinstance(v, str))}
 
 # kind -> (loader in .data, its arguments in order with their rules).  Every
 # argument is a required key: a partially specified data source is a typo.
@@ -91,10 +81,11 @@ class ArchConfig:
     activation: str = "relu"
 
     def __post_init__(self):
-        if not (isinstance(self.hidden, (list, tuple)) and self.hidden
-                and all(map(_COUNT[1], self.hidden))):
-            raise ConfigError("hidden must be a non-empty list of integers >= 1, "
-                              f"got {self.hidden!r}")
+        _require(isinstance(self.hidden, (list, tuple)) and self.hidden
+                 and all(map(_COUNT[1], self.hidden)), "hidden",
+                 "a non-empty list of integers >= 1", self.hidden)
+        _require(self.activation in ACTIVATIONS, "activation",
+                 f"one of {list(ACTIVATIONS)}", self.activation)
         object.__setattr__(self, "hidden", tuple(self.hidden))
 
     def spec_for(self, dataset: Dataset) -> NetworkSpec:
@@ -107,6 +98,12 @@ class ExpertConfig:
     cache: str
     mapping: LayerGroupMapping
     alpha: float = 1.0
+
+    def __post_init__(self):
+        _require(isinstance(self.cache, str), "cache", "a string", self.cache)
+        _require(isinstance(self.mapping, LayerGroupMapping), "mapping",
+                 "a LayerGroupMapping", self.mapping)
+        _check_expert_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -126,8 +123,16 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        _check_test_fraction(self.test_fraction)
+        for name, kind, what in (
+                ("plan", TrainPlan, "a TrainPlan"),
+                ("teacher_plan", (TrainPlan, type(None)), "a TrainPlan or None"),
+                ("mapping", LayerGroupMapping, "a LayerGroupMapping"),
+                ("out_dir", (str, type(None)), "a string or None")):
+            _require(isinstance(getattr(self, name), kind), name, what, getattr(self, name))
+        _require(isinstance(self.seeds, (list, tuple)) and all(map(_is_int, self.seeds)),
+                 "seeds", "a list of integers", self.seeds)
+        object.__setattr__(self, "seeds", tuple(self.seeds))
         object.__setattr__(self, "teacher_plan",
                            replace(self.teacher_plan or self.plan, mode="naive"))
 
@@ -139,21 +144,16 @@ class ExperimentConfig:
         """Reject every inconsistent reference before training compute."""
         n_student = len(self.student.hidden)
         n_teacher = len(self.teacher.hidden)
-        for student_idx, gid in self.mapping.entries:
-            if not 0 <= student_idx < n_student:
-                raise ConfigError(
-                    f"mapping student layer {student_idx} outside 0..{n_student - 1}"
-                )
-            if not 0 <= gid <= n_teacher:
-                raise ConfigError(
-                    f"mapping group {gid} outside teacher layers 0..{n_teacher}"
-                )
-        for expert in self.experts:
-            for student_idx, _ in expert.mapping.entries:
+        for where, mapping in (("mapping", self.mapping), *(
+                (f"experts[{i}] mapping", e.mapping) for i, e in enumerate(self.experts))):
+            for student_idx, _ in mapping.entries:
                 if not 0 <= student_idx < n_student:
-                    raise ConfigError(
-                        f"expert mapping layer {student_idx} outside student"
-                    )
+                    raise ConfigError(f"{where} student layer {student_idx} "
+                                      f"outside 0..{n_student - 1}")
+        # an expert's group ids are its own teacher's, which the config lacks
+        for _, gid in self.mapping.entries:
+            if not 0 <= gid <= n_teacher:
+                raise ConfigError(f"mapping group {gid} outside teacher layers 0..{n_teacher}")
         if dataset.class_count < 2:
             raise ConfigError("dataset must have at least 2 classes")
         if self.plan.batch_size > dataset.n:
@@ -184,20 +184,14 @@ def _parse_dataset(ds) -> dict:
     if missing:
         raise ConfigError(f"dataset section is missing {sorted(missing)}")
     for arg, (what, valid) in args.items():
-        if not valid(ds[arg]):
-            raise ConfigError(f"dataset {arg} must be {what}, got {ds[arg]!r}")
+        _require(valid(ds[arg]), f"dataset {arg}", what, ds[arg])
     return ds
 
 
 def _parse_mapping(raw, where: str) -> LayerGroupMapping:
     if not isinstance(raw, list):
-        raise ConfigError(f"{where} must be a list of [student_layer, group] pairs")
-    entries = []
-    for item in raw:
-        if not isinstance(item, list) or len(item) != 2 or not all(map(_is_int, item)):
-            raise ConfigError(f"{where} entries must be pairs of integers, got {item!r}")
-        entries.append(tuple(item))
-    return LayerGroupMapping(entries=tuple(entries))
+        raise ConfigError(f"{where} mapping must be a list of [student_layer, group] pairs")
+    return _section(LayerGroupMapping, {"entries": raw}, where)
 
 
 def _parse_plan(d: dict, where: str) -> TrainPlan:
@@ -208,14 +202,8 @@ def _parse_plan(d: dict, where: str) -> TrainPlan:
 def _parse_experts(raw) -> tuple[ExpertConfig, ...]:
     return tuple(
         _section(ExpertConfig, e, f"experts[{i}]",
-                 mapping=partial(_parse_mapping, where=f"experts[{i}].mapping"))
+                 mapping=partial(_parse_mapping, where=f"experts[{i}]"))
         for i, e in enumerate(raw))
-
-
-def _parse_seeds(seeds) -> tuple[int, ...]:
-    if not isinstance(seeds, list) or not all(map(_is_int, seeds)):
-        raise ConfigError(f"seeds must be a list of integers, got {seeds!r}")
-    return tuple(seeds)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -228,8 +216,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             # teacher_plan inherits every plan field it does not set
             teacher_plan=lambda d: _parse_plan({**raw.get("plan", {}), **d},
                                                "teacher_plan"),
-            mapping=partial(_parse_mapping, where="mapping"),
-            experts=_parse_experts, seeds=_parse_seeds)
+            mapping=partial(_parse_mapping, where="config"), experts=_parse_experts)
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"bad config value: {exc}") from None
 

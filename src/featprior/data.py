@@ -55,6 +55,12 @@ def _is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
+def _require(ok: bool, name: str, what: str, value) -> None:
+    """The one wording of a refused value: ``ConfigError`` unless ``ok``."""
+    if not ok:
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Inputs (n x d) and integer class labels in [0, class_count)."""
@@ -114,6 +120,15 @@ def _read_idx_header(data: bytes, expected_magic: int, path) -> tuple[int, tuple
     return 4 + 4 * ndim, dims
 
 
+def _idx_payload(data: bytes, offset: int, need: int, path, what: str) -> np.ndarray:
+    """The ``need`` ubyte values after the header, which end the file."""
+    if len(data) - offset < need:
+        raise TruncatedFile(f"{path}: expected {need} {what} bytes")
+    if len(data) - offset > need:
+        raise CorruptFile(f"{path}: trailing bytes after {need} {what} bytes")
+    return np.frombuffer(data, dtype=np.uint8, count=need, offset=offset)
+
+
 def load_idx(images_path, labels_path) -> Dataset:
     """Load an IDX image/label pair (big-endian, ubyte pixels).
 
@@ -126,20 +141,14 @@ def load_idx(images_path, labels_path) -> Dataset:
 
     offset, dims = _read_idx_header(img_data, _IDX_IMAGES_MAGIC, images_path)
     count, rows, cols = dims
-    need = count * rows * cols
-    if len(img_data) - offset < need:
-        raise TruncatedFile(f"{images_path}: expected {need} pixel bytes")
-    pixels = np.frombuffer(img_data, dtype=np.uint8, count=need, offset=offset)
+    pixels = _idx_payload(img_data, offset, count * rows * cols, images_path, "pixel")
     inputs = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
 
     offset, dims = _read_idx_header(lab_data, _IDX_LABELS_MAGIC, labels_path)
     (lab_count,) = dims
     if lab_count != count:
         raise CountMismatch(f"{count} images but {lab_count} labels")
-    if len(lab_data) - offset < lab_count:
-        raise TruncatedFile(f"{labels_path}: expected {lab_count} label bytes")
-    labels = np.frombuffer(lab_data, dtype=np.uint8, count=lab_count,
-                           offset=offset).astype(np.int64)
+    labels = _idx_payload(lab_data, offset, lab_count, labels_path, "label").astype(np.int64)
 
     class_count = int(labels.max()) + 1 if labels.size else 1
     return Dataset(inputs=inputs, labels=labels, class_count=class_count)
@@ -246,14 +255,12 @@ class BatchSchedule:
     """
 
     def __init__(self, indices, batch_size: int, seed: int):
-        if not _is_int(batch_size):
-            raise ConfigError(f"batch_size must be an integer, got {batch_size!r}")
+        _require(_is_int(batch_size), "batch_size", "an integer", batch_size)
         if batch_size < 2:
             raise BatchTooSmall(
                 f"batch size {batch_size} < 2: Gram matrix would be degenerate"
             )
-        if not (_is_int(seed) and seed >= 0):
-            raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+        _require(_is_int(seed) and seed >= 0, "seed", "an integer >= 0", seed)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.batch_size = int(batch_size)
         self.seed = int(seed)
@@ -283,12 +290,17 @@ class SplitBatches:
     schedule: BatchSchedule
 
 
+def _check_test_fraction(test_fraction) -> None:
+    """The one rule for a split's test share, also checked as a config is read."""
+    _require(_is_real(test_fraction) and 0.0 < test_fraction < 1.0, "test_fraction",
+             "a number in (0, 1)", test_fraction)
+
+
 def split_and_batch(dataset: Dataset, test_fraction: float, batch_size: int,
                     seed: int) -> SplitBatches:
     """Shuffled train/test partition of ``dataset``'s rows plus the train
     batch schedule."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ConfigError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    _check_test_fraction(test_fraction)
     n = dataset.n
     n_test = int(round(n * test_fraction))
     n_test = min(max(n_test, 1), n - 1)

@@ -87,12 +87,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg
-from .data import _is_real
+from .data import _is_real, _require
 from .errors import (
     BatchMismatch,
+    ConfigError,
     DimensionMismatch,
     FactorizationFailed,
-    FeatPriorError,
     NonFiniteActivation,
     NotPositiveDefinite,
 )
@@ -114,19 +114,17 @@ class PriorConfig:
 
     def __post_init__(self):
         for name in ("alpha", "jitter", "temperature"):
-            if not _is_real(getattr(self, name)):
-                raise FeatPriorError(f"{name} must be a number, got {getattr(self, name)!r}")
-        if not isinstance(self.normalize_by_width, bool):
-            raise FeatPriorError("normalize_by_width must be a bool, "
-                                 f"got {self.normalize_by_width!r}")
+            _require(_is_real(getattr(self, name)), name, "a number", getattr(self, name))
+        _require(isinstance(self.normalize_by_width, bool), "normalize_by_width", "a bool",
+                 self.normalize_by_width)
         # alpha = 0 is allowed so the joint objective can degenerate to
         # plain task training; negative strength is meaningless.
         if not 0.0 <= self.alpha < math.inf:
-            raise FeatPriorError(f"alpha must be finite and >= 0, got {self.alpha}")
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not 0.0 <= self.jitter < math.inf:
-            raise FeatPriorError(f"jitter must be finite and >= 0, got {self.jitter}")
+            raise ConfigError(f"jitter must be finite and >= 0, got {self.jitter}")
         if not 0.0 < self.temperature < math.inf:
-            raise FeatPriorError(f"temperature must be finite and > 0, got {self.temperature}")
+            raise ConfigError(f"temperature must be finite and > 0, got {self.temperature}")
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,7 @@ from .data import (
     SplitBatches,
     _is_int,
     _is_real,
+    _require,
     dataset_fingerprint,
     split_and_batch,
 )
@@ -122,11 +123,8 @@ class TrainPlan:
                  "an integer"),
                 (("lr_phase1", "lr_phase2", "momentum"), _is_real, "a number")):
             for name in names:
-                value = getattr(self, name)
-                if not valid(value):
-                    raise ConfigError(f"{name} must be {what}, got {value!r}")
-        if not isinstance(self.prior, PriorConfig):
-            raise ConfigError(f"prior must be a PriorConfig, got {self.prior!r}")
+                _require(valid(getattr(self, name)), name, what, getattr(self, name))
+        _require(isinstance(self.prior, PriorConfig), "prior", "a PriorConfig", self.prior)
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.phase1_epochs < 0 or self.phase2_epochs < 0:
@@ -158,10 +156,8 @@ class LayerGroupMapping:
 
     def __post_init__(self):
         for pair in self.entries:
-            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
-                    and all(map(_is_int, pair))):
-                raise ConfigError(
-                    f"mapping entries must be pairs of integers, got {pair!r}")
+            _require(isinstance(pair, (tuple, list)) and len(pair) == 2
+                     and all(map(_is_int, pair)), "mapping entries", "pairs of integers", pair)
         entries = tuple((int(s), int(g)) for s, g in self.entries)
         object.__setattr__(self, "entries", entries)
         for i, pair in enumerate(entries):
@@ -184,6 +180,11 @@ class LayerGroupMapping:
                 raise ConfigError(f"feature group {gid} not present in cache")
 
 
+def _check_expert_alpha(alpha) -> None:
+    """The one rule for an expert's KL weight, also checked as a config is read."""
+    _require(_is_real(alpha) and 0 < alpha < math.inf, "alpha", "a finite number > 0", alpha)
+
+
 @dataclass(frozen=True)
 class ExpertPrior:
     cache: FeatureCache
@@ -191,8 +192,7 @@ class ExpertPrior:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if not (_is_real(self.alpha) and 0 < self.alpha < math.inf):
-            raise ConfigError(f"expert weight must be finite and > 0, got {self.alpha!r}")
+        _check_expert_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -253,9 +253,12 @@ def evaluate(model: Model, dataset: Dataset, rows: Rows | None = None,
     both truth and predictions as 0.  Micro F1 is accuracy: with one label
     and one prediction a row, each miss is one false positive and one false
     negative.  A model whose head width is not the dataset's class count
-    raises ``DimensionMismatch``.
+    raises ``DimensionMismatch``, and a k that is not an integer >= 1
+    ``ConfigError``.
     """
     c, classes = model.spec.output_head, dataset.class_count
+    for k in ks:
+        _require(_is_int(k) and k >= 1, "k", "an integer >= 1", k)
     if c != classes:
         raise DimensionMismatch(f"model has {c} classes, dataset has {classes}")
     idx = np.arange(dataset.n) if rows is None else rows.source_indices
@@ -329,8 +332,7 @@ def extract_features(model: Model, dataset: Dataset, layer_ids,
     which the soft-target and logit-regression baselines consume.
     """
     layer_ids = list(layer_ids)
-    if not all(map(_is_int, layer_ids)):
-        raise ConfigError(f"layer ids must be integers, got {layer_ids!r}")
+    _require(all(map(_is_int, layer_ids)), "layer ids", "integers", layer_ids)
     layer_ids = sorted(set(map(int, layer_ids)))
     max_id = model.spec.hidden_count
     for lid in layer_ids:
@@ -786,8 +788,7 @@ def compare_methods(dataset: Dataset, teacher_spec: NetworkSpec,
     one-phase modes whose plans differ only in the mode share a fit.
     """
     seeds = list(seeds)
-    if not all(map(_is_int, seeds)):
-        raise ConfigError(f"seeds must be integers, got {seeds!r}")
+    _require(all(map(_is_int, seeds)), "seeds", "integers", seeds)
     seeds = [int(s) for s in seeds]
     if len(seeds) < 2:
         raise ConfigError("need at least 2 seeds for a standard error")

@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 from featprior.cli import main
-from featprior.config import load_config, parse_config
+from featprior.config import (ArchConfig, ExperimentConfig, ExpertConfig, load_config,
+                              parse_config)
 from featprior.errors import ConfigError
 from featprior.gp_prior import PriorConfig
-from featprior.data import read_cache, serialize_cache, write_cache
+from featprior.data import read_cache, serialize_cache, split_and_batch, synth_blobs, write_cache
 from featprior.network import NetworkSpec, init_params, load_model, serialize_model
-from featprior.train import TrainPlan, extract_features
+from featprior.train import LayerGroupMapping, TrainPlan, extract_features
 
 REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
 README = REFERENCE_CONFIG.parent.parent / "README.md"
@@ -39,6 +40,12 @@ def base_config():
         "mapping": [[0, 0]],
         "seeds": [1, 2],
     }
+
+
+def experiment_config(**kwargs) -> ExperimentConfig:
+    """``base_config()``'s dataset under two small nets, built in Python."""
+    return ExperimentConfig(base_config()["dataset"], ArchConfig((8,)), ArchConfig((4,)),
+                            **kwargs)
 
 
 def non_default_fields(cls, shift: int) -> dict:
@@ -134,36 +141,51 @@ class TestConfigParsing:
          "list of integers >= 1, got ['4']"),
         ("student", "hidden", [True], "bad student: hidden must be a non-empty "
          "list of integers >= 1, got [True]"),
+        ("teacher", "activation", 5, "bad teacher: activation must be one of "
+         "['relu', 'tanh', 'identity'], got 5"),
+        ("student", "activation", "sigmoid", "bad student: activation must be one of "
+         "['relu', 'tanh', 'identity'], got 'sigmoid'"),
         ("config", "mapping", [[0.9, 1.6]],
-         "mapping entries must be pairs of integers, got [0.9, 1.6]"),
-        ("config", "seeds", [1.5, 2], "seeds must be a list of integers, got [1.5, 2]"),
-        ("plan", "batch_size", 16.5, "plan batch_size must be an integer, got 16.5"),
+         "bad config: mapping entries must be pairs of integers, got [0.9, 1.6]"),
+        ("experts", "mapping", [[0, 1, 2]],
+         "bad experts[0]: mapping entries must be pairs of integers, got [0, 1, 2]"),
+        ("config", "seeds", [1.5, 2],
+         "bad config: seeds must be a list of integers, got [1.5, 2]"),
+        ("plan", "batch_size", 16.5, "bad plan: batch_size must be an integer, got 16.5"),
         ("prior", "normalize_by_width", "no",
-         "prior normalize_by_width must be true or false, got 'no'"),
-        ("prior", "alpha", True, "prior alpha must be a number, got True"),
+         "bad prior: normalize_by_width must be a bool, got 'no'"),
+        ("prior", "alpha", True, "bad prior: alpha must be a number, got True"),
         ("teacher_plan", "lr_phase2", "0.003",
-         "teacher_plan lr_phase2 must be a number, got '0.003'"),
+         "bad teacher_plan: lr_phase2 must be a number, got '0.003'"),
         ("teacher_plan", "phase2_epochs", 1.5,
-         "teacher_plan phase2_epochs must be an integer, got 1.5"),
-        ("config", "test_fraction", "0.5", "config test_fraction must be a number, got '0.5'"),
-        ("config", "out_dir", 5, "config out_dir must be a string or null, got 5"),
-        ("experts", "alpha", "1", "experts[0] alpha must be a number, got '1'"),
-        ("experts", "cache", 7, "experts[0] cache must be a string, got 7"),
-        ("prior", "alpha", math.nan, "prior alpha must be a number, got nan"),
-        ("prior", "alpha", math.inf, "prior alpha must be a number, got inf"),
-        ("prior", "jitter", math.nan, "prior jitter must be a number, got nan"),
-        ("prior", "temperature", -math.inf, "prior temperature must be a number, got -inf"),
-        ("plan", "lr_phase1", math.inf, "plan lr_phase1 must be a number, got inf"),
-        ("experts", "alpha", math.inf, "experts[0] alpha must be a number, got inf"),
+         "bad teacher_plan: phase2_epochs must be an integer, got 1.5"),
+        ("config", "test_fraction", "0.5",
+         "bad config: test_fraction must be a number in (0, 1), got '0.5'"),
+        ("config", "out_dir", 5, "bad config: out_dir must be a string or None, got 5"),
+        ("experts", "alpha", "1", "bad experts[0]: alpha must be a finite number > 0, got '1'"),
+        ("experts", "cache", 7, "bad experts[0]: cache must be a string, got 7"),
+        ("prior", "alpha", math.nan, "bad prior: alpha must be finite and >= 0, got nan"),
+        ("prior", "alpha", math.inf, "bad prior: alpha must be finite and >= 0, got inf"),
+        ("prior", "jitter", math.nan, "bad prior: jitter must be finite and >= 0, got nan"),
+        ("prior", "temperature", -math.inf,
+         "bad prior: temperature must be finite and > 0, got -inf"),
+        ("plan", "lr_phase1", math.inf, "bad plan: lr_phase1 must be finite and > 0, got inf"),
+        ("experts", "alpha", math.inf,
+         "bad experts[0]: alpha must be a finite number > 0, got inf"),
+        ("experts", "alpha", -1.0,
+         "bad experts[0]: alpha must be a finite number > 0, got -1.0"),
         ("plan", "lr_phase1", -0.01, "bad plan: lr_phase1 must be finite and > 0, got -0.01"),
-    ], ids=["hidden-float", "hidden-str", "hidden-bool", "mapping-float", "seeds-float",
+    ], ids=["hidden-float", "hidden-str", "hidden-bool", "activation-int",
+            "activation-unknown", "mapping-float", "expert-mapping-triple", "seeds-float",
             "batch_size-float", "normalize_by_width-str", "alpha-bool", "lr_phase2-str",
             "phase2_epochs-float", "test_fraction-str", "out_dir-int", "expert-alpha-str",
             "expert-cache-int", "alpha-nan", "alpha-inf", "jitter-nan", "temperature-inf",
-            "lr_phase1-inf", "expert-alpha-inf", "lr_phase1-negative"])
+            "lr_phase1-inf", "expert-alpha-inf", "expert-alpha-negative",
+            "lr_phase1-negative"])
     def test_mistyped_value_exit_1(self, tmp_path, capsys, where, key, value, named):
-        # refused as the config is read: nothing is truncated or coerced, and
-        # the NaN and Infinity that Python's json reads are not numbers
+        # refused as the config is read, by the dataclass that holds the
+        # value: nothing is truncated or coerced, and the NaN and Infinity
+        # that Python's json reads are refused
         cfg = base_config()
         cfg["plan"]["prior"] = {}
         cfg["experts"] = [{"cache": "a.fpfc", "mapping": [[0, 0]]}]
@@ -175,6 +197,38 @@ class TestConfigParsing:
         assert run("train-teacher", "--config", path, "--out", str(out)) == 1
         assert capsys.readouterr().err == f"error: {named}\n"
         assert not (out / "teacher.fpnn").exists()
+
+    @pytest.mark.parametrize("build, named", [
+        (lambda: experiment_config(test_fraction="0.5"),
+         "test_fraction must be a number in (0, 1), got '0.5'"),
+        (lambda: experiment_config(plan={"seed": 1}),
+         "plan must be a TrainPlan, got {'seed': 1}"),
+        (lambda: experiment_config(teacher_plan={"seed": 1}),
+         "teacher_plan must be a TrainPlan or None, got {'seed': 1}"),
+        (lambda: experiment_config(mapping=[[0, 0]]),
+         "mapping must be a LayerGroupMapping, got [[0, 0]]"),
+        (lambda: experiment_config(out_dir=5),
+         "out_dir must be a string or None, got 5"),
+        (lambda: experiment_config(seeds=(1.5, 2)),
+         "seeds must be a list of integers, got (1.5, 2)"),
+        (lambda: ExpertConfig(7, LayerGroupMapping()), "cache must be a string, got 7"),
+        (lambda: ExpertConfig("a.fpfc", LayerGroupMapping(), alpha="1"),
+         "alpha must be a finite number > 0, got '1'"),
+        (lambda: ExpertConfig("a.fpfc", LayerGroupMapping(), alpha=-1.0),
+         "alpha must be a finite number > 0, got -1.0"),
+        (lambda: ArchConfig((4,), activation=5),
+         "activation must be one of ['relu', 'tanh', 'identity'], got 5"),
+        (lambda: split_and_batch(synth_blobs(4, 2, 2, 1.0, seed=0), "0.5", 4, 1),
+         "test_fraction must be a number in (0, 1), got '0.5'"),
+    ], ids=["test_fraction-str", "plan-dict", "teacher_plan-dict", "mapping-list",
+            "out_dir-int", "seeds-float", "expert-cache-int", "expert-alpha-str",
+            "expert-alpha-negative", "activation-int", "split-test_fraction-str"])
+    def test_mistyped_python_value_is_config_error(self, build, named):
+        # the dataclass that holds a value checks it, so a value built in
+        # Python fails as the same value read from JSON does
+        with pytest.raises(ConfigError) as excinfo:
+            build()
+        assert str(excinfo.value) == named
 
     def test_float_fields_take_json_integers(self):
         cfg = base_config()
@@ -200,11 +254,18 @@ class TestConfigParsing:
         assert cfg.teacher_plan.mode == "naive"
 
     def test_mapping_out_of_range_rejected_before_compute(self):
-        cfg = base_config()
-        cfg["mapping"] = [[3, 0]]
-        parsed = parse_config(cfg)
-        with pytest.raises(ConfigError, match="mapping"):
-            parsed.validate_cross_refs(parsed.load_dataset())
+        # an expert's group ids are its own teacher's, so only the top-level
+        # mapping's are checked against the config's teacher
+        for mappings, named in (
+                ({"mapping": [[3, 0]]}, "mapping student layer 3 outside 0..0"),
+                ({"mapping": [[0, 2]]}, "mapping group 2 outside teacher layers 0..1"),
+                ({"mapping": [], "experts": [{"cache": "a.fpfc", "mapping": [[0, 5]]},
+                                             {"cache": "b.fpfc", "mapping": [[1, 0]]}]},
+                 "experts[1] mapping student layer 1 outside 0..0")):
+            parsed = parse_config({**base_config(), **mappings})
+            with pytest.raises(ConfigError) as excinfo:
+                parsed.validate_cross_refs(parsed.load_dataset())
+            assert str(excinfo.value) == named
 
     @pytest.mark.parametrize("where", ["mapping", "expert"])
     def test_repeated_mapping_pair_exit_1(self, tmp_path, capsys, where):

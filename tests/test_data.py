@@ -119,6 +119,17 @@ class TestLoadIdx:
         with pytest.raises(TruncatedFile):
             load_idx(img, lab)
 
+    @pytest.mark.parametrize("which", ["images", "labels"])
+    def test_trailing_bytes(self, tmp_path, which):
+        # like a model or cache file, an IDX file ends with its payload
+        files = {"images": idx_image_bytes(np.zeros((2, 3, 3))),
+                 "labels": idx_label_bytes([0, 1])}
+        files[which] += b"\x00" * 4
+        for name, blob in files.items():
+            (tmp_path / name).write_bytes(blob)
+        with pytest.raises(CorruptFile, match=f"{which}: trailing bytes"):
+            load_idx(tmp_path / "images", tmp_path / "labels")
+
     def test_agrees_with_reference_decoder(self, tmp_path):
         rng = np.random.default_rng(0)
         images = rng.integers(0, 256, size=(5, 4, 3)).astype(np.uint8)

@@ -5,6 +5,7 @@ and the multi-seed comparison."""
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -151,9 +152,9 @@ class TestApiTypes:
         (lambda: PriorConfig(temperature=math.inf),
          "temperature must be finite and > 0, got inf"),
         (lambda: ExpertPrior(None, LayerGroupMapping(((0, 0),)), math.nan),
-         "expert weight must be finite and > 0, got nan"),
+         "alpha must be a finite number > 0, got nan"),
         (lambda: ExpertPrior(None, LayerGroupMapping(((0, 0),)), math.inf),
-         "expert weight must be finite and > 0, got inf"),
+         "alpha must be a finite number > 0, got inf"),
         # a step size <= 0 trains uphill or not at all; momentum >= 1 diverges
         (lambda: TrainPlan(lr_phase1=-0.01), "lr_phase1 must be finite and > 0, got -0.01"),
         (lambda: TrainPlan(lr_phase1=0.0), "lr_phase1 must be finite and > 0, got 0.0"),
@@ -180,7 +181,7 @@ class TestApiTypes:
         (lambda: TrainPlan(prior={"alpha": 1.0}),
          "prior must be a PriorConfig, got {'alpha': 1.0}"),
         (lambda: ExpertPrior(None, LayerGroupMapping(((0, 0),)), True),
-         "expert weight must be finite and > 0, got True"),
+         "alpha must be a finite number > 0, got True"),
     ], ids=["alpha-nan", "alpha-inf", "jitter-nan", "jitter-inf", "temperature-nan",
             "temperature-inf", "expert-alpha-nan", "expert-alpha-inf", "lr_phase1-negative",
             "lr_phase1-zero", "lr_phase2-nan", "lr_phase2-inf", "momentum-negative",
@@ -980,6 +981,12 @@ class TestEvaluate:
         model = init_params(NetworkSpec.dense(2, [4], 2), seed=30)
         metrics = evaluate(model, ds, ks=(1, 2))
         assert metrics.top_k[2] == 1.0
+
+    @pytest.mark.parametrize("k", [0, -1, 1.5, True, "2"])
+    def test_k_below_one_or_not_an_integer_is_refused(self, k):
+        # top-0 would score 0 and top-(-1) a slice of all but the last class
+        with pytest.raises(ConfigError, match=re.escape(f"k must be an integer >= 1, got {k!r}")):
+            evaluate(self.perfect_model(), self.onehot_dataset(), ks=(1, k))
 
     @staticmethod
     def assert_metrics_equal(a: Metrics, b: Metrics) -> None:
