@@ -8,21 +8,21 @@ that dataclass's fields: the top level is ``ExperimentConfig``, ``plan`` and
 and ``student`` are ``ArchConfig`` and each ``experts`` entry is an
 ``ExpertConfig``.  Each dataclass checks its own values, the same way
 whether they come from JSON or from Python, and nothing is coerced; this
-module checks only keys and structure.  The ``dataset`` keys are its kind's
-loader arguments, checked here.  Unknown keys anywhere in the document are
-hard errors (they are almost always typos in hyperparameter names), and
-every cross-reference is validated before any training starts.
+module checks only keys and structure.  The ``dataset`` keys are exactly
+its kind's loader arguments, which the loader in ``featprior.data`` checks
+before it makes any data (``load_dataset``).  Unknown keys anywhere in the
+document are hard errors (they are almost always typos in hyperparameter
+names), and every cross-reference is validated before any training starts.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields, replace
 from functools import partial
 
 from . import data
-from .data import Dataset, _check_test_fraction, _is_int, _is_real, _require
+from .data import Dataset, _check_seed, _check_test_fraction, _is_int, _require
 from .errors import ConfigError, FeatPriorError
 from .gp_prior import PriorConfig
 from .network import ACTIVATIONS, NetworkSpec
@@ -50,28 +50,13 @@ def _section(cls, d: dict, where: str, **parse):
         raise ConfigError(f"bad {where}: {exc}") from None
 
 
-def _integer(low: int):
-    return f"an integer >= {low}", lambda v: _is_int(v) and v >= low
-
-
-# what a loader argument must be, and the test of that
-_COUNT = _integer(1)
-# JSON has no NaN or Infinity, though Python's json module reads them
-_NUMBER = ("a number", lambda v: _is_real(v) and math.isfinite(v))
-_STRING = ("a string", lambda v: isinstance(v, str))
-
-# kind -> (loader in .data, its arguments in order with their rules).  Every
-# argument is a required key: a partially specified data source is a typo.
-# The loader is looked up by name when called, so a wrapper installed on
-# .data runs.
+# kind -> (loader in .data, looked up by name when called so that a wrapper
+# installed on .data runs; its arguments, each a required key)
 _DATASETS = {
-    "synth_blobs": ("synth_blobs", {"n_per_class": _COUNT, "classes": _COUNT,
-                                    "dim": _COUNT, "separation": _NUMBER,
-                                    "seed": _integer(0)}),
-    "synth_rings": ("synth_rings", {"n_per_class": _COUNT, "classes": _COUNT,
-                                    "noise": _NUMBER, "seed": _integer(0)}),
-    "idx": ("load_idx", {"images": _STRING, "labels": _STRING}),
-    "csv": ("load_csv", {"path": _STRING, "label_column": _STRING}),
+    "synth_blobs": ("synth_blobs", ("n_per_class", "classes", "dim", "separation", "seed")),
+    "synth_rings": ("synth_rings", ("n_per_class", "classes", "noise", "seed")),
+    "idx": ("load_idx", ("images", "labels")),
+    "csv": ("load_csv", ("path", "label_column")),
 }
 
 
@@ -82,7 +67,7 @@ class ArchConfig:
 
     def __post_init__(self):
         _require(isinstance(self.hidden, (list, tuple)) and self.hidden
-                 and all(map(_COUNT[1], self.hidden)), "hidden",
+                 and all(_is_int(h) and h >= 1 for h in self.hidden), "hidden",
                  "a non-empty list of integers >= 1", self.hidden)
         _require(self.activation in ACTIVATIONS, "activation",
                  f"one of {list(ACTIVATIONS)}", self.activation)
@@ -123,22 +108,37 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        ds = self.dataset
+        _require(isinstance(ds, dict) and isinstance(ds.get("kind"), str)
+                 and ds["kind"] in _DATASETS, "dataset", f"a dict of kind {list(_DATASETS)}", ds)
+        keys = ["kind", *_DATASETS[ds["kind"]][1]]
+        _require(set(ds) == set(keys), "dataset keys", f"exactly {keys}", list(ds))
         _check_test_fraction(self.test_fraction)
         for name, kind, what in (
+                ("teacher", ArchConfig, "an ArchConfig"),
+                ("student", ArchConfig, "an ArchConfig"),
                 ("plan", TrainPlan, "a TrainPlan"),
                 ("teacher_plan", (TrainPlan, type(None)), "a TrainPlan or None"),
                 ("mapping", LayerGroupMapping, "a LayerGroupMapping"),
                 ("out_dir", (str, type(None)), "a string or None")):
             _require(isinstance(getattr(self, name), kind), name, what, getattr(self, name))
-        _require(isinstance(self.seeds, (list, tuple)) and all(map(_is_int, self.seeds)),
-                 "seeds", "a list of integers", self.seeds)
+        _require(isinstance(self.experts, (list, tuple))
+                 and all(isinstance(e, ExpertConfig) for e in self.experts),
+                 "experts", "a list of ExpertConfig", self.experts)
+        _require(isinstance(self.seeds, (list, tuple)), "seeds", "a list", self.seeds)
+        for i, seed in enumerate(self.seeds):
+            _check_seed(seed, f"seeds[{i}]")
+        object.__setattr__(self, "experts", tuple(self.experts))
         object.__setattr__(self, "seeds", tuple(self.seeds))
         object.__setattr__(self, "teacher_plan",
                            replace(self.teacher_plan or self.plan, mode="naive"))
 
     def load_dataset(self) -> Dataset:
         loader, args = _DATASETS[self.dataset["kind"]]
-        return getattr(data, loader)(*(self.dataset[a] for a in args))
+        try:
+            return getattr(data, loader)(*(self.dataset[a] for a in args))
+        except ConfigError as exc:  # a loader raises it only for an argument
+            raise ConfigError(f"bad dataset: {exc}") from None
 
     def validate_cross_refs(self, dataset: Dataset) -> None:
         """Reject every inconsistent reference before training compute."""
@@ -172,22 +172,6 @@ class ExperimentConfig:
                        teacher_plan=replace(self.teacher_plan, seed=seed))
 
 
-def _parse_dataset(ds) -> dict:
-    if not isinstance(ds, dict) or "kind" not in ds:
-        raise ConfigError("dataset section needs a 'kind'")
-    if ds["kind"] not in _DATASETS:
-        raise ConfigError(f"unknown dataset kind {ds['kind']!r}")
-    args = _DATASETS[ds["kind"]][1]
-    keys = {"kind", *args}
-    _check_keys(ds, keys, "dataset")
-    missing = keys - set(ds)
-    if missing:
-        raise ConfigError(f"dataset section is missing {sorted(missing)}")
-    for arg, (what, valid) in args.items():
-        _require(valid(ds[arg]), f"dataset {arg}", what, ds[arg])
-    return ds
-
-
 def _parse_mapping(raw, where: str) -> LayerGroupMapping:
     if not isinstance(raw, list):
         raise ConfigError(f"{where} mapping must be a list of [student_layer, group] pairs")
@@ -200,6 +184,8 @@ def _parse_plan(d: dict, where: str) -> TrainPlan:
 
 
 def _parse_experts(raw) -> tuple[ExpertConfig, ...]:
+    if not isinstance(raw, list):
+        raise ConfigError("experts must be a JSON list of objects")
     return tuple(
         _section(ExpertConfig, e, f"experts[{i}]",
                  mapping=partial(_parse_mapping, where=f"experts[{i}]"))
@@ -207,18 +193,16 @@ def _parse_experts(raw) -> tuple[ExpertConfig, ...]:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    try:
-        return _section(
-            ExperimentConfig, raw, "config", dataset=_parse_dataset,
-            teacher=partial(_section, ArchConfig, where="teacher"),
-            student=partial(_section, ArchConfig, where="student"),
-            plan=partial(_parse_plan, where="plan"),
-            # teacher_plan inherits every plan field it does not set
-            teacher_plan=lambda d: _parse_plan({**raw.get("plan", {}), **d},
-                                               "teacher_plan"),
-            mapping=partial(_parse_mapping, where="config"), experts=_parse_experts)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from None
+    return _section(
+        ExperimentConfig, raw, "config",
+        teacher=partial(_section, ArchConfig, where="teacher"),
+        student=partial(_section, ArchConfig, where="student"),
+        plan=partial(_parse_plan, where="plan"),
+        # teacher_plan inherits every plan field it does not set; _parse_plan
+        # refuses one that is not an object
+        teacher_plan=lambda d: _parse_plan(
+            {**raw.get("plan", {}), **d} if isinstance(d, dict) else d, "teacher_plan"),
+        mapping=partial(_parse_mapping, where="config"), experts=_parse_experts)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -3,9 +3,10 @@ structure, deterministic splits and batch schedules, and the binary
 teacher-feature cache.
 
 Every loader and generator is a deterministic function of its inputs and
-seed.  A split holds no inputs of its own: its halves are ``Rows``, sorted
-row indices into the full dataset, so batches of the train half line up
-with feature-cache rows extracted over that dataset, and the test half is
+seed, and checks all its arguments before it makes any data.  A split
+holds no inputs of its own: its halves are ``Rows``, sorted row indices
+into the full dataset, so batches of the train half line up with
+feature-cache rows extracted over that dataset, and the test half is
 gathered a chunk at a time when it is scored.  ``read_cache`` is the one
 ``.fpfc`` parser; a fit, not the reader, checks a cache against its dataset.
 """
@@ -18,6 +19,7 @@ import numbers
 import os
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -61,6 +63,35 @@ def _require(ok: bool, name: str, what: str, value) -> None:
         raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
+def _check_seed(seed, name: str = "seed") -> None:
+    """The one rule for a seed: an integer >= 0."""
+    _require(_is_int(seed) and seed >= 0, name, "an integer >= 0", seed)
+
+
+def _check_batch_size(batch_size) -> None:
+    """The one rule for a batch size: an integer >= 2."""
+    _require(_is_int(batch_size), "batch_size", "an integer", batch_size)
+    if batch_size < 2:
+        raise BatchTooSmall(f"batch size {batch_size} < 2: Gram matrix would be degenerate")
+
+
+def _check_test_fraction(test_fraction) -> None:
+    """The one rule for a split's test share."""
+    _require(_is_real(test_fraction) and 0.0 < test_fraction < 1.0, "test_fraction",
+             "a number in (0, 1)", test_fraction)
+
+
+def _check_paths(**paths) -> None:
+    # an int would be opened as a file descriptor
+    for name, path in paths.items():
+        _require(isinstance(path, (str, os.PathLike)), name, "a str or os.PathLike", path)
+
+
+def _check_counts(**counts) -> None:
+    for name, count in counts.items():
+        _require(_is_int(count) and count >= 1, name, "an integer >= 1", count)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Inputs (n x d) and integer class labels in [0, class_count)."""
@@ -74,8 +105,7 @@ class Dataset:
         labels = np.asarray(self.labels, dtype=np.int64)
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "labels", labels)
-        if not _is_int(self.class_count):
-            raise FeatPriorError(f"class_count must be an integer, got {self.class_count!r}")
+        _require(_is_int(self.class_count), "class_count", "an integer", self.class_count)
         if inputs.ndim != 2 or inputs.shape[0] < 1:
             raise FeatPriorError(f"inputs must be n x d with n >= 1, got {inputs.shape}")
         if labels.shape != (inputs.shape[0],):
@@ -129,34 +159,34 @@ def _idx_payload(data: bytes, offset: int, need: int, path, what: str) -> np.nda
     return np.frombuffer(data, dtype=np.uint8, count=need, offset=offset)
 
 
-def load_idx(images_path, labels_path) -> Dataset:
+def load_idx(images, labels) -> Dataset:
     """Load an IDX image/label pair (big-endian, ubyte pixels).
 
     Pixels are scaled by 1/255 into [0, 1] and images flattened row-major.
     """
-    with open(images_path, "rb") as fh:
-        img_data = fh.read()
-    with open(labels_path, "rb") as fh:
-        lab_data = fh.read()
+    _check_paths(images=images, labels=labels)
+    img_data, lab_data = Path(images).read_bytes(), Path(labels).read_bytes()
 
-    offset, dims = _read_idx_header(img_data, _IDX_IMAGES_MAGIC, images_path)
+    offset, dims = _read_idx_header(img_data, _IDX_IMAGES_MAGIC, images)
     count, rows, cols = dims
-    pixels = _idx_payload(img_data, offset, count * rows * cols, images_path, "pixel")
+    pixels = _idx_payload(img_data, offset, count * rows * cols, images, "pixel")
     inputs = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
 
-    offset, dims = _read_idx_header(lab_data, _IDX_LABELS_MAGIC, labels_path)
+    offset, dims = _read_idx_header(lab_data, _IDX_LABELS_MAGIC, labels)
     (lab_count,) = dims
     if lab_count != count:
         raise CountMismatch(f"{count} images but {lab_count} labels")
-    labels = _idx_payload(lab_data, offset, lab_count, labels_path, "label").astype(np.int64)
+    values = _idx_payload(lab_data, offset, lab_count, labels, "label").astype(np.int64)
 
-    class_count = int(labels.max()) + 1 if labels.size else 1
-    return Dataset(inputs=inputs, labels=labels, class_count=class_count)
+    class_count = int(values.max()) + 1 if values.size else 1
+    return Dataset(inputs=inputs, labels=values, class_count=class_count)
 
 
 def load_csv(path, label_column: str) -> Dataset:
     """Rectangular numeric CSV with a header row; one column holds integer
     class labels, the rest become features in header order."""
+    _check_paths(path=path)
+    _require(isinstance(label_column, str), "label_column", "a string", label_column)
     with open(path, newline="") as fh:
         reader = _csv.reader(fh)
         try:
@@ -207,8 +237,10 @@ def synth_blobs(n_per_class: int, classes: int, dim: int, separation: float,
     dim=1) with adjacent centers ``separation`` apart, so the Bayes
     accuracy is controlled by ``separation``.
     """
-    if not separation > 0:
-        raise ConfigError(f"separation must be > 0, got {separation}")
+    _check_counts(n_per_class=n_per_class, classes=classes, dim=dim)
+    _require(_is_real(separation) and 0 < separation < np.inf, "separation",
+             "a finite number > 0", separation)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     centers = np.zeros((classes, dim))
     if dim == 1 or classes == 1:
@@ -230,8 +262,10 @@ def synth_rings(n_per_class: int, classes: int, noise: float,
                 seed: int) -> Dataset:
     """Concentric 2-D rings (radius k+1 for class k) with Gaussian radial
     noise; linearly inseparable by construction."""
-    if noise < 0:
-        raise ConfigError(f"noise must be >= 0, got {noise}")
+    _check_counts(n_per_class=n_per_class, classes=classes)
+    _require(_is_real(noise) and 0 <= noise < np.inf, "noise", "a finite number >= 0",
+             noise)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     points = []
     for k in range(classes):
@@ -255,12 +289,8 @@ class BatchSchedule:
     """
 
     def __init__(self, indices, batch_size: int, seed: int):
-        _require(_is_int(batch_size), "batch_size", "an integer", batch_size)
-        if batch_size < 2:
-            raise BatchTooSmall(
-                f"batch size {batch_size} < 2: Gram matrix would be degenerate"
-            )
-        _require(_is_int(seed) and seed >= 0, "seed", "an integer >= 0", seed)
+        _check_batch_size(batch_size)
+        _check_seed(seed)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.batch_size = int(batch_size)
         self.seed = int(seed)
@@ -290,17 +320,12 @@ class SplitBatches:
     schedule: BatchSchedule
 
 
-def _check_test_fraction(test_fraction) -> None:
-    """The one rule for a split's test share, also checked as a config is read."""
-    _require(_is_real(test_fraction) and 0.0 < test_fraction < 1.0, "test_fraction",
-             "a number in (0, 1)", test_fraction)
-
-
 def split_and_batch(dataset: Dataset, test_fraction: float, batch_size: int,
                     seed: int) -> SplitBatches:
     """Shuffled train/test partition of ``dataset``'s rows plus the train
     batch schedule."""
     _check_test_fraction(test_fraction)
+    _check_seed(seed)
     n = dataset.n
     n_test = int(round(n * test_fraction))
     n_test = min(max(n_test, 1), n - 1)

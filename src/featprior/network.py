@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _is_int
+from .data import _check_seed, _is_int
 from .errors import (
     CorruptFile,
     DimensionMismatch,
@@ -112,8 +112,18 @@ class Model:
     offsets: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        layers = self.spec.layers
+        if not len(self.weights) == len(self.biases) == len(layers):
+            raise DimensionMismatch(f"{len(layers)} layers in the spec, but {len(self.weights)} "
+                                    f"weights and {len(self.biases)} biases")
         arrays = [np.asarray(p) for p in self.parameters()]
-        lead = arrays[0].shape[:-2]  # the seed axis, if any
+        lead = arrays[0].shape[:-2][:1]  # the seed axis, if any; at most one
+        for i, (layer, w, b) in enumerate(zip(layers, arrays[0::2], arrays[1::2])):
+            if (w.shape, b.shape) != ((*lead, layer.in_width, layer.out_width),
+                                      (*lead, layer.out_width)):
+                raise DimensionMismatch(
+                    f"layer {i} is {layer.in_width} -> {layer.out_width}, but its weight "
+                    f"has shape {w.shape} and its bias {b.shape}")
         rows = [a.reshape(*lead, -1) for a in arrays]
         self.flat = np.concatenate(rows, axis=-1)  # copies
         self.offsets = [0] + np.cumsum([r.shape[-1] for r in rows], dtype=int).tolist()
@@ -156,6 +166,7 @@ class ForwardRecord:
 def init_params(spec: NetworkSpec, seed) -> Model:
     """He-uniform weights for relu layers, Xavier-uniform otherwise;
     zero biases.  Fully determined by the seed."""
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
 
     def draw(fan_in, fan_out, activation):

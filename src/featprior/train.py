@@ -51,6 +51,8 @@ from .data import (
     FeatureCache,
     Rows,
     SplitBatches,
+    _check_batch_size,
+    _check_seed,
     _is_int,
     _is_real,
     _require,
@@ -60,7 +62,6 @@ from .data import (
 from .errors import (
     AllLayersFrozen,
     BatchMismatch,
-    BatchTooSmall,
     ConfigError,
     DimensionMismatch,
     DivergedTraining,
@@ -118,19 +119,16 @@ class TrainPlan:
     mode: str = "two_phase"
 
     def __post_init__(self):
+        _check_seed(self.seed)
+        _check_batch_size(self.batch_size)
         for names, valid, what in (
-                (("seed", "batch_size", "phase1_epochs", "phase2_epochs"), _is_int,
-                 "an integer"),
+                (("phase1_epochs", "phase2_epochs"), _is_int, "an integer"),
                 (("lr_phase1", "lr_phase2", "momentum"), _is_real, "a number")):
             for name in names:
                 _require(valid(getattr(self, name)), name, what, getattr(self, name))
         _require(isinstance(self.prior, PriorConfig), "prior", "a PriorConfig", self.prior)
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
         if self.phase1_epochs < 0 or self.phase2_epochs < 0:
             raise ConfigError("epoch counts must be >= 0")
-        if self.batch_size < 2:
-            raise BatchTooSmall(f"batch size {self.batch_size} < 2")
         for name, lr in (("lr_phase1", self.lr_phase1), ("lr_phase2", self.lr_phase2)):
             if not 0.0 < lr < math.inf:
                 raise ConfigError(f"{name} must be finite and > 0, got {lr}")
@@ -788,14 +786,13 @@ def compare_methods(dataset: Dataset, teacher_spec: NetworkSpec,
     one-phase modes whose plans differ only in the mode share a fit.
     """
     seeds = list(seeds)
-    _require(all(map(_is_int, seeds)), "seeds", "integers", seeds)
+    for i, seed in enumerate(seeds):
+        _check_seed(seed, f"seeds[{i}]")
     seeds = [int(s) for s in seeds]
     if len(seeds) < 2:
         raise ConfigError("need at least 2 seeds for a standard error")
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be distinct")
-    if any(s < 0 for s in seeds):
-        raise ConfigError("seeds must be >= 0")
     if isinstance(plans, TrainPlan):
         plans = {mode: plans for mode in methods}
     unknown = set(plans) - set(MODES)

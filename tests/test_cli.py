@@ -16,9 +16,10 @@ import pytest
 from featprior.cli import main
 from featprior.config import (ArchConfig, ExperimentConfig, ExpertConfig, load_config,
                               parse_config)
-from featprior.errors import ConfigError
+from featprior.errors import ConfigError, FeatPriorError
 from featprior.gp_prior import PriorConfig
-from featprior.data import read_cache, serialize_cache, split_and_batch, synth_blobs, write_cache
+from featprior.data import (load_csv, load_idx, read_cache, serialize_cache, split_and_batch,
+                            synth_blobs, synth_rings, write_cache)
 from featprior.network import NetworkSpec, init_params, load_model, serialize_model
 from featprior.train import LayerGroupMapping, TrainPlan, extract_features
 
@@ -150,7 +151,11 @@ class TestConfigParsing:
         ("experts", "mapping", [[0, 1, 2]],
          "bad experts[0]: mapping entries must be pairs of integers, got [0, 1, 2]"),
         ("config", "seeds", [1.5, 2],
-         "bad config: seeds must be a list of integers, got [1.5, 2]"),
+         "bad config: seeds[0] must be an integer >= 0, got 1.5"),
+        ("config", "seeds", [1, -1], "bad config: seeds[1] must be an integer >= 0, got -1"),
+        ("config", "experts", 5, "experts must be a JSON list of objects"),
+        ("config", "experts", {"a": 1}, "experts must be a JSON list of objects"),
+        ("config", "teacher_plan", 5, "teacher_plan must be a JSON object"),
         ("plan", "batch_size", 16.5, "bad plan: batch_size must be an integer, got 16.5"),
         ("prior", "normalize_by_width", "no",
          "bad prior: normalize_by_width must be a bool, got 'no'"),
@@ -177,6 +182,7 @@ class TestConfigParsing:
         ("plan", "lr_phase1", -0.01, "bad plan: lr_phase1 must be finite and > 0, got -0.01"),
     ], ids=["hidden-float", "hidden-str", "hidden-bool", "activation-int",
             "activation-unknown", "mapping-float", "expert-mapping-triple", "seeds-float",
+            "seeds-negative", "experts-int", "experts-object", "teacher_plan-int",
             "batch_size-float", "normalize_by_width-str", "alpha-bool", "lr_phase2-str",
             "phase2_epochs-float", "test_fraction-str", "out_dir-int", "expert-alpha-str",
             "expert-cache-int", "alpha-nan", "alpha-inf", "jitter-nan", "temperature-inf",
@@ -210,7 +216,24 @@ class TestConfigParsing:
         (lambda: experiment_config(out_dir=5),
          "out_dir must be a string or None, got 5"),
         (lambda: experiment_config(seeds=(1.5, 2)),
-         "seeds must be a list of integers, got (1.5, 2)"),
+         "seeds[0] must be an integer >= 0, got 1.5"),
+        (lambda: experiment_config(seeds=5), "seeds must be a list, got 5"),
+        (lambda: ExperimentConfig(base_config()["dataset"], "x", ArchConfig((4,))),
+         "teacher must be an ArchConfig, got 'x'"),
+        (lambda: ExperimentConfig(base_config()["dataset"], ArchConfig((8,)), None),
+         "student must be an ArchConfig, got None"),
+        (lambda: experiment_config(experts=[5]),
+         "experts must be a list of ExpertConfig, got [5]"),
+        (lambda: experiment_config(experts=5),
+         "experts must be a list of ExpertConfig, got 5"),
+        (lambda: ExperimentConfig({**base_config()["dataset"], "sep": 2.0}, ArchConfig((8,)),
+                                  ArchConfig((4,))),
+         "dataset keys must be exactly ['kind', 'n_per_class', 'classes', 'dim', "
+         "'separation', 'seed'], got ['kind', 'n_per_class', 'classes', 'dim', "
+         "'separation', 'seed', 'sep']"),
+        (lambda: ExperimentConfig({"kind": "moons"}, ArchConfig((8,)), ArchConfig((4,))),
+         "dataset must be a dict of kind ['synth_blobs', 'synth_rings', 'idx', 'csv'], "
+         "got {'kind': 'moons'}"),
         (lambda: ExpertConfig(7, LayerGroupMapping()), "cache must be a string, got 7"),
         (lambda: ExpertConfig("a.fpfc", LayerGroupMapping(), alpha="1"),
          "alpha must be a finite number > 0, got '1'"),
@@ -220,15 +243,48 @@ class TestConfigParsing:
          "activation must be one of ['relu', 'tanh', 'identity'], got 5"),
         (lambda: split_and_batch(synth_blobs(4, 2, 2, 1.0, seed=0), "0.5", 4, 1),
          "test_fraction must be a number in (0, 1), got '0.5'"),
+        (lambda: split_and_batch(synth_blobs(4, 2, 2, 1.0, seed=0), 0.5, 4, -1),
+         "seed must be an integer >= 0, got -1"),
+        (lambda: split_and_batch(synth_blobs(4, 2, 2, 1.0, seed=0), 0.5, 4, 1.5),
+         "seed must be an integer >= 0, got 1.5"),
     ], ids=["test_fraction-str", "plan-dict", "teacher_plan-dict", "mapping-list",
-            "out_dir-int", "seeds-float", "expert-cache-int", "expert-alpha-str",
-            "expert-alpha-negative", "activation-int", "split-test_fraction-str"])
+            "out_dir-int", "seeds-float", "seeds-int", "teacher-str", "student-none",
+            "experts-int-list", "experts-int", "dataset-unknown-key", "dataset-unknown-kind",
+            "expert-cache-int", "expert-alpha-str", "expert-alpha-negative", "activation-int",
+            "split-test_fraction-str", "split-seed-negative", "split-seed-float"])
     def test_mistyped_python_value_is_config_error(self, build, named):
         # the dataclass that holds a value checks it, so a value built in
         # Python fails as the same value read from JSON does
         with pytest.raises(ConfigError) as excinfo:
             build()
         assert str(excinfo.value) == named
+
+    def test_any_value_at_any_key_is_read_or_refused(self):
+        # every key, nested ones too, holding a value of another type:
+        # whatever parse_config and load_dataset do not take is a
+        # FeatPriorError (exit 1), never a bare TypeError, KeyError or
+        # ValueError
+        cfg = base_config()
+        cfg["plan"]["prior"] = {"alpha": 1.0}
+        cfg["experts"] = [{"cache": "a.fpfc", "mapping": [[0, 0]], "alpha": 1.0}]
+
+        def keys(d, at=()):
+            for k, v in (enumerate(d) if isinstance(d, list) else d.items()):
+                yield (*at, k)
+                if isinstance(v, (dict, list)):
+                    yield from keys(v, (*at, k))
+
+        for at in list(keys(cfg)):
+            for value in (5, -1, 1.5, "x", None, True, [], {}, [5], {"a": 1}, math.nan):
+                bad = json.loads(json.dumps(cfg))
+                holder = bad
+                for k in at[:-1]:
+                    holder = holder[k]
+                holder[at[-1]] = value
+                try:
+                    parse_config(bad).load_dataset()
+                except FeatPriorError:
+                    pass
 
     def test_float_fields_take_json_integers(self):
         cfg = base_config()
@@ -335,28 +391,42 @@ class TestTrainTeacherCommand:
         ({"dim": 0}, "dim must be an integer >= 1, got 0"),
         ({"n_per_class": 0}, "n_per_class must be an integer >= 1, got 0"),
         ({"seed": -3}, "seed must be an integer >= 0, got -3"),
-        ({"separation": "8"}, "separation must be a number, got '8'"),
-        ({"separation": math.nan}, "separation must be a number, got nan"),
+        ({"separation": "8"}, "separation must be a finite number > 0, got '8'"),
+        ({"separation": math.nan}, "separation must be a finite number > 0, got nan"),
+        ({"separation": 0.0}, "separation must be a finite number > 0, got 0.0"),
         ({"kind": "synth_rings", "n_per_class": 40, "classes": 2, "noise": math.inf,
-          "seed": 5}, "noise must be a number, got inf"),
+          "seed": 5}, "noise must be a finite number >= 0, got inf"),
         ({"kind": "synth_rings", "n_per_class": 40, "classes": 2, "noise": None,
-          "seed": 5}, "noise must be a number, got None"),
+          "seed": 5}, "noise must be a finite number >= 0, got None"),
         ({"kind": "csv", "path": 7, "label_column": "y"},
-         "path must be a string, got 7"),
+         "path must be a str or os.PathLike, got 7"),
+        ({"kind": "csv", "path": "d.csv", "label_column": 0},
+         "label_column must be a string, got 0"),
         ({"kind": "idx", "images": "i.idx", "labels": ["l.idx"]},
-         "labels must be a string, got ['l.idx']"),
+         "labels must be a str or os.PathLike, got ['l.idx']"),
     ], ids=["classes-float", "classes-str", "classes-negative", "classes-bool",
             "dim-0", "n_per_class-0", "seed-negative", "separation-str",
-            "separation-nan", "noise-inf", "noise-null", "csv-path", "idx-labels"])
+            "separation-nan", "separation-0", "noise-inf", "noise-null", "csv-path",
+            "csv-label_column", "idx-labels"])
     def test_bad_dataset_argument_exit_1(self, tmp_path, capsys, dataset, named):
-        # each is refused when the config is read, before any data is made
-        cfg = base_config()
-        cfg["dataset"] = dataset if "kind" in dataset else {**cfg["dataset"], **dataset}
-        path = write_config(tmp_path, cfg)
+        # the loader refuses it before it makes any data or opens a file, the
+        # same way for a command, for ExperimentConfig.load_dataset and when
+        # called directly
+        dataset = dataset if "kind" in dataset else {**base_config()["dataset"], **dataset}
+        path = write_config(tmp_path, {**base_config(), "dataset": dataset})
         out = tmp_path / "o"
         assert run("train-teacher", "--config", path, "--out", str(out)) == 1
-        assert capsys.readouterr().err == f"error: dataset {named}\n"
+        assert capsys.readouterr().err == f"error: bad dataset: {named}\n"
         assert not (out / "teacher.fpnn").exists()
+        cfg = ExperimentConfig(dataset, ArchConfig((8,)), ArchConfig((4,)))
+        with pytest.raises(ConfigError) as excinfo:
+            cfg.load_dataset()
+        assert str(excinfo.value) == f"bad dataset: {named}"
+        loader = {"synth_blobs": synth_blobs, "synth_rings": synth_rings,
+                  "idx": load_idx, "csv": load_csv}[dataset["kind"]]
+        with pytest.raises(ConfigError) as excinfo:
+            loader(**{k: v for k, v in dataset.items() if k != "kind"})
+        assert str(excinfo.value) == named
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)

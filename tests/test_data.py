@@ -4,6 +4,7 @@ linear-probe oracle, split/batch determinism and the cache format."""
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -144,6 +145,25 @@ class TestLoadIdx:
                                                       lab.read_bytes())
         np.testing.assert_array_equal(ds.inputs, ref_inputs)
         np.testing.assert_array_equal(ds.labels, ref_labels)
+
+
+@pytest.mark.parametrize("load, named", [
+    (lambda fd, path: load_csv(fd, "y"), "path must be a str or os.PathLike, got {fd}"),
+    (lambda fd, path: load_idx(fd, path), "images must be a str or os.PathLike, got {fd}"),
+    (lambda fd, path: load_idx(path, fd), "labels must be a str or os.PathLike, got {fd}"),
+], ids=["csv", "idx-images", "idx-labels"])
+def test_int_path_is_refused_unread(tmp_path, load, named):
+    # open() would take an int as a file descriptor, read it and close it
+    path = tmp_path / "d.csv"
+    path.write_text("a,y\n1.0,0\n")
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        with pytest.raises(ConfigError) as excinfo:
+            load(fd, path)
+        assert str(excinfo.value) == named.format(fd=fd)
+        assert os.lseek(fd, 0, os.SEEK_CUR) == 0  # still open, nothing read
+    finally:
+        os.close(fd)
 
 
 class TestLoadCsv:

@@ -4,6 +4,8 @@ rules and the binary model format."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -288,6 +290,20 @@ class TestFlatModel:
         assert model.weights[0][0, 0] == np.float32(7.0)
         model.biases[-1][...] = 1.0
         np.testing.assert_array_equal(model.flat[-3:], 1.0)
+
+    @pytest.mark.parametrize("weights, biases, named", [
+        ([np.ones((2, 4))], [np.zeros(4)], "1 weights and 1 biases"),
+        ([np.ones((4, 2)), np.ones((4, 3))], [np.zeros(4), np.zeros(3)],
+         "layer 0 is 2 -> 4, but its weight has shape (4, 2)"),
+        ([np.ones((2, 4)), np.ones((4, 3))], [np.zeros(5), np.zeros(3)],
+         "layer 0 is 2 -> 4, but its weight has shape (2, 4) and its bias (5,)"),
+        ([np.ones((2, 4)), np.ones((2, 4, 3))], [np.zeros(4), np.zeros((2, 3))],
+         "layer 1 is 4 -> 3, but its weight has shape (2, 4, 3)"),
+    ], ids=["missing-layer", "transposed-weight", "bias-length", "seed-axis-mismatch"])
+    def test_parameters_disagreeing_with_spec_are_refused(self, weights, biases, named):
+        # a missing head would make forward return the hidden layer as logits
+        with pytest.raises(DimensionMismatch, match=re.escape(named)):
+            Model(NetworkSpec.dense(2, [4], 3), weights, biases)
 
     def test_constructor_and_copy_do_not_alias(self):
         w = np.ones((2, 3), dtype=np.float32)

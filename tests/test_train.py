@@ -26,6 +26,7 @@ from featprior.data import (
 from featprior.errors import (
     AllLayersFrozen,
     BatchMismatch,
+    BatchTooSmall,
     ConfigError,
     DimensionMismatch,
     EmptyExpertSet,
@@ -105,7 +106,10 @@ class TestApiTypes:
         (lambda: TrainPlan(batch_size=16.5), "batch_size must be an integer, got 16.5"),
         (lambda: TrainPlan(phase1_epochs=1.5), "phase1_epochs must be an integer, got 1.5"),
         (lambda: TrainPlan(phase2_epochs=2.0), "phase2_epochs must be an integer, got 2.0"),
-        (lambda: TrainPlan(seed=True), "seed must be an integer, got True"),
+        (lambda: TrainPlan(seed=True), "seed must be an integer >= 0, got True"),
+        (lambda: TrainPlan(seed=-1), "seed must be an integer >= 0, got -1"),
+        (lambda: init_params(NetworkSpec.dense(2, [4], 2), -1),
+         "seed must be an integer >= 0, got -1"),
         (lambda: BatchSchedule(np.arange(10), 3.7, 1),
          "batch_size must be an integer, got 3.7"),
         (lambda: BatchSchedule(np.arange(10), 4, 1.5), "seed must be an integer >= 0, got 1.5"),
@@ -113,17 +117,33 @@ class TestApiTypes:
         (lambda: compare_methods(synth_blobs(10, 2, 2, 4.0, seed=0), NetworkSpec.dense(2, [4], 2),
                                  NetworkSpec.dense(2, [4], 2), TrainPlan(), [1.5, 2.7],
                                  teacher_plan=TrainPlan(), mapping=LayerGroupMapping()),
-         "seeds must be integers, got [1.5, 2.7]"),
+         "seeds[0] must be an integer >= 0, got 1.5"),
+        (lambda: compare_methods(synth_blobs(10, 2, 2, 4.0, seed=0), NetworkSpec.dense(2, [4], 2),
+                                 NetworkSpec.dense(2, [4], 2), TrainPlan(), [1, -1],
+                                 teacher_plan=TrainPlan(), mapping=LayerGroupMapping()),
+         "seeds[1] must be an integer >= 0, got -1"),
         (lambda: extract_features(init_params(NetworkSpec.dense(2, [4], 2), 0),
                                   synth_blobs(10, 2, 2, 4.0, seed=0), [0.7]),
          "layer ids must be integers, got [0.7]"),
     ], ids=["mapping-float", "mapping-bool", "mapping-triple", "batch_size",
-            "phase1_epochs", "phase2_epochs", "seed", "schedule-batch_size",
-            "schedule-seed", "schedule-seed-negative", "compare-seeds", "layer-ids"])
+            "phase1_epochs", "phase2_epochs", "seed", "seed-negative", "init-seed-negative",
+            "schedule-batch_size", "schedule-seed", "schedule-seed-negative", "compare-seeds",
+            "compare-seeds-negative", "layer-ids"])
     def test_non_integer_is_config_error(self, build, named):
         with pytest.raises(ConfigError) as excinfo:
             build()
         assert named in str(excinfo.value)
+
+    @pytest.mark.parametrize("build", [lambda b: TrainPlan(batch_size=b),
+                                       lambda b: BatchSchedule(np.arange(10), b, 0)],
+                             ids=["plan", "schedule"])
+    def test_batch_below_two_is_batch_too_small(self, build):
+        # one rule for a plan's batch size and a schedule's, in one wording
+        for batch_size in (1, 0, -4):
+            with pytest.raises(BatchTooSmall) as excinfo:
+                build(batch_size)
+            assert str(excinfo.value) == (
+                f"batch size {batch_size} < 2: Gram matrix would be degenerate")
 
     @pytest.mark.parametrize("build, named", [
         (lambda: NetworkSpec.dense(2, [8.7], 3), "layer widths must be integers >= 1, got 8.7"),
