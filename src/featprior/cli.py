@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config
@@ -21,6 +22,7 @@ from .data import Dataset, read_cache, split_and_batch, write_cache
 from .errors import ConfigError, FeatPriorError, NumericalError
 from .network import load_model, serialize_model
 from .train import (
+    MODES,
     ExpertPrior,
     ExpertPriorSet,
     cache_groups,
@@ -148,9 +150,11 @@ def cmd_evaluate(cfg: ExperimentConfig, dataset: Dataset, out: Path, args) -> No
 
 
 def cmd_compare(cfg: ExperimentConfig, dataset: Dataset, out: Path, args) -> None:
+    # the table's rows: every mode on the config's plan, whatever its mode
+    rows = {mode: replace(cfg.plan, mode=mode) for mode in MODES}
     result = compare_methods(
         dataset, cfg.teacher.spec_for(dataset), cfg.student.spec_for(dataset),
-        cfg.plan, list(cfg.seeds), teacher_plan=cfg.teacher_plan,
+        rows, list(cfg.seeds), teacher_plan=cfg.teacher_plan,
         mapping=cfg.mapping, test_fraction=cfg.test_fraction)
     _atomic_write_text(out / "comparison.csv", result.comparison_csv())
     _atomic_write_text(out / "summary.txt", result.summary_text())

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 from functools import partial
 
 from . import data
-from .data import Dataset, _check_seed, _check_test_fraction, _is_int, _require
+from .data import Dataset, _check_counts, _check_seed, _check_test_fraction, _require
 from .errors import ConfigError, FeatPriorError
 from .gp_prior import PriorConfig
 from .network import ACTIVATIONS, NetworkSpec
@@ -66,9 +66,9 @@ class ArchConfig:
     activation: str = "relu"
 
     def __post_init__(self):
-        _require(isinstance(self.hidden, (list, tuple)) and self.hidden
-                 and all(_is_int(h) and h >= 1 for h in self.hidden), "hidden",
-                 "a non-empty list of integers >= 1", self.hidden)
+        _require(isinstance(self.hidden, (list, tuple)) and self.hidden, "hidden",
+                 "a non-empty list", self.hidden)
+        _check_counts(**{f"hidden[{i}]": h for i, h in enumerate(self.hidden)})
         _require(self.activation in ACTIVATIONS, "activation",
                  f"one of {list(ACTIVATIONS)}", self.activation)
         object.__setattr__(self, "hidden", tuple(self.hidden))

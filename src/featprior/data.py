@@ -88,6 +88,7 @@ def _check_paths(**paths) -> None:
 
 
 def _check_counts(**counts) -> None:
+    """The one rule for a count or a width: an integer >= 1."""
     for name, count in counts.items():
         _require(_is_int(count) and count >= 1, name, "an integer >= 1", count)
 

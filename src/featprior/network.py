@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _check_seed, _is_int
+from .data import _check_counts, _check_seed
 from .errors import (
     CorruptFile,
     DimensionMismatch,
@@ -47,9 +47,7 @@ class LayerSpec:
     activation: str = "relu"
 
     def __post_init__(self):
-        for width in (self.in_width, self.out_width):
-            if not (_is_int(width) and width >= 1):
-                raise FeatPriorError(f"layer widths must be integers >= 1, got {width!r}")
+        _check_counts(in_width=self.in_width, out_width=self.out_width)
         if self.activation not in ACTIVATIONS:
             raise FeatPriorError(f"unknown activation {self.activation!r}")
 

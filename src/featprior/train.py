@@ -28,12 +28,12 @@ Conventions shared by every routine here:
   mapping is one expert at alpha 1, and every two_phase fit reports phase 1's
   final KL.  Expert priors train in two_phase mode only; any other mode
   raises ``ConfigError``.
-* ``compare_methods`` trains each fit as one problem: the model, optimizer
-  state, batches and teacher caches carry a leading seed axis, losses are
-  one per slice, and each slice gets the bits of its own run.  The one-phase
-  modes of equal plans share one fit on a (mode, seed) axis, a block of
-  seeds per mode; ``_objective`` adds each mode's term to its block only
-  (``autodiff.BlockGrads``).  The teachers and two_phase keep a seed axis.
+* ``compare_methods`` trains labelled rows, each a plan in its own mode, and
+  each fit as one problem: model, optimizer state, batches and teacher caches
+  carry a leading seed axis, and each slice gets the bits of its own run.
+  Equal plans train once; one-phase plans equal but for the mode share a fit
+  on a (mode, seed) axis, a block of seeds per mode, and ``_objective`` adds
+  each mode's term to its block only (``autodiff.BlockGrads``).
 """
 
 from __future__ import annotations
@@ -99,7 +99,8 @@ MODES = ("two_phase", "joint", "naive", "hinton_baseline", "l2_baseline")
 # what a prior term holds at once, where whole epochs would grow the RSS
 _TEACHER_CHUNK_BYTES = 512 * 1024
 
-METRIC_NAMES = ("accuracy", "top1", "top2", "top3", "f1_micro", "f1_macro")
+_TOP_KS = (1, 2, 3)
+METRIC_NAMES = ("accuracy", *(f"top{k}" for k in _TOP_KS), "f1_micro", "f1_macro")
 
 
 @dataclass(frozen=True)
@@ -242,21 +243,17 @@ class MetricsReport:
         return float(np.std(vals, ddof=1) / math.sqrt(vals.size))
 
 
-def evaluate(model: Model, dataset: Dataset, rows: Rows | None = None,
-             ks=(1, 2, 3)) -> Metrics:
-    """Accuracy, top-k accuracies and micro/macro F1 on ``dataset``'s
-    ``rows`` (every row when None).
+def evaluate(model: Model, dataset: Dataset, rows: Rows | None = None) -> Metrics:
+    """Accuracy, top-1 to top-3 accuracies and micro/macro F1 on
+    ``dataset``'s ``rows`` (every row when None).
 
     Macro F1 averages per-class F1 uniformly, counting classes absent from
     both truth and predictions as 0.  Micro F1 is accuracy: with one label
     and one prediction a row, each miss is one false positive and one false
     negative.  A model whose head width is not the dataset's class count
-    raises ``DimensionMismatch``, and a k that is not an integer >= 1
-    ``ConfigError``.
+    raises ``DimensionMismatch``.
     """
     c, classes = model.spec.output_head, dataset.class_count
-    for k in ks:
-        _require(_is_int(k) and k >= 1, "k", "an integer >= 1", k)
     if c != classes:
         raise DimensionMismatch(f"model has {c} classes, dataset has {classes}")
     idx = np.arange(dataset.n) if rows is None else rows.source_indices
@@ -267,10 +264,8 @@ def evaluate(model: Model, dataset: Dataset, rows: Rows | None = None,
     predictions = order[:, 0]
     accuracy = float(np.mean(predictions == labels))
 
-    top_k = {}
-    for k in ks:
-        kk = min(int(k), c)
-        top_k[int(k)] = float(np.mean((order[:, :kk] == labels[:, None]).any(axis=1)))
+    top_k = {k: float(np.mean((order[:, :k] == labels[:, None]).any(axis=1)))
+             for k in _TOP_KS}
 
     tp, predicted, true = (np.bincount(x, minlength=classes)[:classes] for x in
                            (labels[predictions == labels], predictions, labels))
@@ -745,13 +740,13 @@ class ComparisonResult:
         return "\n".join(lines) + "\n"
 
 
-def format_topk_table(reports: dict[str, MetricsReport], ks=(1, 2, 3)) -> str:
+def format_topk_table(reports: dict[str, MetricsReport]) -> str:
     """Top-k accuracy rows by method columns."""
     methods = list(reports)
     width = max(len(m) for m in methods + ["metric"]) + 2
     header = "metric".ljust(16) + "".join(m.rjust(width) for m in methods)
     lines = [header]
-    for k in ks:
+    for k in _TOP_KS:
         name = f"top{k}"
         row = f"top-{k} accuracy".ljust(16)
         row += "".join(f"{reports[m].mean(name):.4f}".rjust(width) for m in methods)
@@ -774,16 +769,14 @@ class _StackedSchedule:
 
 
 def compare_methods(dataset: Dataset, teacher_spec: NetworkSpec,
-                    student_spec: NetworkSpec, plans, seeds, *,
+                    student_spec: NetworkSpec, rows, seeds, *,
                     teacher_plan: TrainPlan, mapping: LayerGroupMapping,
-                    test_fraction: float = 0.25,
-                    methods=MODES) -> ComparisonResult:
-    """Run every method across seeds; report mean and standard error.
+                    test_fraction: float = 0.25) -> ComparisonResult:
+    """Train every row across seeds; report mean and standard error.
 
-    ``plans`` is either one base plan (the mode field is overridden per
-    method) or a dict {mode: plan}.  Each seed has its own split, teacher
-    and feature cache.  The seeds train together (``_StackedSchedule``), and
-    one-phase modes whose plans differ only in the mode share a fit.
+    ``rows`` maps each row's label to its plan, trained in its own mode.
+    Each seed has its own split, teacher and feature cache, and the seeds
+    train together (``_StackedSchedule``).
     """
     seeds = list(seeds)
     for i, seed in enumerate(seeds):
@@ -793,11 +786,8 @@ def compare_methods(dataset: Dataset, teacher_spec: NetworkSpec,
         raise ConfigError("need at least 2 seeds for a standard error")
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be distinct")
-    if isinstance(plans, TrainPlan):
-        plans = {mode: plans for mode in methods}
-    unknown = set(plans) - set(MODES)
-    if unknown:
-        raise ConfigError(f"unknown methods {sorted(unknown)}")
+    _require(isinstance(rows, dict) and all(isinstance(p, TrainPlan) for p in rows.values()),
+             "rows", "a dict of TrainPlans", rows)
 
     seeds.sort()
     splits = [split_and_batch(dataset, test_fraction, teacher_plan.batch_size, seed)
@@ -828,13 +818,15 @@ def compare_methods(dataset: Dataset, teacher_spec: NetworkSpec,
         dataset_fingerprint=caches[0].dataset_fingerprint,
         teacher_fingerprint=b"".join(c.teacher_fingerprint for c in caches))
     del caches  # the stacked groups are the one copy the fits read
-    groups: dict[TrainPlan, list[str]] = {}  # one-phase modes of equal plans fit together
-    for mode, plan in plans.items():
-        groups.setdefault(replace(plan, mode="two_phase" if mode == "two_phase"
-                                  else "naive"), []).append(mode)
+    plans = list(dict.fromkeys(rows.values()))  # rows of equal plans share models
+    fits: dict[TrainPlan, list[TrainPlan]] = {}  # one-phase plans equal but for mode
+    for plan in plans:
+        fits.setdefault(plan if plan.mode == "two_phase" else replace(plan, mode="naive"),
+                        []).append(plan)
     models = {}
-    for plan, modes in groups.items():
-        models.update(zip(modes, fit(student_spec, plan, tuple(modes), cache=cache,
-                                     mapping=mapping, logits_group=logits_group)))
+    for plan, members in fits.items():
+        models.update(zip(members, fit(student_spec, plan, tuple(p.mode for p in members),
+                                       cache=cache, mapping=mapping, logits_group=logits_group)))
+    reports = {plan: report(models[plan]) for plan in plans}
     return ComparisonResult(seeds=seeds, teacher=report(teachers), methods={
-        mode: report(models[mode]) for mode in plans})
+        label: reports[plan] for label, plan in rows.items()})

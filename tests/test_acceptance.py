@@ -350,9 +350,12 @@ def test_a7_combining_experts():
         split = split_and_batch(full, 0.5, 16, seed)
         caches = []
         for lo in (0, 2):
-            mask = np.isin(full.labels, [lo, lo + 1])
-            sub = Dataset(inputs=full.inputs[mask],
-                          labels=full.labels[mask] - lo, class_count=2)
+            # the student's train rows of the expert's two classes, so no
+            # expert sees a test row
+            rows = split.train.source_indices
+            rows = rows[np.isin(full.labels[rows], [lo, lo + 1])]
+            sub = Dataset(inputs=full.inputs[rows],
+                          labels=full.labels[rows] - lo, class_count=2)
             expert, _ = train_teacher(
                 sub, expert_spec,
                 TrainPlan(seed=seed, batch_size=16, phase1_epochs=0,

@@ -74,14 +74,14 @@ class TestSpec:
         with pytest.raises(FeatPriorError, match="hidden layer and a head"):
             NetworkSpec((LayerSpec(2, 3),))
         for head in (None, 0, 2.0):
-            with pytest.raises(FeatPriorError, match="integers >= 1"):
+            with pytest.raises(FeatPriorError, match="^out_width must be an integer >= 1"):
                 NetworkSpec.dense(2, [3], head)
 
     def test_integer_widths_required(self):
         for width in (None, 3.0, "3"):
-            with pytest.raises(FeatPriorError, match="integers >= 1"):
+            with pytest.raises(FeatPriorError, match="^out_width must be an integer >= 1"):
                 LayerSpec(2, width)
-            with pytest.raises(FeatPriorError, match="integers >= 1"):
+            with pytest.raises(FeatPriorError, match="^in_width must be an integer >= 1"):
                 LayerSpec(width, 2)
 
     def test_head_must_be_identity(self):
@@ -553,7 +553,8 @@ class TestSerialization:
     @pytest.mark.parametrize("head,named", [
         ((5, 2, 2), "layer widths do not chain: 4 -> 5"),
         ((4, 2, 0), "identity activation"),
-    ], ids=["unchained", "relu-head"])
+        ((4, 0, 2), "out_width must be an integer >= 1, got 0"),
+    ], ids=["unchained", "relu-head", "zero-width"])
     def test_malformed_head_is_corrupt(self, head, named):
         # a 2 -> 4 relu hidden layer under a head that does not fit it
         import struct

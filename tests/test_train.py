@@ -5,7 +5,6 @@ and the multi-seed comparison."""
 from __future__ import annotations
 
 import math
-import re
 import tracemalloc
 import weakref
 
@@ -115,20 +114,24 @@ class TestApiTypes:
         (lambda: BatchSchedule(np.arange(10), 4, 1.5), "seed must be an integer >= 0, got 1.5"),
         (lambda: BatchSchedule(np.arange(10), 4, -1), "seed must be an integer >= 0, got -1"),
         (lambda: compare_methods(synth_blobs(10, 2, 2, 4.0, seed=0), NetworkSpec.dense(2, [4], 2),
-                                 NetworkSpec.dense(2, [4], 2), TrainPlan(), [1.5, 2.7],
+                                 NetworkSpec.dense(2, [4], 2), {"naive": TrainPlan()}, [1.5, 2.7],
                                  teacher_plan=TrainPlan(), mapping=LayerGroupMapping()),
          "seeds[0] must be an integer >= 0, got 1.5"),
         (lambda: compare_methods(synth_blobs(10, 2, 2, 4.0, seed=0), NetworkSpec.dense(2, [4], 2),
-                                 NetworkSpec.dense(2, [4], 2), TrainPlan(), [1, -1],
+                                 NetworkSpec.dense(2, [4], 2), {"naive": TrainPlan()}, [1, -1],
                                  teacher_plan=TrainPlan(), mapping=LayerGroupMapping()),
          "seeds[1] must be an integer >= 0, got -1"),
+        (lambda: compare_methods(synth_blobs(10, 2, 2, 4.0, seed=0), NetworkSpec.dense(2, [4], 2),
+                                 NetworkSpec.dense(2, [4], 2), TrainPlan(), [1, 2],
+                                 teacher_plan=TrainPlan(), mapping=LayerGroupMapping()),
+         "rows must be a dict of TrainPlans, got TrainPlan("),
         (lambda: extract_features(init_params(NetworkSpec.dense(2, [4], 2), 0),
                                   synth_blobs(10, 2, 2, 4.0, seed=0), [0.7]),
          "layer ids must be integers, got [0.7]"),
     ], ids=["mapping-float", "mapping-bool", "mapping-triple", "batch_size",
             "phase1_epochs", "phase2_epochs", "seed", "seed-negative", "init-seed-negative",
             "schedule-batch_size", "schedule-seed", "schedule-seed-negative", "compare-seeds",
-            "compare-seeds-negative", "layer-ids"])
+            "compare-seeds-negative", "compare-one-plan", "layer-ids"])
     def test_non_integer_is_config_error(self, build, named):
         with pytest.raises(ConfigError) as excinfo:
             build()
@@ -146,9 +149,9 @@ class TestApiTypes:
                 f"batch size {batch_size} < 2: Gram matrix would be degenerate")
 
     @pytest.mark.parametrize("build, named", [
-        (lambda: NetworkSpec.dense(2, [8.7], 3), "layer widths must be integers >= 1, got 8.7"),
-        (lambda: NetworkSpec.dense(2, [True], 3), "layer widths must be integers >= 1, got True"),
-        (lambda: LayerSpec(True, 2), "layer widths must be integers >= 1, got True"),
+        (lambda: NetworkSpec.dense(2, [8.7], 3), "out_width must be an integer >= 1, got 8.7"),
+        (lambda: NetworkSpec.dense(2, [True], 3), "out_width must be an integer >= 1, got True"),
+        (lambda: LayerSpec(True, 2), "in_width must be an integer >= 1, got True"),
         (lambda: Dataset(np.zeros((2, 1)), [0, 1], class_count=2.5),
          "class_count must be an integer, got 2.5"),
         (lambda: Dataset(np.zeros((2, 1)), [0, 1], class_count=True),
@@ -680,7 +683,8 @@ class TestEpochTeacherKernels:
 
         def table():
             return compare_methods(
-                ds, NetworkSpec.dense(2, [8], 2), NetworkSpec.dense(2, [4], 2), plan,
+                ds, NetworkSpec.dense(2, [8], 2), NetworkSpec.dense(2, [4], 2),
+                {mode: replace(plan, mode=mode) for mode in MODES},
                 [1, 2], teacher_plan=replace(plan, phase2_epochs=3),
                 mapping=LayerGroupMapping(((0, 0),)), test_fraction=0.5).comparison_csv()
 
@@ -909,8 +913,11 @@ class TestExperts:
         expert_spec = NetworkSpec.dense(2, [16], 2)
         caches = []
         for lo in (0, 2):
-            mask = np.isin(full.labels, [lo, lo + 1])
-            sub = Dataset(inputs=full.inputs[mask], labels=full.labels[mask] - lo,
+            # the student's train rows of the expert's two classes, so no
+            # expert sees a test row
+            rows = split.train.source_indices
+            rows = rows[np.isin(full.labels[rows], [lo, lo + 1])]
+            sub = Dataset(inputs=full.inputs[rows], labels=full.labels[rows] - lo,
                           class_count=2)
             expert, _ = train_teacher(
                 sub, expert_spec,
@@ -997,16 +1004,11 @@ class TestEvaluate:
             evaluate(model, self.onehot_dataset())
 
     def test_top_c_is_one(self):
+        # two classes: top-2 and top-3 both take every class
         ds = self.onehot_dataset()
         model = init_params(NetworkSpec.dense(2, [4], 2), seed=30)
-        metrics = evaluate(model, ds, ks=(1, 2))
-        assert metrics.top_k[2] == 1.0
-
-    @pytest.mark.parametrize("k", [0, -1, 1.5, True, "2"])
-    def test_k_below_one_or_not_an_integer_is_refused(self, k):
-        # top-0 would score 0 and top-(-1) a slice of all but the last class
-        with pytest.raises(ConfigError, match=re.escape(f"k must be an integer >= 1, got {k!r}")):
-            evaluate(self.perfect_model(), self.onehot_dataset(), ks=(1, k))
+        metrics = evaluate(model, ds)
+        assert metrics.top_k[2] == metrics.top_k[3] == 1.0
 
     @staticmethod
     def assert_metrics_equal(a: Metrics, b: Metrics) -> None:
@@ -1076,8 +1078,8 @@ class TestCompareMethods:
         teacher_plan = TrainPlan(seed=0, batch_size=16, phase1_epochs=0,
                                  phase2_epochs=4, lr_phase2=3e-3, mode="naive")
         mapping = LayerGroupMapping(entries=((0, 0),))
-        return dict(dataset=blobs, teacher_spec=teacher_spec,
-                    student_spec=student_spec, plans=plan,
+        return dict(dataset=blobs, teacher_spec=teacher_spec, student_spec=student_spec,
+                    rows={mode: replace(plan, mode=mode) for mode in MODES},
                     teacher_plan=teacher_plan, mapping=mapping,
                     test_fraction=0.5)
 
@@ -1103,7 +1105,7 @@ class TestCompareMethods:
         split = split_and_batch(blobs, 0.5, 16, seed=1)
         direct = run_distillation(
             args["student_spec"], blobs, split,
-            replace(args["plans"], seed=1, mode="naive"))
+            replace(args["rows"]["naive"], seed=1))
         assert result.methods["naive"].per_seed[0].accuracy == pytest.approx(
             direct.metrics.accuracy)
 
@@ -1145,13 +1147,12 @@ class TestCompareMethods:
                 np.testing.assert_array_equal(a, b)
 
     def assert_stacked_match_single_runs(self, monkeypatch, args):
-        """compare_methods' (mode, seed) models, metrics and phase-1 KL each
+        """compare_methods' (row, seed) models, metrics and phase-1 KL each
         equal a single-seed train_teacher/run_distillation bit for bit.
         Returns the modes each _fit_epochs call trained, as blocks of seeds."""
         scored, phase1_kls, fitted = [], [], []
-        fit_epochs, plans = train._fit_epochs, args["plans"]
-        if isinstance(plans, TrainPlan):
-            plans = {mode: plans for mode in MODES}
+        fit_epochs, rows = train._fit_epochs, args["rows"]
+        plans = list(dict.fromkeys(rows.values()))  # each trained and scored once
 
         def recording_evaluate(model, dataset, *a, **kw):
             metrics = evaluate(model, dataset, *a, **kw)
@@ -1172,8 +1173,8 @@ class TestCompareMethods:
         monkeypatch.setattr(train, "_fit_epochs", recording_fit_epochs)
         result = compare_methods(seeds=[1, 2], **args)
         monkeypatch.undo()
-        # evaluation order: the teachers, then each mode's students, seed by seed
-        teachers, students = scored[:2], scored[2:]
+        # evaluation order: each plan's students, seed by seed, then the teachers
+        students, teachers = scored[:-2], scored[-2:]
         single_kls, blobs = [], args["dataset"]
         for s, seed in enumerate([1, 2]):
             split = split_and_batch(blobs, 0.5, 16, seed)
@@ -1184,17 +1185,19 @@ class TestCompareMethods:
             assert result.teacher.per_seed[s] == report.per_seed[0]
             logits_group = args["teacher_spec"].hidden_count
             cache = extract_features(teacher, blobs, [0, logits_group])
-            for m, (mode, plan) in enumerate(plans.items()):
+            for m, plan in enumerate(plans):
                 single = run_distillation(
-                    args["student_spec"], blobs, split,
-                    replace(plan, seed=seed, mode=mode), cache=cache,
-                    mapping=args["mapping"], logits_group=logits_group)
+                    args["student_spec"], blobs, split, replace(plan, seed=seed),
+                    cache=cache, mapping=args["mapping"], logits_group=logits_group)
                 stacked_model, stacked_metrics = students[2 * m + s]
-                assert params_equal(stacked_model, single.model), (mode, seed)
+                assert params_equal(stacked_model, single.model), (plan, seed)
                 assert stacked_metrics == single.metrics
-                assert result.methods[mode].per_seed[s] == single.metrics
-                if mode == "two_phase":
+                for label in (label for label, p in rows.items() if p == plan):
+                    assert result.methods[label].per_seed[s] == single.metrics
+                if plan.mode == "two_phase":
                     single_kls.append(single.final_kl)
+        assert len(scored) == 2 * (1 + len(plans))
+        assert list(result.methods) == list(rows)
         # the stacked phase 1 returns one float: the mean of the seeds' KLs,
         # with the arithmetic of statistics.fmean over the single runs
         assert phase1_kls == [math.fsum(single_kls) / 2]
@@ -1216,13 +1219,22 @@ class TestCompareMethods:
 
     def test_mode_with_own_plan_fits_alone(self, blobs, monkeypatch):
         args = self.tiny_args(blobs)
-        plans = {mode: args["plans"] for mode in MODES}
-        plans["hinton_baseline"] = replace(args["plans"], lr_phase2=3e-3)
-        args["plans"] = plans
+        rows = args["rows"]
+        rows["hinton_baseline"] = replace(rows["hinton_baseline"], lr_phase2=3e-3)
         fitted = self.assert_stacked_match_single_runs(monkeypatch, args)
         # the teachers, two_phase's phases, then joint, naive and l2 together
         # and hinton_baseline in a fit of its own
         assert fitted == [1, 1, 1, 3, 1]
+
+    def test_labelled_rows_train_each_plan_once(self, blobs, monkeypatch):
+        # a second label on the two_phase plan shares its models; naive with
+        # no phase-1 epochs is a plan of its own, so a fit of its own
+        args = self.tiny_args(blobs)
+        rows = args["rows"]
+        rows["two_phase again"] = rows["two_phase"]
+        rows["naive, equal_task"] = replace(rows["naive"], phase1_epochs=0)
+        fitted = self.assert_stacked_match_single_runs(monkeypatch, args)
+        assert fitted == [1, 1, 1, 4, 1]
 
 
 class TestBaselineNodeGradients:
