@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: train-teacher, extract-features, distill, evaluate, compare.
-All randomness comes from seeds in the JSON config (optionally overridden
-with --seed-override, which ``compare`` rejects because it runs the
-config's ``seeds`` list); rerunning a command with the same config produces
+Each command seeds, splits and trains from its JSON config alone, so the
+config's check that ``teacher_plan.seed`` equals ``plan.seed`` keeps every
+teacher off the student's test rows; ``--out`` alone sets the output
+directory.  Rerunning a command with the same config produces
 byte-identical outputs.  Files are written atomically.
 
 Exit codes: 0 success, 1 user or configuration error, 2 numerical failure.
@@ -183,8 +184,6 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed-override", type=int, default=None,
-                       help="replace the plan seeds from the config")
         if name == "extract-features":
             p.add_argument("--teacher", default=None,
                            help="teacher model path (default <out>/teacher.fpnn)")
@@ -205,21 +204,15 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         compare = args.command == "compare"
-        if compare and args.seed_override is not None:
-            raise ConfigError(
-                "compare does not take --seed-override: it runs every seed "
-                "in the config's seeds list; edit that list instead")
         if compare and args.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
         cfg = load_config(args.config)
         if compare and cfg.experts:
             raise ConfigError("compare does not read experts: it trains its own teacher "
                               "for every seed; drop the experts list, or run distill")
-        if args.seed_override is not None:
-            cfg = cfg.with_seed(args.seed_override)
         dataset = cfg.load_dataset()
         cfg.validate_cross_refs(dataset)
-        out = Path(args.out or cfg.out_dir or ".")
+        out = Path(args.out or ".")
         out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](cfg, dataset, out, args)
         return 0

@@ -1,6 +1,6 @@
 """Experiment configuration: a single JSON document describing the data
 source, architectures, training plans, layer-group mapping, experts and
-seeds.
+seeds: every run setting but the output directory (the CLI's ``--out``).
 
 Each section is the dataclass it builds, and its allowed keys are exactly
 that dataclass's fields: the top level is ``ExperimentConfig``, ``plan`` and
@@ -105,7 +105,6 @@ class ExperimentConfig:
     mapping: LayerGroupMapping = LayerGroupMapping()
     experts: tuple[ExpertConfig, ...] = ()
     seeds: tuple[int, ...] = ()
-    out_dir: str | None = None
 
     def __post_init__(self):
         ds = self.dataset
@@ -119,8 +118,7 @@ class ExperimentConfig:
                 ("student", ArchConfig, "an ArchConfig"),
                 ("plan", TrainPlan, "a TrainPlan"),
                 ("teacher_plan", (TrainPlan, type(None)), "a TrainPlan or None"),
-                ("mapping", LayerGroupMapping, "a LayerGroupMapping"),
-                ("out_dir", (str, type(None)), "a string or None")):
+                ("mapping", LayerGroupMapping, "a LayerGroupMapping")):
             _require(isinstance(getattr(self, name), kind), name, what, getattr(self, name))
         _require(isinstance(self.experts, (list, tuple))
                  and all(isinstance(e, ExpertConfig) for e in self.experts),
@@ -166,10 +164,6 @@ class ExperimentConfig:
                 f"{self.plan.seed}: the teacher would train on the student's "
                 "test rows"
             )
-
-    def with_seed(self, seed: int) -> "ExperimentConfig":
-        return replace(self, plan=replace(self.plan, seed=seed),
-                       teacher_plan=replace(self.teacher_plan, seed=seed))
 
 
 def _parse_mapping(raw, where: str) -> LayerGroupMapping:

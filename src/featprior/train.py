@@ -718,6 +718,8 @@ class ComparisonResult:
     seeds: list[int]
     methods: dict[str, MetricsReport]
     teacher: MetricsReport
+    # each two_phase row's label -> its fit's phase-1 final KL, mean over seeds
+    phase1_kl: dict[str, float | None]
 
     def comparison_csv(self) -> str:
         """CSV table: method,metric,mean,std_error,n_seeds."""
@@ -793,23 +795,23 @@ def compare_methods(dataset: Dataset, teacher_spec: NetworkSpec,
     splits = [split_and_batch(dataset, test_fraction, teacher_plan.batch_size, seed)
               for seed in seeds]
 
-    def fit(spec: NetworkSpec, plan: TrainPlan, modes, **kwargs) -> list[Model]:
+    def fit(spec: NetworkSpec, plan: TrainPlan, modes, **kwargs):
         """Every (mode, seed) model, from its seed's init and schedule, as
-        one fit: a block of seeds per mode."""
+        one fit: a block of seeds per mode; and the fit's phase-1 KL."""
         schedules = [BatchSchedule(split.train.source_indices, plan.batch_size, seed)
                      for split, seed in zip(splits, seeds)]
-        model, _ = _fit_mode(
+        model, final_kl = _fit_mode(
             stack_models([init_params(spec, seed) for seed in seeds] * len(modes)),
             dataset, _StackedSchedule(schedules, len(modes)), plan, modes=modes,
             **kwargs)
-        models = unstack_model(model)
-        return [models[b * len(seeds):(b + 1) * len(seeds)] for b in range(len(modes))]
+        models, n = unstack_model(model), len(seeds)
+        return [models[i:i + n] for i in range(0, len(models), n)], final_kl
 
     def report(models: list[Model]) -> MetricsReport:
         return MetricsReport(seeds=seeds, per_seed=[
             evaluate(m, dataset, split.test) for m, split in zip(models, splits)])
 
-    teachers = fit(teacher_spec, replace(teacher_plan, mode="naive"), ("naive",))[0]
+    (teachers,), _ = fit(teacher_spec, replace(teacher_plan, mode="naive"), ("naive",))
     logits_group = teacher_spec.hidden_count
     group_ids = sorted(mapping.groups() | {logits_group})
     caches = [extract_features(t, dataset, group_ids) for t in teachers]
@@ -823,10 +825,14 @@ def compare_methods(dataset: Dataset, teacher_spec: NetworkSpec,
     for plan in plans:
         fits.setdefault(plan if plan.mode == "two_phase" else replace(plan, mode="naive"),
                         []).append(plan)
-    models = {}
+    models, kls = {}, {}
     for plan, members in fits.items():
-        models.update(zip(members, fit(student_spec, plan, tuple(p.mode for p in members),
-                                       cache=cache, mapping=mapping, logits_group=logits_group)))
+        blocks, kls[plan] = fit(student_spec, plan, tuple(p.mode for p in members),
+                                cache=cache, mapping=mapping, logits_group=logits_group)
+        models.update(zip(members, blocks))
     reports = {plan: report(models[plan]) for plan in plans}
-    return ComparisonResult(seeds=seeds, teacher=report(teachers), methods={
-        label: reports[plan] for label, plan in rows.items()})
+    return ComparisonResult(
+        seeds=seeds, teacher=report(teachers),
+        methods={label: reports[plan] for label, plan in rows.items()},
+        phase1_kl={label: kls[plan] for label, plan in rows.items()
+                   if plan.mode == "two_phase"})

@@ -43,6 +43,21 @@ def base_config():
     }
 
 
+def separated_config(mode="two_phase"):
+    """``base_config()`` on overlapping blobs with a faster task step, where
+    the five ``compare`` rows all score differently."""
+    cfg = base_config()
+    cfg["dataset"]["separation"] = 2.0
+    cfg["plan"].update(mode=mode, lr_phase2=0.01)
+    return cfg
+
+
+def row_scores(out: Path) -> list[str]:
+    """The five rows' score strings in ``out``'s compare summary."""
+    return [line.split(None, 1)[1]
+            for line in (out / "summary.txt").read_text().splitlines()[2:7]]
+
+
 def experiment_config(**kwargs) -> ExperimentConfig:
     """``base_config()``'s dataset under two small nets, built in Python."""
     return ExperimentConfig(base_config()["dataset"], ArchConfig((8,)), ArchConfig((4,)),
@@ -125,6 +140,30 @@ class TestConfigParsing:
         assert "distance" in capsys.readouterr().err
         assert not (out / "teacher.fpnn").exists()
 
+    def test_bad_subcommand_exit_1(self, capsys):
+        assert run("frobnicate", "--config", "x.json") == 1
+
+    @pytest.mark.parametrize("command, flags, named", [
+        *((command, ["--seed-override", "7"], "unrecognized arguments: --seed-override 7")
+          for command in ("train-teacher", "extract-features", "distill", "evaluate",
+                          "compare")),
+        ("train-teacher", [], "unknown keys ['out_dir'] in config"),
+    ], ids=["train-teacher", "extract-features", "distill", "evaluate", "compare",
+            "out_dir-key"])
+    def test_removed_setting_exit_1(self, tmp_path, monkeypatch, capsys, command, flags,
+                                    named):
+        # seeds come from the config alone and files go to --out alone: the
+        # removed --seed-override flag and out_dir key are refused before
+        # anything is written, here or in the directory out_dir names
+        cfg = base_config()
+        if not flags:
+            cfg["out_dir"] = "runs"
+        path = write_config(tmp_path, cfg)
+        monkeypatch.chdir(tmp_path)
+        assert run(command, "--config", path, *flags) == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_every_plan_and_prior_field_round_trips(self):
         cfg = base_config()
         cfg["plan"] = non_default_fields(TrainPlan, 1)
@@ -166,7 +205,6 @@ class TestConfigParsing:
          "bad teacher_plan: phase2_epochs must be an integer, got 1.5"),
         ("config", "test_fraction", "0.5",
          "bad config: test_fraction must be a number in (0, 1), got '0.5'"),
-        ("config", "out_dir", 5, "bad config: out_dir must be a string or None, got 5"),
         ("experts", "alpha", "1", "bad experts[0]: alpha must be a finite number > 0, got '1'"),
         ("experts", "cache", 7, "bad experts[0]: cache must be a string, got 7"),
         ("prior", "alpha", math.nan, "bad prior: alpha must be finite and >= 0, got nan"),
@@ -186,7 +224,7 @@ class TestConfigParsing:
             "activation-unknown", "mapping-float", "expert-mapping-triple", "seeds-float",
             "seeds-negative", "experts-int", "experts-object", "teacher_plan-int",
             "batch_size-float", "normalize_by_width-str", "alpha-bool", "lr_phase2-str",
-            "phase2_epochs-float", "test_fraction-str", "out_dir-int", "expert-alpha-str",
+            "phase2_epochs-float", "test_fraction-str", "expert-alpha-str",
             "expert-cache-int", "alpha-nan", "alpha-inf", "jitter-nan", "temperature-inf",
             "lr_phase1-inf", "expert-alpha-inf", "expert-alpha-negative",
             "lr_phase1-negative", "hidden-zero", "hidden-empty"])
@@ -215,8 +253,6 @@ class TestConfigParsing:
          "teacher_plan must be a TrainPlan or None, got {'seed': 1}"),
         (lambda: experiment_config(mapping=[[0, 0]]),
          "mapping must be a LayerGroupMapping, got [[0, 0]]"),
-        (lambda: experiment_config(out_dir=5),
-         "out_dir must be a string or None, got 5"),
         (lambda: experiment_config(seeds=(1.5, 2)),
          "seeds[0] must be an integer >= 0, got 1.5"),
         (lambda: experiment_config(seeds=5), "seeds must be a list, got 5"),
@@ -250,7 +286,7 @@ class TestConfigParsing:
         (lambda: split_and_batch(synth_blobs(4, 2, 2, 1.0, seed=0), 0.5, 4, 1.5),
          "seed must be an integer >= 0, got 1.5"),
     ], ids=["test_fraction-str", "plan-dict", "teacher_plan-dict", "mapping-list",
-            "out_dir-int", "seeds-float", "seeds-int", "teacher-str", "student-none",
+            "seeds-float", "seeds-int", "teacher-str", "student-none",
             "experts-int-list", "experts-int", "dataset-unknown-key", "dataset-unknown-kind",
             "expert-cache-int", "expert-alpha-str", "expert-alpha-negative", "activation-int",
             "split-test_fraction-str", "split-seed-negative", "split-seed-float"])
@@ -770,13 +806,14 @@ class TestExtractAndDistill:
 
 class TestCompareCommand:
     def test_compare_outputs(self, tmp_path):
-        path = write_config(tmp_path)
+        path = write_config(tmp_path, separated_config())
         out = tmp_path / "cmp"
         assert run("compare", "--config", path, "--out", str(out)) == 0
         lines = (out / "comparison.csv").read_text().strip().split("\n")
         assert lines[0] == "method,metric,mean,std_error,n_seeds"
         assert len(lines) == 1 + 5 * 6
         assert (out / "summary.txt").read_text().startswith("seeds: 1, 2")
+        assert len(set(row_scores(out))) == 5
 
     def test_single_seed_exit_1(self, tmp_path, capsys):
         cfg = base_config()
@@ -786,12 +823,14 @@ class TestCompareCommand:
         assert "seed" in capsys.readouterr().err
 
     def test_compare_rerun_byte_identical(self, tmp_path):
-        path = write_config(tmp_path)
+        path = write_config(tmp_path, separated_config())
         out = tmp_path / "cmp"
-        run("compare", "--config", path, "--out", str(out))
-        first = (out / "comparison.csv").read_bytes()
-        run("compare", "--config", path, "--out", str(out))
-        assert (out / "comparison.csv").read_bytes() == first
+        files = ("comparison.csv", "summary.txt")
+        assert run("compare", "--config", path, "--out", str(out)) == 0
+        first = [(out / name).read_bytes() for name in files]
+        assert len(set(row_scores(out))) == 5
+        assert run("compare", "--config", path, "--out", str(out)) == 0
+        assert [(out / name).read_bytes() for name in files] == first
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exit_1(self, tmp_path, capsys, jobs):
@@ -812,24 +851,18 @@ class TestCompareCommand:
         assert "compare does not read experts" in capsys.readouterr().err
         assert not (out / "comparison.csv").exists()
 
-    def test_seed_override_rejected(self, tmp_path, capsys):
-        path = write_config(tmp_path)
-        out = tmp_path / "cmp"
-        assert run("compare", "--config", path, "--out", str(out),
-                   "--seed-override", "7") == 1
-        err = capsys.readouterr().err
-        assert "--seed-override" in err and "seeds" in err
-        assert not (out / "comparison.csv").exists()
-
-    def test_parallel_jobs_same_table(self, tmp_path):
-        path = write_config(tmp_path)
+    def test_jobs_2_accepted_without_effect(self, tmp_path):
+        # compare trains every seed in one process, so --jobs 2 changes
+        # nothing in either file
+        path = write_config(tmp_path, separated_config())
         serial = tmp_path / "serial"
         parallel = tmp_path / "parallel"
         assert run("compare", "--config", path, "--out", str(serial)) == 0
         assert run("compare", "--config", path, "--out", str(parallel),
                    "--jobs", "2") == 0
-        assert (serial / "comparison.csv").read_bytes() == \
-            (parallel / "comparison.csv").read_bytes()
+        assert len(set(row_scores(serial))) == 5
+        for name in ("comparison.csv", "summary.txt"):
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
     def test_rows_do_not_depend_on_the_plan_mode(self, tmp_path):
         # the table's rows come from compare, each mode on the config's plan;
@@ -837,17 +870,13 @@ class TestCompareCommand:
         # that followed the plan's mode would change the table
         outs = []
         for mode in ("naive", "two_phase"):
-            cfg = base_config()
-            cfg["dataset"]["separation"] = 2.0
-            cfg["plan"].update(mode=mode, lr_phase2=0.01)
             outs.append(tmp_path / mode)
-            assert run("compare", "--config", write_config(tmp_path, cfg, f"{mode}.json"),
+            assert run("compare", "--config",
+                       write_config(tmp_path, separated_config(mode), f"{mode}.json"),
                        "--out", str(outs[-1])) == 0
         for name in ("comparison.csv", "summary.txt"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-        scores = [line.split(None, 1)[1] for line in
-                  (outs[0] / "summary.txt").read_text().splitlines()[2:7]]
-        assert len(set(scores)) == 5
+        assert len(set(row_scores(outs[0]))) == 5
 
 
 class TestCrossProcessDeterminism:
@@ -867,24 +896,3 @@ class TestCrossProcessDeterminism:
             blobs.append(((out / "teacher.fpnn").read_bytes(),
                           (out / "teacher_metrics.csv").read_bytes()))
         assert blobs[0] == blobs[1]
-
-
-class TestSeedOverride:
-    def test_override_changes_model(self, tmp_path):
-        cfg = write_config(tmp_path)
-        out1 = tmp_path / "a"
-        out2 = tmp_path / "b"
-        out3 = tmp_path / "c"
-        run("train-teacher", "--config", cfg, "--out", str(out1))
-        run("train-teacher", "--config", cfg, "--out", str(out2),
-            "--seed-override", "99")
-        run("train-teacher", "--config", cfg, "--out", str(out3),
-            "--seed-override", "99")
-        a = (out1 / "teacher.fpnn").read_bytes()
-        b = (out2 / "teacher.fpnn").read_bytes()
-        c = (out3 / "teacher.fpnn").read_bytes()
-        assert a != b
-        assert b == c
-
-    def test_bad_subcommand_exit_1(self, capsys):
-        assert run("frobnicate", "--config", "x.json") == 1

@@ -5,6 +5,7 @@ and the multi-seed comparison."""
 from __future__ import annotations
 
 import math
+import struct
 import tracemalloc
 import weakref
 
@@ -1201,6 +1202,9 @@ class TestCompareMethods:
         # the stacked phase 1 returns one float: the mean of the seeds' KLs,
         # with the arithmetic of statistics.fmean over the single runs
         assert phase1_kls == [math.fsum(single_kls) / 2]
+        # and compare returns it under each label of that plan
+        assert result.phase1_kl == {label: phase1_kls[0] for label, plan in rows.items()
+                                    if plan.mode == "two_phase"}
         return fitted
 
     @pytest.mark.parametrize("teacher_hidden,student_hidden", [
@@ -1225,6 +1229,26 @@ class TestCompareMethods:
         # the teachers, two_phase's phases, then joint, naive and l2 together
         # and hinton_baseline in a fit of its own
         assert fitted == [1, 1, 1, 3, 1]
+
+    def test_phase1_kl_is_what_phase1_feature_fit_returned(self, blobs, monkeypatch):
+        # two two_phase plans are two stacked fits: each label gets its own
+        # fit's KL, bit for bit, and no one-phase row gets one
+        args = self.tiny_args(blobs)
+        rows = args["rows"]
+        rows["two_phase, slow"] = replace(rows["two_phase"], lr_phase1=1e-3)
+        returned = []
+
+        def recording_phase1(*a, **kw):
+            model, kl = phase1_feature_fit(*a, **kw)
+            returned.append(kl)
+            return model, kl
+
+        monkeypatch.setattr(train, "phase1_feature_fit", recording_phase1)
+        result = compare_methods(seeds=[1, 2], **args)
+        assert list(result.phase1_kl) == ["two_phase", "two_phase, slow"]
+        assert len(returned) == 2 and returned[0] != returned[1]
+        for kl, recorded in zip(result.phase1_kl.values(), returned):
+            assert struct.pack("<d", kl) == struct.pack("<d", recorded)
 
     def test_labelled_rows_train_each_plan_once(self, blobs, monkeypatch):
         # a second label on the two_phase plan shares its models; naive with
