@@ -1,10 +1,9 @@
 """Command-line interface.
 
 Subcommands: train-teacher, extract-features, distill, evaluate, compare.
-Each command seeds, splits and trains from its JSON config alone, so the
-config's check that ``teacher_plan.seed`` equals ``plan.seed`` keeps every
-teacher off the student's test rows; ``--out`` alone sets the output
-directory.  Rerunning a command with the same config produces
+Each command seeds, splits and trains from its JSON config alone (a
+teacher on ``plan.seed``, the student's split); ``--out`` alone sets the
+output directory.  Rerunning a command with the same config produces
 byte-identical outputs.  Files are written atomically.
 
 Exit codes: 0 success, 1 user or configuration error, 2 numerical failure.

@@ -6,13 +6,14 @@ Each section is the dataclass it builds, and its allowed keys are exactly
 that dataclass's fields: the top level is ``ExperimentConfig``, ``plan`` and
 ``teacher_plan`` are ``TrainPlan``, ``prior`` is ``PriorConfig``, ``teacher``
 and ``student`` are ``ArchConfig`` and each ``experts`` entry is an
-``ExpertConfig``.  Each dataclass checks its own values, the same way
-whether they come from JSON or from Python, and nothing is coerced; this
-module checks only keys and structure.  The ``dataset`` keys are exactly
-its kind's loader arguments, which the loader in ``featprior.data`` checks
-before it makes any data (``load_dataset``).  Unknown keys anywhere in the
-document are hard errors (they are almost always typos in hyperparameter
-names), and every cross-reference is validated before any training starts.
+``ExpertConfig``, but ``teacher_plan`` takes only ``TEACHER_PLAN_KEYS``.
+Each dataclass checks its own values, the same way whether they come
+from JSON or from Python, and nothing is coerced; this module checks only
+keys and structure.  The ``dataset`` keys are exactly its kind's loader
+arguments, which the loader in ``featprior.data`` checks before it makes
+any data (``load_dataset``).  Unknown keys anywhere in the document are
+hard errors (they are almost always typos in hyperparameter names), and
+every cross-reference is validated before any training starts.
 """
 
 from __future__ import annotations
@@ -29,12 +30,13 @@ from .network import ACTIVATIONS, NetworkSpec
 from .train import LayerGroupMapping, TrainPlan, _check_expert_alpha
 
 
-def _check_keys(d: dict, allowed, where: str) -> None:
+def _check_keys(d: dict, allowed, where: str) -> dict:
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a JSON object")
     unknown = set(d) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
+    return d
 
 
 def _section(cls, d: dict, where: str, **parse):
@@ -49,6 +51,10 @@ def _section(cls, d: dict, where: str, **parse):
     except (TypeError, FeatPriorError) as exc:
         raise ConfigError(f"bad {where}: {exc}") from None
 
+
+# the TrainPlan fields a teacher fit reads; ExperimentConfig sets its seed and mode
+TEACHER_PLAN_KEYS = ("batch_size", "phase1_epochs", "phase2_epochs", "optimizer",
+                     "lr_phase2", "momentum")
 
 # kind -> (loader in .data, looked up by name when called so that a wrapper
 # installed on .data runs; its arguments, each a required key)
@@ -94,7 +100,7 @@ class ExpertConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """``teacher_plan`` defaults to ``plan``; either way it trains in naive
-    mode."""
+    mode on ``plan.seed``, the student's split."""
 
     dataset: dict
     teacher: ArchConfig
@@ -129,7 +135,8 @@ class ExperimentConfig:
         object.__setattr__(self, "experts", tuple(self.experts))
         object.__setattr__(self, "seeds", tuple(self.seeds))
         object.__setattr__(self, "teacher_plan",
-                           replace(self.teacher_plan or self.plan, mode="naive"))
+                           replace(self.teacher_plan or self.plan, mode="naive",
+                                   seed=self.plan.seed))
 
     def load_dataset(self) -> Dataset:
         loader, args = _DATASETS[self.dataset["kind"]]
@@ -156,14 +163,6 @@ class ExperimentConfig:
             raise ConfigError("dataset must have at least 2 classes")
         if self.plan.batch_size > dataset.n:
             raise ConfigError("batch size exceeds dataset size")
-        # train-teacher splits on teacher_plan.seed and distill/evaluate on
-        # plan.seed: different seeds would train the teacher on test rows
-        if self.teacher_plan.seed != self.plan.seed:
-            raise ConfigError(
-                f"teacher_plan seed {self.teacher_plan.seed} != plan seed "
-                f"{self.plan.seed}: the teacher would train on the student's "
-                "test rows"
-            )
 
 
 def _parse_mapping(raw, where: str) -> LayerGroupMapping:
@@ -192,10 +191,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         teacher=partial(_section, ArchConfig, where="teacher"),
         student=partial(_section, ArchConfig, where="student"),
         plan=partial(_parse_plan, where="plan"),
-        # teacher_plan inherits every plan field it does not set; _parse_plan
-        # refuses one that is not an object
         teacher_plan=lambda d: _parse_plan(
-            {**raw.get("plan", {}), **d} if isinstance(d, dict) else d, "teacher_plan"),
+            {**raw.get("plan", {}), **_check_keys(d, TEACHER_PLAN_KEYS, "teacher_plan")},
+            "teacher_plan"),
         mapping=partial(_parse_mapping, where="config"), experts=_parse_experts)
 
 

@@ -554,7 +554,8 @@ def train_teacher(dataset: Dataset, spec: NetworkSpec, plan: TrainPlan, *,
                   test_fraction: float = 0.25, split: SplitBatches | None = None,
                   log: list | None = None) -> tuple[Model, MetricsReport]:
     """Task-only training of a fresh model for the plan's full epoch
-    budget; returns the model and its test metrics."""
+    budget, in naive mode; returns the model and its test metrics.  Of the
+    plan it reads only the seed and ``config.TEACHER_PLAN_KEYS``."""
     if split is None:
         split = split_and_batch(dataset, test_fraction, plan.batch_size, plan.seed)
     model, _ = _fit_mode(init_params(spec, plan.seed), dataset,
@@ -777,8 +778,9 @@ def compare_methods(dataset: Dataset, teacher_spec: NetworkSpec,
     """Train every row across seeds; report mean and standard error.
 
     ``rows`` maps each row's label to its plan, trained in its own mode.
-    Each seed has its own split, teacher and feature cache, and the seeds
-    train together (``_StackedSchedule``).
+    Each seed has its own split, feature cache and teacher, which trains
+    in naive mode on that seed and reads only ``config.TEACHER_PLAN_KEYS``
+    of ``teacher_plan``; the seeds train together (``_StackedSchedule``).
     """
     seeds = list(seeds)
     for i, seed in enumerate(seeds):
@@ -811,7 +813,7 @@ def compare_methods(dataset: Dataset, teacher_spec: NetworkSpec,
         return MetricsReport(seeds=seeds, per_seed=[
             evaluate(m, dataset, split.test) for m, split in zip(models, splits)])
 
-    (teachers,), _ = fit(teacher_spec, replace(teacher_plan, mode="naive"), ("naive",))
+    (teachers,), _ = fit(teacher_spec, teacher_plan, ("naive",))
     logits_group = teacher_spec.hidden_count
     group_ids = sorted(mapping.groups() | {logits_group})
     caches = [extract_features(t, dataset, group_ids) for t in teachers]

@@ -23,6 +23,9 @@ from featprior.data import (load_csv, load_idx, read_cache, serialize_cache, spl
 from featprior.network import NetworkSpec, init_params, load_model, serialize_model
 from featprior.train import LayerGroupMapping, TrainPlan, extract_features
 
+# the TrainPlan fields a teacher fit reads, the only keys teacher_plan takes
+TEACHER_FIT_KEYS = ("batch_size", "phase1_epochs", "phase2_epochs", "optimizer", "lr_phase2",
+                    "momentum")
 REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
 README = REFERENCE_CONFIG.parent.parent / "README.md"
 
@@ -165,14 +168,18 @@ class TestConfigParsing:
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_every_plan_and_prior_field_round_trips(self):
+        # teacher_plan sets the six fields a teacher fit reads; its seed
+        # and mode come from plan
+        assert {*TEACHER_FIT_KEYS, "seed", "mode", "prior", "lr_phase1"} == {
+            f.name for f in fields(TrainPlan)}
         cfg = base_config()
         cfg["plan"] = non_default_fields(TrainPlan, 1)
-        cfg["teacher_plan"] = non_default_fields(TrainPlan, 2)
-        plan, teacher_plan = (TrainPlan(**{**raw, "prior": PriorConfig(**raw["prior"])})
-                              for raw in (cfg["plan"], cfg["teacher_plan"]))
+        teacher = non_default_fields(TrainPlan, 2)
+        cfg["teacher_plan"] = {k: teacher[k] for k in TEACHER_FIT_KEYS}
+        plan = TrainPlan(**{**cfg["plan"], "prior": PriorConfig(**cfg["plan"]["prior"])})
         parsed = parse_config(cfg)
         assert parsed.plan == plan
-        assert parsed.teacher_plan == replace(teacher_plan, mode="naive")
+        assert parsed.teacher_plan == replace(plan, **cfg["teacher_plan"], mode="naive")
 
     @pytest.mark.parametrize("where, key, value, named", [
         ("teacher", "hidden", [8.7], "bad teacher: hidden[0] must be an integer >= 1, "
@@ -332,8 +339,21 @@ class TestConfigParsing:
         assert parsed.plan.prior == PriorConfig(alpha=2.0, temperature=3.0)
 
     def test_readme_config_is_the_reference_config(self):
-        block = re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1)
+        # the fenced JSON that follows the README's "A complete config"
+        block = re.search(r"A complete config.*?```json\n(.*?)```", README.read_text(),
+                          re.S).group(1)
         assert parse_config(json.loads(block)) == load_config(str(REFERENCE_CONFIG))
+
+    @pytest.mark.parametrize("teacher_plan", [
+        {"phase1_epochs": 0, "phase2_epochs": 20, "lr_phase2": 0.003, "batch_size": 64},
+        {"phase1_epochs": 0, "phase2_epochs": 5},
+    ], ids=["perfbench", "ci"])
+    def test_generated_teacher_plans_parse(self, teacher_plan):
+        # the teacher_plan shapes the benchmark workloads and the CI steps write
+        cfg = base_config()
+        cfg["teacher_plan"] = teacher_plan
+        parsed = parse_config(cfg)
+        assert parsed.teacher_plan == replace(parsed.plan, **teacher_plan, mode="naive")
 
     def test_unknown_dataset_key(self):
         cfg = base_config()
@@ -385,16 +405,28 @@ class TestConfigParsing:
         assert [e.mapping.entries for e in parsed.experts] == [((0, 1),), ((0, 1),)]
         parsed.validate_cross_refs(parsed.load_dataset())
 
-    def test_teacher_seed_differing_from_plan_seed_exit_1(self, tmp_path, capsys):
-        # train-teacher splits on the teacher seed and distill on the plan
-        # seed; differing seeds would leak student test rows into the teacher
+    @pytest.mark.parametrize("command", ["train-teacher", "compare"])
+    @pytest.mark.parametrize("key, value", [
+        ("seed", 2), ("mode", "joint"), ("prior", {"alpha": 2.0}), ("lr_phase1", 0.5),
+    ], ids=["seed", "mode", "prior", "lr_phase1"])
+    def test_teacher_plan_key_no_teacher_fit_reads_exit_1(self, tmp_path, monkeypatch,
+                                                          capsys, command, key, value):
+        # a teacher trains in naive mode on plan.seed, the student's split,
+        # and never reads lr_phase1 or prior: setting one is refused before
+        # anything is written
         cfg = base_config()
-        cfg["teacher_plan"]["seed"] = 2
+        cfg["teacher_plan"][key] = value
         path = write_config(tmp_path, cfg)
-        out = tmp_path / "run"
-        assert run("train-teacher", "--config", path, "--out", str(out)) == 1
-        assert "seed" in capsys.readouterr().err
-        assert not (out / "teacher.fpnn").exists()
+        monkeypatch.chdir(tmp_path)
+        assert run(command, "--config", path, "--out", "run") == 1
+        assert capsys.readouterr().err == f"error: unknown keys ['{key}'] in teacher_plan\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_python_teacher_plan_trains_on_plan_seed_in_naive_mode(self):
+        # the teacher's split seed has one source from Python too
+        cfg = experiment_config(plan=TrainPlan(seed=3),
+                                teacher_plan=TrainPlan(seed=9, lr_phase2=0.003))
+        assert cfg.teacher_plan == TrainPlan(seed=3, lr_phase2=0.003, mode="naive")
 
     def test_missing_config_file(self):
         with pytest.raises(ConfigError):

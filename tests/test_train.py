@@ -236,6 +236,17 @@ class TestTrainTeacher:
         assert params_equal(model, init_params(NetworkSpec.dense(2, [8], 2), 0))
         assert 0.3 <= report.mean("accuracy") <= 0.7
 
+    def test_reads_no_mode_lr_phase1_or_prior(self, blobs):
+        # a teacher trains in naive mode and takes no feature prior
+        spec = NetworkSpec.dense(2, [8], 2)
+        plan = TrainPlan(seed=5, batch_size=16, phase1_epochs=1, phase2_epochs=4)
+        m1, r1 = train_teacher(blobs, spec, plan, test_fraction=0.5)
+        m2, r2 = train_teacher(blobs, spec, replace(plan, mode="joint", lr_phase1=0.5,
+                                                    prior=PriorConfig(alpha=3.0)),
+                               test_fraction=0.5)
+        assert params_equal(m1, m2)
+        assert r1.per_seed == r2.per_seed
+
     def test_same_seed_identical(self, blobs):
         plan = TrainPlan(seed=5, batch_size=16, phase1_epochs=0,
                          phase2_epochs=8, mode="naive")
@@ -1099,6 +1110,14 @@ class TestCompareMethods:
         methods = {line.split(",")[0] for line in lines[1:]}
         assert methods == {"naive", "two_phase", "joint", "hinton_baseline",
                            "l2_baseline"}
+
+    def test_reads_no_seed_mode_lr_phase1_or_prior_of_teacher_plan(self, blobs):
+        # each seed's teacher trains on that seed, in naive mode
+        args = self.tiny_args(blobs)
+        result = compare_methods(seeds=[1, 2], **args)
+        args["teacher_plan"] = replace(args["teacher_plan"], seed=9, mode="joint",
+                                       lr_phase1=0.5, prior=PriorConfig(alpha=3.0))
+        assert compare_methods(seeds=[1, 2], **args) == result
 
     def test_naive_row_consistent_with_direct_run(self, blobs):
         args = self.tiny_args(blobs)
