@@ -6,7 +6,8 @@ analytically) and the logits (cross-entropy, soft-target or L2).
 ``backward`` takes those input gradients, walks the network from the
 highest of them down to the lowest unfrozen layer, and returns parameter
 gradients in ``Model.parameters()`` order.  Arithmetic is float64.  A
-leading axis (a stacked model) gives each slice its own call's bits.
+leading axis (a stacked model) gives each slice its own call's bits, and
+an input gradient is of the whole (stacked) activation or logits.
 """
 
 from __future__ import annotations
@@ -42,25 +43,17 @@ def softmax_cross_entropy(logits, labels):
     return value, grad / n
 
 
-class BlockGrads(dict):
-    """Hidden-layer gradients {layer: dL/dh} of one block of a stacked
-    model: they reach only the slices ``rows`` of its leading axis."""
-
-    def __init__(self, grads, rows):
-        super().__init__(grads)
-        self.rows = rows
-
-
 def backward(model, x, record, act_grads, logit_grad, frozen=()) -> list:
     """Parameter gradients of a loss whose gradient enters at hidden
     activations and at the logits.
 
     ``record`` is ``forward(model, x)``; ``act_grads`` maps a hidden-layer
-    index to dL/d(activation) and ``logit_grad`` is dL/dlogits or None.  The
-    head, the last of ``model.spec.layers``, is layer L, the hidden-layer count.
-    The walk starts at the head when there is a logit gradient, else at the
-    deepest layer in ``act_grads``, and stops at the lowest layer not in
-    ``frozen``, passing through frozen layers.  Their parameters and those
+    index to dL/d(activation), the gradient of the whole (stacked)
+    ``record.activations[layer]``, and ``logit_grad`` is dL/dlogits or None.
+    The head, the last of ``model.spec.layers``, is layer L, the hidden-layer
+    count.  The walk starts at the head when there is a logit gradient, else
+    at the deepest layer in ``act_grads``, and stops at the lowest layer not
+    in ``frozen``, passing through frozen layers.  Their parameters and those
     it does not reach get None, which the optimizers skip; the rest are
     views of one ``ParamGrads.flat`` buffer.
     """
@@ -69,7 +62,7 @@ def backward(model, x, record, act_grads, logit_grad, frozen=()) -> list:
     lowest = 0  # the lowest layer the walk trains; above the head if none
     while lowest in frozen:
         lowest += 1
-    injected, rows = dict(act_grads), getattr(act_grads, "rows", ...)
+    injected = dict(act_grads)
     if logit_grad is not None:
         injected[len(activations) - 1] = logit_grad
     grads = ParamGrads([None] * len(params))
@@ -81,7 +74,7 @@ def backward(model, x, record, act_grads, logit_grad, frozen=()) -> list:
             if g is None:
                 g = injected[layer]
             else:  # g is a fresh product here; += has the bits of injected + g
-                g[rows] += injected[layer]
+                g += injected[layer]
         if activations[layer] == "relu":
             g = g * (inputs[layer + 1] > 0.0)
         elif activations[layer] == "tanh":

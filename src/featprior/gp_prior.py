@@ -125,6 +125,13 @@ class PriorConfig:
             raise ConfigError(f"jitter must be finite and >= 0, got {self.jitter}")
         if not 0.0 < self.temperature < math.inf:
             raise ConfigError(f"temperature must be finite and > 0, got {self.temperature}")
+        try:  # hinton_baseline weighs its term by alpha * temperature ** 2
+            square = float(self.temperature) ** 2
+        except OverflowError:  # a float's square, or an int, past the float range
+            square = math.inf
+        if not 0.0 < square < math.inf:
+            raise ConfigError("temperature ** 2 must be a finite float > 0, got "
+                              f"{self.temperature} ** 2 = {square}")
 
 
 @dataclass(frozen=True)

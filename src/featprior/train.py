@@ -32,8 +32,8 @@ Conventions shared by every routine here:
   each fit as one problem: model, optimizer state, batches and teacher caches
   carry a leading seed axis, and each slice gets the bits of its own run.
   Equal plans train once; one-phase plans equal but for the mode share a fit
-  on a (mode, seed) axis, a block of seeds per mode, and ``_objective`` adds
-  each mode's term to its block only (``autodiff.BlockGrads``).
+  on a (mode, seed) axis, a block of seeds per mode; ``_objective`` adds each
+  mode's term to its block only, the joint term's gradient zero outside it.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from functools import partial
 
 import numpy as np
 
-from .autodiff import BlockGrads, backward, softmax_cross_entropy
+from .autodiff import backward, softmax_cross_entropy
 from .data import (
     BatchSchedule,
     Dataset,
@@ -498,15 +498,16 @@ def _objective(modes, config: PriorConfig, cache: FeatureCache | None = None,
 
     def objective(record, idx, labels):
         ce, logit_grad = softmax_cross_entropy(record.logits, labels)
-        losses, kl, act_grads, teacher = [], None, {}, None
+        loss, kl, act_grads, teacher = np.array(ce), None, {}, None
         for b, mode in enumerate(modes):
             rows = block(b, len(record.logits))
-            term = 0.0
             if mode == "joint" and prior is not None:
                 view = replace(record, activations=[a[rows] for a in record.activations])
-                kl, _, _, act_grads, _ = prior(view, idx[rows], None)
-                act_grads = BlockGrads(act_grads, rows)
-                term = kl * config.alpha
+                kl, _, _, grads, _ = prior(view, idx[rows], None)
+                for layer, grad in grads.items():  # zero outside the block
+                    act_grads[layer] = np.zeros_like(record.activations[layer])
+                    act_grads[layer][rows] = grad
+                loss[rows] += kl * config.alpha
             elif mode in ("hinton_baseline", "l2_baseline"):
                 if teacher is None:
                     teacher = _rows(cache.groups[logits_group], idx[rows]).astype(float)
@@ -518,10 +519,8 @@ def _objective(modes, config: PriorConfig, cache: FeatureCache | None = None,
                     scale = config.alpha
                     kl, grad = _l2_grad(record.logits[rows], teacher, scale)
                 if scale != 0.0:
-                    term = kl * scale
+                    loss[rows] += kl * scale
                     logit_grad[rows] += grad  # the bits of grad + ce_grad
-            losses.append((ce[rows] if len(modes) > 1 else ce) + term)
-        loss = losses[0] if len(modes) == 1 else np.concatenate(losses)
         return loss, ce, kl if len(modes) == 1 else None, act_grads, logit_grad
     objective.epoch = epoch
     return objective

@@ -825,6 +825,33 @@ class TestExtractAndDistill:
         assert run("distill", "--config", other, "--out", str(out)) == 1
         assert "different dataset" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_joint_loss_overflow_exit_2(self, tmp_path, capsys):
+        # alpha * KL overflows to inf: the loss check stops the fit
+        cfg = base_config()
+        cfg["plan"].update(mode="joint", prior={"alpha": 1e308})
+        path, out = self.pipeline(tmp_path, cfg)
+        capsys.readouterr()
+        assert run("distill", "--config", path, "--out", str(out)) == 2
+        assert capsys.readouterr().err == "numerical failure: loss became inf at epoch 0\n"
+        assert not (out / "student.fpnn").exists()
+        assert not (out / "run_log.csv").exists()
+
+    def test_hinton_temperature_square_overflow_exit_1(self, tmp_path, capsys):
+        # its term weight alpha * temperature ** 2 would overflow a float
+        cfg = base_config()
+        cfg["plan"]["mode"] = "hinton_baseline"
+        _, out = self.pipeline(tmp_path, cfg)
+        cfg["plan"]["prior"] = {"temperature": 1e200}
+        path = write_config(tmp_path, cfg, name="hot.json")
+        capsys.readouterr()
+        assert run("distill", "--config", path, "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: bad prior: temperature ** 2 must be a finite float > 0, "
+            "got 1e+200 ** 2 = inf\n")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "features.fpfc", "teacher.fpnn", "teacher_metrics.csv"]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_training_exit_2(self, tmp_path, capsys):
         cfg = base_config()

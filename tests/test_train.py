@@ -29,6 +29,7 @@ from featprior.errors import (
     BatchTooSmall,
     ConfigError,
     DimensionMismatch,
+    DivergedTraining,
     EmptyExpertSet,
     FeatPriorError,
     FingerprintMismatch,
@@ -175,6 +176,12 @@ class TestApiTypes:
          "temperature must be finite and > 0, got nan"),
         (lambda: PriorConfig(temperature=math.inf),
          "temperature must be finite and > 0, got inf"),
+        # hinton_baseline weighs its term by temperature ** 2, which must
+        # neither overflow nor underflow to 0
+        (lambda: PriorConfig(temperature=1e200),
+         "temperature ** 2 must be a finite float > 0, got 1e+200 ** 2 = inf"),
+        (lambda: PriorConfig(temperature=1e-200),
+         "temperature ** 2 must be a finite float > 0, got 1e-200 ** 2 = 0.0"),
         (lambda: ExpertPrior(None, LayerGroupMapping(((0, 0),)), math.nan),
          "alpha must be a finite number > 0, got nan"),
         (lambda: ExpertPrior(None, LayerGroupMapping(((0, 0),)), math.inf),
@@ -207,7 +214,8 @@ class TestApiTypes:
         (lambda: ExpertPrior(None, LayerGroupMapping(((0, 0),)), True),
          "alpha must be a finite number > 0, got True"),
     ], ids=["alpha-nan", "alpha-inf", "jitter-nan", "jitter-inf", "temperature-nan",
-            "temperature-inf", "expert-alpha-nan", "expert-alpha-inf", "lr_phase1-negative",
+            "temperature-inf", "temperature-square-overflows", "temperature-square-underflows",
+            "expert-alpha-nan", "expert-alpha-inf", "lr_phase1-negative",
             "lr_phase1-zero", "lr_phase2-nan", "lr_phase2-inf", "momentum-negative",
             "momentum-one", "momentum-nan", "alpha-numpy-inf", "lr_phase1-numpy-nan",
             "normalize-string", "alpha-bool", "jitter-string", "temperature-none",
@@ -217,6 +225,11 @@ class TestApiTypes:
         with pytest.raises(FeatPriorError) as excinfo:
             build()
         assert str(excinfo.value) == named
+
+    @pytest.mark.parametrize("temperature", [1e154, 1e-161])
+    def test_temperature_just_inside_its_square_range_is_accepted(self, temperature):
+        square = PriorConfig(temperature=temperature).temperature ** 2
+        assert 0.0 < square < math.inf
 
 
 class TestTrainTeacher:
@@ -1142,6 +1155,17 @@ class TestCompareMethods:
         result = compare_methods(seeds=[1, 2], **self.tiny_args(blobs))
         assert set(result.methods) == set(MODES)
         assert len(calls) == 2 * 6
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_diverged_joint_block_stops_the_stacked_fit(self, blobs):
+        # naive and joint share one stacked fit; alpha * KL overflows in the
+        # joint block only, and the loss check stops the fit at its first step
+        args = self.tiny_args(blobs)
+        joint = replace(args["rows"]["joint"], prior=PriorConfig(alpha=1e308))
+        args["rows"] = {"naive": replace(joint, mode="naive"), "joint": joint}
+        with pytest.raises(DivergedTraining,
+                           match=r"^loss became \[[\d.]+ +[\d.]+ +inf +inf\] at epoch 0$"):
+            compare_methods(seeds=[1, 2], **args)
 
     def test_stacked_schedule_tiles_each_seeds_draw(self, blobs, monkeypatch):
         # a stack of 4 mode blocks draws each seed's permutation once an
