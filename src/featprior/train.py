@@ -8,10 +8,11 @@ Conventions shared by every routine here:
   schedules are row indices into it, so teacher-feature cache rows stay
   aligned with student batches, and test rows are gathered when scored.
   A fit checks its caches against it once (``_check_cache_alignment``).
-* Task-only fits (teachers, the naive mode, the joint mode and the two
-  logit-matching baselines) run ``phase1_epochs + phase2_epochs`` epochs;
-  two-phase runs split the same budget between the label-free feature fit
-  and the task fit.
+* Every labelled fit (teachers, the naive, joint and two logit-matching
+  baseline modes, two_phase's task fit) is the one ``_fit_epochs`` call in
+  ``_fit_mode``, from epoch ``start`` to ``phase1_epochs + phase2_epochs``:
+  task-only modes start at 0; two_phase's phase 2 starts at ``phase1_epochs``
+  with the mapped layers frozen, after the label-free feature fit.
 * Training functions copy the incoming model and return the trained copy.
 * An epoch hands its batch list to the objective (``objective.epoch``)
   before its first step.  A prior term then builds its teacher kernels in
@@ -595,18 +596,18 @@ def phase2_task_fit(student: Model, dataset: Dataset, plan: TrainPlan,
                     frozen_layers, *, schedule: BatchSchedule | None = None,
                     train: Rows | None = None, test: Rows | None = None,
                     log: list | None = None) -> Model:
-    """Cross-entropy training of the unfrozen layers only; frozen
-    parameters come back bitwise identical."""
-    model = student.copy()
-    frozen = set(frozen_layers)
-    if frozen.issuperset(range(len(model.spec.layers))):
+    """Two_phase's task fit, ``_fit_mode``'s naive fit from ``phase1_epochs``
+    of the unfrozen layers only; frozen parameters come back bitwise identical,
+    and an id that is not a layer 0..L (L the head's) raises ``LayerOutOfRange``."""
+    frozen, head = set(frozen_layers), student.spec.hidden_count
+    for lid in frozen:
+        if not (_is_int(lid) and 0 <= lid <= head):
+            raise LayerOutOfRange(f"frozen layer {lid!r} outside 0..{head}")
+    if frozen.issuperset(range(len(student.spec.layers))):
         raise AllLayersFrozen("every parameter is frozen; nothing to train")
-    schedule = _make_schedule(plan, schedule, train, dataset)
-    _fit_epochs(model, dataset, schedule, plan, _objective(("naive",), plan.prior),
-                epochs=plan.phase2_epochs, lr=plan.lr_phase2, phase=2,
-                epoch_offset=plan.phase1_epochs, frozen_layers=frozen,
-                test=test, log=log)
-    return model
+    return _fit_mode(student, dataset, _make_schedule(plan, schedule, train, dataset),
+                     replace(plan, mode="naive"), start=plan.phase1_epochs,
+                     frozen=frozen, test=test, log=log)[0]
 
 
 def joint_fit(student: Model, dataset: Dataset, cache: FeatureCache,
@@ -675,13 +676,14 @@ def cache_groups(mode: str, mapping: LayerGroupMapping, logits_group: int) -> se
 def _fit_mode(student: Model, dataset: Dataset, schedule, plan: TrainPlan, *, modes=None,
               cache: FeatureCache | None = None, mapping: LayerGroupMapping | None = None,
               experts: ExpertPriorSet | None = None, logits_group: int | None = None,
-              test: Rows | None = None,
-              log: list | None = None) -> tuple[Model, float | None]:
+              test: Rows | None = None, log: list | None = None,
+              start: int = 0, frozen=()) -> tuple[Model, float | None]:
     """The trained copy of ``student`` in the plan's mode, and phase 1's
     final KL (two_phase only, for a plain cache and mapping or ``experts``;
-    None with no mapped layer).  ``modes``, one-phase modes, splits a
-    stacked student into that many equal blocks, each trained in its mode."""
-    modes = modes or (plan.mode,)
+    None with no mapped layer).  Every labelled fit is the one ``_fit_epochs``
+    call here, from epoch ``start`` with the layers in ``frozen`` held; ``modes``,
+    one-phase modes, splits a stacked student into equal blocks, one per mode."""
+    modes, final_kl = modes or (plan.mode,), None
     if experts is not None and modes != ("two_phase",):
         raise ConfigError(f"expert priors need two_phase mode, not {'/'.join(modes)}")
     if modes == ("two_phase",):
@@ -689,11 +691,11 @@ def _fit_mode(student: Model, dataset: Dataset, schedule, plan: TrainPlan, *, mo
             if cache is None or mapping is None:
                 raise ConfigError("two_phase mode needs a feature cache and mapping")
             experts = ExpertPriorSet((ExpertPrior(cache, mapping),))
-        model, final_kl = phase1_feature_fit(student, dataset, experts, plan,
-                                             schedule=schedule, test=test, log=log)
+        # by its module-global name, which perfbench's phase1_probe wraps
+        student, final_kl = phase1_feature_fit(student, dataset, experts, plan,
+                                               schedule=schedule, test=test, log=log)
         frozen = set().union(*(e.mapping.student_layers() for e in experts.experts))
-        return phase2_task_fit(model, dataset, plan, frozen, schedule=schedule,
-                               test=test, log=log), final_kl
+        modes, start = ("naive",), plan.phase1_epochs
     cached = [m for m in modes if m != "naive"]
     for mode in cached:
         if cache is None or (mapping if mode == "joint" else logits_group) is None:
@@ -708,9 +710,9 @@ def _fit_mode(student: Model, dataset: Dataset, schedule, plan: TrainPlan, *, mo
     model = student.copy()
     _fit_epochs(model, dataset, schedule, plan,
                 _objective(modes, plan.prior, cache, mapping, logits_group),
-                epochs=plan.total_epochs, lr=plan.lr_phase2, phase=2,
-                test=test, log=log)
-    return model, None
+                epochs=plan.total_epochs - start, lr=plan.lr_phase2, phase=2,
+                epoch_offset=start, frozen_layers=frozen, test=test, log=log)
+    return model, final_kl
 
 
 @dataclass

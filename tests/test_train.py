@@ -812,6 +812,60 @@ class TestPhase2:
         np.testing.assert_array_equal(after2.biases[0], after1.biases[0])
         assert not np.array_equal(after2.weights[-1], after1.weights[-1])
 
+    @pytest.mark.parametrize("bad", [2, 5, -1, "0", 0.0, True],
+                             ids=["2", "5", "-1", "str-0", "0.0", "True"])
+    def test_frozen_id_not_a_layer_rejected(self, rings_setup, bad):
+        # a one-hidden-layer student has layers 0 (hidden) and 1 (head)
+        ds, split, _, _ = rings_setup
+        student = init_params(NetworkSpec.dense(2, [8], 2), seed=12)
+        log = []
+        with pytest.raises(LayerOutOfRange) as excinfo:
+            phase2_task_fit(student, ds, TrainPlan(seed=12, batch_size=16),
+                            frozen_layers={bad}, train=split.train, log=log)
+        assert str(excinfo.value) == f"frozen layer {bad!r} outside 0..1"
+        assert log == []
+
+    def test_valid_frozen_ids_train_from_phase1_epochs(self, rings_setup):
+        # numpy ids freeze the same layers, and the fit logs phase 2's epochs
+        # from phase1_epochs on, as two_phase's task fit does
+        ds, split, _, _ = rings_setup
+        student = init_params(NetworkSpec.dense(2, [8], 2), seed=12)
+        plan = TrainPlan(seed=12, batch_size=16, phase1_epochs=3, phase2_epochs=2)
+        log = []
+        fitted = phase2_task_fit(student, ds, plan, frozen_layers=[np.int64(0)],
+                                 train=split.train, log=log)
+        plain = phase2_task_fit(student, ds, plan, frozen_layers={0}, train=split.train)
+        assert params_equal(fitted, plain)
+        np.testing.assert_array_equal(fitted.weights[0], student.weights[0])
+        assert not np.array_equal(fitted.weights[1], student.weights[1])
+        assert [(r.epoch, r.phase) for r in log] == [(3, 2), (4, 2)]
+
+
+class TestModeRefusals:
+    """``_fit_mode`` refuses a mode's missing teacher inputs before training,
+    through ``run_distillation``, with one message each."""
+
+    @pytest.mark.parametrize("mode, inputs, message", [
+        ("two_phase", {}, "two_phase mode needs a feature cache and mapping"),
+        ("joint", {"logits_group": 2},
+         "joint mode needs a teacher feature cache and a mapping"),
+        ("hinton_baseline", {"mapping": LayerGroupMapping(entries=((0, 1),))},
+         "hinton_baseline mode needs a teacher feature cache and its logits"),
+        ("l2_baseline", {"mapping": LayerGroupMapping(entries=((0, 1),))},
+         "l2_baseline mode needs a teacher feature cache and its logits"),
+        ("hinton_baseline", {"logits_group": 9}, "feature group 9 not present in cache"),
+    ], ids=["two_phase-no-cache", "joint-no-mapping", "hinton-no-logits",
+            "l2-no-logits", "hinton-group-9"])
+    def test_missing_teacher_input(self, rings_setup, mode, inputs, message):
+        ds, split, _, cache = rings_setup
+        if mode != "two_phase":
+            inputs = {"cache": cache, **inputs}
+        plan = TrainPlan(seed=16, batch_size=16, phase1_epochs=1, phase2_epochs=1,
+                         mode=mode)
+        with pytest.raises(ConfigError) as excinfo:
+            run_distillation(NetworkSpec.dense(2, [8], 2), ds, split, plan, **inputs)
+        assert str(excinfo.value) == message
+
 
 class TestJoint:
     def test_alpha_zero_reduces_to_naive(self, rings_setup):
