@@ -42,13 +42,11 @@ from .gp_prior import (
 )
 from .linalg import CholeskyFactor, cholesky, log_det, reconstruct, solve_spd, trace_solve
 from .network import (
-    AdamConfig,
     AdamState,
     ForwardRecord,
     LayerSpec,
     Model,
     NetworkSpec,
-    SgdConfig,
     SgdState,
     adam_step,
     forward,

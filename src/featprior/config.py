@@ -55,6 +55,8 @@ def _section(cls, d: dict, where: str, **parse):
 # the TrainPlan fields a teacher fit reads; ExperimentConfig sets its seed and mode
 TEACHER_PLAN_KEYS = ("batch_size", "phase1_epochs", "phase2_epochs", "optimizer",
                      "lr_phase2", "momentum")
+_TEACHER_UNREAD = [f.name for f in fields(TrainPlan)
+                   if f.name not in (*TEACHER_PLAN_KEYS, "seed", "mode")]
 
 # kind -> (loader in .data, looked up by name when called so that a wrapper
 # installed on .data runs; its arguments, each a required key)
@@ -100,7 +102,8 @@ class ExpertConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """``teacher_plan`` defaults to ``plan``; either way it trains in naive
-    mode on ``plan.seed``, the student's split."""
+    mode on ``plan.seed``, the student's split.  Its other fields outside
+    ``TEACHER_PLAN_KEYS``, which no teacher fit reads, must equal ``plan``'s."""
 
     dataset: dict
     teacher: ArchConfig
@@ -134,6 +137,10 @@ class ExperimentConfig:
             _check_seed(seed, f"seeds[{i}]")
         object.__setattr__(self, "experts", tuple(self.experts))
         object.__setattr__(self, "seeds", tuple(self.seeds))
+        for name in _TEACHER_UNREAD:
+            value = getattr(self.teacher_plan or self.plan, name)
+            _require(value == getattr(self.plan, name), f"teacher_plan.{name}",
+                     f"plan's {getattr(self.plan, name)!r} (no teacher fit reads it)", value)
         object.__setattr__(self, "teacher_plan",
                            replace(self.teacher_plan or self.plan, mode="naive",
                                    seed=self.plan.seed))

@@ -13,6 +13,9 @@ to any layer, and ``autodiff.backward`` reads them on the way back.
 A stacked model (``stack_models``) has a leading seed axis on every
 parameter, ``Model.flat`` (S x P), optimizer state and batch; each seed
 gets the bits of its own 2-d model.
+``sgd_step`` and ``adam_step`` take their step size (and SGD its momentum)
+from the caller's ``TrainPlan``; Adam's β1, β2 and ε are the constants
+``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
 """
 
 from __future__ import annotations
@@ -216,18 +219,8 @@ def _check_finite(x: np.ndarray, where: str) -> None:
 
 # -- optimizers --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SgdConfig:
-    lr: float
-    momentum: float = 0.0
-
-
-@dataclass(frozen=True)
-class AdamConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -278,7 +271,7 @@ def _grad_runs(model: Model, grads) -> list:
     return runs
 
 
-def sgd_step(model: Model, grads, state: SgdState, cfg: SgdConfig):
+def sgd_step(model: Model, grads, state: SgdState, lr: float, momentum: float):
     """SGD with momentum.  ``grads[i] is None`` skips parameter i entirely
     (used for frozen layers), leaving value and state untouched."""
     runs = _grad_runs(model, grads)
@@ -286,30 +279,31 @@ def sgd_step(model: Model, grads, state: SgdState, cfg: SgdConfig):
         state.velocity = np.zeros(model.flat.shape)
     for start, stop, g in runs:
         p, vel = model.flat[..., start:stop], state.velocity[..., start:stop]
-        vel *= cfg.momentum
+        vel *= momentum
         vel += g
-        p -= cfg.lr * vel
+        p -= lr * vel
     return model, state
 
 
-def adam_step(model: Model, grads, state: AdamState, cfg: AdamConfig):
-    """Standard Adam with bias correction; ``None`` gradients are skipped.
+def adam_step(model: Model, grads, state: AdamState, lr: float):
+    """Standard Adam with bias correction at the module's β1, β2 and ε;
+    ``None`` gradients are skipped.
     Each run of given gradients is one elementwise pass over ``model.flat``."""
     runs = _grad_runs(model, grads)
     if state.m is None:
         state.m = np.zeros(model.flat.shape)
         state.v = np.zeros(model.flat.shape)
     state.t += 1
-    bc1 = 1.0 - cfg.beta1 ** state.t
-    bc2 = 1.0 - cfg.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for start, stop, g in runs:
         p, m, v = (model.flat[..., start:stop], state.m[..., start:stop],
                    state.v[..., start:stop])
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        step = cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        step = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         p -= step  # in float64, rounded to p's dtype once
     return model, state
 

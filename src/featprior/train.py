@@ -79,11 +79,9 @@ from .gp_prior import (
     feature_kernel,
 )
 from .network import (
-    AdamConfig,
     AdamState,
     Model,
     NetworkSpec,
-    SgdConfig,
     SgdState,
     adam_step,
     forward,
@@ -358,9 +356,8 @@ def _fit_epochs(model: Model, dataset: Dataset, schedule: BatchSchedule,
     prior-loss value (None for task-only objectives; one per seed for a
     stacked model).  ``backward`` gives the layers in ``frozen_layers`` None
     gradients, which leaves them and their optimizer state as is."""
-    step = (partial(adam_step, state=AdamState(), cfg=AdamConfig(lr=lr))
-            if plan.optimizer == "adam"
-            else partial(sgd_step, state=SgdState(), cfg=SgdConfig(lr, plan.momentum)))
+    step = (partial(adam_step, state=AdamState(), lr=lr) if plan.optimizer == "adam"
+            else partial(sgd_step, state=SgdState(), lr=lr, momentum=plan.momentum))
     final_kl = None
     for local_epoch in range(epochs):
         epoch = epoch_offset + local_epoch

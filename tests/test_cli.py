@@ -428,6 +428,17 @@ class TestConfigParsing:
                                 teacher_plan=TrainPlan(seed=9, lr_phase2=0.003))
         assert cfg.teacher_plan == TrainPlan(seed=3, lr_phase2=0.003, mode="naive")
 
+    @pytest.mark.parametrize("field, value", [
+        ("lr_phase1", 0.5), ("prior", PriorConfig(alpha=3.0)),
+    ], ids=["lr_phase1", "prior"])
+    def test_python_teacher_plan_field_no_teacher_fit_reads_rejected(self, field, value):
+        # refused from Python as from JSON, where the key is unknown
+        with pytest.raises(ConfigError) as excinfo:
+            experiment_config(teacher_plan=TrainPlan(**{field: value}))
+        assert str(excinfo.value) == (
+            f"teacher_plan.{field} must be plan's {getattr(TrainPlan(), field)!r} "
+            f"(no teacher fit reads it), got {value!r}")
+
     def test_missing_config_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/config.json")

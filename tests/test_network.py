@@ -5,6 +5,7 @@ rules and the binary model format."""
 from __future__ import annotations
 
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,12 +19,10 @@ from featprior.errors import (
     NonFiniteGradient,
 )
 from featprior.network import (
-    AdamConfig,
     AdamState,
     LayerSpec,
     Model,
     NetworkSpec,
-    SgdConfig,
     SgdState,
     adam_step,
     deserialize_model,
@@ -247,28 +246,28 @@ class TestOptimizers:
         model = scalar_model(1.0)
         before = [p.copy() for p in model.parameters()]
         sgd_step(model, [np.zeros((1, 1)), np.zeros(1), None, None], SgdState(),
-                 SgdConfig(lr=0.1))
+                 lr=0.1, momentum=0.0)
         for p, b in zip(model.parameters(), before):
             np.testing.assert_array_equal(p, b)
 
     def test_sgd_plain_step(self):
         model = scalar_model(1.0)
         sgd_step(model, [np.array([[1.0]]), np.zeros(1), None, None], SgdState(),
-                 SgdConfig(lr=0.1))
+                 lr=0.1, momentum=0.0)
         assert model.weights[0][0, 0] == pytest.approx(0.9)
 
     def test_adam_first_step_magnitude_is_lr(self):
         for g in (1e-3, 1.0, 1e3):
             model = scalar_model(1.0)
             adam_step(model, [np.array([[g]]), np.zeros(1), None, None], AdamState(),
-                      AdamConfig(lr=0.01))
+                      lr=0.01)
             assert abs(1.0 - model.weights[0][0, 0]) == pytest.approx(
                 0.01, rel=1e-4)
 
     def test_none_gradient_skips_parameter(self):
         model = scalar_model(1.0)
         state = AdamState()
-        adam_step(model, [None, np.ones(1), None, None], state, AdamConfig(lr=0.1))
+        adam_step(model, [None, np.ones(1), None, None], state, lr=0.1)
         assert model.weights[0][0, 0] == np.float32(1.0)
         assert model.biases[0][0] != 0.0
 
@@ -276,7 +275,7 @@ class TestOptimizers:
         model = scalar_model(1.0)
         with pytest.raises(NonFiniteGradient):
             adam_step(model, [np.array([[np.nan]]), np.zeros(1), None, None], AdamState(),
-                      AdamConfig())
+                      lr=1e-3)
 
 
 class TestFlatModel:
@@ -365,11 +364,12 @@ class TestFlatOptimizersMatchPerTensor:
         before = model.flat.copy()
         m_ref = [np.zeros(p.shape) for p in reference]
         v_ref = [np.zeros(p.shape) for p in reference]
-        state, cfg = AdamState(), AdamConfig(lr=0.01)
+        state = AdamState()
         for t, grads in enumerate(steps, start=1):
-            adam_step(model, grads, state, cfg)
-            adam_step_per_tensor(reference, grads, m_ref, v_ref, t, lr=cfg.lr,
-                                 beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+            adam_step(model, grads, state, lr=0.01)
+            # at the reference's own β1, β2 and ε: an independent check of
+            # the module's constants
+            adam_step_per_tensor(reference, grads, m_ref, v_ref, t, lr=0.01)
         assert state.t == 200
         assert_flat_matches(model.flat, reference, model.offsets)
         assert_flat_matches(state.m, m_ref, model.offsets)
@@ -382,11 +382,10 @@ class TestFlatOptimizersMatchPerTensor:
         model, reference, steps = optimizer_case(hidden, frozen, seed=12)
         before = model.flat.copy()
         vel_ref = [np.zeros(p.shape) for p in reference]
-        state, cfg = SgdState(), SgdConfig(lr=0.01, momentum=0.9)
+        state = SgdState()
         for grads in steps:
-            sgd_step(model, grads, state, cfg)
-            sgd_step_per_tensor(reference, grads, vel_ref, lr=cfg.lr,
-                                momentum=cfg.momentum)
+            sgd_step(model, grads, state, lr=0.01, momentum=0.9)
+            sgd_step_per_tensor(reference, grads, vel_ref, lr=0.01, momentum=0.9)
         assert_flat_matches(model.flat, reference, model.offsets)
         assert_flat_matches(state.velocity, vel_ref, model.offsets)
         assert_only_frozen_untouched(model, before, frozen)
@@ -399,7 +398,7 @@ class TestFlatOptimizersMatchPerTensor:
         grads[-1] = np.full(grads[-1].shape, np.inf)
         state = AdamState()
         with pytest.raises(NonFiniteGradient):
-            adam_step(model, grads, state, AdamConfig())
+            adam_step(model, grads, state, lr=1e-3)
         np.testing.assert_array_equal(model.flat, before)
         assert state.m is None and state.t == 0
 
@@ -412,10 +411,10 @@ class TestFlatOptimizersMatchPerTensor:
         before = model.flat.copy()
         grads = [np.ones(p.shape) for p in model.parameters()]
         grads = grads[:1] if count == "short" else grads + [np.ones(1)]
-        step, state, cfg = ((sgd_step, SgdState(), SgdConfig(lr=0.1)) if kind == "sgd"
-                            else (adam_step, AdamState(), AdamConfig()))
+        step, state = ((partial(sgd_step, lr=0.1, momentum=0.0), SgdState()) if kind == "sgd"
+                       else (partial(adam_step, lr=1e-3), AdamState()))
         with pytest.raises(DimensionMismatch, match=f"{len(grads)} gradients for 4 parameters"):
-            step(model, grads, state, cfg)
+            step(model, grads, state)
         np.testing.assert_array_equal(model.flat, before)
         assert state == type(state)()
 
@@ -430,10 +429,10 @@ class TestFlatOptimizersMatchPerTensor:
         grads = [np.ones(p.shape) for p in model.parameters()]
         expected = grads[index].shape
         grads[index] = np.arange(np.prod(shape), dtype=float).reshape(shape)
-        step, state, cfg = ((sgd_step, SgdState(), SgdConfig(lr=0.1)) if kind == "sgd"
-                            else (adam_step, AdamState(), AdamConfig()))
+        step, state = ((partial(sgd_step, lr=0.1, momentum=0.0), SgdState()) if kind == "sgd"
+                       else (partial(adam_step, lr=1e-3), AdamState()))
         with pytest.raises(DimensionMismatch) as excinfo:
-            step(model, grads, state, cfg)
+            step(model, grads, state)
         assert str(excinfo.value) == f"gradient {index} has shape {shape}, not {expected}"
         np.testing.assert_array_equal(model.flat, before)
         assert state == type(state)()
@@ -466,25 +465,24 @@ class TestStackedModel:
         models = [init_params(self.SPEC, seed) for seed in seeds]
         stacked = stack_models(models)
         rng = np.random.default_rng(0)
-        make = (lambda: (AdamState(), AdamConfig(lr=0.01))) if kind == "adam" \
-            else (lambda: (SgdState(), SgdConfig(lr=0.01, momentum=0.9)))
-        step = adam_step if kind == "adam" else sgd_step
+        make, step = ((AdamState, partial(adam_step, lr=0.01)) if kind == "adam"
+                      else (SgdState, partial(sgd_step, lr=0.01, momentum=0.9)))
         states = [make() for _ in seeds]
-        stacked_state, cfg = make()
+        stacked_state = make()
         for _ in range(5):
             x = rng.standard_normal((2, 16, 2))
             labels = rng.integers(0, 3, (2, 16))
             value, grads = cross_entropy_and_grads(stacked, x, labels, frozen)
             assert [g is None for g in grads] == [i // 2 in frozen for i in range(6)]
-            step(stacked, grads, stacked_state, cfg)
-            for s, (model, (state, _)) in enumerate(zip(models, states)):
+            step(stacked, grads, stacked_state)
+            for s, (model, state) in enumerate(zip(models, states)):
                 single_value, single = cross_entropy_and_grads(model, x[s], labels[s],
                                                                frozen)
                 assert value[s] == single_value
                 for g, g1 in zip(grads, single):
                     if g is not None:
                         np.testing.assert_array_equal(g[s], g1)
-                step(model, single, state, cfg)
+                step(model, single, state)
         for s, model in enumerate(models):
             np.testing.assert_array_equal(stacked.flat[s], model.flat)
 
@@ -493,18 +491,17 @@ class TestStackedModel:
         # a plain gradient list of stacked arrays, with a None run between
         models = [init_params(self.SPEC, seed) for seed in (1, 2)]
         stacked = stack_models(models)
-        make = (lambda: (AdamState(), AdamConfig(lr=0.01))) if kind == "adam" \
-            else (lambda: (SgdState(), SgdConfig(lr=0.01, momentum=0.9)))
-        step = adam_step if kind == "adam" else sgd_step
+        make, step = ((AdamState, partial(adam_step, lr=0.01)) if kind == "adam"
+                      else (SgdState, partial(sgd_step, lr=0.01, momentum=0.9)))
         states = [make() for _ in models]
-        stacked_state, cfg = make()
+        stacked_state = make()
         rng = np.random.default_rng(3)
         for _ in range(3):
             grads = [rng.standard_normal(p.shape) for p in stacked.parameters()]
             grads[2:4] = [None, None]
-            step(stacked, grads, stacked_state, cfg)
-            for s, (model, (state, _)) in enumerate(zip(models, states)):
-                step(model, [None if g is None else g[s] for g in grads], state, cfg)
+            step(stacked, grads, stacked_state)
+            for s, (model, state) in enumerate(zip(models, states)):
+                step(model, [None if g is None else g[s] for g in grads], state)
         for s, model in enumerate(models):
             np.testing.assert_array_equal(stacked.flat[s], model.flat)
 

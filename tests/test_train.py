@@ -42,6 +42,7 @@ from featprior.network import (
     NetworkSpec,
     forward,
     init_params,
+    serialize_model,
     stack_models,
     unstack_model,
 )
@@ -866,6 +867,20 @@ class TestModeRefusals:
             run_distillation(NetworkSpec.dense(2, [8], 2), ds, split, plan, **inputs)
         assert str(excinfo.value) == message
 
+
+class TestOptimizerSettings:
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_momentum_moves_sgd_only(self, rings_setup, optimizer):
+        # sgd_step is the one reader of momentum: two plans that differ only
+        # in it train byte-identical students under adam, and not under sgd
+        ds, split, _, cache = rings_setup
+        plan = TrainPlan(seed=17, batch_size=16, phase1_epochs=2, phase2_epochs=2,
+                         optimizer=optimizer, lr_phase1=1e-5, lr_phase2=1e-2)
+        models = [serialize_model(run_distillation(
+            NetworkSpec.dense(2, [8], 2), ds, split, replace(plan, momentum=momentum),
+            cache=cache, mapping=LayerGroupMapping(entries=((0, 1),))).model)
+            for momentum in (0.0, 0.9)]
+        assert (models[0] == models[1]) == (optimizer == "adam")
 
 class TestJoint:
     def test_alpha_zero_reduces_to_naive(self, rings_setup):
