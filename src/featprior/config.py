@@ -35,7 +35,7 @@ def _check_keys(d: dict, allowed, where: str) -> dict:
         raise ConfigError(f"{where} must be a JSON object")
     unknown = set(d) - set(allowed)
     if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
+        raise ConfigError(f"unknown keys {sorted(unknown, key=str)} in {where}")
     return d
 
 

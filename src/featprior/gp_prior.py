@@ -289,13 +289,11 @@ def feature_kernel(phi, config: PriorConfig) -> TeacherKernel:
     return replace(core, log_det=core.log_det + (n - p) * _log(core.jitter), basis=q)
 
 
-def kernel_from_gram(gram, jitter: float = 0.0) -> KernelMatrix:
-    """Wrap an already-formed SPD matrix (plus optional jitter) as a
-    KernelMatrix; no escalation, factorization errors surface as-is."""
+def kernel_from_gram(gram) -> KernelMatrix:
+    """Wrap an already-formed SPD matrix as a KernelMatrix at jitter 0; no
+    jitter is added and factorization errors surface as-is."""
     arr = np.asarray(gram, dtype=np.float64)
-    if jitter:
-        arr = arr + jitter * np.eye(arr.shape[0])
-    return KernelMatrix(gram=arr, jitter=jitter, factor=linalg.cholesky(arr))
+    return KernelMatrix(gram=arr, jitter=0.0, factor=linalg.cholesky(arr))
 
 
 def gp_kl(k1: KernelMatrix, k2: KernelMatrix) -> float:

@@ -310,10 +310,13 @@ def adam_step(model: Model, grads, state: AdamState, lr: float):
 
 # -- gradient checking -------------------------------------------------------
 
-def grad_check(model: Model, loss_fn, h: float = 1e-5,
-               max_coords: int | None = None, seed: int = 0) -> float:
+GRAD_CHECK_H = 1e-5  # grad_check's finite-difference step
+
+
+def grad_check(model: Model, loss_fn, *, max_coords: int | None = None,
+               seed: int = 0) -> float:
     """Max relative error between analytic and central finite-difference
-    gradients.
+    gradients, at step ``GRAD_CHECK_H``.
 
     ``loss_fn(model)`` returns ``(loss, grads)`` with grads in
     ``parameters()`` order (``autodiff.backward`` gives them; None counts
@@ -338,10 +341,10 @@ def grad_check(model: Model, loss_fn, h: float = 1e-5,
         original = probe.flat[i]
         fd = []
         for sign in (+1.0, -1.0):
-            probe.flat[i] = original + sign * h
+            probe.flat[i] = original + sign * GRAD_CHECK_H
             fd.append(float(loss_fn(probe)[0]))
         probe.flat[i] = original
-        numeric = (fd[0] - fd[1]) / (2.0 * h)
+        numeric = (fd[0] - fd[1]) / (2.0 * GRAD_CHECK_H)
         analytic = float(analytic_flat[i])
         err = abs(analytic - numeric) / (abs(analytic) + abs(numeric) + 1e-12)
         worst = max(worst, err)

@@ -100,6 +100,7 @@ _TEACHER_CHUNK_BYTES = 512 * 1024
 
 _TOP_KS = (1, 2, 3)
 METRIC_NAMES = ("accuracy", *(f"top{k}" for k in _TOP_KS), "f1_micro", "f1_macro")
+PREDICT_CHUNK = 1024  # rows predict_logits runs through forward at a time
 
 
 @dataclass(frozen=True)
@@ -275,12 +276,13 @@ def evaluate(model: Model, dataset: Dataset, rows: Rows | None = None) -> Metric
                    f1_macro=float(np.mean(f1)))
 
 
-def predict_logits(model: Model, inputs, idx=None, chunk: int = 1024) -> np.ndarray:
-    """Logits of ``inputs``' rows ``idx`` (all when None), ``chunk`` at a time."""
+def predict_logits(model: Model, inputs, idx=None) -> np.ndarray:
+    """Logits of ``inputs``' rows ``idx`` (all when None), ``PREDICT_CHUNK``
+    at a time."""
     inputs = np.asarray(inputs, dtype=np.float64)
     idx = np.arange(inputs.shape[0]) if idx is None else idx
-    return np.vstack([forward(model, inputs[idx[i:i + chunk]]).logits
-                      for i in range(0, len(idx), chunk)])
+    return np.vstack([forward(model, inputs[idx[i:i + PREDICT_CHUNK]]).logits
+                      for i in range(0, len(idx), PREDICT_CHUNK)])
 
 
 # -- run logs -----------------------------------------------------------------
@@ -537,27 +539,24 @@ def _check_cache_alignment(dataset: Dataset, caches) -> None:
         raise FingerprintMismatch("cache was built from a different dataset")
 
 
-def _make_schedule(plan: TrainPlan, schedule=None, train: Rows | None = None,
+def _make_schedule(plan: TrainPlan, train: Rows | None = None,
                    dataset: Dataset | None = None) -> BatchSchedule:
-    """``schedule`` if given, else the plan's batches of ``train``'s rows
-    (by default every row of ``dataset``)."""
-    if schedule is not None:
-        return schedule
+    """The plan's batches of ``train``'s rows (by default every row of
+    ``dataset``)."""
     rows = train.source_indices if train is not None else np.arange(dataset.n)
     return BatchSchedule(rows, plan.batch_size, plan.seed)
 
 
 def train_teacher(dataset: Dataset, spec: NetworkSpec, plan: TrainPlan, *,
-                  test_fraction: float = 0.25, split: SplitBatches | None = None,
-                  log: list | None = None) -> tuple[Model, MetricsReport]:
+                  test_fraction: float = 0.25,
+                  split: SplitBatches | None = None) -> tuple[Model, MetricsReport]:
     """Task-only training of a fresh model for the plan's full epoch
     budget, in naive mode; returns the model and its test metrics.  Of the
     plan it reads only the seed and ``config.TEACHER_PLAN_KEYS``."""
     if split is None:
         split = split_and_batch(dataset, test_fraction, plan.batch_size, plan.seed)
     model, _ = _fit_mode(init_params(spec, plan.seed), dataset,
-                         _make_schedule(plan, train=split.train),
-                         replace(plan, mode="naive"), test=split.test, log=log)
+                         _make_schedule(plan, split.train), replace(plan, mode="naive"))
     metrics = evaluate(model, dataset, split.test)
     return model, MetricsReport.single(plan.seed, metrics)
 
@@ -580,8 +579,9 @@ def phase1_feature_fit(student: Model, dataset: Dataset, experts: ExpertPriorSet
     model = student.copy()
     if not any(expert.mapping.entries for expert in experts.experts):
         return model, None
-    final_kl = _fit_epochs(model, dataset, _make_schedule(plan, schedule, train, dataset),
-                           plan, _prior_objective(experts.experts, plan.prior),
+    schedule = _make_schedule(plan, train, dataset) if schedule is None else schedule
+    final_kl = _fit_epochs(model, dataset, schedule, plan,
+                           _prior_objective(experts.experts, plan.prior),
                            epochs=plan.phase1_epochs, lr=plan.lr_phase1,
                            phase=1, test=test, log=log)
     if np.ndim(final_kl):  # fsum / S, as statistics.fmean computes a mean of seeds
@@ -590,9 +590,8 @@ def phase1_feature_fit(student: Model, dataset: Dataset, experts: ExpertPriorSet
 
 
 def phase2_task_fit(student: Model, dataset: Dataset, plan: TrainPlan,
-                    frozen_layers, *, schedule: BatchSchedule | None = None,
-                    train: Rows | None = None, test: Rows | None = None,
-                    log: list | None = None) -> Model:
+                    frozen_layers, *, train: Rows | None = None,
+                    test: Rows | None = None, log: list | None = None) -> Model:
     """Two_phase's task fit, ``_fit_mode``'s naive fit from ``phase1_epochs``
     of the unfrozen layers only; frozen parameters come back bitwise identical,
     and an id that is not a layer 0..L (L the head's) raises ``LayerOutOfRange``."""
@@ -602,34 +601,29 @@ def phase2_task_fit(student: Model, dataset: Dataset, plan: TrainPlan,
             raise LayerOutOfRange(f"frozen layer {lid!r} outside 0..{head}")
     if frozen.issuperset(range(len(student.spec.layers))):
         raise AllLayersFrozen("every parameter is frozen; nothing to train")
-    return _fit_mode(student, dataset, _make_schedule(plan, schedule, train, dataset),
+    return _fit_mode(student, dataset, _make_schedule(plan, train, dataset),
                      replace(plan, mode="naive"), start=plan.phase1_epochs,
                      frozen=frozen, test=test, log=log)[0]
 
 
 def joint_fit(student: Model, dataset: Dataset, cache: FeatureCache,
-              mapping: LayerGroupMapping, plan: TrainPlan, *,
-              schedule: BatchSchedule | None = None,
-              train: Rows | None = None, test: Rows | None = None,
-              log: list | None = None) -> Model:
-    """Single-phase MAP objective: cross-entropy + alpha * sum of KLs.
-    With alpha = 0 the prior term is skipped entirely, reproducing naive
-    training bit for bit under the same schedule."""
-    schedule = _make_schedule(plan, schedule, train, dataset)
-    return _fit_mode(student, dataset, schedule, replace(plan, mode="joint"),
-                     cache=cache, mapping=mapping, test=test, log=log)[0]
+              mapping: LayerGroupMapping, plan: TrainPlan) -> Model:
+    """Single-phase MAP objective, cross-entropy + alpha * sum of KLs, over
+    the plan's batches of every row of ``dataset``.  With alpha = 0 the
+    prior term is skipped entirely, reproducing naive training bit for bit
+    under the same schedule."""
+    return _fit_mode(student, dataset, _make_schedule(plan, dataset=dataset),
+                     replace(plan, mode="joint"), cache=cache, mapping=mapping)[0]
 
 
 def combine_experts_fit(student: Model, dataset: Dataset, experts: ExpertPriorSet,
-                        plan: TrainPlan, *, schedule: BatchSchedule | None = None,
-                        train: Rows | None = None, test: Rows | None = None,
-                        log: list | None = None) -> Model:
+                        plan: TrainPlan, *, train: Rows | None = None,
+                        test: Rows | None = None, log: list | None = None) -> Model:
     """Multiple teachers as independent priors, trained two_phase whatever
     the plan's mode: phase 1 minimizes sum_j alpha_j * KL_j, then phase 2
     trains the remaining layers."""
-    schedule = _make_schedule(plan, schedule, train, dataset)
-    return _fit_mode(student, dataset, schedule, replace(plan, mode="two_phase"),
-                     experts=experts, test=test, log=log)[0]
+    return _fit_mode(student, dataset, _make_schedule(plan, train, dataset),
+                     replace(plan, mode="two_phase"), experts=experts, test=test, log=log)[0]
 
 
 # -- mode dispatch and comparisons -------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 
 from featprior.autodiff import backward, softmax_cross_entropy
 from featprior.data import FeatureCache
-from featprior.errors import LabelOutOfRange
+from featprior.errors import DimensionMismatch, LabelOutOfRange
 from featprior.gp_prior import PriorConfig
 from featprior.network import (
     LayerSpec,
@@ -316,6 +316,16 @@ class TestSoftmaxCrossEntropy:
     def test_label_out_of_range(self):
         with pytest.raises(LabelOutOfRange):
             softmax_cross_entropy(np.zeros((1, 3)), [3])
+
+    @pytest.mark.parametrize("logits, labels, named", [
+        (np.zeros(3), [0], "logits must be 2-d, got shape (3,)"),
+        (np.zeros((2, 3)), [0], "labels shape (1,) does not match batch size 2"),
+        (np.zeros((2, 3)), [[0, 1]], "labels shape (1, 2) does not match batch size 2"),
+    ], ids=["1-d-logits", "labels-short", "labels-2-d"])
+    def test_shape_mismatch_rejected(self, logits, labels, named):
+        with pytest.raises(DimensionMismatch) as excinfo:
+            softmax_cross_entropy(logits, labels)
+        assert str(excinfo.value) == named
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(2)

@@ -18,8 +18,8 @@ from featprior.config import (ArchConfig, ExperimentConfig, ExpertConfig, load_c
                               parse_config)
 from featprior.errors import ConfigError, FeatPriorError
 from featprior.gp_prior import PriorConfig
-from featprior.data import (load_csv, load_idx, read_cache, serialize_cache, split_and_batch,
-                            synth_blobs, synth_rings, write_cache)
+from featprior.data import (Dataset, load_csv, load_idx, read_cache, serialize_cache,
+                            split_and_batch, synth_blobs, synth_rings, write_cache)
 from featprior.network import NetworkSpec, init_params, load_model, serialize_model
 from featprior.train import LayerGroupMapping, TrainPlan, extract_features
 
@@ -117,6 +117,15 @@ class TestConfigParsing:
         cfg["plan"]["prior"] = {"jitterr": 1e-3}
         with pytest.raises(ConfigError, match="jitterr"):
             parse_config(cfg)
+
+    def test_unknown_keys_of_mixed_types_are_config_error(self):
+        # a Python dict may mix int and str keys, which do not sort together
+        cfg = json.loads(REFERENCE_CONFIG.read_text())
+        cfg["plan"][7] = 1
+        cfg["plan"]["lr_phase3"] = 1
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(cfg)
+        assert str(excinfo.value) == "unknown keys [7, 'lr_phase3'] in plan"
 
     @pytest.mark.parametrize("distance", ["gp_kl", "hinton", "l2"])
     def test_prior_distance_key_rejected(self, distance):
@@ -381,6 +390,18 @@ class TestConfigParsing:
                 parsed.validate_cross_refs(parsed.load_dataset())
             assert str(excinfo.value) == named
 
+    @pytest.mark.parametrize("dataset, named", [
+        (lambda: Dataset(np.zeros((20, 2)), np.zeros(20), class_count=1),
+         "dataset must have at least 2 classes"),
+        (lambda: synth_blobs(5, 2, 2, 8.0, seed=5), "batch size exceeds dataset size"),
+    ], ids=["one-class", "batch-over-rows"])
+    def test_dataset_rejected_before_compute(self, dataset, named):
+        # base_config()'s plan takes batches of 16
+        parsed = parse_config(base_config())
+        with pytest.raises(ConfigError) as excinfo:
+            parsed.validate_cross_refs(dataset())
+        assert str(excinfo.value) == named
+
     @pytest.mark.parametrize("where", ["mapping", "expert"])
     def test_repeated_mapping_pair_exit_1(self, tmp_path, capsys, where):
         # one term per pair: a repeated pair would double that term's weight
@@ -442,6 +463,14 @@ class TestConfigParsing:
     def test_missing_config_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/config.json")
+
+    def test_invalid_json_config(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("not json")
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(path)
+        assert str(excinfo.value) == (
+            "config is not valid JSON: Expecting value: line 1 column 1 (char 0)")
 
 
 class TestTrainTeacherCommand:

@@ -121,6 +121,20 @@ class TestLoadIdx:
             load_idx(img, lab)
 
     @pytest.mark.parametrize("which", ["images", "labels"])
+    @pytest.mark.parametrize("cut, named", [
+        (2, "too short for an IDX header"), (6, "truncated dimension list"),
+    ], ids=["magic", "dims"])
+    def test_truncated_header(self, tmp_path, which, cut, named):
+        files = {"images": idx_image_bytes(np.zeros((2, 3, 3))),
+                 "labels": idx_label_bytes([0, 1])}
+        files[which] = files[which][:cut]
+        for name, blob in files.items():
+            (tmp_path / name).write_bytes(blob)
+        with pytest.raises(TruncatedFile) as excinfo:
+            load_idx(tmp_path / "images", tmp_path / "labels")
+        assert str(excinfo.value) == f"{tmp_path / which}: {named}"
+
+    @pytest.mark.parametrize("which", ["images", "labels"])
     def test_trailing_bytes(self, tmp_path, which):
         # like a model or cache file, an IDX file ends with its payload
         files = {"images": idx_image_bytes(np.zeros((2, 3, 3))),
@@ -210,6 +224,31 @@ class TestLoadCsv:
         p.write_text("a,y\n1.0,-1\n")
         with pytest.raises(LabelOutOfRange):
             load_csv(p, "y")
+
+    def test_empty_file_rejected(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("")
+        with pytest.raises(TruncatedFile) as excinfo:
+            load_csv(p, "y")
+        assert str(excinfo.value) == f"{p}: empty file"
+
+
+@pytest.mark.parametrize("inputs, labels, error, named", [
+    (np.zeros(3), [0, 1, 0], FeatPriorError, "inputs must be n x d with n >= 1, got (3,)"),
+    (np.zeros((0, 2)), [], FeatPriorError, "inputs must be n x d with n >= 1, got (0, 2)"),
+    (np.zeros((3, 2)), [0, 1], FeatPriorError, "labels must be one per input row"),
+    (np.zeros((2, 3, 1)), [0, 1], FeatPriorError,
+     "inputs must be n x d with n >= 1, got (2, 3, 1)"),
+    (np.array([[0.0], [np.nan]]), [0, 1], FeatPriorError, "inputs contain non-finite values"),
+    (np.array([[0.0], [np.inf]]), [0, 1], FeatPriorError, "inputs contain non-finite values"),
+    (np.zeros((2, 1)), [0, 2], LabelOutOfRange, "labels must lie in [0, 2)"),
+    (np.zeros((2, 1)), [-1, 1], LabelOutOfRange, "labels must lie in [0, 2)"),
+], ids=["1-d", "no-rows", "labels-short", "3-d", "nan", "inf", "label-high", "label-negative"])
+def test_dataset_refusals(inputs, labels, error, named):
+    with pytest.raises(FeatPriorError) as excinfo:
+        Dataset(inputs, labels, class_count=2)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == named
 
 
 class TestSynthBlobs:

@@ -689,3 +689,8 @@ class TestHintonSoftTarget:
     def test_width_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             hinton_soft_target(np.zeros((2, 3)), np.zeros((2, 5)), 1.0)
+
+    def test_one_d_logits_rejected(self):
+        with pytest.raises(DimensionMismatch) as excinfo:
+            hinton_soft_target(np.zeros(3), np.zeros(3), 1.0)
+        assert str(excinfo.value) == "logits must be 2-d, got shape (3,)"

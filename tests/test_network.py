@@ -5,6 +5,7 @@ rules and the binary model format."""
 from __future__ import annotations
 
 import re
+import struct
 from functools import partial
 
 import numpy as np
@@ -88,6 +89,12 @@ class TestSpec:
             with pytest.raises(FeatPriorError, match="identity activation"):
                 NetworkSpec((LayerSpec(2, 3), LayerSpec(3, 2, activation)))
 
+    def test_unknown_activation_rejected(self):
+        with pytest.raises(FeatPriorError) as excinfo:
+            LayerSpec(2, 3, "gelu")
+        assert type(excinfo.value) is FeatPriorError
+        assert str(excinfo.value) == "unknown activation 'gelu'"
+
     def test_hidden_layer_required(self):
         with pytest.raises(FeatPriorError, match="at least one hidden layer"):
             NetworkSpec(layers=())
@@ -134,6 +141,12 @@ class TestForward:
         record = forward(model, x)
         for a in record.activations + [record.logits]:
             assert type(a) is np.ndarray and a.dtype == np.float64
+
+    def test_one_d_batch_rejected(self):
+        model = init_params(NetworkSpec.dense(3, [4], 2), seed=0)
+        with pytest.raises(DimensionMismatch) as excinfo:
+            forward(model, np.ones(3))
+        assert str(excinfo.value) == "batch must be 2-d, got shape (3,)"
 
     def test_batch_width_mismatch(self):
         model = init_params(NetworkSpec.dense(3, [4], 2), seed=0)
@@ -538,6 +551,21 @@ class TestSerialization:
         blob = serialize_model(init_params(NetworkSpec.dense(2, [2], 2), seed=0))
         with pytest.raises(CorruptFile):
             deserialize_model(blob[:-3])
+
+    @pytest.mark.parametrize("corrupt, named", [
+        (lambda b: b[:8], "model file truncated in header"),
+        (lambda b: b[:4] + struct.pack("<I", 2) + b[8:], "unsupported model format version 2"),
+        (lambda b: b[:16], "model file truncated in layer header"),
+        (lambda b: b[:20] + bytes([7]) + b[21:], "unknown activation tag 7"),
+        (lambda b: b + b"x", "trailing bytes after model payload"),
+    ], ids=["header", "version", "layer-header", "activation-tag", "trailing"])
+    def test_malformed_file_is_corrupt(self, corrupt, named):
+        # a 2 -> 2 relu layer and a 2 -> 2 head: a 12-byte header, then each
+        # layer's 9-byte header (the first's tag at byte 20) and 24 payload bytes
+        blob = serialize_model(init_params(NetworkSpec.dense(2, [2], 2), seed=0))
+        with pytest.raises(CorruptFile) as excinfo:
+            deserialize_model(corrupt(blob))
+        assert str(excinfo.value) == named
 
     def test_one_layer_file_is_corrupt(self):
         # version 1, one 2 x 2 identity layer: a head with no hidden layer

@@ -214,6 +214,7 @@ class TestApiTypes:
          "prior must be a PriorConfig, got {'alpha': 1.0}"),
         (lambda: ExpertPrior(None, LayerGroupMapping(((0, 0),)), True),
          "alpha must be a finite number > 0, got True"),
+        (lambda: TrainPlan(optimizer="rmsprop"), "unknown optimizer 'rmsprop'"),
     ], ids=["alpha-nan", "alpha-inf", "jitter-nan", "jitter-inf", "temperature-nan",
             "temperature-inf", "temperature-square-overflows", "temperature-square-underflows",
             "expert-alpha-nan", "expert-alpha-inf", "lr_phase1-negative",
@@ -221,7 +222,7 @@ class TestApiTypes:
             "momentum-one", "momentum-nan", "alpha-numpy-inf", "lr_phase1-numpy-nan",
             "normalize-string", "alpha-bool", "jitter-string", "temperature-none",
             "lr_phase1-bool", "lr_phase2-string", "momentum-string", "prior-dict",
-            "expert-alpha-bool"])
+            "expert-alpha-bool", "optimizer-unknown"])
     def test_non_finite_is_refused(self, build, named):
         with pytest.raises(FeatPriorError) as excinfo:
             build()
@@ -522,6 +523,17 @@ class TestPhase1:
             phase1_feature_fit(student, other,
                                one_expert(cache, LayerGroupMapping(entries=((0, 1),))),
                                TrainPlan(seed=8, batch_size=16))
+
+    @pytest.mark.parametrize("student_idx", [1, -1])
+    def test_student_layer_out_of_range(self, rings_setup, student_idx):
+        # checked before anything trains, whichever group the pair names
+        ds, _, _, cache = rings_setup
+        student = init_params(NetworkSpec.dense(2, [8], 2), seed=8)
+        mapping = LayerGroupMapping(entries=((student_idx, 1),))
+        with pytest.raises(LayerOutOfRange) as excinfo:
+            phase1_feature_fit(student, ds, one_expert(cache, mapping),
+                               TrainPlan(seed=8, batch_size=16))
+        assert str(excinfo.value) == f"student layer {student_idx} outside 0..0"
 
     def test_alignment_error_types(self, rings_setup):
         ds, _, _, cache = rings_setup
@@ -1455,9 +1467,9 @@ class TestRunLog:
         scored = []  # a copy of the model at each scoring of the test split
         original = train.predict_logits
 
-        def recorded(model, inputs, idx=None, chunk=1024):
+        def recorded(model, inputs, idx=None):
             scored.append(model.copy())
-            return original(model, inputs, idx, chunk)
+            return original(model, inputs, idx)
 
         monkeypatch.setattr(train, "predict_logits", recorded)
         plan = TrainPlan(seed=44, batch_size=16, phase1_epochs=2, phase2_epochs=3,
