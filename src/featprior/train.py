@@ -31,7 +31,8 @@ Conventions shared by every routine here:
   raises ``ConfigError``.
 * ``compare_methods`` trains labelled rows, each a plan in its own mode, and
   each fit as one problem: model, optimizer state, batches and teacher caches
-  carry a leading seed axis, and each slice gets the bits of its own run.
+  carry a leading seed axis (the caches: one ``extract_features`` call over
+  the rows' ``cache_groups``), and each slice gets the bits of its own run.
   Equal plans train once; one-phase plans equal but for the mode share a fit
   on a (mode, seed) axis, a block of seeds per mode; ``_objective`` adds each
   mode's term to its block only, the joint term's gradient zero outside it.
@@ -101,6 +102,7 @@ _TEACHER_CHUNK_BYTES = 512 * 1024
 _TOP_KS = (1, 2, 3)
 METRIC_NAMES = ("accuracy", *(f"top{k}" for k in _TOP_KS), "f1_micro", "f1_macro")
 PREDICT_CHUNK = 1024  # rows predict_logits runs through forward at a time
+EXTRACT_CHUNK = 512  # rows extract_features runs through forward at a time
 
 
 @dataclass(frozen=True)
@@ -317,10 +319,10 @@ def metrics_csv(metrics: Metrics) -> str:
 
 # -- feature extraction -------------------------------------------------------
 
-def extract_features(model: Model, dataset: Dataset, layer_ids,
-                     chunk: int = 512) -> FeatureCache:
+def extract_features(model: Model, dataset: Dataset, layer_ids) -> FeatureCache:
     """Per-example activations of the requested layers over the whole
-    dataset, in dataset row order, as float32 cache groups.
+    dataset, in dataset row order, as float32 cache groups (after a stacked
+    model's seed axis, each slice its seed's bits), ``EXTRACT_CHUNK`` rows a pass.
 
     Layer index L (the hidden-layer count) selects the classifier logits,
     which the soft-target and logit-regression baselines consume.
@@ -333,13 +335,13 @@ def extract_features(model: Model, dataset: Dataset, layer_ids,
         if not 0 <= lid <= max_id:
             raise LayerOutOfRange(f"layer id {lid} outside 0..{max_id}")
 
-    groups = {lid: np.empty((dataset.n, model.spec.layers[lid].out_width),
-                            dtype=np.float32) for lid in layer_ids}
-    for i in range(0, dataset.n, chunk):
-        record = forward(model, dataset.inputs[i:i + chunk])
+    groups = {lid: np.empty((*model.flat.shape[:-1], dataset.n,
+                             model.spec.layers[lid].out_width), np.float32) for lid in layer_ids}
+    for i in range(0, dataset.n, EXTRACT_CHUNK):
+        record = forward(model, dataset.inputs[i:i + EXTRACT_CHUNK])
         layers = record.activations + [record.logits]
         for lid in layer_ids:
-            groups[lid][i:i + chunk] = layers[lid]
+            groups[lid][..., i:i + EXTRACT_CHUNK, :] = layers[lid]
         del record, layers  # one chunk of activations live at a time
     return FeatureCache(
         groups=groups,
@@ -770,9 +772,10 @@ def compare_methods(dataset: Dataset, teacher_spec: NetworkSpec,
     """Train every row across seeds; report mean and standard error.
 
     ``rows`` maps each row's label to its plan, trained in its own mode.
-    Each seed has its own split, feature cache and teacher, which trains
-    in naive mode on that seed and reads only ``config.TEACHER_PLAN_KEYS``
-    of ``teacher_plan``; the seeds train together (``_StackedSchedule``).
+    Each seed has its own split and teacher, which trains in naive mode on
+    that seed and reads only ``config.TEACHER_PLAN_KEYS`` of ``teacher_plan``;
+    the seeds train together (``_StackedSchedule``), and one ``extract_features``
+    call on the stacked teachers caches the rows' ``cache_groups``.
     """
     seeds = list(seeds)
     for i, seed in enumerate(seeds):
@@ -807,14 +810,9 @@ def compare_methods(dataset: Dataset, teacher_spec: NetworkSpec,
 
     (teachers,), _ = fit(teacher_spec, teacher_plan, ("naive",))
     logits_group = teacher_spec.hidden_count
-    group_ids = sorted(mapping.groups() | {logits_group})
-    caches = [extract_features(t, dataset, group_ids) for t in teachers]
-    cache = FeatureCache(
-        groups={gid: np.stack([c.groups[gid] for c in caches]) for gid in group_ids},
-        dataset_fingerprint=caches[0].dataset_fingerprint,
-        teacher_fingerprint=b"".join(c.teacher_fingerprint for c in caches))
-    del caches  # the stacked groups are the one copy the fits read
     plans = list(dict.fromkeys(rows.values()))  # rows of equal plans share models
+    cache = extract_features(stack_models(teachers), dataset, set().union(
+        *(cache_groups(p.mode, mapping, logits_group) for p in plans)))
     fits: dict[TrainPlan, list[TrainPlan]] = {}  # one-phase plans equal but for mode
     for plan in plans:
         fits.setdefault(plan if plan.mode == "two_phase" else replace(plan, mode="naive"),

@@ -315,11 +315,12 @@ class TestExtractFeatures:
         with pytest.raises(LayerOutOfRange):
             extract_features(teacher, ds, [7])
 
-    def test_groups_equal_stacked_chunks(self):
+    def test_groups_equal_stacked_chunks(self, monkeypatch):
         # 150 rows in chunks of 16 leave a 6-row tail
+        monkeypatch.setattr(train, "EXTRACT_CHUNK", 16)
         ds = synth_rings(50, 3, noise=0.1, seed=2)
         teacher = init_params(NetworkSpec.dense(2, [9, 5], 3, "tanh"), seed=4)
-        cache = extract_features(teacher, ds, [2, 0, 1], chunk=16)
+        cache = extract_features(teacher, ds, [2, 0, 1])
         records = [forward(teacher, ds.inputs[i:i + 16]) for i in range(0, ds.n, 16)]
         for lid in (0, 1, 2):
             stacked = np.vstack([np.asarray((r.activations + [r.logits])[lid],
@@ -332,10 +333,26 @@ class TestExtractFeatures:
         # 4098 rows: the last of nine 512-row chunks holds 2
         ds = synth_rings(1366, 3, noise=0.1, seed=2)
         teacher = init_params(NetworkSpec.dense(2, [64, 64], 3), seed=0)
-        cache, peak = traced_peak(extract_features, teacher, ds, [0, 1, 2], chunk=512)
+        cache, peak = traced_peak(extract_features, teacher, ds, [0, 1, 2])
         groups = sum(m.nbytes for m in cache.groups.values())
         chunk_activations = 512 * (64 + 64 + 3) * 8  # float64
         assert peak <= groups + 2 * chunk_activations
+
+    def test_stacked_model_gives_each_seed_its_own_bits(self, monkeypatch):
+        # 150 rows in chunks of 16 leave a 6-row tail; slice s of each
+        # group is seed s's lone cache, bit for bit
+        monkeypatch.setattr(train, "EXTRACT_CHUNK", 16)
+        ds = synth_rings(50, 3, noise=0.1, seed=2)
+        spec = NetworkSpec.dense(2, [9, 5], 3, "tanh")
+        teachers = [init_params(spec, seed=s) for s in (4, 5)]
+        cache = extract_features(stack_models(teachers), ds, [2, 0, 1])
+        assert len(cache.teacher_fingerprint) == 32
+        lone = [extract_features(t, ds, [0, 1, 2]) for t in teachers]
+        for lid, width in ((0, 9), (1, 5), (2, 3)):
+            got = cache.groups[lid]
+            assert got.shape == (2, ds.n, width) and got.dtype == np.float32
+            for s, single in enumerate(lone):
+                assert got[s].tobytes() == single.groups[lid].tobytes()
 
 
 class TestPhase1:
@@ -1247,6 +1264,28 @@ class TestCompareMethods:
         with pytest.raises(DivergedTraining,
                            match=r"^loss became \[[\d.]+ +[\d.]+ +inf +inf\] at epoch 0$"):
             compare_methods(seeds=[1, 2], **args)
+
+    @pytest.mark.parametrize("modes,groups", [
+        (("naive",), set()),
+        (("hinton_baseline",), {1}),
+        (("two_phase", "joint"), {0}),
+        (MODES, {0, 1}),
+    ], ids=["naive", "hinton", "feature_priors", "all"])
+    def test_extracts_the_groups_its_rows_read(self, blobs, monkeypatch, modes, groups):
+        # one extract_features call, on the stacked teachers, over the union
+        # of the rows' cache_groups: mapping (0,) and logits group 1
+        calls, extract = [], train.extract_features
+
+        def recording_extract(model, dataset, layer_ids):
+            calls.append((model.flat.shape[0], set(layer_ids)))
+            return extract(model, dataset, layer_ids)
+
+        monkeypatch.setattr(train, "extract_features", recording_extract)
+        args = self.tiny_args(blobs)
+        args["rows"] = {mode: args["rows"][mode] for mode in modes}
+        result = compare_methods(seeds=[1, 2], **args)
+        assert list(result.methods) == list(modes)
+        assert calls == [(2, groups)]
 
     def test_stacked_schedule_tiles_each_seeds_draw(self, blobs, monkeypatch):
         # a stack of 4 mode blocks draws each seed's permutation once an
