@@ -397,6 +397,7 @@ def read_cache(path, groups=None) -> FeatureCache:
     checked the same way, streamed through one bounded buffer, so a file is
     refused whichever groups are kept.  A named group the file lacks is not
     an error here."""
+    groups = None if groups is None else set(groups)  # an iterator read once
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         header = fh.read(_CACHE_HEADER_BYTES)

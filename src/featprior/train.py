@@ -14,13 +14,13 @@ Conventions shared by every routine here:
   task-only modes start at 0; two_phase's phase 2 starts at ``phase1_epochs``
   with the mapped layers frozen, after the label-free feature fit.
 * Training functions copy the incoming model and return the trained copy.
-* An epoch hands its batch list to the objective (``objective.epoch``)
-  before its first step.  A prior term then builds its teacher kernels in
+* An objective is a function of an epoch's batch list that returns that
+  epoch's step loss.  A prior term builds its teacher kernels there, in
   stacked calls over consecutive batches (``_teacher_kernels``), jitter
   still escalating per batch, and each step takes its slice.  One run of
   a group's kernels is alive at a time, dropped before the next is built,
   and each holds L^{-1} (``TeacherKernel``), not the Gram or L.
-* A step is ``forward``, an objective returning (loss, task value, prior
+* A step is ``forward``, a step loss returning (loss, task value, prior
   value, {hidden layer: dL/dh}, dL/dlogits), then ``autodiff.backward``
   given the fit's frozen layers.  Term gradients are summed in one fixed
   order: a layer's prior terms last term first, baselines before CE.
@@ -156,10 +156,11 @@ class LayerGroupMapping:
     entries: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        for pair in self.entries:
+        entries = tuple(self.entries)  # a generator's pairs, read once
+        for pair in entries:
             _require(isinstance(pair, (tuple, list)) and len(pair) == 2
                      and all(map(_is_int, pair)), "mapping entries", "pairs of integers", pair)
-        entries = tuple((int(s), int(g)) for s, g in self.entries)
+        entries = tuple((int(s), int(g)) for s, g in entries)
         object.__setattr__(self, "entries", entries)
         for i, pair in enumerate(entries):
             if pair in entries[:i]:
@@ -337,7 +338,7 @@ def extract_features(model: Model, dataset: Dataset, layer_ids) -> FeatureCache:
 
     groups = {lid: np.empty((*model.flat.shape[:-1], dataset.n,
                              model.spec.layers[lid].out_width), np.float32) for lid in layer_ids}
-    for i in range(0, dataset.n, EXTRACT_CHUNK):
+    for i in range(0, dataset.n if layer_ids else 0, EXTRACT_CHUNK):
         record = forward(model, dataset.inputs[i:i + EXTRACT_CHUNK])
         layers = record.activations + [record.logits]
         for lid in layer_ids:
@@ -356,10 +357,10 @@ def _fit_epochs(model: Model, dataset: Dataset, schedule: BatchSchedule,
                 plan: TrainPlan, objective, *, epochs: int, lr: float,
                 phase: int, epoch_offset: int = 0, frozen_layers=(),
                 test: Rows | None = None, log: list | None = None) -> float | None:
-    """Run ``epochs`` epochs in place; returns the final epoch's mean
-    prior-loss value (None for task-only objectives; one per seed for a
-    stacked model).  ``backward`` gives the layers in ``frozen_layers`` None
-    gradients, which leaves them and their optimizer state as is."""
+    """Run ``epochs`` epochs in place, each stepping its batches through
+    ``objective(batches)``; returns the final epoch's mean prior value (None
+    for task-only objectives; one per seed for a stacked model).  ``backward``'s
+    None gradients leave ``frozen_layers`` and their optimizer state as is."""
     step = (partial(adam_step, state=AdamState(), lr=lr) if plan.optimizer == "adam"
             else partial(sgd_step, state=SgdState(), lr=lr, momentum=plan.momentum))
     final_kl = None
@@ -367,11 +368,11 @@ def _fit_epochs(model: Model, dataset: Dataset, schedule: BatchSchedule,
         epoch = epoch_offset + local_epoch
         task_vals, kl_vals = [], []
         batches = schedule.epoch_batches(epoch)
-        objective.epoch(batches)
+        step_loss = objective(batches)
         for idx in batches:
             x = dataset.inputs[idx]
             record = forward(model, x)
-            loss, task_val, kl_val, act_grads, logit_grad = objective(
+            loss, task_val, kl_val, act_grads, logit_grad = step_loss(
                 record, idx, dataset.labels[idx])
             if not np.isfinite(loss).all():
                 raise DivergedTraining(f"loss became {loss} at epoch {epoch}")
@@ -443,38 +444,34 @@ def _l2_grad(logits: np.ndarray, teacher_logits: np.ndarray,
 
 def _prior_objective(experts, config: PriorConfig, scale: float = 1.0):
     """Sum over ``ExpertPrior``s of alpha * the sum of their group KLs; the
-    gradients carry ``scale``, the caller's weight on the whole sum.  After
-    ``objective.epoch(batches)`` the steps must come in that batch order;
-    without it each step builds its own teacher kernels.  Terms that read
-    one group array share its kernels, and the terms on one student layer
-    share its half of the KL (``_student_half``), formed once a step, in
-    first-use order, from ``forward``'s activations (which it has already
-    checked finite)."""
+    gradients carry ``scale``, the caller's weight on the whole sum.  Given
+    an epoch's batches it builds their teacher kernels (``_teacher_kernels``)
+    and returns the step loss, whose steps must come in that batch order.
+    Terms that read one group array share its kernels, and the terms on one
+    student layer share its half of the KL (``_student_half``), formed once
+    a step, in first-use order, from ``forward``'s activations (which it has
+    already checked finite)."""
     terms = [(expert.alpha, student_idx, expert.cache.groups[gid])
              for expert in experts for student_idx, gid in expert.mapping.entries]
     groups = list({id(group): group for _, _, group in terms}.values())
     layers = list(dict.fromkeys(student_idx for _, student_idx, _ in terms))
-    kernels = []  # this epoch's teacher kernels, an iterator per group
 
-    def epoch(batches):
-        kernels[:] = [_teacher_kernels(group, batches, config) for group in groups]
+    def objective(batches):
+        kernels = [_teacher_kernels(group, batches, config) for group in groups]
 
-    def objective(record, idx, labels):
-        steps = kernels or [_teacher_kernels(group, [idx], config) for group in groups]
-        k2 = {id(group): next(k) for group, k in zip(groups, steps)}
-        halves = {layer: _student_half(record.activations[layer], config)
-                  for layer in layers}
-        kl_sum = 0.0
-        term_grads = []
-        for alpha, student_idx, group in terms:
-            value, grad = _teacher_half(halves[student_idx], k2[id(group)])
-            kl_sum += alpha * value
-            term_grads.append((student_idx, scale * alpha * grad))
-        act_grads = {}
-        for layer, grad in reversed(term_grads):
-            act_grads[layer] = act_grads[layer] + grad if layer in act_grads else grad
-        return kl_sum, None, kl_sum, act_grads, None
-    objective.epoch = epoch
+        def step_loss(record, idx, labels):
+            k2 = {id(group): next(k) for group, k in zip(groups, kernels)}
+            halves = {layer: _student_half(record.activations[layer], config) for layer in layers}
+            kl_sum, term_grads = 0.0, []
+            for alpha, student_idx, group in terms:
+                value, grad = _teacher_half(halves[student_idx], k2[id(group)])
+                kl_sum += alpha * value
+                term_grads.append((student_idx, scale * alpha * grad))
+            act_grads = {}
+            for layer, grad in reversed(term_grads):
+                act_grads[layer] = act_grads[layer] + grad if layer in act_grads else grad
+            return kl_sum, None, kl_sum, act_grads, None
+        return step_loss
     return objective
 
 
@@ -482,9 +479,10 @@ def _objective(modes, config: PriorConfig, cache: FeatureCache | None = None,
                mapping: LayerGroupMapping | None = None, logits_group: int | None = None):
     """Cross-entropy over the whole model plus each one-phase mode's term.
     Several modes split a stacked model into equal blocks, one per mode in
-    order, and each term reaches its own block only.  Every block walks the
-    same seeds' batches, so the teacher logits are gathered once a step.
-    The prior value is a lone mode's term (None for several)."""
+    order, and each term reaches its own block only; the joint term's step
+    loss is built from the joint block's rows of the epoch's batches.  Every
+    block walks the same seeds' batches, so the teacher logits are gathered
+    once a step.  The prior value is a lone mode's term (None for several)."""
     prior = (_prior_objective([ExpertPrior(cache, mapping)], config, config.alpha)
              if "joint" in modes and mapping.entries and config.alpha > 0.0 else None)
 
@@ -493,38 +491,37 @@ def _objective(modes, config: PriorConfig, cache: FeatureCache | None = None,
         size = total // len(modes)
         return slice(b * size, (b + 1) * size) if len(modes) > 1 else ...
 
-    def epoch(batches):
-        if prior is not None:
-            joint = modes.index("joint")
-            prior.epoch([idx[block(joint, len(idx))] for idx in batches])
+    def objective(batches):
+        joint = None if prior is None else prior(
+            [idx[block(modes.index("joint"), len(idx))] for idx in batches])
 
-    def objective(record, idx, labels):
-        ce, logit_grad = softmax_cross_entropy(record.logits, labels)
-        loss, kl, act_grads, teacher = np.array(ce), None, {}, None
-        for b, mode in enumerate(modes):
-            rows = block(b, len(record.logits))
-            if mode == "joint" and prior is not None:
-                view = replace(record, activations=[a[rows] for a in record.activations])
-                kl, _, _, grads, _ = prior(view, idx[rows], None)
-                for layer, grad in grads.items():  # zero outside the block
-                    act_grads[layer] = np.zeros_like(record.activations[layer])
-                    act_grads[layer][rows] = grad
-                loss[rows] += kl * config.alpha
-            elif mode in ("hinton_baseline", "l2_baseline"):
-                if teacher is None:
-                    teacher = _rows(cache.groups[logits_group], idx[rows]).astype(float)
-                if mode == "hinton_baseline":
-                    scale = config.alpha * config.temperature ** 2
-                    kl, grad = _hinton_grad(record.logits[rows], teacher,
-                                            config.temperature, scale)
-                else:
-                    scale = config.alpha
-                    kl, grad = _l2_grad(record.logits[rows], teacher, scale)
-                if scale != 0.0:
-                    loss[rows] += kl * scale
-                    logit_grad[rows] += grad  # the bits of grad + ce_grad
-        return loss, ce, kl if len(modes) == 1 else None, act_grads, logit_grad
-    objective.epoch = epoch
+        def step_loss(record, idx, labels):
+            ce, logit_grad = softmax_cross_entropy(record.logits, labels)
+            loss, kl, act_grads, teacher = np.array(ce), None, {}, None
+            for b, mode in enumerate(modes):
+                rows = block(b, len(record.logits))
+                if mode == "joint" and joint is not None:
+                    view = replace(record, activations=[a[rows] for a in record.activations])
+                    kl, _, _, grads, _ = joint(view, idx[rows], None)
+                    for layer, grad in grads.items():  # zero outside the block
+                        act_grads[layer] = np.zeros_like(record.activations[layer])
+                        act_grads[layer][rows] = grad
+                    loss[rows] += kl * config.alpha
+                elif mode in ("hinton_baseline", "l2_baseline"):
+                    if teacher is None:
+                        teacher = _rows(cache.groups[logits_group], idx[rows]).astype(float)
+                    if mode == "hinton_baseline":
+                        scale = config.alpha * config.temperature ** 2
+                        kl, grad = _hinton_grad(record.logits[rows], teacher,
+                                                config.temperature, scale)
+                    else:
+                        scale = config.alpha
+                        kl, grad = _l2_grad(record.logits[rows], teacher, scale)
+                    if scale != 0.0:
+                        loss[rows] += kl * scale
+                        logit_grad[rows] += grad  # the bits of grad + ce_grad
+            return loss, ce, kl if len(modes) == 1 else None, act_grads, logit_grad
+        return step_loss
     return objective
 
 

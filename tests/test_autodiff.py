@@ -43,7 +43,7 @@ def objective_error(model, x, labels, objective) -> float:
 
     def loss_fn(m):
         record = forward(m, x)
-        loss, _, _, act_grads, logit_grad = objective(record, idx, labels)
+        loss, _, _, act_grads, logit_grad = objective([idx])(record, idx, labels)
         return loss, backward(m, x, record, act_grads, logit_grad)
 
     return grad_check(model, loss_fn)
@@ -141,13 +141,13 @@ class TestObjectiveGradients:
         objective = _objective(modes, cfg, cache,
                                LayerGroupMapping(((1, 0),)), logits_group=2)
         record = forward(model, x)
-        _, _, _, act_grads, logit_grad = objective(record, idx, labels)
+        _, _, _, act_grads, logit_grad = objective([idx])(record, idx, labels)
         analytic = backward(model, x, record, act_grads, logit_grad).flat
         start = model.flat.copy()
         for s in range(len(start)):
             def slice_loss(row, s=s):
                 model.flat[s] = row
-                return float(objective(forward(model, x), idx, labels)[0][s])
+                return float(objective([idx])(forward(model, x), idx, labels)[0][s])
 
             fd = central_diff_gradient(slice_loss, start[s])
             model.flat[s] = start[s]
@@ -163,7 +163,7 @@ class TestStackedBlocks:
         cfg = PriorConfig(jitter=1e-3, alpha=0.3, temperature=2.5)
         record = forward(model, x)
         loss, ce, kl, act_grads, logit_grad = _objective(
-            modes, cfg, cache, mapping, 2)(record, idx, labels)
+            modes, cfg, cache, mapping, 2)([idx])(record, idx, labels)
         grads = backward(model, x, record, act_grads, logit_grad)
         assert kl is None
         for b, mode in enumerate(modes):
@@ -172,7 +172,7 @@ class TestStackedBlocks:
                           [bias[rows] for bias in model.biases])
             record = forward(block, x[rows])
             one = _objective((mode,), cfg, cache, mapping, 2)
-            b_loss, b_ce, _, b_act, b_logit = one(record, idx[rows], labels[rows])
+            b_loss, b_ce, _, b_act, b_logit = one([idx[rows]])(record, idx[rows], labels[rows])
             b_grads = backward(block, x[rows], record, b_act, b_logit)
             np.testing.assert_array_equal(loss[rows], b_loss)
             np.testing.assert_array_equal(ce[rows], b_ce)
@@ -187,7 +187,8 @@ class TestEarlyStop:
         objective = _prior_objective(
             [ExpertPrior(cache, LayerGroupMapping(((1, 0),)))], CFG)
         record = forward(model, x)
-        _, _, _, act_grads, logit_grad = objective(record, np.arange(BATCH), labels)
+        _, _, _, act_grads, logit_grad = objective([np.arange(BATCH)])(
+            record, np.arange(BATCH), labels)
         grads = backward(model, x, record, act_grads, logit_grad)
         reached = [g is not None for g in grads]
         assert reached == [True] * 4 + [False] * 4
@@ -196,7 +197,7 @@ class TestEarlyStop:
         _, x, labels = batch
         model = init_params(NetworkSpec.dense(3, [6, 4, 5], 3), 7)
         record = forward(model, x)
-        _, _, _, act_grads, logit_grad = _objective(("naive",), CFG)(
+        _, _, _, act_grads, logit_grad = _objective(("naive",), CFG)([np.arange(BATCH)])(
             record, np.arange(BATCH), labels)
         full = backward(model, x, record, act_grads, logit_grad)
         stopped = backward(model, x, record, act_grads, logit_grad, frozen={0, 1})
@@ -211,7 +212,7 @@ class TestEarlyStop:
         _, x, labels = batch
         model = init_params(NetworkSpec.dense(3, [6, 4, 5], 3, "tanh"), 8)
         record = forward(model, x)
-        _, _, _, act_grads, logit_grad = _objective(("naive",), CFG)(
+        _, _, _, act_grads, logit_grad = _objective(("naive",), CFG)([np.arange(BATCH)])(
             record, np.arange(BATCH), labels)
         full = backward(model, x, record, act_grads, logit_grad)
         trained = backward(model, x, record, act_grads, logit_grad, frozen)

@@ -416,6 +416,12 @@ class TestFeatureCache:
         assert cache.shapes == {0: (6, 4), 2: (6, 8)}
         assert cache.n == 6
 
+    def test_kept_groups_from_an_iterator(self, tmp_path):
+        # each group is tested against the names once read, not a consumed iterator
+        path = tmp_path / "c.fpfc"
+        write_cache(path, self.make_cache())
+        assert set(read_cache(path, groups=iter([2, 0])).groups) == {0, 2}
+
     def test_skipped_group_row_count_is_refused(self, tmp_path):
         # group 2 as 12 x 4 in place of 6 x 8: the same payload, another row
         # count; refused when only group 0 is kept, as in memory

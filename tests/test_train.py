@@ -140,6 +140,10 @@ class TestApiTypes:
             build()
         assert named in str(excinfo.value)
 
+    def test_mapping_reads_a_generator_once(self):
+        mapping = LayerGroupMapping(entries=((0, 1) for _ in range(1)))
+        assert mapping.entries == ((0, 1),)
+
     @pytest.mark.parametrize("build", [lambda b: TrainPlan(batch_size=b),
                                        lambda b: BatchSchedule(np.arange(10), b, 0)],
                              ids=["plan", "schedule"])
@@ -337,6 +341,19 @@ class TestExtractFeatures:
         groups = sum(m.nbytes for m in cache.groups.values())
         chunk_activations = 512 * (64 + 64 + 3) * 8  # float64
         assert peak <= groups + 2 * chunk_activations
+
+    def test_no_layer_ids_runs_no_forward(self, monkeypatch):
+        # 1200 rows would take three 512-row chunks
+        calls, original = [], train.forward
+
+        def recorded(model, x):
+            calls.append(len(x))
+            return original(model, x)
+
+        monkeypatch.setattr(train, "forward", recorded)
+        ds = synth_blobs(600, 2, 2, separation=4.0, seed=0)
+        cache = extract_features(init_params(NetworkSpec.dense(2, [4], 2), 0), ds, [])
+        assert calls == [] and cache.groups == {}
 
     def test_stacked_model_gives_each_seed_its_own_bits(self, monkeypatch):
         # 150 rows in chunks of 16 leave a 6-row tail; slice s of each
@@ -731,6 +748,46 @@ class TestEpochTeacherKernels:
         assert params_equal(shared_model, model)
         assert shared_log == log
 
+    @pytest.mark.parametrize("fit", ["experts", "joint"])
+    def test_built_once_an_epoch_per_group(self, rings_setup, monkeypatch, fit):
+        # each call is given its epoch's whole batch list (100 train rows in
+        # batches of 16: 7 batches), one call per distinct group read: two
+        # experts on groups 1 and 0 for phase 1's 2 epochs, or a joint
+        # mapping on groups 0 and 1 for all 3 epochs
+        ds, split, _, cache = rings_setup
+        plan = TrainPlan(seed=3, batch_size=16, phase1_epochs=2, phase2_epochs=1,
+                         lr_phase1=1e-2, mode="joint")
+        gids = {id(group): gid for gid, group in cache.groups.items()}
+        calls, original = [], train._teacher_kernels
+
+        def recorded(group, batches, config):
+            calls.append((gids[id(group)], [idx.copy() for idx in batches]))
+            return original(group, batches, config)
+
+        monkeypatch.setattr(train, "_teacher_kernels", recorded)
+        student = NetworkSpec.dense(2, [4, 4], 2)
+        if fit == "experts":
+            combine_experts_fit(init_params(student, 3), ds, ExpertPriorSet((
+                ExpertPrior(cache, LayerGroupMapping(((0, 1),))),
+                ExpertPrior(cache, LayerGroupMapping(((1, 0), (0, 1))), 0.5))),
+                plan, train=split.train)
+            epochs = plan.phase1_epochs
+        else:
+            run_distillation(student, ds, split, plan, cache=cache,
+                             mapping=LayerGroupMapping(((0, 0), (1, 1), (1, 0))))
+            epochs = plan.total_epochs
+        schedule = BatchSchedule(split.train.source_indices, plan.batch_size, plan.seed)
+        assert len(calls) == 2 * epochs
+        for epoch in range(epochs):
+            batches = schedule.epoch_batches(epoch)
+            assert len(batches) == 7
+            epoch_calls = calls[2 * epoch:2 * epoch + 2]
+            assert sorted(gid for gid, _ in epoch_calls) == [0, 1]
+            for _, given in epoch_calls:
+                assert len(given) == len(batches)
+                for got, idx in zip(given, batches):
+                    np.testing.assert_array_equal(got, idx)
+
     def test_compare_matches_per_batch_kernels(self, rings_setup, monkeypatch):
         # seeds stacked, and joint's block of a (mode, seed) stack
         ds = rings_setup[0]
@@ -766,7 +823,7 @@ class TestStudentHalves:
         idx = np.arange(16)
         record = forward(init_params(NetworkSpec.dense(2, [4, 20], 2), 18), ds.inputs[idx])
         objective = train._prior_objective(self.experts(cache), cfg, scale=2.0)
-        kl, _, _, act_grads, _ = objective(record, idx, None)
+        kl, _, _, act_grads, _ = objective([idx])(record, idx, None)
 
         def term(layer, gid):
             k_t = gp_prior.feature_kernel(cache.groups[gid][idx].astype(np.float64), cfg)
