@@ -18,6 +18,7 @@ import hashlib
 import numbers
 import os
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -305,9 +306,22 @@ class BatchSchedule:
 
 @dataclass(frozen=True)
 class Rows:
-    """One half of a split: sorted row indices into the full dataset."""
+    """One half of a split: sorted row indices into the full dataset, kept
+    as a 1-D integer array."""
 
     source_indices: np.ndarray
+
+    def __post_init__(self):
+        idx = self.source_indices
+        if isinstance(idx, Iterator):
+            idx = list(idx)  # a generator's rows, read once
+        try:
+            arr = np.asarray(idx)
+        except ValueError:  # ragged nested lists
+            arr = None
+        _require(arr is not None and arr.ndim == 1 and (arr.size == 0 or np.issubdtype(arr.dtype, np.integer)),
+                 "row indices", "a 1-D array of integers", idx)
+        object.__setattr__(self, "source_indices", arr.astype(np.int64, copy=False))
 
     @property
     def n(self) -> int:

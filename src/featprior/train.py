@@ -281,9 +281,13 @@ def evaluate(model: Model, dataset: Dataset, rows: Rows | None = None) -> Metric
 
 def predict_logits(model: Model, inputs, idx=None) -> np.ndarray:
     """Logits of ``inputs``' rows ``idx`` (all when None), ``PREDICT_CHUNK``
-    at a time."""
+    at a time; ``idx`` must be non-empty row indices of ``inputs`` (``Rows``'
+    rule: a 1-D integer array or iterable)."""
     inputs = np.asarray(inputs, dtype=np.float64)
-    idx = np.arange(inputs.shape[0]) if idx is None else idx
+    n = inputs.shape[0]
+    idx = np.arange(n) if idx is None else Rows(idx).source_indices
+    _require(idx.size > 0 and idx.min() >= 0 and idx.max() < n, "row indices",
+             f"non-empty and in [0, {n})", idx)
     return np.vstack([forward(model, inputs[idx[i:i + PREDICT_CHUNK]]).logits
                       for i in range(0, len(idx), PREDICT_CHUNK)])
 

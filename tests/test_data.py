@@ -14,6 +14,7 @@ from featprior import data
 from featprior.data import (
     Dataset,
     FeatureCache,
+    Rows,
     dataset_fingerprint,
     load_csv,
     load_idx,
@@ -351,6 +352,33 @@ class TestSplitAndBatch:
         perm = np.random.default_rng(seed).permutation(ds.n)
         np.testing.assert_array_equal(test, np.sort(perm[:test.size]))
         np.testing.assert_array_equal(train, np.sort(perm[test.size:]))
+
+
+
+class TestRows:
+    @pytest.mark.parametrize("indices", [[0, 2, 5], (0, 2, 5), range(0, 6, 3),
+                                         np.array([0, 2, 5], dtype=np.int32)])
+    def test_kept_as_a_1d_int64_array(self, indices):
+        rows = Rows(indices)
+        assert rows.source_indices.dtype == np.int64
+        np.testing.assert_array_equal(rows.source_indices, list(indices))
+        assert rows.n == len(indices)
+
+    def test_one_shot_iterable_is_read_once(self):
+        rows = Rows(i for i in (4, 1, 3))
+        np.testing.assert_array_equal(rows.source_indices, [4, 1, 3])
+        assert rows.n == 3
+
+    def test_empty_is_an_empty_int_array(self):
+        assert Rows([]).source_indices.dtype == np.int64
+        assert Rows([]).n == 0
+
+    @pytest.mark.parametrize("indices", [[0.5, 1.0], [True, False], [[0, 1]],
+                                         [[0], [1, 2]], 3, None, "012", {1, 2}])
+    def test_anything_else_is_refused_by_value(self, indices):
+        with pytest.raises(ConfigError, match="row indices must be a 1-D array of "
+                                              "integers, got "):
+            Rows(indices)
 
 
 class TestFeatureCache:

@@ -1216,6 +1216,27 @@ class TestEvaluate:
         np.testing.assert_array_equal(logits, predict_logits(model, ds.inputs, every))
         self.assert_metrics_equal(evaluate(model, ds), evaluate(model, ds, Rows(every)))
 
+    def test_one_shot_rows_score_as_their_array(self):
+        ds = synth_blobs(10, 3, 2, 2.0, seed=35)
+        model = init_params(NetworkSpec.dense(2, [5], 3), seed=36)
+        self.assert_metrics_equal(evaluate(model, ds, Rows(i for i in range(0, 30, 2))),
+                                  evaluate(model, ds, Rows(np.arange(0, 30, 2))))
+
+    @pytest.mark.parametrize("idx", [[], [10**6], [30], [-1], [0, 29, 30]])
+    def test_empty_or_out_of_range_rows_are_refused(self, idx):
+        ds = synth_blobs(10, 3, 2, 2.0, seed=35)  # 30 rows
+        model = init_params(NetworkSpec.dense(2, [5], 3), seed=36)
+        match = r"row indices must be non-empty and in \[0, 30\), got "
+        with pytest.raises(ConfigError, match=match):
+            evaluate(model, ds, Rows(idx))
+        with pytest.raises(ConfigError, match=match):
+            predict_logits(model, ds.inputs, idx)
+
+    def test_no_inputs_are_refused(self):
+        model = init_params(NetworkSpec.dense(2, [5], 3), seed=36)
+        with pytest.raises(ConfigError, match=r"non-empty and in \[0, 0\)"):
+            predict_logits(model, np.zeros((0, 2)))
+
     def test_scoring_the_test_split_copies_no_inputs(self):
         # one trace over split and scoring: a split that copied its halves
         # would still hold them while the test rows are scored
