@@ -36,24 +36,20 @@ from .train import (
 )
 
 
-def _atomic_write(path: Path, write) -> None:
-    """``write(tmp)`` fills a sibling temporary file that then replaces
-    ``path``; a failed write removes the temporary file."""
+def _atomic_write(path: Path, data) -> None:
+    """``data``, bytes, text or a function that writes the path it is given,
+    fills a sibling temporary file that then replaces ``path``; a failed
+    write removes the temporary file."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        write(tmp)
+        if callable(data):
+            data(tmp)
+        else:
+            tmp.write_bytes(data.encode() if isinstance(data, str) else data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    _atomic_write(path, lambda tmp: tmp.write_bytes(data))
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    _atomic_write_bytes(path, text.encode())
 
 
 def _require_file(path: Path, what: str) -> Path:
@@ -66,11 +62,9 @@ def cmd_train_teacher(cfg: ExperimentConfig, dataset: Dataset, out: Path, args) 
     spec = cfg.teacher.spec_for(dataset)
     model, report = train_teacher(dataset, spec, cfg.teacher_plan,
                                   test_fraction=cfg.test_fraction)
-    _atomic_write_bytes(out / "teacher.fpnn", serialize_model(model))
-    _atomic_write_text(out / "teacher_metrics.csv",
-                       metrics_csv(report.per_seed[0]))
-    print(f"teacher accuracy {report.mean('accuracy'):.4f} "
-          f"-> {out / 'teacher.fpnn'}")
+    _atomic_write(out / "teacher.fpnn", serialize_model(model))
+    _atomic_write(out / "teacher_metrics.csv", metrics_csv(report.per_seed[0]))
+    print(f"teacher accuracy {report.mean('accuracy'):.4f} -> {out / 'teacher.fpnn'}")
 
 
 def _architecture(spec) -> str:
@@ -88,8 +82,8 @@ def cmd_extract_features(cfg: ExperimentConfig, dataset: Dataset, out: Path,
     if model.spec != expected:
         raise ConfigError(f"teacher model {teacher_path} is {_architecture(model.spec)}, "
                           f"but the config's teacher is {_architecture(expected)}")
-    # every hidden layer of the configured teacher, plus its logits group
-    cache = extract_features(model, dataset, range(len(cfg.teacher.hidden) + 1))
+    # every layer's output: the hidden layers', then the logits group
+    cache = extract_features(model, dataset, range(len(expected.layers)))
     _atomic_write(out / "features.fpfc", lambda tmp: write_cache(tmp, cache))
     widths = {gid: mat.shape[1] for gid, mat in sorted(cache.groups.items())}
     print(f"extracted groups {widths} -> {out / 'features.fpfc'}")
@@ -97,11 +91,11 @@ def cmd_extract_features(cfg: ExperimentConfig, dataset: Dataset, out: Path,
 
 def cmd_distill(cfg: ExperimentConfig, dataset: Dataset, out: Path, args) -> None:
     plan = cfg.plan
-    split = split_and_batch(dataset, cfg.test_fraction, plan.batch_size,
-                            plan.seed)
+    split = split_and_batch(dataset, cfg.test_fraction, plan.batch_size, plan.seed)
     student_spec = cfg.student.spec_for(dataset)
-
-    logits_group = len(cfg.teacher.hidden)
+    # the config's teacher names the groups: group g is its layer g's output
+    teacher_spec = cfg.teacher.spec_for(dataset)
+    logits_group = teacher_spec.hidden_count
 
     def read(path: Path, what: str, mapping):
         return read_cache(_require_file(path, what),
@@ -122,8 +116,7 @@ def cmd_distill(cfg: ExperimentConfig, dataset: Dataset, out: Path, args) -> Non
     elif plan.mode != "naive":
         cache_path = Path(args.features) if args.features else out / "features.fpfc"
         cache = read(cache_path, "feature cache", cfg.mapping)
-        # the config's teacher names the groups: hidden layers, then logits
-        teacher = dict(enumerate([*cfg.teacher.hidden, dataset.class_count]))
+        teacher = {gid: layer.out_width for gid, layer in enumerate(teacher_spec.layers)}
         for gid, (_, width) in sorted(cache.shapes.items()):
             if teacher.get(gid) != width:
                 raise ConfigError(f"feature cache {cache_path} holds group {gid} of width "
@@ -133,8 +126,8 @@ def cmd_distill(cfg: ExperimentConfig, dataset: Dataset, out: Path, args) -> Non
     result = run_distillation(
         student_spec, dataset, split, plan, cache=cache, mapping=cfg.mapping,
         experts=experts, logits_group=logits_group)
-    _atomic_write_bytes(out / "student.fpnn", serialize_model(result.model))
-    _atomic_write_text(out / "run_log.csv", run_log_csv(result.log))
+    _atomic_write(out / "student.fpnn", serialize_model(result.model))
+    _atomic_write(out / "run_log.csv", run_log_csv(result.log))
     print(f"{plan.mode} student accuracy {result.metrics.accuracy:.4f} "
           f"-> {out / 'student.fpnn'}")
 
@@ -142,10 +135,9 @@ def cmd_distill(cfg: ExperimentConfig, dataset: Dataset, out: Path, args) -> Non
 def cmd_evaluate(cfg: ExperimentConfig, dataset: Dataset, out: Path, args) -> None:
     model_path = Path(args.model) if args.model else out / "student.fpnn"
     model = load_model(_require_file(model_path, "model"))
-    split = split_and_batch(dataset, cfg.test_fraction, cfg.plan.batch_size,
-                            cfg.plan.seed)
+    split = split_and_batch(dataset, cfg.test_fraction, cfg.plan.batch_size, cfg.plan.seed)
     metrics = evaluate(model, dataset, split.test)
-    _atomic_write_text(out / "metrics.csv", metrics_csv(metrics))
+    _atomic_write(out / "metrics.csv", metrics_csv(metrics))
     print(f"accuracy {metrics.accuracy:.4f} -> {out / 'metrics.csv'}")
 
 
@@ -156,8 +148,8 @@ def cmd_compare(cfg: ExperimentConfig, dataset: Dataset, out: Path, args) -> Non
         dataset, cfg.teacher.spec_for(dataset), cfg.student.spec_for(dataset),
         rows, list(cfg.seeds), teacher_plan=cfg.teacher_plan,
         mapping=cfg.mapping, test_fraction=cfg.test_fraction)
-    _atomic_write_text(out / "comparison.csv", result.comparison_csv())
-    _atomic_write_text(out / "summary.txt", result.summary_text())
+    _atomic_write(out / "comparison.csv", result.comparison_csv())
+    _atomic_write(out / "summary.txt", result.summary_text())
     print(result.summary_text())
 
 

@@ -283,7 +283,7 @@ def synth_rings(n_per_class: int, classes: int, noise: float,
 # -- splitting and batching --------------------------------------------------
 
 class BatchSchedule:
-    """Deterministic per-epoch batches of original dataset indices.
+    """Deterministic per-epoch batches of dataset rows, read through ``Rows``.
 
     Each epoch reshuffles with a generator seeded by (seed, epoch), chops
     into ``batch_size`` pieces, and keeps the tail so every epoch is a
@@ -293,7 +293,7 @@ class BatchSchedule:
     def __init__(self, indices, batch_size: int, seed: int):
         _check_batch_size(batch_size)
         _check_seed(seed)
-        self.indices = np.asarray(indices, dtype=np.int64)
+        self.indices = Rows(indices).source_indices
         self.batch_size = int(batch_size)
         self.seed = int(seed)
 
@@ -307,13 +307,15 @@ class BatchSchedule:
 @dataclass(frozen=True)
 class Rows:
     """One half of a split: sorted row indices into the full dataset, kept
-    as a 1-D integer array."""
+    as a 1-D integer array.  Every row argument is read through it."""
 
     source_indices: np.ndarray
 
     def __post_init__(self):
         idx = self.source_indices
-        if isinstance(idx, Iterator):
+        if isinstance(idx, Rows):
+            idx = idx.source_indices
+        elif isinstance(idx, Iterator):
             idx = list(idx)  # a generator's rows, read once
         try:
             arr = np.asarray(idx)
@@ -326,6 +328,15 @@ class Rows:
     @property
     def n(self) -> int:
         return self.source_indices.size
+
+
+def _rows_in(rows, n: int) -> np.ndarray:
+    """``rows`` read through ``Rows`` (every row when None), refused unless
+    non-empty and in [0, n): the rule wherever rows meet their n-row data."""
+    idx = np.arange(n) if rows is None else Rows(rows).source_indices
+    _require(idx.size > 0 and idx.min() >= 0 and idx.max() < n, "row indices",
+             f"non-empty and in [0, {n})", idx)
+    return idx
 
 
 @dataclass(frozen=True)
@@ -348,7 +359,7 @@ def split_and_batch(dataset: Dataset, test_fraction: float, batch_size: int,
     perm = rng.permutation(n)
     test = Rows(np.sort(perm[:n_test]))
     train = Rows(np.sort(perm[n_test:]))
-    schedule = BatchSchedule(train.source_indices, batch_size, seed)
+    schedule = BatchSchedule(train, batch_size, seed)
     return SplitBatches(train=train, test=test, schedule=schedule)
 
 

@@ -4,10 +4,10 @@ evaluation metrics and multi-seed method comparisons.
 
 Conventions shared by every routine here:
 
-* ``dataset`` is always the full dataset; split halves (``Rows``) and batch
-  schedules are row indices into it, so teacher-feature cache rows stay
-  aligned with student batches, and test rows are gathered when scored.
-  A fit checks its caches against it once (``_check_cache_alignment``).
+* ``dataset`` is always the full dataset.  Every row argument is read through
+  ``Rows`` as indices into it (``_rows_in``: non-empty and in range), so cache
+  rows stay aligned with student batches and test rows are gathered when
+  scored.  A fit checks its caches against it once (``_check_cache_alignment``).
 * Every labelled fit (teachers, the naive, joint and two logit-matching
   baseline modes, two_phase's task fit) is the one ``_fit_epochs`` call in
   ``_fit_mode``, from epoch ``start`` to ``phase1_epochs + phase2_epochs``:
@@ -58,6 +58,7 @@ from .data import (
     _is_int,
     _is_real,
     _require,
+    _rows_in,
     dataset_fingerprint,
     split_and_batch,
 )
@@ -246,6 +247,12 @@ class MetricsReport:
         return float(np.std(vals, ddof=1) / math.sqrt(vals.size))
 
 
+def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Share of rows whose first largest logit is their label (forward has
+    refused NaN): ``evaluate``'s accuracy and each logged epoch's."""
+    return float(np.mean(np.argmax(logits, axis=1) == labels))
+
+
 def evaluate(model: Model, dataset: Dataset, rows: Rows | None = None) -> Metrics:
     """Accuracy, top-1 to top-3 accuracies and micro/macro F1 on
     ``dataset``'s ``rows`` (every row when None).
@@ -259,13 +266,12 @@ def evaluate(model: Model, dataset: Dataset, rows: Rows | None = None) -> Metric
     c, classes = model.spec.output_head, dataset.class_count
     if c != classes:
         raise DimensionMismatch(f"model has {c} classes, dataset has {classes}")
-    idx = np.arange(dataset.n) if rows is None else rows.source_indices
-    logits = predict_logits(model, dataset.inputs, idx)
-    labels = dataset.labels[idx]
+    idx = _rows_in(rows, dataset.n)
+    logits, labels = predict_logits(model, dataset.inputs, idx), dataset.labels[idx]
+    accuracy = _accuracy(logits, labels)
     # stable descending sort: ties broken toward the smaller class index
     order = np.argsort(-logits, axis=1, kind="stable")
     predictions = order[:, 0]
-    accuracy = float(np.mean(predictions == labels))
 
     top_k = {k: float(np.mean((order[:, :k] == labels[:, None]).any(axis=1)))
              for k in _TOP_KS}
@@ -280,14 +286,10 @@ def evaluate(model: Model, dataset: Dataset, rows: Rows | None = None) -> Metric
 
 
 def predict_logits(model: Model, inputs, idx=None) -> np.ndarray:
-    """Logits of ``inputs``' rows ``idx`` (all when None), ``PREDICT_CHUNK``
-    at a time; ``idx`` must be non-empty row indices of ``inputs`` (``Rows``'
-    rule: a 1-D integer array or iterable)."""
+    """Logits of ``inputs``' rows ``idx`` (all when None, read by ``_rows_in``),
+    ``PREDICT_CHUNK`` at a time."""
     inputs = np.asarray(inputs, dtype=np.float64)
-    n = inputs.shape[0]
-    idx = np.arange(n) if idx is None else Rows(idx).source_indices
-    _require(idx.size > 0 and idx.min() >= 0 and idx.max() < n, "row indices",
-             f"non-empty and in [0, {n})", idx)
+    idx = _rows_in(idx, inputs.shape[0])
     return np.vstack([forward(model, inputs[idx[i:i + PREDICT_CHUNK]]).logits
                       for i in range(0, len(idx), PREDICT_CHUNK)])
 
@@ -365,6 +367,7 @@ def _fit_epochs(model: Model, dataset: Dataset, schedule: BatchSchedule,
     ``objective(batches)``; returns the final epoch's mean prior value (None
     for task-only objectives; one per seed for a stacked model).  ``backward``'s
     None gradients leave ``frozen_layers`` and their optimizer state as is."""
+    test = None if test is None else _rows_in(test, dataset.n)
     step = (partial(adam_step, state=AdamState(), lr=lr) if plan.optimizer == "adam"
             else partial(sgd_step, state=SgdState(), lr=lr, momentum=plan.momentum))
     final_kl = None
@@ -391,11 +394,8 @@ def _fit_epochs(model: Model, dataset: Dataset, schedule: BatchSchedule,
         if kl_vals:
             final_kl = epoch_kl
         if log is not None:
-            # evaluate's accuracy: argmax, like its stable sort, takes the
-            # first of tied logits, and forward has rejected NaN
-            idx = None if test is None else test.source_indices
-            acc = None if idx is None else float(np.mean(np.argmax(
-                predict_logits(model, dataset.inputs, idx), axis=1) == dataset.labels[idx]))
+            acc = None if test is None else _accuracy(
+                predict_logits(model, dataset.inputs, test), dataset.labels[test])
             log.append(LogRow(
                 epoch=epoch, phase=phase,
                 task_loss=float(np.mean(task_vals)) if task_vals else None,
@@ -542,12 +542,9 @@ def _check_cache_alignment(dataset: Dataset, caches) -> None:
         raise FingerprintMismatch("cache was built from a different dataset")
 
 
-def _make_schedule(plan: TrainPlan, train: Rows | None = None,
-                   dataset: Dataset | None = None) -> BatchSchedule:
-    """The plan's batches of ``train``'s rows (by default every row of
-    ``dataset``)."""
-    rows = train.source_indices if train is not None else np.arange(dataset.n)
-    return BatchSchedule(rows, plan.batch_size, plan.seed)
+def _make_schedule(plan: TrainPlan, dataset: Dataset, train=None) -> BatchSchedule:
+    """The plan's batches of ``dataset``'s rows ``train`` (all when None, by ``_rows_in``)."""
+    return BatchSchedule(_rows_in(train, dataset.n), plan.batch_size, plan.seed)
 
 
 def train_teacher(dataset: Dataset, spec: NetworkSpec, plan: TrainPlan, *,
@@ -559,7 +556,7 @@ def train_teacher(dataset: Dataset, spec: NetworkSpec, plan: TrainPlan, *,
     if split is None:
         split = split_and_batch(dataset, test_fraction, plan.batch_size, plan.seed)
     model, _ = _fit_mode(init_params(spec, plan.seed), dataset,
-                         _make_schedule(plan, split.train), replace(plan, mode="naive"))
+                         _make_schedule(plan, dataset, split.train), replace(plan, mode="naive"))
     metrics = evaluate(model, dataset, split.test)
     return model, MetricsReport.single(plan.seed, metrics)
 
@@ -582,7 +579,7 @@ def phase1_feature_fit(student: Model, dataset: Dataset, experts: ExpertPriorSet
     model = student.copy()
     if not any(expert.mapping.entries for expert in experts.experts):
         return model, None
-    schedule = _make_schedule(plan, train, dataset) if schedule is None else schedule
+    schedule = _make_schedule(plan, dataset, train) if schedule is None else schedule
     final_kl = _fit_epochs(model, dataset, schedule, plan,
                            _prior_objective(experts.experts, plan.prior),
                            epochs=plan.phase1_epochs, lr=plan.lr_phase1,
@@ -604,7 +601,7 @@ def phase2_task_fit(student: Model, dataset: Dataset, plan: TrainPlan,
             raise LayerOutOfRange(f"frozen layer {lid!r} outside 0..{head}")
     if frozen.issuperset(range(len(student.spec.layers))):
         raise AllLayersFrozen("every parameter is frozen; nothing to train")
-    return _fit_mode(student, dataset, _make_schedule(plan, train, dataset),
+    return _fit_mode(student, dataset, _make_schedule(plan, dataset, train),
                      replace(plan, mode="naive"), start=plan.phase1_epochs,
                      frozen=frozen, test=test, log=log)[0]
 
@@ -615,7 +612,7 @@ def joint_fit(student: Model, dataset: Dataset, cache: FeatureCache,
     the plan's batches of every row of ``dataset``.  With alpha = 0 the
     prior term is skipped entirely, reproducing naive training bit for bit
     under the same schedule."""
-    return _fit_mode(student, dataset, _make_schedule(plan, dataset=dataset),
+    return _fit_mode(student, dataset, _make_schedule(plan, dataset),
                      replace(plan, mode="joint"), cache=cache, mapping=mapping)[0]
 
 
@@ -625,7 +622,7 @@ def combine_experts_fit(student: Model, dataset: Dataset, experts: ExpertPriorSe
     """Multiple teachers as independent priors, trained two_phase whatever
     the plan's mode: phase 1 minimizes sum_j alpha_j * KL_j, then phase 2
     trains the remaining layers."""
-    return _fit_mode(student, dataset, _make_schedule(plan, train, dataset),
+    return _fit_mode(student, dataset, _make_schedule(plan, dataset, train),
                      replace(plan, mode="two_phase"), experts=experts, test=test, log=log)[0]
 
 
@@ -651,7 +648,7 @@ def run_distillation(student_spec: NetworkSpec, dataset: Dataset,
     log: list[LogRow] = []
     model, final_kl = _fit_mode(
         init_params(student_spec, plan.seed), dataset,
-        _make_schedule(plan, train=split.train), plan, cache=cache, mapping=mapping,
+        _make_schedule(plan, dataset, split.train), plan, cache=cache, mapping=mapping,
         experts=experts, logits_group=logits_group, test=split.test, log=log)
     return RunResult(model=model, metrics=evaluate(model, dataset, split.test),
                      log=log, final_kl=final_kl)
@@ -796,7 +793,7 @@ def compare_methods(dataset: Dataset, teacher_spec: NetworkSpec,
     def fit(spec: NetworkSpec, plan: TrainPlan, modes, **kwargs):
         """Every (mode, seed) model, from its seed's init and schedule, as
         one fit: a block of seeds per mode; and the fit's phase-1 KL."""
-        schedules = [BatchSchedule(split.train.source_indices, plan.batch_size, seed)
+        schedules = [BatchSchedule(split.train, plan.batch_size, seed)
                      for split, seed in zip(splits, seeds)]
         model, final_kl = _fit_mode(
             stack_models([init_params(spec, seed) for seed in seeds] * len(modes)),

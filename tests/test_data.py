@@ -12,6 +12,7 @@ import pytest
 
 from featprior import data
 from featprior.data import (
+    BatchSchedule,
     Dataset,
     FeatureCache,
     Rows,
@@ -368,6 +369,23 @@ class TestRows:
         rows = Rows(i for i in (4, 1, 3))
         np.testing.assert_array_equal(rows.source_indices, [4, 1, 3])
         assert rows.n == 3
+
+    def test_a_rows_is_read_as_its_indices(self):
+        rows = Rows(Rows([4, 1]))
+        assert rows.source_indices.dtype == np.int64
+        np.testing.assert_array_equal(rows.source_indices, [4, 1])
+
+    def test_schedule_reads_its_indices_through_rows(self):
+        with pytest.raises(ConfigError) as excinfo:
+            BatchSchedule([0.5, 1.7, 2.2], 2, 0)  # a cast to int64 would batch rows 0-2
+        assert str(excinfo.value) == ("row indices must be a 1-D array of integers, "
+                                      "got [0.5, 1.7, 2.2]")
+        ds = synth_blobs(10, 2, 2, 1.0, seed=0)
+        parts = split_and_batch(ds, 0.25, 4, seed=2)
+        for given in (parts.train.source_indices.tolist(), Rows(parts.train)):
+            for a, b in zip(BatchSchedule(given, 4, 2).epoch_batches(3),
+                            parts.schedule.epoch_batches(3), strict=True):
+                np.testing.assert_array_equal(a, b)
 
     def test_empty_is_an_empty_int_array(self):
         assert Rows([]).source_indices.dtype == np.int64

@@ -1270,6 +1270,65 @@ class TestEvaluate:
         assert report.std_error("accuracy") == pytest.approx(0.05)
 
 
+class TestRowArguments:
+    """Every row argument is read through ``Rows``: a list scores and trains
+    as its ``Rows`` does, and a fit refuses the rows it would batch unless
+    they are non-empty and in range, before its first step."""
+
+    def test_predict_logits_and_evaluate_take_what_rows_takes(self):
+        ds = synth_blobs(10, 3, 2, 2.0, seed=35)
+        model = init_params(NetworkSpec.dense(2, [5], 3), seed=36)
+        idx = [4, 1, 29]
+        np.testing.assert_array_equal(predict_logits(model, ds.inputs, Rows(idx)),
+                                      predict_logits(model, ds.inputs, idx))
+        TestEvaluate.assert_metrics_equal(evaluate(model, ds, [0, 1, 2]),
+                                          evaluate(model, ds, Rows([0, 1, 2])))
+
+    def test_fit_takes_lists_as_their_rows(self, rings_setup):
+        ds, split, _, _ = rings_setup
+        student = init_params(NetworkSpec.dense(2, [8], 2), seed=12)
+        plan = TrainPlan(seed=12, batch_size=16, phase1_epochs=1, phase2_epochs=2)
+        logs, bits = [], []
+        for train_rows, test_rows in ((split.train, split.test),
+                                      (split.train.source_indices.tolist(),
+                                       split.test.source_indices.tolist())):
+            logs.append([])
+            bits.append(serialize_model(phase2_task_fit(
+                student, ds, plan, {0}, train=train_rows, test=test_rows, log=logs[-1])))
+        assert bits[0] == bits[1]
+        assert logs[0] == logs[1] and len(logs[0]) == 2
+
+    @pytest.fixture
+    def forward_calls(self, monkeypatch):
+        calls, original = [], train.forward
+        monkeypatch.setattr(train, "forward",
+                            lambda *args: calls.append(1) or original(*args))
+        return calls
+
+    @pytest.mark.parametrize("rows", [dict(train=Rows([-1, 0, 1, 2])), dict(train=[]),
+                                      dict(train=[0, 30]), dict(test=[5, 30])],
+                             ids=["negative", "empty", "past-the-end", "test"])
+    def test_fit_refuses_rows_outside_its_dataset(self, forward_calls, rows):
+        # numpy would read row -1 as row 29, counted from the end
+        ds = synth_blobs(10, 3, 2, 2.0, seed=35)
+        student = init_params(NetworkSpec.dense(2, [5], 3), seed=36)
+        with pytest.raises(ConfigError, match=r"^row indices must be non-empty and in "
+                                              r"\[0, 30\), got "):
+            phase2_task_fit(student, ds, TrainPlan(seed=1, batch_size=2), (),
+                            **{"train": np.arange(30), **rows}, log=[])
+        assert forward_calls == []
+
+    def test_teacher_refuses_a_split_of_another_dataset(self, forward_calls):
+        # the split's train rows run past the 30 rows of ds
+        ds = synth_blobs(10, 3, 2, 2.0, seed=35)
+        split = split_and_batch(synth_blobs(40, 3, 2, 2.0, seed=35), 0.25, 16, seed=1)
+        with pytest.raises(ConfigError, match=r"^row indices must be non-empty and in "
+                                              r"\[0, 30\), got "):
+            train_teacher(ds, NetworkSpec.dense(2, [5], 3), TrainPlan(seed=1, batch_size=16),
+                          split=split)
+        assert forward_calls == []
+
+
 class TestCompareMethods:
     def tiny_args(self, blobs):
         teacher_spec = NetworkSpec.dense(2, [8], 2)
