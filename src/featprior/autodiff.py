@@ -86,5 +86,5 @@ def backward(model, x, record, act_grads, logit_grad, frozen=()) -> list:
             np.matmul(inputs[layer].swapaxes(-1, -2), g, out=grads[2 * layer])
             g.sum(axis=-2, out=grads[2 * layer + 1])
         if layer > lowest:
-            g = g @ params[2 * layer].astype(np.float64).swapaxes(-1, -2)
+            g = g @ params[2 * layer].swapaxes(-1, -2)
     return grads

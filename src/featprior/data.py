@@ -283,7 +283,7 @@ def synth_rings(n_per_class: int, classes: int, noise: float,
 # -- splitting and batching --------------------------------------------------
 
 class BatchSchedule:
-    """Deterministic per-epoch batches of dataset rows, read through ``Rows``.
+    """Deterministic per-epoch batches of non-negative rows, read through ``Rows``.
 
     Each epoch reshuffles with a generator seeded by (seed, epoch), chops
     into ``batch_size`` pieces, and keeps the tail so every epoch is a
@@ -294,6 +294,7 @@ class BatchSchedule:
         _check_batch_size(batch_size)
         _check_seed(seed)
         self.indices = Rows(indices).source_indices
+        _require(not (self.indices < 0).any(), "row indices", "non-negative", indices)
         self.batch_size = int(batch_size)
         self.seed = int(seed)
 

@@ -186,12 +186,9 @@ def _as_features(phi, stacked: bool = False) -> np.ndarray:
 
 
 def _scaled_gram(x: np.ndarray, p: int, config: PriorConfig) -> np.ndarray:
-    """x x^T, divided by the feature width p under width normalization,
-    symmetrized."""
+    """x x^T, divided by the feature width p under width normalization."""
     base = x @ x.swapaxes(-1, -2)
-    if config.normalize_by_width:
-        base /= p
-    return 0.5 * (base + base.swapaxes(-1, -2))
+    return base / p if config.normalize_by_width else base
 
 
 def _sq_norm(a: np.ndarray):

@@ -10,10 +10,11 @@ near-singular Gram matrices lose too much precision in float32.
 ``cholesky``, ``log_det`` and ``solve_spd`` also take stacks of matrices
 and give each slice the bits of its single-matrix call.
 
-Inputs asymmetric within ``SYMMETRY_RTOL`` (float accumulation noise) are
-symmetrized as (A + A^T)/2 with a debug log line; larger asymmetry is an
-error.  There is no pivoting and no jitter here: a failed factorization is
-surfaced to the caller, which owns the jitter policy.
+``cholesky`` is the one place that handles symmetry.  Every internal Gram
+arrives as an exact product x x^T plus jitter and passes as it is; inputs
+asymmetric within ``SYMMETRY_RTOL`` (accumulation noise) are symmetrized as
+(A + A^T)/2 with a debug log line, and larger asymmetry is an error.  No
+pivoting or jitter here: failures go to the caller, which owns jitter policy.
 """
 
 from __future__ import annotations
@@ -83,8 +84,7 @@ def cholesky(a) -> CholeskyFactor:
     arr = _as_square(a, stacked=True)
     n = arr.shape[-1]
     diff = arr - arr.swapaxes(-1, -2)
-    # exactly symmetric input (every internal Gram) skips the tolerance
-    # test; a NaN or infinite entry leaves a NaN in diff and takes it
+    # a NaN or inf entry leaves NaN in diff, so it takes the tolerance test and fails
     if diff.any():
         scale = np.max(np.abs(arr), axis=(-2, -1))  # per matrix of a stack
         asym = np.max(np.abs(diff), axis=(-2, -1))

@@ -5,11 +5,11 @@ Every network is a chain of dense layers: one or more hidden layers, then
 the softmax-classifier head, the last layer, whose identity output is the
 logits.  A model file holds exactly those layers in that order.
 
-Parameters are stored in float32 (that is also the file format), in one
-flat vector per model that the optimizers update in one pass; all
-arithmetic runs in float64.  Per-layer activations are first-class outputs
-of ``forward`` (a ``ForwardRecord`` of float64 arrays) so priors can attach
-to any layer, and ``autodiff.backward`` reads them on the way back.
+Parameters are stored in float32 (also the file format), in one flat vector
+per model that the optimizers update in one pass; arithmetic runs in float64,
+as the matmul and add that read a parameter promote it.  Per-layer activations
+(``forward``'s ``ForwardRecord`` of float64 arrays) let priors attach to any
+layer, and ``autodiff.backward`` reads them on the way back.
 A stacked model (``stack_models``) has a leading seed axis on every
 parameter, ``Model.flat`` (S x P), optimizer state and batch; each seed
 gets the bits of its own 2-d model.
@@ -182,9 +182,10 @@ def init_params(spec: NetworkSpec, seed) -> Model:
 
 
 def _dense(h: np.ndarray, w: np.ndarray, b: np.ndarray, activation: str) -> np.ndarray:
-    """``activation(h @ w + b)`` in float64, built in one fresh buffer."""
-    t = h @ w.astype(np.float64)
-    t += b.astype(np.float64)[..., None, :]
+    """``activation(h @ w + b)`` in one fresh float64 buffer; the matmul and
+    the add promote the float32 ``w`` and ``b`` as they read them."""
+    t = h @ w
+    t += b[..., None, :]
     if activation == "relu":
         np.maximum(t, 0.0, out=t)
     elif activation == "tanh":

@@ -96,8 +96,8 @@ from .network import (
 
 MODES = ("two_phase", "joint", "naive", "hinton_baseline", "l2_baseline")
 
-# float64 teacher features gathered for one stacked kernel build: bounds
-# what a prior term holds at once, where whole epochs would grow the RSS
+# teacher features (as float64) for one stacked kernel build: bounds what a
+# prior term holds at once, where whole epochs would grow the RSS
 _TEACHER_CHUNK_BYTES = 512 * 1024
 
 _TOP_KS = (1, 2, 3)
@@ -426,7 +426,7 @@ def _teacher_kernels(group: np.ndarray, batches, config: PriorConfig):
                and batches[end].shape == batches[start].shape):
             end += 1
         idx = batches[start] if end - start == 1 else np.stack(batches[start:end])
-        kernels = feature_kernel(_rows(group, idx).astype(np.float64), config)
+        kernels = feature_kernel(_rows(group, idx), config)
         yield from [kernels] if end - start == 1 else [kernels[i] for i in range(end - start)]
         del kernels  # this run's arrays go before the next run is built
         start = end
@@ -513,7 +513,7 @@ def _objective(modes, config: PriorConfig, cache: FeatureCache | None = None,
                     loss[rows] += kl * config.alpha
                 elif mode in ("hinton_baseline", "l2_baseline"):
                     if teacher is None:
-                        teacher = _rows(cache.groups[logits_group], idx[rows]).astype(float)
+                        teacher = _rows(cache.groups[logits_group], idx[rows])
                     if mode == "hinton_baseline":
                         scale = config.alpha * config.temperature ** 2
                         kl, grad = _hinton_grad(record.logits[rows], teacher,

@@ -387,6 +387,15 @@ class TestRows:
                             parts.schedule.epoch_batches(3), strict=True):
                 np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("indices", [[-4, -3, -2, -1], np.array([3, -1]), Rows([0, -2])],
+                             ids=["list", "array", "rows"])
+    def test_schedule_refuses_negative_rows(self, indices):
+        # a schedule has no dataset to bound its rows by, but a negative one
+        # would be read by numpy counting from the end of any dataset
+        with pytest.raises(ConfigError, match=r"^row indices must be non-negative, got "):
+            BatchSchedule(indices, 2, 0)
+        assert BatchSchedule([], 2, 0).epoch_batches(0) == []
+
     def test_empty_is_an_empty_int_array(self):
         assert Rows([]).source_indices.dtype == np.int64
         assert Rows([]).n == 0

@@ -81,6 +81,45 @@ class TestGramKernel:
             eye[0, 1] = 1.0
 
 
+class TestExactGramSymmetry:
+    """Every Gram featprior forms is an exact product x x^T, which numpy's
+    matmul returns exactly symmetric, so ``linalg.cholesky``'s exact test is
+    the one symmetry guard; checked at the benchmark workloads' shapes, on
+    relu features stored in float32 as a teacher cache keeps them."""
+
+    CFG = PriorConfig(jitter=1e-4, normalize_by_width=True)
+
+    @staticmethod
+    def features(shape):
+        rng = np.random.default_rng(sum(shape))
+        return gp_prior._as_features(
+            np.maximum(rng.standard_normal(shape), 0.0).astype(np.float32), stacked=True)
+
+    @staticmethod
+    def assert_symmetric_bits(mat):
+        assert mat.tobytes() == np.ascontiguousarray(mat.swapaxes(-1, -2)).tobytes()
+
+    @pytest.mark.parametrize("shape", [(16, 16), (16, 64), (64, 256), (2, 16, 64), (4, 64, 256)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_gram_kernel(self, shape):
+        arr = self.features(shape)
+        build = gram_kernel if arr.ndim == 2 else gp_prior._gram_kernel
+        self.assert_symmetric_bits(build(arr, self.CFG).gram)
+
+    @pytest.mark.parametrize("shape", [(256, 64), (2, 256, 64)], ids=["256x64", "2x256x64"])
+    def test_basis_core(self, shape):
+        # the p x p core feature_kernel factors when the batch outnumbers p
+        _, r = np.linalg.qr(self.features(shape))
+        self.assert_symmetric_bits(gp_prior._scaled_gram(r, shape[-1], self.CFG))
+
+    @pytest.mark.parametrize("shape", [(256, 16), (184, 16), (2, 256, 16)],
+                             ids=["256x16", "184x16", "2x256x16"])
+    def test_student_width_matrix(self, shape):
+        # c Phi^T Phi, the p x p matrix of _student_half when p < n
+        cols = self.features(shape).swapaxes(-1, -2)
+        self.assert_symmetric_bits(gp_prior._scaled_gram(cols, shape[-1], self.CFG))
+
+
 class TestGpKl:
     def test_self_divergence_zero(self):
         rng = np.random.default_rng(0)

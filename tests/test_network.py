@@ -34,6 +34,7 @@ from featprior.network import (
     serialize_model,
     sgd_step,
     stack_models,
+    _from_parameters,
     unstack_model,
 )
 from oracles import adam_step_per_tensor, sgd_step_per_tensor
@@ -190,6 +191,32 @@ class TestForward:
             np.testing.assert_array_equal(got, want)
         assert not any(np.shares_memory(a, b) for i, a in enumerate(record.activations)
                        for b in record.activations[i + 1:] + [record.logits, x])
+
+
+class TestFloat32Promotion:
+    """``forward`` and ``backward`` read the float32 parameters through the
+    matmul and add that promote them: every output has the bits of the same
+    call on a copy whose parameters are float64 already."""
+
+    SPEC = NetworkSpec((LayerSpec(2, 16, "relu"), LayerSpec(16, 8, "tanh"),
+                        LayerSpec(8, 3, "identity")))
+
+    @pytest.mark.parametrize("seeds", [(4,), (4, 5)], ids=["lone", "stacked"])
+    def test_bits_equal_a_float64_copy(self, seeds):
+        models = [init_params(self.SPEC, seed) for seed in seeds]
+        model = models[0] if len(models) == 1 else stack_models(models)
+        wide = _from_parameters(self.SPEC, [p.astype(np.float64) for p in model.parameters()])
+        assert model.flat.dtype == np.float32 and wide.flat.dtype == np.float64
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((*model.flat.shape[:-1], 32, 2))
+        labels = rng.integers(0, 3, size=x.shape[:-1])
+        outputs = []
+        for m in (model, wide):
+            record = forward(m, x)
+            _, logit_grad = softmax_cross_entropy(record.logits, labels)
+            grads = backward(m, x, record, {0: np.cos(record.activations[0])}, logit_grad)
+            outputs.append([a.tobytes() for a in (*record.activations, record.logits, *grads)])
+        assert outputs[0] == outputs[1]
 
 
 class TestGradCheck:

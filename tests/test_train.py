@@ -4,6 +4,7 @@ and the multi-seed comparison."""
 
 from __future__ import annotations
 
+import logging
 import math
 import struct
 import tracemalloc
@@ -1318,6 +1319,21 @@ class TestRowArguments:
                             **{"train": np.arange(30), **rows}, log=[])
         assert forward_calls == []
 
+    def test_schedule_refuses_negative_rows(self, forward_calls):
+        # a schedule has no dataset, so only its sign can be checked; numpy
+        # would train these as rows 26-29 of the 30
+        ds = synth_blobs(10, 3, 2, 2.0, seed=35)
+        spec = NetworkSpec.dense(2, [5], 3)
+        experts = one_expert(extract_features(init_params(spec, seed=37), ds, [0]),
+                             LayerGroupMapping(entries=((0, 0),)))
+        forward_calls.clear()
+        with pytest.raises(ConfigError, match=r"^row indices must be non-negative, "
+                                              r"got \[-4, -3, -2, -1\]$"):
+            phase1_feature_fit(init_params(spec, seed=36), ds, experts,
+                               TrainPlan(seed=1, batch_size=4),
+                               schedule=BatchSchedule([-4, -3, -2, -1], 4, 0))
+        assert forward_calls == []
+
     def test_teacher_refuses_a_split_of_another_dataset(self, forward_calls):
         # the split's train rows run past the 30 rows of ds
         ds = synth_blobs(10, 3, 2, 2.0, seed=35)
@@ -1327,6 +1343,31 @@ class TestRowArguments:
             train_teacher(ds, NetworkSpec.dense(2, [5], 3), TrainPlan(seed=1, batch_size=16),
                           split=split)
         assert forward_calls == []
+
+
+class TestGramsArriveSymmetric:
+    """Every Gram a fit forms is exactly symmetric, so ``linalg.cholesky``
+    never takes its symmetrizing branch, at the reference config's shapes
+    (batch 16: n x n Grams) and at batch 256 (the teacher's basis core and
+    the student's p x p matrix)."""
+
+    @pytest.mark.parametrize("batch_size", [16, 256], ids=["reference", "batch256"])
+    def test_no_symmetrizing_record(self, caplog, batch_size):
+        ds = synth_rings(400, 3, noise=0.15, seed=100)
+        split = split_and_batch(ds, 0.5, batch_size, seed=1)
+        cache = extract_features(init_params(NetworkSpec.dense(2, [64, 64], 3), seed=2),
+                                 ds, [1])
+        plan = TrainPlan(seed=1, batch_size=batch_size, phase1_epochs=2, phase2_epochs=1,
+                         lr_phase1=0.01, prior=PriorConfig(jitter=1e-4, normalize_by_width=True,
+                                                           temperature=4.0))
+        with caplog.at_level(logging.DEBUG, logger="featprior.linalg"):
+            result = run_distillation(NetworkSpec.dense(2, [16], 3), ds, split, plan,
+                                      cache=cache, mapping=LayerGroupMapping(entries=((0, 1),)))
+            assert result.final_kl is not None
+            assert not [r for r in caplog.records if "symmetriz" in r.getMessage()]
+            # the capture is live: a matrix off by accumulation noise is logged
+            linalg.cholesky(np.array([[2.0, 1.0 + 1e-13], [1.0, 2.0]]))
+        assert [r for r in caplog.records if "symmetriz" in r.getMessage()]
 
 
 class TestCompareMethods:
