@@ -10,7 +10,9 @@ WORK.  The listing goes to stdout and the commands' own prints to
 stderr.  Two checkouts that list the same lines wrote the same bytes.  To
 check a change against its base, run this one script in both checkouts
 and diff the two listings; this script may use only names that both
-trees have.
+trees have.  Two runs in one checkout must list the same lines: CI diffs
+two runs at the head on every push and pull request, then, on a pull
+request, the base's listing against the head's.
 
 The commands:
 

@@ -30,6 +30,7 @@ from .errors import (
     ConfigError,
     CorruptFile,
     CountMismatch,
+    DimensionMismatch,
     FeatPriorError,
     LabelOutOfRange,
     NonNumericCell,
@@ -349,11 +350,12 @@ class SplitBatches:
 
 def split_and_batch(dataset: Dataset, test_fraction: float, batch_size: int,
                     seed: int) -> SplitBatches:
-    """Shuffled train/test partition of ``dataset``'s rows plus the train
-    batch schedule."""
+    """Shuffled train/test partition of ``dataset``'s rows, each half at
+    least one row, plus the train batch schedule."""
     _check_test_fraction(test_fraction)
     _check_seed(seed)
     n = dataset.n
+    _require(n >= 2, "dataset rows", "at least 2 to split", n)
     n_test = int(round(n * test_fraction))
     n_test = min(max(n_test, 1), n - 1)
     rng = np.random.default_rng(seed)
@@ -393,14 +395,23 @@ class FeatureCache:
 def _cache_chunks(cache: FeatureCache):
     """The ``.fpfc`` layout in file order: the file header, then per group
     its header and its little-endian float32 values (the group itself when
-    it is already C-contiguous ``<f4``, else a float32 copy of it)."""
-    yield b"".join([_CACHE_MAGIC, struct.pack("<I", _CACHE_VERSION),
-                    cache.dataset_fingerprint, cache.teacher_fingerprint,
-                    struct.pack("<I", len(cache.groups))])
-    for gid in sorted(cache.groups):
-        mat = cache.groups[gid]
-        yield struct.pack("<IQI", gid, mat.shape[0], mat.shape[1])
-        yield np.ascontiguousarray(mat, dtype="<f4")
+    it is already C-contiguous ``<f4``, else a float32 copy of it).  A group
+    that is not rows x width (a stacked cache's) raises ``DimensionMismatch``
+    here, before any chunk is made."""
+    for gid, mat in cache.groups.items():
+        if mat.ndim != 2:
+            raise DimensionMismatch(f"cache group {gid} has shape {mat.shape}; a .fpfc file "
+                                    "holds one teacher's rows x width groups (unstack_model)")
+
+    def chunks():
+        yield b"".join([_CACHE_MAGIC, struct.pack("<I", _CACHE_VERSION),
+                        cache.dataset_fingerprint, cache.teacher_fingerprint,
+                        struct.pack("<I", len(cache.groups))])
+        for gid in sorted(cache.groups):
+            mat = cache.groups[gid]
+            yield struct.pack("<IQI", gid, mat.shape[0], mat.shape[1])
+            yield np.ascontiguousarray(mat, dtype="<f4")
+    return chunks()
 
 
 def serialize_cache(cache: FeatureCache) -> bytes:
@@ -409,8 +420,9 @@ def serialize_cache(cache: FeatureCache) -> bytes:
 
 def write_cache(path, cache: FeatureCache) -> None:
     """Write the cache group by group, without a copy of its payload."""
+    chunks = _cache_chunks(cache)  # refuses a stacked cache before the file opens
     with open(path, "wb") as fh:
-        for chunk in _cache_chunks(cache):
+        for chunk in chunks:
             fh.write(chunk)
 
 

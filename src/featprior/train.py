@@ -260,9 +260,12 @@ def evaluate(model: Model, dataset: Dataset, rows: Rows | None = None) -> Metric
     Macro F1 averages per-class F1 uniformly, counting classes absent from
     both truth and predictions as 0.  Micro F1 is accuracy: with one label
     and one prediction a row, each miss is one false positive and one false
-    negative.  A model whose head width is not the dataset's class count
-    raises ``DimensionMismatch``.
+    negative.  A stacked model, or one whose head width is not the
+    dataset's class count, raises ``DimensionMismatch``.
     """
+    if model.flat.ndim > 1:
+        raise DimensionMismatch("evaluate scores one model; split a stacked model "
+                                "with unstack_model")
     c, classes = model.spec.output_head, dataset.class_count
     if c != classes:
         raise DimensionMismatch(f"model has {c} classes, dataset has {classes}")
@@ -287,11 +290,12 @@ def evaluate(model: Model, dataset: Dataset, rows: Rows | None = None) -> Metric
 
 def predict_logits(model: Model, inputs, idx=None) -> np.ndarray:
     """Logits of ``inputs``' rows ``idx`` (all when None, read by ``_rows_in``),
-    ``PREDICT_CHUNK`` at a time."""
+    ``PREDICT_CHUNK`` at a time, joined on the row axis (after a stacked
+    model's seed axis)."""
     inputs = np.asarray(inputs, dtype=np.float64)
     idx = _rows_in(idx, inputs.shape[0])
-    return np.vstack([forward(model, inputs[idx[i:i + PREDICT_CHUNK]]).logits
-                      for i in range(0, len(idx), PREDICT_CHUNK)])
+    return np.concatenate([forward(model, inputs[idx[i:i + PREDICT_CHUNK]]).logits
+                           for i in range(0, len(idx), PREDICT_CHUNK)], axis=-2)
 
 
 # -- run logs -----------------------------------------------------------------
@@ -366,7 +370,10 @@ def _fit_epochs(model: Model, dataset: Dataset, schedule: BatchSchedule,
     """Run ``epochs`` epochs in place, each stepping its batches through
     ``objective(batches)``; returns the final epoch's mean prior value (None
     for task-only objectives; one per seed for a stacked model).  ``backward``'s
-    None gradients leave ``frozen_layers`` and their optimizer state as is."""
+    None gradients leave ``frozen_layers`` and their optimizer state as is.
+    The schedule's rows and ``test`` are refused unless in ``dataset``
+    (``_rows_in``), before the first step."""
+    _rows_in(schedule.indices, dataset.n)
     test = None if test is None else _rows_in(test, dataset.n)
     step = (partial(adam_step, state=AdamState(), lr=lr) if plan.optimizer == "adam"
             else partial(sgd_step, state=SgdState(), lr=lr, momentum=plan.momentum))
@@ -757,6 +764,11 @@ class _StackedSchedule:
 
     schedules: list[BatchSchedule]
     blocks: int = 1
+
+    @property
+    def indices(self) -> np.ndarray:
+        """Every seed's rows, for ``_fit_epochs``' range check."""
+        return np.concatenate([s.indices for s in self.schedules])
 
     def epoch_batches(self, epoch: int) -> list[np.ndarray]:
         return [np.tile(np.stack(step), (self.blocks, 1)) for step in zip(

@@ -32,6 +32,7 @@ from featprior.errors import (
     ConfigError,
     CorruptFile,
     CountMismatch,
+    DimensionMismatch,
     FeatPriorError,
     FingerprintMismatch,
     LabelOutOfRange,
@@ -337,6 +338,14 @@ class TestSplitAndBatch:
         ds = synth_blobs(10, 2, 2, 1.0, seed=0)
         with pytest.raises(ConfigError):
             split_and_batch(ds, 1.5, 2, seed=0)
+
+    def test_one_row_is_refused(self):
+        # a lone row would leave the test half empty, refused only by the
+        # evaluate after training
+        ds = Dataset(inputs=[[0.5, 1.0]], labels=[0], class_count=2)
+        with pytest.raises(ConfigError, match=r"^dataset rows must be at least 2 to split, "
+                                              r"got 1$"):
+            split_and_batch(ds, 0.5, 2, seed=0)
 
     @pytest.mark.parametrize("n_per_class, fraction, seed",
                              [(5, 0.5, 0), (20, 0.3, 1), (33, 0.25, 7)])
@@ -650,6 +659,21 @@ class TestFeatureCache:
             groups={gid: rng.standard_normal((2048, 64)).astype(np.float32)
                     for gid in (0, 1)},
             dataset_fingerprint=bytes(32), teacher_fingerprint=bytes(32))
+
+    def test_stacked_cache_is_refused_unwritten(self, tmp_path):
+        # a stacked group's header would record 2 rows x 6 wide, and
+        # read_cache refuse the file for trailing bytes
+        cache = self.make_cache()
+        cache = FeatureCache(groups={gid: np.stack([m, m]) for gid, m in cache.groups.items()},
+                             dataset_fingerprint=cache.dataset_fingerprint,
+                             teacher_fingerprint=cache.teacher_fingerprint)
+        message = r"^cache group 0 has shape \(2, 6, 4\); "
+        with pytest.raises(DimensionMismatch, match=message):
+            serialize_cache(cache)
+        path = tmp_path / "c.fpfc"
+        with pytest.raises(DimensionMismatch, match=message):
+            write_cache(path, cache)
+        assert not path.exists()
 
     def test_write_cache_does_not_copy_the_payload(self, tmp_path):
         cache = self.large_cache()

@@ -1184,6 +1184,23 @@ class TestEvaluate:
         with pytest.raises(DimensionMismatch, match="3 classes, dataset has 2"):
             evaluate(model, self.onehot_dataset())
 
+    def test_stacked_model_is_refused(self):
+        # its (2, rows, classes) logits would not broadcast with the labels
+        ds = synth_rings(10, 3, 0.1, seed=0)
+        model = init_params(NetworkSpec.dense(2, [5], 3), seed=36)
+        with pytest.raises(DimensionMismatch, match="unstack_model"):
+            evaluate(stack_models([model, model]), ds)
+
+    def test_stacked_logits_are_each_seeds(self):
+        # 1,200 rows are a 1,024-row and a 176-row chunk, joined on the
+        # row axis after the seed axis
+        ds = synth_rings(400, 3, 0.1, seed=0)
+        models = [init_params(NetworkSpec.dense(2, [5], 3), seed=s) for s in (36, 37)]
+        logits = predict_logits(stack_models(models), ds.inputs)
+        assert logits.shape == (2, ds.n, 3)
+        for got, model in zip(logits, models):
+            np.testing.assert_array_equal(got, predict_logits(model, ds.inputs))
+
     def test_top_c_is_one(self):
         # two classes: top-2 and top-3 both take every class
         ds = self.onehot_dataset()
@@ -1332,6 +1349,29 @@ class TestRowArguments:
             phase1_feature_fit(init_params(spec, seed=36), ds, experts,
                                TrainPlan(seed=1, batch_size=4),
                                schedule=BatchSchedule([-4, -3, -2, -1], 4, 0))
+        assert forward_calls == []
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["lone", "stacked"])
+    def test_schedule_refuses_rows_past_the_dataset(self, forward_calls, stacked):
+        # numpy would raise a bare IndexError for row 40 at the first step;
+        # compare's stacked schedule goes through the same rule
+        ds = synth_rings(10, 3, 0.1, seed=0)  # 30 rows
+        spec = NetworkSpec.dense(2, [5], 3)
+        cache = extract_features(init_params(spec, seed=37), ds, [0])
+        student = init_params(spec, seed=36)
+        schedule = BatchSchedule([0, 1, 2, 40], 2, 0)
+        if stacked:
+            cache = FeatureCache(groups={0: np.stack([cache.groups[0]] * 2)},
+                                 dataset_fingerprint=cache.dataset_fingerprint,
+                                 teacher_fingerprint=cache.teacher_fingerprint)
+            student = stack_models([student, student])
+            schedule = train._StackedSchedule([BatchSchedule([3, 4, 5, 6], 2, 0), schedule])
+        forward_calls.clear()
+        with pytest.raises(ConfigError, match=r"^row indices must be non-empty and in "
+                                              r"\[0, 30\), got "):
+            phase1_feature_fit(student, ds,
+                               one_expert(cache, LayerGroupMapping(entries=((0, 0),))),
+                               TrainPlan(seed=1, batch_size=2), schedule=schedule)
         assert forward_calls == []
 
     def test_teacher_refuses_a_split_of_another_dataset(self, forward_calls):
