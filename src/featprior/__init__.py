@@ -29,7 +29,6 @@ from .data import (
 from .gp_prior import (
     KernelMatrix,
     PriorConfig,
-    TeacherKernel,
     feature_kernel,
     feature_kl_and_grad,
     gp_kl,

@@ -17,16 +17,16 @@ The gradient of the KL with respect to the student features is analytic,
 c (K2^{-1} - K1^{-1}) Phi with c the width normalization, which avoids
 differentiating through the Cholesky factorization.
 
-Kernels are factored by LAPACK, and each factor carries L^{-1}
-(``linalg.CholeskyFactor``).  Against an n x n teacher kernel K2 every KL
-value and gradient is built on the single product A = L2^{-1} Phi.  With
-K1 = c Phi Phi^T + j1 I the trace term needs no solve against K1:
+Kernels are factored by LAPACK, and each ``KernelMatrix`` keeps L^{-1}.
+Against an n x n teacher kernel K2 every KL value and gradient is built on
+the single product A = L2^{-1} Phi.  With K1 = c Phi Phi^T + j1 I the trace
+term needs no solve against K1:
 
     tr(K2^{-1} K1) = c ||A||_F^2 + j1 ||L2^{-1}||_F^2
 
 and the gradient reuses A as K2^{-1} Phi = L2^{-T} A.
 
-The teacher side is ``feature_kernel``'s ``TeacherKernel``.  When the batch
+The teacher side is ``feature_kernel``'s KernelMatrix.  When the batch
 outnumbers the teacher's p2 features, the thin QR Phi2 = Q R holds
 everything about K2 = c2 Phi2 Phi2^T + j I in the p2 x p2 core
 B = c2 R R^T + j I, which is ``gram_kernel(R)`` because R is p2 wide:
@@ -65,12 +65,12 @@ layer shares it.
 
 ``feature_kernel`` and ``feature_kl_and_grad`` also take a stack of
 batches (... x n x p, with any leading axes: seeds, steps or both) and give
-each slice the bits of its own call; jitter escalates per slice.  The
-``TeacherKernel`` keeps only what the KL reads: L2^{-1} (Q and L_B^{-1} in
-the feature basis), the jitter, and log|K2| and ||L2^{-1}||_F^2
-(||L_B^{-1}||_F^2), the parts no student changes, so that a stack of
-batches forms them in one pass.  It drops the Gram and L.  The n x n
-KernelMatrix that the public KL functions also take becomes one there.
+each slice the bits of its own call; jitter escalates per slice.  A
+``feature_kernel`` keeps only what the KL reads: L2^{-1} (Q and L_B^{-1} in
+the feature basis), the jitter, and log|K2|, the part no student changes,
+which a stack of batches forms in one pass; ||L2^{-1}||_F^2
+(||L_B^{-1}||_F^2) is formed per slice when the KL first reads it.  It
+drops the Gram and L.
 
 The baseline kept for comparison is temperature-softened soft-target
 matching on logits, which requires equal logit counts, the restriction the
@@ -136,43 +136,37 @@ class PriorConfig:
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Jittered SPD Gram matrix with its cached Cholesky factor."""
-
-    gram: np.ndarray
-    jitter: float | np.ndarray  # one per slice of a stack
-    factor: linalg.CholeskyFactor
-
-    @property
-    def size(self) -> int:
-        return self.factor.size
-
-
-@dataclass(frozen=True)
-class TeacherKernel:
-    """The teacher side of a KL, as ``feature_kernel`` returns it, one per
-    slice of a stack: L^{-1}, the jitter, and the parts no student changes,
-    log|K| and ||L^{-1}||_F^2.  In the feature basis (p < n) ``basis`` is Q
-    and ``inverse`` the core's L_B^{-1}.  The Gram and L are not kept; ``of``
-    takes them from an n x n KernelMatrix."""
+    """A jittered SPD Gram K, factored, one per slice of a stack: L^{-1},
+    the jitter, log|K| and ||L^{-1}||_F^2.  ``gram`` is K, kept by
+    ``gram_kernel`` and ``kernel_from_gram`` and None from
+    ``feature_kernel``; no kernel keeps L.  In the feature basis (p < n)
+    ``basis`` is Q and ``inverse`` the core's L_B^{-1}."""
 
     inverse: np.ndarray
     jitter: float | np.ndarray
     log_det: float | np.ndarray
-    inv_sq_norm: float | np.ndarray
+    gram: np.ndarray | None = None
     basis: np.ndarray | None = None
 
     @staticmethod
-    def of(k: KernelMatrix) -> "TeacherKernel":
-        f = k.factor
-        return TeacherKernel(f.inverse, k.jitter, linalg.log_det(f), _sq_norm(f.inverse))
+    def of(gram: np.ndarray, jitter, factor: linalg.CholeskyFactor) -> "KernelMatrix":
+        """The kernel of ``_factor_jittered``'s (Gram, jitter, factor)."""
+        return KernelMatrix(factor.inverse, jitter, linalg.log_det(factor), gram)
+
+    @functools.cached_property
+    def inv_sq_norm(self):
+        """||L^{-1}||_F^2, formed on first read: only a teacher's trace term
+        reads it, and a student's kernel is formed every step."""
+        return _sq_norm(self.inverse)
 
     @property
     def size(self) -> int:
         return self.inverse.shape[-1] if self.basis is None else self.basis.shape[-2]
 
-    def __getitem__(self, i) -> "TeacherKernel":
-        """Slice i of a stack, as views."""
-        return TeacherKernel(*(None if v is None else v[i] for v in vars(self).values()))
+    def __getitem__(self, i) -> "KernelMatrix":
+        """Slice i of a stack, as views; a formed inv_sq_norm is not kept."""
+        return KernelMatrix(*(None if v is None else v[i] for v in
+                              (self.inverse, self.jitter, self.log_det, self.gram, self.basis)))
 
 
 def _as_features(phi, stacked: bool = False) -> np.ndarray:
@@ -255,9 +249,8 @@ def _gram_kernel(arr: np.ndarray, config: PriorConfig) -> KernelMatrix:
     """gram_kernel of a checked batch or stack.  Stacks come here, not
     through gram_kernel, whose jitter stays a float."""
     n, p = arr.shape[-2:]
-    gram, jitter, factor = _factor_jittered(_scaled_gram(arr, p, config),
-                                            config.jitter, f"Gram of batch {n}")
-    return KernelMatrix(gram=gram, jitter=jitter, factor=factor)
+    return KernelMatrix.of(*_factor_jittered(_scaled_gram(arr, p, config),
+                                             config.jitter, f"Gram of batch {n}"))
 
 
 def _rank_deficient(n: int, p: int) -> FactorizationFailed:
@@ -266,50 +259,53 @@ def _rank_deficient(n: int, p: int) -> FactorizationFailed:
     )
 
 
-def feature_kernel(phi, config: PriorConfig) -> TeacherKernel:
-    """The TeacherKernel of a feature batch's jittered Gram, in the form the
-    KL against it is cheapest in: when p < n, with Q as its basis, that of
-    the core ``gram_kernel(R, config)`` for the thin QR Phi = Q R (R is p
-    wide, so width normalization and escalation act as on any Gram; zero
-    jitter raises FactorizationFailed) and log|K| = log|B| + (n - p) log j,
-    else ``TeacherKernel.of(gram_kernel(phi, config))``.
+def feature_kernel(phi, config: PriorConfig) -> KernelMatrix:
+    """The KernelMatrix of a feature batch's jittered Gram, without the
+    Gram, in the form the KL against it is cheapest in: when p < n, with Q
+    as its basis, that of the core ``gram_kernel(R, config)`` for the thin
+    QR Phi = Q R (R is p wide, so width normalization and escalation act as
+    on any Gram; zero jitter raises FactorizationFailed) and log|K| =
+    log|B| + (n - p) log j, else ``gram_kernel(phi, config)``'s.
     """
     arr = _as_features(phi, stacked=True)
     n, p = arr.shape[-2:]
     kernel = gram_kernel if arr.ndim == 2 else _gram_kernel
     if p >= n:
-        return TeacherKernel.of(kernel(arr, config))
+        return replace(kernel(arr, config), gram=None)
     if config.jitter == 0.0:
         raise _rank_deficient(n, p)
     q, r = np.linalg.qr(arr)
-    core = TeacherKernel.of(kernel(r, config))
-    return replace(core, log_det=core.log_det + (n - p) * _log(core.jitter), basis=q)
+    core = kernel(r, config)
+    return replace(core, gram=None, basis=q,
+                   log_det=core.log_det + (n - p) * _log(core.jitter))
 
 
 def kernel_from_gram(gram) -> KernelMatrix:
     """Wrap an already-formed SPD matrix as a KernelMatrix at jitter 0; no
     jitter is added and factorization errors surface as-is."""
     arr = np.asarray(gram, dtype=np.float64)
-    return KernelMatrix(gram=arr, jitter=0.0, factor=linalg.cholesky(arr))
+    return KernelMatrix.of(arr, 0.0, linalg.cholesky(arr))
 
 
 def gp_kl(k1: KernelMatrix, k2: KernelMatrix) -> float:
-    """KL divergence between the zero-mean Gaussians N(0, k1) and N(0, k2).
+    """KL divergence between the zero-mean Gaussians N(0, k1) and N(0, k2),
+    for n x n kernels from ``gram_kernel`` or ``kernel_from_gram``; one
+    without its Gram or with a basis (``feature_kernel``'s) raises
+    DimensionMismatch.  The log-determinants are the kernels' own, and
+    ``linalg.trace_solve`` reads only k2's ``inverse`` and ``size``.
 
     The mean term of the general formula is identically zero here and is
     kept only in the test oracle.
     """
+    if any(k.gram is None or k.basis is not None for k in (k1, k2)):
+        raise DimensionMismatch("gp_kl takes n x n kernels with their Gram "
+                                "(gram_kernel, kernel_from_gram), not feature_kernel's")
     if k1.size != k2.size:
         raise DimensionMismatch(
             f"kernel sizes differ: {k1.size} vs {k2.size}"
         )
     n = k1.size
-    return 0.5 * (
-        linalg.trace_solve(k2.factor, k1.gram)
-        - n
-        + linalg.log_det(k2.factor)
-        - linalg.log_det(k1.factor)
-    )
+    return 0.5 * (linalg.trace_solve(k2, k1.gram) - n + k2.log_det - k1.log_det)
 
 
 @dataclass(frozen=True)
@@ -325,9 +321,9 @@ class StudentHalf:
 
     @staticmethod
     def of_kernel(arr: np.ndarray, k_s: KernelMatrix, c: float) -> "StudentHalf":
-        inv_s = k_s.factor.inverse
-        return StudentHalf(arr, c, k_s.jitter, linalg.log_det(k_s.factor),
-                           inv_s.swapaxes(-1, -2) @ (inv_s @ arr))
+        """The half of an n x n kernel: its own log|K_s|, and K_s^{-1} Phi
+        by ``linalg.solve_spd``, which reads only ``inverse`` and ``size``."""
+        return StudentHalf(arr, c, k_s.jitter, k_s.log_det, linalg.solve_spd(k_s, arr))
 
 
 def _student_half(arr: np.ndarray, config: PriorConfig) -> StudentHalf:
@@ -349,7 +345,7 @@ def _student_half(arr: np.ndarray, config: PriorConfig) -> StudentHalf:
                        linalg.solve_spd(f, cols).swapaxes(-1, -2))
 
 
-def _teacher_half(s: StudentHalf, t: TeacherKernel) -> tuple[float, np.ndarray]:
+def _teacher_half(s: StudentHalf, t: KernelMatrix) -> tuple[float, np.ndarray]:
     """KL value and gradient c (K_t^{-1} - K_s^{-1}) Phi of one term, by the
     formulas in the module docstring: from A = L_t^{-1} Phi against an
     n x n kernel, from G = Q^T Phi, E = Phi - Q G and A = L_B^{-1} G
@@ -378,32 +374,33 @@ def gp_kl_and_grad(phi_s, k_s: KernelMatrix, k_t: KernelMatrix,
     """gp_kl(k_s, k_t) and its gradient d/d Phi_s, for k_s =
     gram_kernel(phi_s, config), from one product A = L_t^{-1} Phi_s: the
     gradient is c (L_t^{-T} A - L_s^{-T} L_s^{-1} Phi_s), c = 1/p under
-    width normalization (else 1)."""
+    width normalization (else 1).  A k_s in a feature basis raises
+    DimensionMismatch."""
     arr = _as_features(phi_s, stacked=True)
     n, p = arr.shape[-2:]
     if k_s.size != n or k_t.size != n:
         raise DimensionMismatch(
             f"kernels of size {k_s.size}/{k_t.size} do not match batch {n}"
         )
+    if k_s.basis is not None:
+        raise DimensionMismatch("gp_kl_and_grad takes an n x n student kernel (gram_kernel), "
+                                "not one in a feature basis")
     c = 1.0 / p if config.normalize_by_width else 1.0
-    return _teacher_half(StudentHalf.of_kernel(arr, k_s, c), TeacherKernel.of(k_t))
+    return _teacher_half(StudentHalf.of_kernel(arr, k_s, c), k_t)
 
 
-def feature_kl_and_grad(phi_s, k_t: TeacherKernel | KernelMatrix,
+def feature_kl_and_grad(phi_s, k_t: KernelMatrix,
                         config: PriorConfig) -> tuple[float, np.ndarray]:
     """gp_kl(gram_kernel(phi_s, config), k_t) and its gradient d/d Phi_s,
-    for a teacher kernel from ``feature_kernel`` or any n x n KernelMatrix
-    (converted by ``TeacherKernel.of``): the teacher half of the student's
-    half (``_student_half``).  When p >= n this is exactly
-    ``gp_kl_and_grad(phi_s, gram_kernel(phi_s, config), k_t, config)``."""
+    for a teacher kernel from ``feature_kernel`` or any n x n KernelMatrix:
+    the teacher half of the student's half (``_student_half``).  When p >= n
+    this is exactly ``gp_kl_and_grad(phi_s, gram_kernel(phi_s, config), k_t, config)``."""
     arr = _as_features(phi_s, stacked=True)
     n = arr.shape[-2]
     if k_t.size != n:
         raise DimensionMismatch(
             f"teacher kernel of size {k_t.size} does not match batch {n}"
         )
-    if isinstance(k_t, KernelMatrix):
-        k_t = TeacherKernel.of(k_t)
     return _teacher_half(_student_half(arr, config), k_t)
 
 

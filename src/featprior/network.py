@@ -11,8 +11,7 @@ as the matmul and add that read a parameter promote it.  Per-layer activations
 (``forward``'s ``ForwardRecord`` of float64 arrays) let priors attach to any
 layer, and ``autodiff.backward`` reads them on the way back.
 A stacked model (``stack_models``) has a leading seed axis on every
-parameter, ``Model.flat`` (S x P), optimizer state and batch; each seed
-gets the bits of its own 2-d model.
+parameter, optimizer state and batch; ``Model`` says which functions take one.
 ``sgd_step`` and ``adam_step`` take their step size (and SGD its momentum)
 from the caller's ``TrainPlan``; Adam's β1, β2 and ε are the constants
 ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
@@ -104,7 +103,17 @@ class Model:
     ``flat[..., offsets[i]:offsets[i + 1]]``.  The constructor copies the
     given arrays into it in their common dtype (float64 for
     ``grad_check``'s probe).  Write into the views in place; rebinding one
-    detaches it."""
+    detaches it.
+
+    A stacked model (``stack_models``: S models, ``flat`` S x P) is taken by
+    ``forward``, ``autodiff.backward``, ``sgd_step``, ``adam_step``,
+    ``train.predict_logits``, ``train.extract_features`` and
+    ``train.phase1_feature_fit`` given a schedule of (S, rows) batches, seed
+    slice s getting the bits of its call on model s alone;
+    ``model_fingerprint`` hashes the slices' serializations in seed order.
+    ``serialize_model``, ``grad_check``, ``train.evaluate`` and every other
+    fit refuse it with ``DimensionMismatch`` before any parameter moves or
+    any byte is written (``unstack_model`` splits it)."""
 
     spec: NetworkSpec
     weights: list[np.ndarray]
@@ -153,6 +162,12 @@ def unstack_model(model: Model) -> list[Model]:
     """Copies of a stacked model's seed slices."""
     return [_from_parameters(model.spec, [p[s] for p in model.parameters()])
             for s in range(model.flat.shape[0])]
+
+
+def _refuse_stack(model: Model, what: str) -> None:
+    """``Model``'s refusal of a stack, ``what`` naming the caller's one model."""
+    if model.flat.ndim > 1:
+        raise DimensionMismatch(f"{what}; split a stacked model with unstack_model")
 
 
 @dataclass
@@ -322,8 +337,9 @@ def grad_check(model: Model, loss_fn, *, max_coords: int | None = None,
     ``loss_fn(model)`` returns ``(loss, grads)`` with grads in
     ``parameters()`` order (``autodiff.backward`` gives them; None counts
     as a zero gradient); finite differences re-evaluate its loss on a
-    float64 copy of the model.
+    float64 copy of the model.  A stacked model raises ``DimensionMismatch``.
     """
+    _refuse_stack(model, "grad_check probes one model")
     _, grads = loss_fn(model)
     analytic_flat = np.concatenate(
         [np.zeros(p.size) if g is None else np.ravel(g)
@@ -356,7 +372,9 @@ def grad_check(model: Model, loss_fn, *, max_coords: int | None = None,
 
 def serialize_model(model: Model) -> bytes:
     """Little-endian binary layout; the classifier head is the last layer
-    and always carries the identity tag."""
+    and always carries the identity tag.  A stacked model raises
+    ``DimensionMismatch``: a file holds one model."""
+    _refuse_stack(model, "serialize_model writes one model")
     chunks = [_MODEL_MAGIC, struct.pack("<II", _MODEL_VERSION, len(model.weights))]
     for w, b, layer in zip(model.weights, model.biases, model.spec.layers):
         chunks.append(struct.pack("<IIB", w.shape[0], w.shape[1],
@@ -407,5 +425,7 @@ def deserialize_model(data: bytes) -> Model:
 
 
 def model_fingerprint(model: Model) -> bytes:
-    """32-byte content hash of the serialized parameters."""
-    return hashlib.sha256(serialize_model(model)).digest()
+    """32-byte content hash of the serialized parameters; a stacked model's
+    hashes its slices' serializations in seed order."""
+    models = unstack_model(model) if model.flat.ndim > 1 else [model]
+    return hashlib.sha256(b"".join(map(serialize_model, models))).digest()

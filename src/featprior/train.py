@@ -19,7 +19,7 @@ Conventions shared by every routine here:
   stacked calls over consecutive batches (``_teacher_kernels``), jitter
   still escalating per batch, and each step takes its slice.  One run of
   a group's kernels is alive at a time, dropped before the next is built,
-  and each holds L^{-1} (``TeacherKernel``), not the Gram or L.
+  and each (a ``KernelMatrix``) holds L^{-1}, not the Gram or L.
 * A step is ``forward``, a step loss returning (loss, task value, prior
   value, {hidden layer: dL/dh}, dL/dlogits), then ``autodiff.backward``
   given the fit's frozen layers.  Term gradients are summed in one fixed
@@ -85,6 +85,7 @@ from .network import (
     Model,
     NetworkSpec,
     SgdState,
+    _refuse_stack,
     adam_step,
     forward,
     init_params,
@@ -247,10 +248,12 @@ class MetricsReport:
         return float(np.std(vals, ddof=1) / math.sqrt(vals.size))
 
 
-def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
+def _accuracy(logits: np.ndarray, labels: np.ndarray):
     """Share of rows whose first largest logit is their label (forward has
-    refused NaN): ``evaluate``'s accuracy and each logged epoch's."""
-    return float(np.mean(np.argmax(logits, axis=1) == labels))
+    refused NaN), one per seed of a stacked model's logits: ``evaluate``'s
+    accuracy and each logged epoch's."""
+    hits = np.argmax(logits, axis=-1) == labels
+    return np.mean(hits, axis=-1) if hits.ndim > 1 else float(np.mean(hits))
 
 
 def evaluate(model: Model, dataset: Dataset, rows: Rows | None = None) -> Metrics:
@@ -263,9 +266,7 @@ def evaluate(model: Model, dataset: Dataset, rows: Rows | None = None) -> Metric
     negative.  A stacked model, or one whose head width is not the
     dataset's class count, raises ``DimensionMismatch``.
     """
-    if model.flat.ndim > 1:
-        raise DimensionMismatch("evaluate scores one model; split a stacked model "
-                                "with unstack_model")
+    _refuse_stack(model, "evaluate scores one model")
     c, classes = model.spec.output_head, dataset.class_count
     if c != classes:
         raise DimensionMismatch(f"model has {c} classes, dataset has {classes}")
@@ -372,8 +373,11 @@ def _fit_epochs(model: Model, dataset: Dataset, schedule: BatchSchedule,
     for task-only objectives; one per seed for a stacked model).  ``backward``'s
     None gradients leave ``frozen_layers`` and their optimizer state as is.
     The schedule's rows and ``test`` are refused unless in ``dataset``
-    (``_rows_in``), before the first step."""
+    (``_rows_in``), and batches without the model's seed axis (S, rows for a
+    stack of S) with ``DimensionMismatch``, before the first step.  A log row
+    holds one task loss, KL and test accuracy per seed of a stacked model."""
     _rows_in(schedule.indices, dataset.n)
+    lead = model.flat.shape[:-1]
     test = None if test is None else _rows_in(test, dataset.n)
     step = (partial(adam_step, state=AdamState(), lr=lr) if plan.optimizer == "adam"
             else partial(sgd_step, state=SgdState(), lr=lr, momentum=plan.momentum))
@@ -382,6 +386,9 @@ def _fit_epochs(model: Model, dataset: Dataset, schedule: BatchSchedule,
         epoch = epoch_offset + local_epoch
         task_vals, kl_vals = [], []
         batches = schedule.epoch_batches(epoch)
+        if batches and batches[0].shape[:-1] != lead:
+            raise DimensionMismatch(f"batch of shape {batches[0].shape} for a model of seed "
+                                    f"axis {lead}: a stack of S models takes (S, rows) batches")
         step_loss = objective(batches)
         for idx in batches:
             x = dataset.inputs[idx]
@@ -396,8 +403,8 @@ def _fit_epochs(model: Model, dataset: Dataset, schedule: BatchSchedule,
             if kl_val is not None:
                 kl_vals.append(kl_val)
         # per seed: a contiguous row of each seed's values, as np.mean reduces one
-        epoch_kl = (np.mean(np.ascontiguousarray(np.transpose(kl_vals)), axis=-1)
-                    if kl_vals else None)
+        task_loss, epoch_kl = (np.mean(np.ascontiguousarray(np.transpose(vals)), axis=-1)
+                               if vals else None for vals in (task_vals, kl_vals))
         if kl_vals:
             final_kl = epoch_kl
         if log is not None:
@@ -405,8 +412,7 @@ def _fit_epochs(model: Model, dataset: Dataset, schedule: BatchSchedule,
                 predict_logits(model, dataset.inputs, test), dataset.labels[test])
             log.append(LogRow(
                 epoch=epoch, phase=phase,
-                task_loss=float(np.mean(task_vals)) if task_vals else None,
-                kl_loss=epoch_kl, test_accuracy=acc,
+                task_loss=task_loss, kl_loss=epoch_kl, test_accuracy=acc,
             ))
     return final_kl
 
@@ -420,7 +426,7 @@ def _rows(group: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _teacher_kernels(group: np.ndarray, batches, config: PriorConfig):
-    """Each batch's ``TeacherKernel`` of cache group rows, in order.  Runs of
+    """Each batch's ``feature_kernel`` of cache group rows, in order.  Runs of
     consecutive batches of one shape are gathered with one fancy index and
     built in one stacked call, at most ``_TEACHER_CHUNK_BYTES`` of features
     a run; a run of one batch takes the plain call.  Each slice has the

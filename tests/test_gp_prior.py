@@ -19,7 +19,6 @@ from featprior.errors import (
 from featprior import gp_prior, linalg
 from featprior.gp_prior import (
     PriorConfig,
-    TeacherKernel,
     feature_kernel,
     feature_kl_and_grad,
     gp_kl,
@@ -172,8 +171,38 @@ class TestGpKl:
         with pytest.raises(DimensionMismatch):
             gp_kl(kernel_from_gram(np.eye(2)), kernel_from_gram(np.eye(3)))
 
+    def test_kernel_keeps_its_factors_parts(self):
+        # what the KL reads, from the kernel's one factorization
+        k = random_kernel(np.random.default_rng(12), 5)
+        f = linalg.cholesky(k.gram)
+        np.testing.assert_array_equal(k.inverse, f.inverse)
+        assert k.log_det == linalg.log_det(f)
+        assert k.inv_sq_norm == float(np.vdot(f.inverse, f.inverse))
+        assert k.basis is None and k.size == 5
+
+    @pytest.mark.parametrize("p", [8, 3], ids=["dense", "basis"])
+    def test_refuses_a_feature_kernel(self, p):
+        # feature_kernel keeps no Gram, and for p < n works in Q's basis
+        rng = np.random.default_rng(13)
+        cfg = PriorConfig()
+        k = gram_kernel(rng.standard_normal((6, 8)), cfg)
+        k_t = feature_kernel(rng.standard_normal((6, p)), cfg)
+        assert k.gram is not None and k_t.gram is None
+        for pair in ((k, k_t), (k_t, k)):
+            with pytest.raises(DimensionMismatch, match="not feature_kernel's"):
+                gp_kl(*pair)
+
 
 class TestGpKlGrad:
+    def test_refuses_a_student_kernel_in_a_feature_basis(self):
+        # a basis kernel's inverse is p x p, so K_s^{-1} Phi cannot be formed from it
+        rng = np.random.default_rng(14)
+        cfg = PriorConfig()
+        phi_s = rng.standard_normal((6, 3))
+        k_t = gram_kernel(rng.standard_normal((6, 8)), cfg)
+        with pytest.raises(DimensionMismatch, match="feature basis"):
+            gp_kl_and_grad(phi_s, feature_kernel(phi_s, cfg), k_t, cfg)
+
     def test_stationary_at_teacher(self):
         rng = np.random.default_rng(4)
         phi = rng.standard_normal((4, 3))
@@ -458,7 +487,7 @@ class TestFeatureKernel:
         cfg = PriorConfig()
         phi_t = np.random.default_rng(85).standard_normal((n, p))
         k_t = feature_kernel(phi_t, cfg)
-        ref = TeacherKernel.of(gram_kernel(phi_t, cfg))
+        ref = gram_kernel(phi_t, cfg)
         assert k_t.basis is ref.basis is None
         assert k_t.jitter == ref.jitter
         assert k_t.log_det == ref.log_det
@@ -476,12 +505,12 @@ class TestFeatureKernel:
         q, r = np.linalg.qr(phi_t)
         core = gram_kernel(r, cfg)
         assert k_t.jitter == core.jitter == cfg.jitter
-        assert k_t.log_det == (linalg.log_det(core.factor)
+        assert k_t.log_det == (core.log_det
                                + (n - p) * math.log(core.jitter))
-        assert k_t.inv_sq_norm == float(np.vdot(core.factor.inverse, core.factor.inverse))
+        assert k_t.inv_sq_norm == float(np.vdot(core.inverse, core.inverse))
         assert k_t.size == n
         np.testing.assert_array_equal(k_t.basis, q)
-        np.testing.assert_array_equal(k_t.inverse, core.factor.inverse)
+        np.testing.assert_array_equal(k_t.inverse, core.inverse)
 
     def test_zero_jitter_narrow_teacher_fails(self):
         phi_t = np.random.default_rng(86).standard_normal((8, 3))
@@ -625,7 +654,7 @@ class TestStudentHalf:
     """One student half serves every KL term on its layer: each teacher
     half of it has the bits of that term's own feature_kl_and_grad call,
     for either student branch, a batch or a 2 x 3 stack, and a dense or a
-    basis TeacherKernel."""
+    basis KernelMatrix."""
 
     @pytest.mark.parametrize("stack", [(), (2, 3)], ids=["single", "stacked"])
     @pytest.mark.parametrize("p", [5, 12], ids=["narrow", "wide"])
@@ -652,8 +681,8 @@ class TestStudentHalf:
         half = gp_prior._student_half(phi_s, cfg)
         k_s = gram_kernel(phi_s, cfg)
         assert half.jitter == k_s.jitter
-        assert half.log_det == linalg.log_det(k_s.factor)
-        value, grad = gp_prior._teacher_half(half, TeacherKernel.of(k_t))
+        assert half.log_det == k_s.log_det
+        value, grad = gp_prior._teacher_half(half, k_t)
         ref_value, ref_grad = gp_kl_and_grad(phi_s, k_s, k_t, cfg)
         assert value == ref_value
         np.testing.assert_array_equal(grad, ref_grad)

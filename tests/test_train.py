@@ -4,6 +4,7 @@ and the multi-seed comparison."""
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 import struct
@@ -15,6 +16,7 @@ import pytest
 from dataclasses import fields, replace
 
 from featprior import gp_prior, linalg, train
+from featprior.autodiff import backward, softmax_cross_entropy
 from featprior.data import (
     BatchSchedule,
     Dataset,
@@ -38,12 +40,18 @@ from featprior.errors import (
 )
 from featprior.gp_prior import PriorConfig, gp_kl, gram_kernel
 from featprior.network import (
+    AdamState,
     LayerSpec,
     Model,
     NetworkSpec,
+    SgdState,
+    adam_step,
     forward,
+    grad_check,
     init_params,
+    model_fingerprint,
     serialize_model,
+    sgd_step,
     stack_models,
     unstack_model,
 )
@@ -59,6 +67,7 @@ from featprior.train import (
     compare_methods,
     evaluate,
     extract_features,
+    joint_fit,
     phase1_feature_fit,
     phase2_task_fit,
     predict_logits,
@@ -440,7 +449,7 @@ class TestPhase1:
 
         def counted(arr, config):
             kernel = original(arr, config)
-            sizes.extend(self.per_slice(kernel.factor.lower.shape))
+            sizes.extend(self.per_slice(kernel.inverse.shape))
             return kernel
 
         monkeypatch.setattr(gp_prior, "_gram_kernel", counted)
@@ -1764,3 +1773,135 @@ class TestRunLog:
         b = run_distillation(spec, blobs, split, plan)
         assert run_log_csv(a.log) == run_log_csv(b.log)
         assert params_equal(a.model, b.model)
+
+
+class TestStackedModelRule:
+    """``Model``'s stacked-model rule: each public function that takes a
+    model either handles a stack of seeds, seed slice s getting the bits of
+    its call on seed s's model alone, or refuses it with
+    ``DimensionMismatch`` before any parameter moves."""
+
+    SPEC = NetworkSpec.dense(2, [5], 3)
+    SEEDS = (36, 37)
+    ROWS = np.arange(16).reshape(2, 8)  # a forward batch of 8 rows per seed
+    PLAN = TrainPlan(seed=1, batch_size=4, phase1_epochs=1, phase2_epochs=1, lr_phase1=0.01)
+    MAPPING = LayerGroupMapping(entries=((0, 0),))
+    HANDLED = ("forward", "backward", "adam_step", "sgd_step", "predict_logits",
+               "extract_features", "phase1_feature_fit")
+    REFUSED = ("evaluate", "serialize_model", "grad_check", "phase1_feature_fit, lone schedule",
+               "phase2_task_fit", "joint_fit", "combine_experts_fit")
+
+    @pytest.fixture
+    def setup(self):
+        ds = synth_rings(10, 3, 0.1, seed=0)  # 30 rows
+        cache = extract_features(init_params(self.SPEC, seed=40), ds, [0])
+        return ds, cache, [init_params(self.SPEC, s) for s in self.SEEDS]
+
+    def outputs(self, name, model, ds, cache, rows, seeds) -> list:
+        """A handled call's arrays, with the seed axis for a stacked model."""
+        x = ds.inputs[rows]
+        if name == "phase1_feature_fit":
+            schedules = [BatchSchedule(np.arange(ds.n), 4, s) for s in seeds]
+            fitted, _ = phase1_feature_fit(
+                model, ds, one_expert(cache, self.MAPPING), self.PLAN,
+                schedule=schedules[0] if rows.ndim == 1 else train._StackedSchedule(schedules))
+            return fitted.parameters()
+        if name == "predict_logits":
+            return [predict_logits(model, ds.inputs)]
+        if name == "extract_features":
+            return list(extract_features(model, ds, [0, 1]).groups.values())
+        record = forward(model, x)
+        if name == "forward":
+            return record.activations + [record.logits]
+        _, logit_grad = softmax_cross_entropy(record.logits, ds.labels[rows])
+        grads = backward(model, x, record, {}, logit_grad)
+        if name == "backward":
+            return list(grads)
+        stepped = model.copy()
+        if name == "adam_step":
+            adam_step(stepped, grads, AdamState(), lr=0.01)
+        else:
+            sgd_step(stepped, grads, SgdState(), lr=0.01, momentum=0.9)
+        return stepped.parameters()
+
+    def refuse(self, name, model, ds, cache):
+        experts = one_expert(cache, self.MAPPING)
+        if name == "evaluate":
+            evaluate(model, ds)
+        elif name == "serialize_model":
+            serialize_model(model)
+        elif name == "grad_check":
+            grad_check(model, lambda m: (0.0, [None] * len(m.parameters())))
+        elif name == "phase1_feature_fit, lone schedule":
+            phase1_feature_fit(model, ds, experts, self.PLAN)
+        elif name == "phase2_task_fit":
+            phase2_task_fit(model, ds, self.PLAN, [0])
+        elif name == "joint_fit":
+            joint_fit(model, ds, cache, self.MAPPING, self.PLAN)
+        else:
+            combine_experts_fit(model, ds, experts, self.PLAN)
+
+    @pytest.mark.parametrize("name", HANDLED + ("model_fingerprint",) + REFUSED)
+    def test_each_function_handles_or_refuses_a_stack(self, setup, monkeypatch, name):
+        ds, cache, models = setup
+        stacked = stack_models(models)
+        if name in self.HANDLED:
+            got = self.outputs(name, stacked, ds, cache, self.ROWS, self.SEEDS)
+            for s, model in enumerate(models):
+                lone = self.outputs(name, model, ds, cache, self.ROWS[s], self.SEEDS[s:s + 1])
+                for a, b in zip(got, lone, strict=True):
+                    np.testing.assert_array_equal(a[s], b)
+        elif name == "model_fingerprint":
+            # the slices' serializations in seed order; a lone model's as before
+            assert model_fingerprint(stacked) == hashlib.sha256(
+                serialize_model(models[0]) + serialize_model(models[1])).digest()
+            assert model_fingerprint(stacked) != model_fingerprint(stack_models(models[::-1]))
+            assert model_fingerprint(models[0]) == hashlib.sha256(
+                serialize_model(models[0])).digest()
+        else:
+            calls, original = [], train.forward
+            monkeypatch.setattr(train, "forward",
+                                lambda *args: calls.append(1) or original(*args))
+            before = stacked.flat.copy()
+            match = ("unstack_model" if name in ("evaluate", "serialize_model", "grad_check")
+                     else r"^batch of shape \(4,\) for a model of seed axis \(2,\)")
+            with pytest.raises(DimensionMismatch, match=match):
+                self.refuse(name, stacked, ds, cache)
+            assert calls == []
+            np.testing.assert_array_equal(stacked.flat, before)
+
+    @pytest.mark.parametrize("stacked", [True, False], ids=["stacked-model", "lone-model"])
+    def test_fit_epochs_refuses_batches_without_the_models_seed_axis(self, setup, stacked):
+        # a stack of 2 given lone batches failed inside its first step, at the
+        # labels; a lone model given stacked batches broadcast through forward
+        ds, cache, models = setup
+        schedules = [BatchSchedule(np.arange(ds.n), 4, s) for s in self.SEEDS]
+        model, schedule = ((stack_models(models), schedules[0]) if stacked
+                           else (models[0], train._StackedSchedule(schedules)))
+        before = model.flat.copy()
+        with pytest.raises(DimensionMismatch, match="a stack of S models takes"):
+            train._fit_epochs(model, ds, schedule, self.PLAN,
+                              train._objective(("naive",), self.PLAN.prior),
+                              epochs=1, lr=0.01, phase=2)
+        np.testing.assert_array_equal(model.flat, before)
+
+    def test_stacked_fit_logs_each_seeds_epochs(self, setup):
+        # each logged epoch scores the test split per seed; its accuracy,
+        # task loss and KL are that seed's lone run's, in phase 1 and phase 2
+        ds, cache, models = setup
+        split = split_and_batch(ds, 0.5, 4, seed=0)
+        plan = replace(self.PLAN, phase1_epochs=2, phase2_epochs=2)
+        schedules = [BatchSchedule(split.train, 4, s) for s in self.SEEDS]
+        log = []
+        train._fit_mode(stack_models(models), ds, train._StackedSchedule(schedules), plan,
+                        cache=cache, mapping=self.MAPPING, test=split.test, log=log)
+        assert [(r.epoch, r.phase) for r in log] == [(0, 1), (1, 1), (2, 2), (3, 2)]
+        for s, (model, schedule) in enumerate(zip(models, schedules)):
+            lone = []
+            train._fit_mode(model, ds, schedule, plan, cache=cache, mapping=self.MAPPING,
+                            test=split.test, log=lone)
+            for row, lone_row in zip(log, lone, strict=True):
+                for field in ("task_loss", "kl_loss", "test_accuracy"):
+                    value, lone_value = getattr(row, field), getattr(lone_row, field)
+                    assert (value is None) == (lone_value is None)
+                    assert value is None or value[s] == lone_value
