@@ -113,7 +113,7 @@ class PriorConfig:
     temperature: float = 4.0
 
     def __post_init__(self):
-        for name in ("alpha", "jitter", "temperature"):
+        for name in ("alpha", "jitter"):
             _require(_is_real(getattr(self, name)), name, "a number", getattr(self, name))
         _require(isinstance(self.normalize_by_width, bool), "normalize_by_width", "a bool",
                  self.normalize_by_width)
@@ -123,15 +123,22 @@ class PriorConfig:
             raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not 0.0 <= self.jitter < math.inf:
             raise ConfigError(f"jitter must be finite and >= 0, got {self.jitter}")
-        if not 0.0 < self.temperature < math.inf:
-            raise ConfigError(f"temperature must be finite and > 0, got {self.temperature}")
-        try:  # hinton_baseline weighs its term by alpha * temperature ** 2
-            square = float(self.temperature) ** 2
-        except OverflowError:  # a float's square, or an int, past the float range
-            square = math.inf
-        if not 0.0 < square < math.inf:
-            raise ConfigError("temperature ** 2 must be a finite float > 0, got "
-                              f"{self.temperature} ** 2 = {square}")
+        _check_temperature(self.temperature)
+
+
+def _check_temperature(temperature) -> None:
+    """The one rule for a soft-target temperature: a finite number > 0 whose
+    square is a finite float > 0, else ConfigError."""
+    _require(_is_real(temperature), "temperature", "a number", temperature)
+    if not 0.0 < temperature < math.inf:
+        raise ConfigError(f"temperature must be finite and > 0, got {temperature}")
+    try:  # hinton_baseline weighs its term by alpha * temperature ** 2
+        square = float(temperature) ** 2
+    except OverflowError:  # a float's square, or an int, past the float range
+        square = math.inf
+    if not 0.0 < square < math.inf:
+        raise ConfigError("temperature ** 2 must be a finite float > 0, got "
+                          f"{temperature} ** 2 = {square}")
 
 
 @dataclass(frozen=True)
@@ -149,8 +156,10 @@ class KernelMatrix:
     basis: np.ndarray | None = None
 
     @staticmethod
-    def of(gram: np.ndarray, jitter, factor: linalg.CholeskyFactor) -> "KernelMatrix":
-        """The kernel of ``_factor_jittered``'s (Gram, jitter, factor)."""
+    def of(gram: np.ndarray, jitter) -> "KernelMatrix":
+        """The kernel of a Gram (or stack) that already carries ``jitter``,
+        factored by ``linalg.cholesky``; its factor's L is not kept."""
+        factor = linalg.cholesky(gram)
         return KernelMatrix(factor.inverse, jitter, linalg.log_det(factor), gram)
 
     @functools.cached_property
@@ -207,32 +216,28 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def _factor_jittered(base: np.ndarray, jitter: float, what: str):
-    """(base + jitter I, jitter used, its Cholesky factor).  On
-    factorization failure the jitter escalates once by x10 before giving
-    up with FactorizationFailed.  A stack that fails is refactored slice
-    by slice, so each slice escalates on its own; its jitter is an array."""
+def _factor_jittered(base: np.ndarray, jitter: float, what: str) -> KernelMatrix:
+    """The KernelMatrix of base + jitter I.  On factorization failure the
+    jitter escalates once by x10 before giving up with FactorizationFailed.
+    A stack that fails is refactored slice by slice, so each slice escalates
+    on its own, and restacked field by field; its jitter is an array."""
     if base.ndim > 2:
-        mat = base + jitter * _identity(base.shape[-1])
         try:
-            return mat, np.full(base.shape[:-2], jitter), linalg.cholesky(mat)
+            return KernelMatrix.of(base + jitter * _identity(base.shape[-1]),
+                                   np.full(base.shape[:-2], jitter))
         except NotPositiveDefinite:
-            mats, jitters, fs = zip(*(_factor_jittered(b, jitter, what) for b in base))
-        factor = linalg.CholeskyFactor(np.stack([f.lower for f in fs]),
-                                       np.stack([f.inverse for f in fs]), fs[0].size)
-        return np.stack(mats), np.array(jitters), factor
-    for attempt in range(2):
-        mat = base + jitter * _identity(base.shape[0])
+            ks = [_factor_jittered(b, jitter, what) for b in base]
+        return KernelMatrix(*(np.stack([getattr(k, name) for k in ks])
+                              for name in ("inverse", "jitter", "log_det", "gram")))
+    for j in (jitter, jitter * _JITTER_ESCALATION):
         try:
-            return mat, jitter, linalg.cholesky(mat)
+            return KernelMatrix.of(base + j * _identity(base.shape[0]), j)
         except NotPositiveDefinite:
-            if attempt == 0 and jitter > 0.0:
-                log.debug("factorization failed, escalating jitter %.1e -> %.1e",
-                          jitter, jitter * _JITTER_ESCALATION)
-                jitter *= _JITTER_ESCALATION
-            else:
+            if j > jitter or jitter == 0.0:
                 break
-    raise FactorizationFailed(f"{what} not factorable at jitter {jitter:.1e}")
+            log.debug("factorization failed, escalating jitter %.1e -> %.1e",
+                      j, j * _JITTER_ESCALATION)
+    raise FactorizationFailed(f"{what} not factorable at jitter {j:.1e}")
 
 
 def gram_kernel(phi, config: PriorConfig) -> KernelMatrix:
@@ -249,8 +254,7 @@ def _gram_kernel(arr: np.ndarray, config: PriorConfig) -> KernelMatrix:
     """gram_kernel of a checked batch or stack.  Stacks come here, not
     through gram_kernel, whose jitter stays a float."""
     n, p = arr.shape[-2:]
-    return KernelMatrix.of(*_factor_jittered(_scaled_gram(arr, p, config),
-                                             config.jitter, f"Gram of batch {n}"))
+    return _factor_jittered(_scaled_gram(arr, p, config), config.jitter, f"Gram of batch {n}")
 
 
 def _rank_deficient(n: int, p: int) -> FactorizationFailed:
@@ -265,7 +269,11 @@ def feature_kernel(phi, config: PriorConfig) -> KernelMatrix:
     as its basis, that of the core ``gram_kernel(R, config)`` for the thin
     QR Phi = Q R (R is p wide, so width normalization and escalation act as
     on any Gram; zero jitter raises FactorizationFailed) and log|K| =
-    log|B| + (n - p) log j, else ``gram_kernel(phi, config)``'s.
+    log|B| + (n - p) log j, else ``gram_kernel(phi, config)``'s.  A lone
+    batch goes through the public ``gram_kernel`` and a stack never does
+    (it takes ``_gram_kernel``): perfbench covers the gp_prior layer by
+    ``gram_kernel``'s calls, and its escalation count compares each call's
+    one float jitter with the config's.
     """
     arr = _as_features(phi, stacked=True)
     n, p = arr.shape[-2:]
@@ -283,8 +291,7 @@ def feature_kernel(phi, config: PriorConfig) -> KernelMatrix:
 def kernel_from_gram(gram) -> KernelMatrix:
     """Wrap an already-formed SPD matrix as a KernelMatrix at jitter 0; no
     jitter is added and factorization errors surface as-is."""
-    arr = np.asarray(gram, dtype=np.float64)
-    return KernelMatrix.of(arr, 0.0, linalg.cholesky(arr))
+    return KernelMatrix.of(np.asarray(gram, dtype=np.float64), 0.0)
 
 
 def gp_kl(k1: KernelMatrix, k2: KernelMatrix) -> float:
@@ -329,8 +336,9 @@ class StudentHalf:
 def _student_half(arr: np.ndarray, config: PriorConfig) -> StudentHalf:
     """The StudentHalf of checked features (a batch or a stack): from the
     n x n Gram when p >= n, else from the p x p matrix M = jI + c Phi^T Phi
-    of the module docstring, whose jitter escalates like gram_kernel's
-    (zero jitter raises FactorizationFailed)."""
+    of the module docstring, a KernelMatrix whose jitter escalates like
+    gram_kernel's (zero jitter raises FactorizationFailed).  A lone n x n
+    Gram goes through ``gram_kernel``, a stack's never, as in ``feature_kernel``."""
     n, p = arr.shape[-2:]
     c = 1.0 / p if config.normalize_by_width else 1.0
     if p >= n:
@@ -339,10 +347,10 @@ def _student_half(arr: np.ndarray, config: PriorConfig) -> StudentHalf:
     if config.jitter == 0.0:
         raise _rank_deficient(n, p)
     cols = arr.swapaxes(-1, -2)
-    _, jitter, f = _factor_jittered(_scaled_gram(cols, p, config), config.jitter,
-                                    f"jI + c Phi^T Phi of width {p}")
-    return StudentHalf(arr, c, jitter, (n - p) * _log(jitter) + linalg.log_det(f),
-                       linalg.solve_spd(f, cols).swapaxes(-1, -2))
+    m = _factor_jittered(_scaled_gram(cols, p, config), config.jitter,
+                         f"jI + c Phi^T Phi of width {p}")
+    return StudentHalf(arr, c, m.jitter, (n - p) * _log(m.jitter) + m.log_det,
+                       linalg.solve_spd(m, cols).swapaxes(-1, -2))
 
 
 def _teacher_half(s: StudentHalf, t: KernelMatrix) -> tuple[float, np.ndarray]:
@@ -444,8 +452,9 @@ def hinton_soft_target(logits_s, logits_t, temperature: float) -> float:
     temperature-softened softmax under the teacher's.
 
     Unlike the GP prior this needs the student to have exactly as many
-    logits as the teacher.
+    logits as the teacher.  The temperature follows ``PriorConfig``'s rule.
     """
+    _check_temperature(temperature)
     return _soft_target(logits_s, logits_t, temperature)[0]
 
 

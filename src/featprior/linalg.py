@@ -7,8 +7,10 @@ Each factor carries L^{-1} as well as L, computed once per factor by a
 A^{-1} B = L^{-T} (L^{-1} B) and tr(A^{-1} B) = sum(L^{-1} * (L^{-1} B)).
 Everything here runs in float64: log-determinants and traces of solves on
 near-singular Gram matrices lose too much precision in float32.
-``cholesky``, ``log_det`` and ``solve_spd`` also take stacks of matrices
-and give each slice the bits of its single-matrix call.
+``cholesky``, ``reconstruct``, ``log_det`` and ``solve_spd`` (against
+matrices) also take stacks of matrices and give each slice the bits of its
+single-matrix call; ``trace_solve``, and ``solve_spd`` against a vector,
+refuse a stacked factor with DimensionMismatch.
 
 ``cholesky`` is the one place that handles symmetry.  Every internal Gram
 arrives as an exact product x x^T plus jitter and passes as it is; inputs
@@ -104,8 +106,8 @@ def cholesky(a) -> CholeskyFactor:
 
 
 def reconstruct(f: CholeskyFactor) -> np.ndarray:
-    """L L^T, the matrix the factor represents."""
-    return f.lower @ f.lower.T
+    """L L^T, the matrix the factor represents, per slice of a stack."""
+    return f.lower @ f.lower.swapaxes(-1, -2)
 
 
 def log_det(f: CholeskyFactor):
@@ -115,8 +117,10 @@ def log_det(f: CholeskyFactor):
 
 def solve_spd(f: CholeskyFactor, b) -> np.ndarray:
     """Solve A x = b as x = L^{-T} (L^{-1} b); b is a vector or a matrix
-    (or a stack of matrices for a stacked factor)."""
+    (a matrix or a stack of matrices for a stacked factor)."""
     rhs = np.asarray(b, dtype=np.float64)
+    if rhs.ndim == 1 and f.inverse.ndim > 2:
+        raise DimensionMismatch("a stacked factor solves against matrices, not a vector")
     if rhs.ndim == 0 or rhs.shape[-2 if rhs.ndim > 1 else 0] != f.size:
         raise DimensionMismatch(
             f"rhs shape {np.shape(b)} does not conform with factor size {f.size}"
@@ -125,7 +129,10 @@ def solve_spd(f: CholeskyFactor, b) -> np.ndarray:
 
 
 def trace_solve(f: CholeskyFactor, b) -> float:
-    """trace(A^{-1} B) = sum(L^{-1} * (L^{-1} B)); never forms A^{-1}."""
+    """trace(A^{-1} B) = sum(L^{-1} * (L^{-1} B)); never forms A^{-1}.
+    One matrix only: a stacked factor raises DimensionMismatch."""
+    if f.inverse.ndim > 2:
+        raise DimensionMismatch("trace_solve takes one factor, not a stack")
     arr = _as_square(b)
     if arr.shape[0] != f.size:
         raise DimensionMismatch(

@@ -303,18 +303,25 @@ def predict_logits(model: Model, inputs, idx=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LogRow:
+    """One epoch of a fit; a stacked fit logs one value per seed."""
+
     epoch: int
     phase: int
-    task_loss: float | None
-    kl_loss: float | None
-    test_accuracy: float | None
+    task_loss: float | np.ndarray | None
+    kl_loss: float | np.ndarray | None
+    test_accuracy: float | np.ndarray | None
 
 
 def run_log_csv(rows) -> str:
-    """Per-run log: one row per epoch."""
+    """Per-run log: one row per epoch.  A run log holds one run, as a .fpnn
+    file holds one model: a stacked fit's per-seed rows raise DimensionMismatch."""
     def fmt(x):
         return "" if x is None else f"{x:.6f}"
 
+    rows = list(rows)
+    if any(np.ndim(x) for r in rows for x in (r.task_loss, r.kl_loss, r.test_accuracy)):
+        raise DimensionMismatch("run_log_csv writes one run's log, not a stacked fit's "
+                                "per-seed values")
     lines = ["epoch,phase,task_loss,kl_loss,test_accuracy"]
     for r in rows:
         lines.append(f"{r.epoch},{r.phase},{fmt(r.task_loss)},{fmt(r.kl_loss)},"
@@ -429,8 +436,9 @@ def _teacher_kernels(group: np.ndarray, batches, config: PriorConfig):
     """Each batch's ``feature_kernel`` of cache group rows, in order.  Runs of
     consecutive batches of one shape are gathered with one fancy index and
     built in one stacked call, at most ``_TEACHER_CHUNK_BYTES`` of features
-    a run; a run of one batch takes the plain call.  Each slice has the
-    bits, and the escalated jitter, of its own batch's call."""
+    a run; a run of one batch takes the plain call, so its kernel comes
+    from the public ``gram_kernel`` (``feature_kernel`` says why).  Each
+    slice has the bits, and the escalated jitter, of its own batch's call."""
     start = 0
     while start < len(batches):
         room = max(1, _TEACHER_CHUNK_BYTES // (batches[start].size * group.shape[-1] * 8))
@@ -582,10 +590,13 @@ def phase1_feature_fit(student: Model, dataset: Dataset, experts: ExpertPriorSet
     batch Grams match the teachers', by gradient descent on
     sum_j alpha_j * KL_j; a single teacher is one expert at alpha 1.
 
-    Returns the trained copy and the final epoch's mean per-batch KL (for
-    a stacked student, its mean over seeds).  With no mapped layer it is
-    the untrained copy and None, and logs nothing.
+    Its batches are ``schedule``'s, else the plan's of rows ``train``; both
+    at once raise ConfigError.  Returns the trained copy and the final
+    epoch's mean per-batch KL (for a stacked student, its mean over seeds).
+    With no mapped layer it is the untrained copy and None, and logs nothing.
     """
+    if schedule is not None and train is not None:
+        raise ConfigError("phase1_feature_fit takes schedule or train, not both")
     for expert in experts.experts:
         expert.mapping.validate_for(student.spec, expert.cache)
     _check_cache_alignment(dataset, [expert.cache for expert in experts.experts])

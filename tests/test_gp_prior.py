@@ -12,6 +12,7 @@ import pytest
 
 from featprior.errors import (
     BatchMismatch,
+    ConfigError,
     DimensionMismatch,
     FactorizationFailed,
     NonFiniteActivation,
@@ -563,9 +564,9 @@ class TestStackedSeeds:
         n, p = phi.shape[-2:]
         rows = phi if p >= n else phi.swapaxes(-1, -2)
         stacked = gp_prior._factor_jittered(
-            gp_prior._scaled_gram(rows, p, cfg), cfg.jitter, "student")[1]
+            gp_prior._scaled_gram(rows, p, cfg), cfg.jitter, "student").jitter
         single = [gp_prior._factor_jittered(
-            gp_prior._scaled_gram(r, p, cfg), cfg.jitter, "student")[1] for r in rows]
+            gp_prior._scaled_gram(r, p, cfg), cfg.jitter, "student").jitter for r in rows]
         return stacked.tolist(), single
 
     def test_dense_student_and_teacher(self):
@@ -762,3 +763,18 @@ class TestHintonSoftTarget:
         with pytest.raises(DimensionMismatch) as excinfo:
             hinton_soft_target(np.zeros(3), np.zeros(3), 1.0)
         assert str(excinfo.value) == "logits must be 2-d, got shape (3,)"
+
+    @pytest.mark.parametrize("temperature, named", [
+        (0.0, "temperature must be finite and > 0, got 0.0"),
+        (-1.0, "temperature must be finite and > 0, got -1.0"),
+        (1e200, "temperature ** 2 must be a finite float > 0, got 1e+200 ** 2 = inf"),
+        (None, "temperature must be a number, got None"),
+    ], ids=["zero", "negative", "square-overflows", "none"])
+    def test_temperature_follows_prior_configs_rule(self, temperature, named):
+        # zero divided by zero, and -1 returned a value
+        logits = np.zeros((2, 3))
+        for refused in (lambda: hinton_soft_target(logits, logits, temperature),
+                        lambda: PriorConfig(temperature=temperature)):
+            with pytest.raises(ConfigError) as excinfo:
+                refused()
+            assert str(excinfo.value) == named

@@ -268,6 +268,23 @@ class TestStackedBits:
         np.testing.assert_array_equal(linalg._lower_inverse(lower),
                                       np.tril(np.linalg.inv(lower)))
 
+    def test_reconstruct_per_slice(self):
+        rng = np.random.default_rng(34)
+        a = np.stack([random_spd(rng, 5) for _ in range(3)])
+        stacked = reconstruct(cholesky(a))
+        for s in range(3):
+            np.testing.assert_array_equal(stacked[s], reconstruct(cholesky(a[s])))
+
+    @pytest.mark.parametrize("call", [lambda f: trace_solve(f, np.eye(3)),
+                                      lambda f: solve_spd(f, np.ones(3))],
+                             ids=["trace_solve", "solve_spd-vector"])
+    def test_stacked_factor_refused_where_not_per_slice(self, call):
+        # trace_solve summed the slices' traces (1.5 + 0.75); a vector
+        # right-hand side failed inside matmul
+        f = cholesky(np.stack([2.0 * np.eye(3), 4.0 * np.eye(3)]))
+        with pytest.raises(DimensionMismatch):
+            call(f)
+
     def test_one_indefinite_slice_fails_the_stack(self):
         a = np.stack([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]])
         with pytest.raises(NotPositiveDefinite):

@@ -407,6 +407,18 @@ class TestPhase1:
                     for p, q in zip(fitted.parameters(), student.parameters()))
         assert drift < 1e-6
 
+    def test_refuses_schedule_with_train(self, monkeypatch):
+        # train was ignored beside a schedule; the refusal comes before the copy
+        spec = NetworkSpec.dense(2, [5], 3)
+        ds = synth_rings(10, 3, 0.1, seed=0)
+        cache = extract_features(init_params(spec, seed=40), ds, [0])
+        monkeypatch.setattr(Model, "copy", lambda self: pytest.fail("copied"))
+        with pytest.raises(ConfigError, match="takes schedule or train, not both"):
+            phase1_feature_fit(init_params(spec, seed=1), ds,
+                               one_expert(cache, LayerGroupMapping(entries=((0, 0),))),
+                               TrainPlan(seed=0, batch_size=4, phase1_epochs=1),
+                               schedule=BatchSchedule([0, 1, 2, 3], 4, 0), train=[5, 6, 7, 8])
+
     def test_kl_drops_well_below_start(self):
         # 200-example set; student wider than the teacher so the Gram
         # objective is fully reducible
@@ -677,13 +689,13 @@ class TestEpochTeacherKernels:
         group = self.group(p_t)
         monkeypatch.setattr(train, "_TEACHER_CHUNK_BYTES", 4 * 8 * p_t * 8)
         runs = []  # per run: weakrefs to (its inverse and Q, its Gram and L)
-        original, factor_jittered = train.feature_kernel, gp_prior._factor_jittered
+        original, cholesky = train.feature_kernel, linalg.cholesky
         factored = []  # what feature_kernel factored: (Gram, its factor)
 
-        def observed(base, jitter, what):
-            gram, used, factor = factor_jittered(base, jitter, what)
+        def observed(gram):
+            factor = cholesky(gram)
             factored.append((gram, factor))
-            return gram, used, factor
+            return factor
 
         def recorded(phi, config):
             assert all(ref() is None for kept, dropped in runs for ref in kept + dropped)
@@ -695,7 +707,7 @@ class TestEpochTeacherKernels:
                          [weakref.ref(gram), weakref.ref(factor.lower)]))
             return k
 
-        monkeypatch.setattr(gp_prior, "_factor_jittered", observed)
+        monkeypatch.setattr(linalg, "cholesky", observed)
         monkeypatch.setattr(train, "feature_kernel", recorded)
         kernels = train._teacher_kernels(group, batches, PriorConfig(jitter=1e-3))
         for run in [0] * 4 + [1] * 2 + [2]:
@@ -1884,6 +1896,18 @@ class TestStackedModelRule:
                               train._objective(("naive",), self.PLAN.prior),
                               epochs=1, lr=0.01, phase=2)
         np.testing.assert_array_equal(model.flat, before)
+
+    def test_run_log_csv_refuses_a_stacked_fits_log(self, setup):
+        # a run log holds one run, as a .fpnn file holds one model; the
+        # per-seed values failed inside a format string
+        ds, _, models = setup
+        split = split_and_batch(ds, 0.5, 4, seed=0)
+        schedules = [BatchSchedule(split.train, 4, s) for s in self.SEEDS]
+        log = []
+        train._fit_mode(stack_models(models), ds, train._StackedSchedule(schedules),
+                        replace(self.PLAN, mode="naive"), test=split.test, log=log)
+        with pytest.raises(DimensionMismatch, match="one run's log"):
+            run_log_csv(log)
 
     def test_stacked_fit_logs_each_seeds_epochs(self, setup):
         # each logged epoch scores the test split per seed; its accuracy,
