@@ -32,6 +32,9 @@ def softmax_cross_entropy(logits, labels):
         raise DimensionMismatch(
             f"labels shape {labels.shape} does not match batch size {n}"
         )
+    # dtype.kind, not np.issubdtype: this runs every step
+    if labels.size and labels.dtype.kind not in "iu":
+        raise LabelOutOfRange(f"labels must be integers, got dtype {labels.dtype}")
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise LabelOutOfRange(f"labels must lie in [0, {c})")
     log_probs = _log_softmax(logits)

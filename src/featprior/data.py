@@ -104,8 +104,12 @@ class Dataset:
     class_count: int
 
     def __post_init__(self):
+        labels = np.asarray(self.labels)
+        # a whole float is an integer, as load_csv reads a label "1.0"
+        whole = labels.dtype.kind == "f" and np.isfinite(labels).all() and (labels % 1 == 0).all()
+        _require(labels.dtype.kind in "iu" or whole, "labels", "integers", labels)
         inputs = np.asarray(self.inputs, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = labels.astype(np.int64, copy=False)
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "labels", labels)
         _require(_is_int(self.class_count), "class_count", "an integer", self.class_count)
@@ -300,6 +304,7 @@ class BatchSchedule:
         self.seed = int(seed)
 
     def epoch_batches(self, epoch: int) -> list[np.ndarray]:
+        _check_seed(epoch, "epoch")
         rng = np.random.default_rng([self.seed, int(epoch)])
         perm = self.indices[rng.permutation(self.indices.size)]
         return [perm[i:i + self.batch_size]

@@ -68,8 +68,9 @@ batches (... x n x p, with any leading axes: seeds, steps or both) and give
 each slice the bits of its own call; jitter escalates per slice.  A
 ``feature_kernel`` keeps only what the KL reads: L2^{-1} (Q and L_B^{-1} in
 the feature basis), the jitter, and log|K2|, the part no student changes,
-which a stack of batches forms in one pass; ||L2^{-1}||_F^2
-(||L_B^{-1}||_F^2) is formed per slice when the KL first reads it.  It
+which a stack of batches forms in one pass.  ||L2^{-1}||_F^2
+(||L_B^{-1}||_F^2) is formed when the KL first reads it, and a stack forms
+it in one pass when it is first sliced, each slice taking its entry.  It
 drops the Gram and L.
 
 The baseline kept for comparison is temperature-softened soft-target
@@ -165,7 +166,8 @@ class KernelMatrix:
     @functools.cached_property
     def inv_sq_norm(self):
         """||L^{-1}||_F^2, formed on first read: only a teacher's trace term
-        reads it, and a student's kernel is formed every step."""
+        reads it, and a student's kernel is formed every step.  A slice of
+        a stack takes its entry of the stack's."""
         return _sq_norm(self.inverse)
 
     @property
@@ -173,9 +175,12 @@ class KernelMatrix:
         return self.inverse.shape[-1] if self.basis is None else self.basis.shape[-2]
 
     def __getitem__(self, i) -> "KernelMatrix":
-        """Slice i of a stack, as views; a formed inv_sq_norm is not kept."""
-        return KernelMatrix(*(None if v is None else v[i] for v in
-                              (self.inverse, self.jitter, self.log_det, self.gram, self.basis)))
+        """Slice i of a stack, as views, and its entry of the stack's
+        inv_sq_norm, which the first slice forms in one pass."""
+        k = KernelMatrix(*(None if v is None else v[i] for v in
+                           (self.inverse, self.jitter, self.log_det, self.gram, self.basis)))
+        vars(k)["inv_sq_norm"] = self.inv_sq_norm[i]
+        return k
 
 
 def _as_features(phi, stacked: bool = False) -> np.ndarray:
@@ -455,12 +460,6 @@ def hinton_soft_target(logits_s, logits_t, temperature: float) -> float:
     logits as the teacher.  The temperature follows ``PriorConfig``'s rule.
     """
     _check_temperature(temperature)
-    return _soft_target(logits_s, logits_t, temperature)[0]
-
-
-def _soft_target(logits_s, logits_t, temperature: float):
-    """``hinton_soft_target``'s value and the teacher's softened softmax,
-    which its gradient needs too."""
     s = np.asarray(logits_s, dtype=np.float64)
     t = np.asarray(logits_t, dtype=np.float64)
     if s.shape != t.shape:
@@ -469,6 +468,23 @@ def _soft_target(logits_s, logits_t, temperature: float):
         )
     if s.ndim < 2:
         raise DimensionMismatch(f"logits must be 2-d, got shape {s.shape}")
-    p = _softmax(t / temperature)
-    log_q = _log_softmax(s / temperature)
-    return -(p * log_q).sum(axis=-1).sum(axis=-1) / s.shape[-2], p
+    return _soft_target(s, _soft_targets(t, temperature), temperature)[0]
+
+
+def _soft_targets(logits_t, temperature: float) -> np.ndarray:
+    """The teacher's temperature-softened softmax p, row by row, so a stack
+    of batches gives each batch the bits of its own call."""
+    return _softmax(np.asarray(logits_t, dtype=np.float64) / temperature)
+
+
+def _soft_target(s: np.ndarray, p: np.ndarray, temperature: float):
+    """``hinton_soft_target``'s value for float64 student logits s against
+    soft targets p, and the student's softened softmax q, which its
+    gradient needs too.  q and log q share one exp pass and have the bits
+    of ``_softmax`` and ``_log_softmax``."""
+    shifted = s / temperature
+    shifted = shifted - shifted.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    log_q = shifted - np.log(total)
+    return -(p * log_q).sum(axis=-1).sum(axis=-1) / s.shape[-2], e / total

@@ -117,10 +117,14 @@ def log_det(f: CholeskyFactor):
 
 def solve_spd(f: CholeskyFactor, b) -> np.ndarray:
     """Solve A x = b as x = L^{-T} (L^{-1} b); b is a vector or a matrix
-    (a matrix or a stack of matrices for a stacked factor)."""
+    (a matrix or a stack of matrices for a stacked factor).  A stack of
+    matrices must have the factor's leading axes."""
     rhs = np.asarray(b, dtype=np.float64)
     if rhs.ndim == 1 and f.inverse.ndim > 2:
         raise DimensionMismatch("a stacked factor solves against matrices, not a vector")
+    if rhs.ndim > 2 and rhs.shape[:-2] != f.inverse.shape[:-2]:
+        raise DimensionMismatch(f"rhs stack of shape {rhs.shape} does not match the "
+                                f"factor's leading axes {f.inverse.shape[:-2]}")
     if rhs.ndim == 0 or rhs.shape[-2 if rhs.ndim > 1 else 0] != f.size:
         raise DimensionMismatch(
             f"rhs shape {np.shape(b)} does not conform with factor size {f.size}"

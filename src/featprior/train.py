@@ -15,11 +15,14 @@ Conventions shared by every routine here:
   with the mapped layers frozen, after the label-free feature fit.
 * Training functions copy the incoming model and return the trained copy.
 * An objective is a function of an epoch's batch list that returns that
-  epoch's step loss.  A prior term builds its teacher kernels there, in
-  stacked calls over consecutive batches (``_teacher_kernels``), jitter
-  still escalating per batch, and each step takes its slice.  One run of
-  a group's kernels is alive at a time, dropped before the next is built,
-  and each (a ``KernelMatrix``) holds L^{-1}, not the Gram or L.
+  epoch's step loss.  What the batches fix and the student does not is
+  formed there, in stacked calls over runs of consecutive same-shape
+  batches (``_per_batch``), and each step takes its slice: a prior term's
+  teacher kernels with their ||L^{-1}||_F^2 (``_teacher_kernels``, jitter
+  still escalating per batch), the l2 baseline's teacher logits and the
+  soft-target baseline's softened teacher softmax.  One run of each is
+  alive at a time, dropped before the next is built, and a kernel (a
+  ``KernelMatrix``) holds L^{-1}, not the Gram or L.
 * A step is ``forward``, a step loss returning (loss, task value, prior
   value, {hidden layer: dL/dh}, dL/dlogits), then ``autodiff.backward``
   given the fit's frozen layers.  Term gradients are summed in one fixed
@@ -75,13 +78,14 @@ from .errors import (
 from .gp_prior import (
     PriorConfig,
     _soft_target,
-    _softmax,
+    _soft_targets,
     _student_half,
     _teacher_half,
     feature_kernel,
 )
 from .network import (
     AdamState,
+    ForwardRecord,
     Model,
     NetworkSpec,
     SgdState,
@@ -432,13 +436,13 @@ def _rows(group: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return group[idx] if group.ndim == 2 else group[np.arange(len(group))[:, None], idx]
 
 
-def _teacher_kernels(group: np.ndarray, batches, config: PriorConfig):
-    """Each batch's ``feature_kernel`` of cache group rows, in order.  Runs of
+def _per_batch(group: np.ndarray, batches, build):
+    """``build`` of each batch's cache group rows, in order.  Runs of
     consecutive batches of one shape are gathered with one fancy index and
-    built in one stacked call, at most ``_TEACHER_CHUNK_BYTES`` of features
-    a run; a run of one batch takes the plain call, so its kernel comes
-    from the public ``gram_kernel`` (``feature_kernel`` says why).  Each
-    slice has the bits, and the escalated jitter, of its own batch's call."""
+    built in one stacked call, at most ``_TEACHER_CHUNK_BYTES`` of group rows
+    (as float64) a run, and each batch takes its slice; a run of one batch
+    takes the plain call.  ``build`` must give each slice the bits of its
+    own batch's call."""
     start = 0
     while start < len(batches):
         room = max(1, _TEACHER_CHUNK_BYTES // (batches[start].size * group.shape[-1] * 8))
@@ -447,16 +451,26 @@ def _teacher_kernels(group: np.ndarray, batches, config: PriorConfig):
                and batches[end].shape == batches[start].shape):
             end += 1
         idx = batches[start] if end - start == 1 else np.stack(batches[start:end])
-        kernels = feature_kernel(_rows(group, idx), config)
-        yield from [kernels] if end - start == 1 else [kernels[i] for i in range(end - start)]
-        del kernels  # this run's arrays go before the next run is built
+        built = build(_rows(group, idx))
+        yield from [built] if end - start == 1 else [built[i] for i in range(end - start)]
+        del built  # this run's arrays go before the next run is built
         start = end
 
 
-def _hinton_grad(logits: np.ndarray, teacher_logits: np.ndarray,
+def _teacher_kernels(group: np.ndarray, batches, config: PriorConfig):
+    """Each batch's ``feature_kernel`` of cache group rows, by ``_per_batch``,
+    with the bits and the escalated jitter of its own batch's call.  A run
+    of one batch comes from the public ``gram_kernel`` (``feature_kernel``
+    says why); a stacked run forms its ||L^{-1}||_F^2 in one pass as it is
+    sliced (``KernelMatrix.__getitem__``)."""
+    return _per_batch(group, batches, partial(feature_kernel, config=config))
+
+
+def _hinton_grad(logits: np.ndarray, p: np.ndarray,
                  temperature: float, scale: float) -> tuple[float, np.ndarray]:
-    value, p = _soft_target(logits, teacher_logits, temperature)
-    q = _softmax(logits / temperature)
+    """The soft-target value of student logits against the teacher's
+    softened softmax p (``_soft_targets``), and its gradient times ``scale``."""
+    value, q = _soft_target(logits, p, temperature)
     return value, scale * (q - p) / (logits.shape[-2] * temperature)
 
 
@@ -504,12 +518,16 @@ def _objective(modes, config: PriorConfig, cache: FeatureCache | None = None,
                mapping: LayerGroupMapping | None = None, logits_group: int | None = None):
     """Cross-entropy over the whole model plus each one-phase mode's term.
     Several modes split a stacked model into equal blocks, one per mode in
-    order, and each term reaches its own block only; the joint term's step
-    loss is built from the joint block's rows of the epoch's batches.  Every
-    block walks the same seeds' batches, so the teacher logits are gathered
-    once a step.  The prior value is a lone mode's term (None for several)."""
+    order, and each term reaches its own block only.  Every block walks the
+    same seeds' batches, so what the epoch's batches fix is formed once an
+    epoch from one block's rows of them, by ``_per_batch``: the joint term's
+    step loss with its teacher kernels, the l2 baseline's teacher logits and
+    the soft-target baseline's softened teacher softmax p.  The prior value
+    is a lone mode's term (None for several)."""
     prior = (_prior_objective([ExpertPrior(cache, mapping)], config, config.alpha)
              if "joint" in modes and mapping.entries and config.alpha > 0.0 else None)
+    builds = {"hinton_baseline": partial(_soft_targets, temperature=config.temperature),
+              "l2_baseline": np.asarray}  # a baseline's epoch input from teacher logits
 
     def block(b, total):
         """Mode b's rows of a stacked axis of ``total`` rows."""
@@ -517,31 +535,32 @@ def _objective(modes, config: PriorConfig, cache: FeatureCache | None = None,
         return slice(b * size, (b + 1) * size) if len(modes) > 1 else ...
 
     def objective(batches):
-        joint = None if prior is None else prior(
-            [idx[block(modes.index("joint"), len(idx))] for idx in batches])
+        own = [idx[block(0, len(idx))] for idx in batches]
+        joint = None if prior is None else prior(own)
+        targets = {mode: _per_batch(cache.groups[logits_group], own, builds[mode])
+                   for mode in modes if mode in builds}
 
         def step_loss(record, idx, labels):
             ce, logit_grad = softmax_cross_entropy(record.logits, labels)
-            loss, kl, act_grads, teacher = np.array(ce), None, {}, None
+            loss, kl, act_grads = np.array(ce), None, {}
             for b, mode in enumerate(modes):
                 rows = block(b, len(record.logits))
                 if mode == "joint" and joint is not None:
-                    view = replace(record, activations=[a[rows] for a in record.activations])
+                    view = ForwardRecord([a[rows] for a in record.activations],
+                                         record.logits[rows])
                     kl, _, _, grads, _ = joint(view, idx[rows], None)
                     for layer, grad in grads.items():  # zero outside the block
                         act_grads[layer] = np.zeros_like(record.activations[layer])
                         act_grads[layer][rows] = grad
                     loss[rows] += kl * config.alpha
-                elif mode in ("hinton_baseline", "l2_baseline"):
-                    if teacher is None:
-                        teacher = _rows(cache.groups[logits_group], idx[rows])
+                elif mode in targets:
                     if mode == "hinton_baseline":
                         scale = config.alpha * config.temperature ** 2
-                        kl, grad = _hinton_grad(record.logits[rows], teacher,
+                        kl, grad = _hinton_grad(record.logits[rows], next(targets[mode]),
                                                 config.temperature, scale)
                     else:
                         scale = config.alpha
-                        kl, grad = _l2_grad(record.logits[rows], teacher, scale)
+                        kl, grad = _l2_grad(record.logits[rows], next(targets[mode]), scale)
                     if scale != 0.0:
                         loss[rows] += kl * scale
                         logit_grad[rows] += grad  # the bits of grad + ce_grad
@@ -776,8 +795,9 @@ def format_topk_table(reports: dict[str, MetricsReport]) -> str:
 @dataclass
 class _StackedSchedule:
     """Seeds' schedules stepped together, row s of a batch from schedule s,
-    and that stack repeated ``blocks`` times, a block per mode; zip and
-    np.stack raise unless every seed's batches match in shape."""
+    and that stack repeated ``blocks`` times, a block per mode.  An epoch's
+    permutations are stacked and tiled once, and each step is a view of
+    that array; seeds whose batches differ in shape raise DimensionMismatch."""
 
     schedules: list[BatchSchedule]
     blocks: int = 1
@@ -788,8 +808,14 @@ class _StackedSchedule:
         return np.concatenate([s.indices for s in self.schedules])
 
     def epoch_batches(self, epoch: int) -> list[np.ndarray]:
-        return [np.tile(np.stack(step), (self.blocks, 1)) for step in zip(
-            *(s.epoch_batches(epoch) for s in self.schedules), strict=True)]
+        seeds = [s.epoch_batches(epoch) for s in self.schedules]
+        sizes = [idx.size for idx in seeds[0]]
+        if any([idx.size for idx in batches] != sizes for batches in seeds):
+            raise DimensionMismatch("stacked seeds' batches differ in shape")
+        rows = np.tile(np.stack([np.concatenate(batches) for batches in seeds]),
+                       (self.blocks, 1))
+        ends = np.cumsum(sizes).tolist()
+        return [rows[:, end - size:end] for size, end in zip(sizes, ends)]
 
 
 def compare_methods(dataset: Dataset, teacher_spec: NetworkSpec,

@@ -318,6 +318,16 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(LabelOutOfRange):
             softmax_cross_entropy(np.zeros((1, 3)), [3])
 
+    @pytest.mark.parametrize("labels, dtype", [
+        ([0.5, 1, 2], "float64"), ([True, False, True], "bool"), (["0", "1", "2"], "<U1"),
+    ], ids=["float", "bool", "str"])
+    def test_labels_must_be_integers(self, labels, dtype):
+        # float labels reached numpy's bare IndexError, and bool labels a
+        # shape mismatch in the fancy index
+        with pytest.raises(LabelOutOfRange) as excinfo:
+            softmax_cross_entropy(np.zeros((3, 3)), labels)
+        assert str(excinfo.value) == f"labels must be integers, got dtype {dtype}"
+
     @pytest.mark.parametrize("logits, labels, named", [
         (np.zeros(3), [0], "logits must be 2-d, got shape (3,)"),
         (np.zeros((2, 3)), [0], "labels shape (1,) does not match batch size 2"),

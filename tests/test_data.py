@@ -254,6 +254,28 @@ def test_dataset_refusals(inputs, labels, error, named):
     assert str(excinfo.value) == named
 
 
+@pytest.mark.parametrize("labels, shown", [
+    ([0.5, 1.7, 0.2], "array([0.5, 1.7, 0.2])"),
+    ([0.0, 1.0, np.nan], "array([ 0.,  1., nan])"),
+    ([0.0, 1.0, np.inf], "array([ 0.,  1., inf])"),
+    ([True, False, True], "array([ True, False,  True])"),
+    (["0", "1", "1"], "array(['0', '1', '1'], dtype='<U1')"),
+], ids=["fraction", "nan", "inf", "bool", "str"])
+def test_dataset_refuses_labels_that_are_not_integers(labels, shown):
+    # each was cast to int64: [0.5, 1.7, 0.2] became [0, 1, 0]
+    with pytest.raises(ConfigError) as excinfo:
+        Dataset(np.zeros((3, 2)), labels, class_count=2)
+    assert str(excinfo.value) == f"labels must be integers, got {shown}"
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 1], np.array([0, 1, 1], dtype=np.uint8),
+                                    [0.0, 1.0, 1.0]], ids=["list", "uint8", "whole-float"])
+def test_dataset_keeps_integer_labels_as_int64(labels):
+    ds = Dataset(np.zeros((3, 2)), labels, class_count=2)
+    assert ds.labels.dtype == np.int64
+    assert ds.labels.tolist() == [0, 1, 1]
+
+
 class TestSynthBlobs:
     def test_wide_separation_linearly_separable(self):
         ds = synth_blobs(100, 2, 2, separation=10.0, seed=0)
@@ -328,6 +350,14 @@ class TestSplitAndBatch:
                                       b.train.source_indices)
         for ba, bb in zip(a.schedule.epoch_batches(4), b.schedule.epoch_batches(4)):
             np.testing.assert_array_equal(ba, bb)
+
+    @pytest.mark.parametrize("epoch", [-1, 1.5, True, "1"])
+    def test_epoch_must_be_an_integer_at_least_zero(self, epoch):
+        # -1 and "1" reached numpy's bare ValueError, and 1.5 and True gave
+        # epoch 1's batches
+        with pytest.raises(ConfigError) as excinfo:
+            BatchSchedule(np.arange(10), 4, 0).epoch_batches(epoch)
+        assert str(excinfo.value) == f"epoch must be an integer >= 0, got {epoch!r}"
 
     def test_batch_too_small(self):
         ds = synth_blobs(10, 2, 2, 1.0, seed=0)

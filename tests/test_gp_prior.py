@@ -651,6 +651,42 @@ class TestStackAxes:
                     np.testing.assert_array_equal(sliced.basis, single.basis)
 
 
+class TestStackNorm:
+    """A stack's ||L^{-1}||_F^2 is formed in one pass when it is first
+    sliced: each slice takes its entry, with the bits of its lone batch's
+    norm, whether the stack's was read before slicing or not."""
+
+    @pytest.mark.parametrize("p", [7, 3], ids=["n-by-n", "basis"])
+    def test_slices_take_their_entry(self, p):
+        phi = np.random.default_rng(97).standard_normal((2, 3, 5, p))
+        cfg = PriorConfig()
+        stacked = feature_kernel(phi, cfg)
+        assert stacked.inv_sq_norm.shape == (2, 3)
+        for i in range(2):
+            for s in range(3):
+                single = feature_kernel(phi[i, s], cfg)
+                sliced = stacked[i][s]
+                assert (sliced.basis is None) == (single.basis is None) == (p >= 5)
+                assert "inv_sq_norm" in vars(sliced)  # given, not formed on read
+                assert sliced.inv_sq_norm == single.inv_sq_norm
+
+    def test_first_slice_forms_the_stacks_norm(self, monkeypatch):
+        phi = np.random.default_rng(98).standard_normal((3, 5, 7))
+        stacked = feature_kernel(phi, PriorConfig())
+        lone = [feature_kernel(phi[s], PriorConfig()).inv_sq_norm for s in range(3)]
+        passes, sq_norm = [], gp_prior._sq_norm
+
+        def counted(a):
+            passes.append(a.shape)
+            return sq_norm(a)
+
+        monkeypatch.setattr(gp_prior, "_sq_norm", counted)
+        slices = [stacked[s] for s in range(3)]
+        assert passes == [(3, 5, 5)]
+        assert [sliced.inv_sq_norm for sliced in slices] == lone
+        assert passes == [(3, 5, 5)]
+
+
 class TestStudentHalf:
     """One student half serves every KL term on its layer: each teacher
     half of it has the bits of that term's own feature_kl_and_grad call,
@@ -754,6 +790,19 @@ class TestHintonSoftTarget:
         value = hinton_soft_target(np.array([[0.0, 0.0]]),
                                    np.array([[0.0, math.log(3.0)]]), 1.0)
         assert value == pytest.approx(math.log(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (2, 5, 10)], ids=["batch", "seed-stacked"])
+    def test_one_exp_pass_keeps_the_bits_of_softmax_and_log_softmax(self, shape):
+        # the ci/bits.py listing cannot see these bits: an ulp of the
+        # gradient rarely moves a float32 parameter
+        rng = np.random.default_rng(13)
+        s, t = 3.0 * rng.standard_normal(shape), rng.standard_normal(shape)
+        p = gp_prior._soft_targets(t, 4.0)
+        np.testing.assert_array_equal(p, gp_prior._softmax(t / 4.0))
+        value, q = gp_prior._soft_target(s, p, 4.0)
+        np.testing.assert_array_equal(q, gp_prior._softmax(s / 4.0))
+        log_q = gp_prior._log_softmax(s / 4.0)
+        np.testing.assert_array_equal(value, -(p * log_q).sum(axis=-1).sum(axis=-1) / shape[-2])
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):

@@ -285,6 +285,24 @@ class TestStackedBits:
         with pytest.raises(DimensionMismatch):
             call(f)
 
+    def test_rhs_stack_of_other_leading_axes_refused(self):
+        # three right-hand sides for a stack of two factors reached numpy's
+        # bare broadcast ValueError: the size check read only axis -2
+        f = cholesky(np.stack([2.0 * np.eye(3), 4.0 * np.eye(3)]))
+        with pytest.raises(DimensionMismatch) as excinfo:
+            solve_spd(f, np.ones((3, 3, 1)))
+        assert str(excinfo.value) == ("rhs stack of shape (3, 3, 1) does not match the "
+                                      "factor's leading axes (2,)")
+
+    @pytest.mark.parametrize("lead, rhs", [((2,), (2, 2, 3, 1)), ((2,), (1, 3, 1)),
+                                           ((), (2, 3, 1))],
+                             ids=["extra-axis", "broadcast-axis", "lone-factor"])
+    def test_rhs_stack_must_have_the_factors_leading_axes(self, lead, rhs):
+        # each of these broadcast without an error
+        f = cholesky(np.broadcast_to(2.0 * np.eye(3), lead + (3, 3)))
+        with pytest.raises(DimensionMismatch):
+            solve_spd(f, np.ones(rhs))
+
     def test_one_indefinite_slice_fails_the_stack(self):
         a = np.stack([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]])
         with pytest.raises(NotPositiveDefinite):

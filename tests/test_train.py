@@ -827,6 +827,50 @@ class TestEpochTeacherKernels:
         assert stacked == table()
 
 
+class TestEpochTargets:
+    """The logit baselines' teacher rows and soft targets p are formed once
+    an epoch by ``_per_batch``, in stacked runs, and give each step the bits
+    of its own batch's call.  50 rows in batches of 8 make one run of six
+    full batches and a lone tail of 2."""
+
+    @pytest.mark.parametrize("seeds", [None, 2], ids=["lone", "seed-stacked"])
+    @pytest.mark.parametrize("classes", [3, 10])
+    def test_soft_targets_per_batch(self, monkeypatch, classes, seeds):
+        shape = (50, classes) if seeds is None else (seeds, 50, classes)
+        group = np.random.default_rng(classes).standard_normal(shape).astype(np.float32)
+        schedules = [BatchSchedule(np.arange(50), 8, seed) for seed in (1, 2)[:seeds or 1]]
+        batches = (schedules[0].epoch_batches(0) if seeds is None
+                   else train._StackedSchedule(schedules).epoch_batches(0))
+        builds = []
+
+        def build(logits):
+            builds.append(logits.shape[:-2])
+            return gp_prior._soft_targets(logits, 4.0)
+
+        lead = () if seeds is None else (seeds,)
+        for idx, p in zip(batches, train._per_batch(group, batches, build), strict=True):
+            np.testing.assert_array_equal(
+                p, gp_prior._soft_targets(train._rows(group, idx), 4.0))
+        assert builds == [(6, *lead), lead]
+
+    def test_formed_once_a_run_an_epoch(self, rings_setup, monkeypatch):
+        # 100 train rows in batches of 16: a run of six and a tail of 4, so
+        # two soft-target calls an epoch for 3 epochs, not one a step
+        ds, split, _, cache = rings_setup
+        calls, original = [], train._soft_targets
+
+        def recorded(logits, temperature):
+            calls.append(np.shape(logits)[:-2])
+            return original(logits, temperature)
+
+        monkeypatch.setattr(train, "_soft_targets", recorded)
+        run_distillation(NetworkSpec.dense(2, [4], 2), ds, split,
+                         TrainPlan(seed=3, batch_size=16, phase1_epochs=2, phase2_epochs=1,
+                                   mode="hinton_baseline"),
+                         cache=cache, logits_group=2)
+        assert calls == [(6,), ()] * 3
+
+
 class TestStudentHalves:
     """Three terms on two student layers: teacher A's groups 0 and 1 on
     layer 1, teacher B's group 2 on layer 0 at weight 0.5.  Each step forms
@@ -1549,6 +1593,22 @@ class TestCompareMethods:
                 assert a.shape == (12, b.shape[1])
                 np.testing.assert_array_equal(a, b)
 
+    def test_stacked_schedule_steps_are_views_of_one_epoch_array(self, blobs):
+        split = split_and_batch(blobs, 0.5, 16, seed=1)
+        schedules = [BatchSchedule(split.train.source_indices, 16, s) for s in (1, 2)]
+        batches = train._StackedSchedule(schedules, 3).epoch_batches(0)
+        assert len(batches) > 1
+        assert all(idx.base is not None and idx.base is batches[0].base for idx in batches)
+
+    @pytest.mark.parametrize("rows, sizes", [
+        ((10, 12), (4, 4)), ((10, 14), (4, 4)), ((12, 12), (4, 6))],
+        ids=["tail", "batch-count", "batch-size"])
+    def test_stacked_schedule_refuses_batches_of_other_shapes(self, rows, sizes):
+        schedules = [BatchSchedule(np.arange(n), size, seed)
+                     for seed, (n, size) in enumerate(zip(rows, sizes))]
+        with pytest.raises(DimensionMismatch, match="batches differ in shape"):
+            train._StackedSchedule(schedules).epoch_batches(0)
+
     def assert_stacked_match_single_runs(self, monkeypatch, args):
         """compare_methods' (row, seed) models, metrics and phase-1 KL each
         equal a single-seed train_teacher/run_distillation bit for bit.
@@ -1665,7 +1725,7 @@ class TestCompareMethods:
 
 class TestBaselineNodeGradients:
     def test_soft_target_node_matches_finite_differences(self):
-        from featprior.gp_prior import hinton_soft_target
+        from featprior.gp_prior import _soft_targets, hinton_soft_target
         from featprior.train import _hinton_grad
         from oracles import central_diff_gradient, relative_error
 
@@ -1674,7 +1734,7 @@ class TestBaselineNodeGradients:
         teacher = rng.standard_normal((3, 4))
         temperature = 2.5
 
-        _, grad = _hinton_grad(student, teacher, temperature, 1.0)
+        _, grad = _hinton_grad(student, _soft_targets(teacher, temperature), temperature, 1.0)
 
         def f(flat):
             return hinton_soft_target(flat.reshape(3, 4), teacher, temperature)
