@@ -57,11 +57,17 @@ The lines:
   <repr>`` for each two_phase row, from ``ComparisonResult.phase1_kl``;
 - ``<case> exit <code>`` and ``<case> different dataset <bool>`` for the
   refused distill;
+- ``<case> steps <count> <sha256>`` for every case: the number of
+  ``train.backward`` calls its commands made (the name ``_fit_epochs``
+  steps through) and one hash of every call's float64 logit gradient and
+  hidden-layer gradients, layer by layer in order;
 - ``<path> <sha256>`` for every file written under WORK/out.
 
 Model files are float32 and the CSVs print 6 decimals, so a change in the
 last bits of a fit can leave every file as it was; the KL reprs and the
-model digests show it.
+model digests show it.  Parameters are float32 too, so an ulp of a
+float64 training gradient seldom moves a stored bit, and the listed KLs are
+values, not gradients; the step lines show it.
 
 A case is its output directory under WORK/out.  Each checkout trains its
 own teachers, so where their sha256 lines match, the distill lines compare
@@ -76,6 +82,8 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 TREE = Path.cwd()
 HEAD = Path(__file__).resolve().parent.parent
@@ -105,11 +113,13 @@ KINDS = {"distill": "RunResult", "compare": "ComparisonResult"}
 class Listing:
     """Runs commands in ``work`` and prints their lines.  It wraps
     ``cli.run_distillation`` and ``cli.compare_methods`` to keep what they
-    return, and ``train.evaluate`` to hash each model it scores."""
+    return, ``train.evaluate`` to hash each model it scores, and
+    ``train.backward`` to hash each training step's gradients."""
 
     def __init__(self, work: Path):
         self.configs, self.out = work / "configs", work / "out"
         self.returned, self.scored = [], []
+        self.case, self.grads = None, {}  # case -> [steps, sha256 of their gradients]
         cli.run_distillation = self._capturing(cli.run_distillation)
         cli.compare_methods = self._capturing(cli.compare_methods)
         evaluate = train.evaluate
@@ -118,6 +128,17 @@ class Listing:
             self.scored.append(hashlib.sha256(network.serialize_model(model)).hexdigest())
             return evaluate(model, *args, **kwargs)
         train.evaluate = hashing
+        backward = train.backward
+
+        def stepped(model, x, record, act_grads, logit_grad, *args, **kwargs):
+            steps = self.grads[self.case]
+            steps[0] += 1
+            for key, grad in [("logits", logit_grad)] + sorted(act_grads.items()):
+                steps[1].update(f"{key}:".encode())
+                if grad is not None:
+                    steps[1].update(np.asarray(grad, dtype=np.float64).tobytes())
+            return backward(model, x, record, act_grads, logit_grad, *args, **kwargs)
+        train.backward = stepped
 
     def _capturing(self, entry):
         def wrapped(*args, **kwargs):
@@ -136,6 +157,8 @@ class Listing:
         case = Path(argv[argv.index("--out") + 1]).relative_to(self.out).as_posix()
         self.returned.clear()
         self.scored.clear()
+        self.case = case
+        self.grads.setdefault(case, [0, hashlib.sha256()])
         with contextlib.redirect_stdout(sys.stderr):
             return case, cli.main(argv)
 
@@ -169,6 +192,10 @@ class Listing:
         sys.stderr.write(err.getvalue())
         print(case, "exit", status)
         print(case, "different dataset", "different dataset" in err.getvalue())
+
+    def steps(self) -> None:
+        for case, (count, digest) in self.grads.items():
+            print(case, "steps", count, digest.hexdigest())
 
     def files(self) -> None:
         for path in sorted(p for p in self.out.rglob("*") if p.is_file()):
@@ -257,6 +284,7 @@ def main(argv) -> int:
         ls = Listing(Path(tmp))
         for cases in (reference, experts, modes, bench):
             cases(ls)
+        ls.steps()
         ls.files()
     return 0
 

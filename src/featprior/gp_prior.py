@@ -65,10 +65,14 @@ layer shares it.
 
 ``feature_kernel`` and ``feature_kl_and_grad`` also take a stack of
 batches (... x n x p, with any leading axes: seeds, steps or both) and give
-each slice the bits of its own call; jitter escalates per slice.  A
-``feature_kernel`` keeps only what the KL reads: L2^{-1} (Q and L_B^{-1} in
-the feature basis), the jitter, and log|K2|, the part no student changes,
-which a stack of batches forms in one pass.  ||L2^{-1}||_F^2
+each slice the bits of its own call; jitter escalates per slice.  A lone
+batch's Gram is factored by the public ``gram_kernel``, a stack's by
+``_gram_kernel`` (``_routed_gram_kernel``).  A stack of kernels meets only
+a stack of batches with the same leading axes.
+
+A ``feature_kernel`` keeps only what the KL reads: L2^{-1} (Q and L_B^{-1}
+in the feature basis), the jitter, and log|K2|, the part no student
+changes, which a stack of batches forms in one pass.  ||L2^{-1}||_F^2
 (||L_B^{-1}||_F^2) is formed when the KL first reads it, and a stack forms
 it in one pass when it is first sliced, each slice taking its entry.  It
 drops the Gram and L.
@@ -176,7 +180,11 @@ class KernelMatrix:
 
     def __getitem__(self, i) -> "KernelMatrix":
         """Slice i of a stack, as views, and its entry of the stack's
-        inv_sq_norm, which the first slice forms in one pass."""
+        inv_sq_norm, which the first slice forms in one pass.  A lone kernel
+        raises DimensionMismatch."""
+        if self.inverse.ndim < 3:
+            raise DimensionMismatch("KernelMatrix[i] slices a stack, not a lone "
+                                    f"kernel of size {self.size}")
         k = KernelMatrix(*(None if v is None else v[i] for v in
                            (self.inverse, self.jitter, self.log_det, self.gram, self.basis)))
         vars(k)["inv_sq_norm"] = self.inv_sq_norm[i]
@@ -256,10 +264,17 @@ def gram_kernel(phi, config: PriorConfig) -> KernelMatrix:
 
 
 def _gram_kernel(arr: np.ndarray, config: PriorConfig) -> KernelMatrix:
-    """gram_kernel of a checked batch or stack.  Stacks come here, not
-    through gram_kernel, whose jitter stays a float."""
+    """gram_kernel of a checked batch or stack."""
     n, p = arr.shape[-2:]
     return _factor_jittered(_scaled_gram(arr, p, config), config.jitter, f"Gram of batch {n}")
+
+
+def _routed_gram_kernel(arr: np.ndarray, config: PriorConfig) -> KernelMatrix:
+    """The Gram kernel of a checked batch or stack: a lone batch goes through
+    the public ``gram_kernel`` and a stack through ``_gram_kernel``, because
+    perfbench covers the gp_prior layer by ``gram_kernel``'s calls and its
+    escalation count compares each call's one float jitter with the config's."""
+    return (gram_kernel if arr.ndim == 2 else _gram_kernel)(arr, config)
 
 
 def _rank_deficient(n: int, p: int) -> FactorizationFailed:
@@ -274,21 +289,17 @@ def feature_kernel(phi, config: PriorConfig) -> KernelMatrix:
     as its basis, that of the core ``gram_kernel(R, config)`` for the thin
     QR Phi = Q R (R is p wide, so width normalization and escalation act as
     on any Gram; zero jitter raises FactorizationFailed) and log|K| =
-    log|B| + (n - p) log j, else ``gram_kernel(phi, config)``'s.  A lone
-    batch goes through the public ``gram_kernel`` and a stack never does
-    (it takes ``_gram_kernel``): perfbench covers the gp_prior layer by
-    ``gram_kernel``'s calls, and its escalation count compares each call's
-    one float jitter with the config's.
+    log|B| + (n - p) log j, else ``gram_kernel(phi, config)``'s, each
+    Gram by ``_routed_gram_kernel``.
     """
     arr = _as_features(phi, stacked=True)
     n, p = arr.shape[-2:]
-    kernel = gram_kernel if arr.ndim == 2 else _gram_kernel
     if p >= n:
-        return replace(kernel(arr, config), gram=None)
+        return replace(_routed_gram_kernel(arr, config), gram=None)
     if config.jitter == 0.0:
         raise _rank_deficient(n, p)
     q, r = np.linalg.qr(arr)
-    core = kernel(r, config)
+    core = _routed_gram_kernel(r, config)
     return replace(core, gram=None, basis=q,
                    log_det=core.log_det + (n - p) * _log(core.jitter))
 
@@ -342,13 +353,12 @@ def _student_half(arr: np.ndarray, config: PriorConfig) -> StudentHalf:
     """The StudentHalf of checked features (a batch or a stack): from the
     n x n Gram when p >= n, else from the p x p matrix M = jI + c Phi^T Phi
     of the module docstring, a KernelMatrix whose jitter escalates like
-    gram_kernel's (zero jitter raises FactorizationFailed).  A lone n x n
-    Gram goes through ``gram_kernel``, a stack's never, as in ``feature_kernel``."""
+    gram_kernel's (zero jitter raises FactorizationFailed); the n x n Gram
+    by ``_routed_gram_kernel``."""
     n, p = arr.shape[-2:]
     c = 1.0 / p if config.normalize_by_width else 1.0
     if p >= n:
-        kernel = gram_kernel if arr.ndim == 2 else _gram_kernel
-        return StudentHalf.of_kernel(arr, kernel(arr, config), c)
+        return StudentHalf.of_kernel(arr, _routed_gram_kernel(arr, config), c)
     if config.jitter == 0.0:
         raise _rank_deficient(n, p)
     cols = arr.swapaxes(-1, -2)
@@ -382,12 +392,23 @@ def _teacher_half(s: StudentHalf, t: KernelMatrix) -> tuple[float, np.ndarray]:
     return 0.5 * (trace - n + t.log_det - s.log_det), c * (kt_phi - s.solved)
 
 
+def _check_stacks(arr: np.ndarray, k_t: KernelMatrix) -> None:
+    """A stack of batches meets a stack of teacher kernels only on the same
+    leading axes; a lone batch or a lone kernel is taken against each slice.
+    (``linalg.solve_spd`` refuses a student kernel's stack that differs.)"""
+    lead = k_t.inverse.shape[:-2]
+    if arr.ndim > 2 and lead and lead != arr.shape[:-2]:
+        raise DimensionMismatch(f"a stack of batches {arr.shape} against a stack of "
+                                f"kernels {(*lead, k_t.size, k_t.size)}: leading axes differ")
+
+
 def gp_kl_and_grad(phi_s, k_s: KernelMatrix, k_t: KernelMatrix,
                    config: PriorConfig) -> tuple[float, np.ndarray]:
     """gp_kl(k_s, k_t) and its gradient d/d Phi_s, for k_s =
     gram_kernel(phi_s, config), from one product A = L_t^{-1} Phi_s: the
     gradient is c (L_t^{-T} A - L_s^{-T} L_s^{-1} Phi_s), c = 1/p under
-    width normalization (else 1).  A k_s in a feature basis raises
+    width normalization (else 1).  A k_s in a feature basis, or a stack of
+    kernels whose leading axes are not the stack of batches', raises
     DimensionMismatch."""
     arr = _as_features(phi_s, stacked=True)
     n, p = arr.shape[-2:]
@@ -395,6 +416,7 @@ def gp_kl_and_grad(phi_s, k_s: KernelMatrix, k_t: KernelMatrix,
         raise DimensionMismatch(
             f"kernels of size {k_s.size}/{k_t.size} do not match batch {n}"
         )
+    _check_stacks(arr, k_t)
     if k_s.basis is not None:
         raise DimensionMismatch("gp_kl_and_grad takes an n x n student kernel (gram_kernel), "
                                 "not one in a feature basis")
@@ -407,13 +429,15 @@ def feature_kl_and_grad(phi_s, k_t: KernelMatrix,
     """gp_kl(gram_kernel(phi_s, config), k_t) and its gradient d/d Phi_s,
     for a teacher kernel from ``feature_kernel`` or any n x n KernelMatrix:
     the teacher half of the student's half (``_student_half``).  When p >= n
-    this is exactly ``gp_kl_and_grad(phi_s, gram_kernel(phi_s, config), k_t, config)``."""
+    this is exactly ``gp_kl_and_grad(phi_s, gram_kernel(phi_s, config), k_t, config)``,
+    and it refuses the same stacks."""
     arr = _as_features(phi_s, stacked=True)
     n = arr.shape[-2]
     if k_t.size != n:
         raise DimensionMismatch(
             f"teacher kernel of size {k_t.size} does not match batch {n}"
         )
+    _check_stacks(arr, k_t)
     return _teacher_half(_student_half(arr, config), k_t)
 
 

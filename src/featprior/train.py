@@ -18,11 +18,12 @@ Conventions shared by every routine here:
   epoch's step loss.  What the batches fix and the student does not is
   formed there, in stacked calls over runs of consecutive same-shape
   batches (``_per_batch``), and each step takes its slice: a prior term's
-  teacher kernels with their ||L^{-1}||_F^2 (``_teacher_kernels``, jitter
-  still escalating per batch), the l2 baseline's teacher logits and the
-  soft-target baseline's softened teacher softmax.  One run of each is
-  alive at a time, dropped before the next is built, and a kernel (a
-  ``KernelMatrix``) holds L^{-1}, not the Gram or L.
+  teacher kernels (``feature_kernel``, jitter still escalating per batch, a
+  lone batch's Gram by the public ``gram_kernel``) with their ||L^{-1}||_F^2,
+  the l2 baseline's teacher logits and the soft-target baseline's softened
+  teacher softmax.  One run of each is alive at a time, dropped before the
+  next is built, and a kernel (a ``KernelMatrix``) holds L^{-1}, not the
+  Gram or L.
 * A step is ``forward``, a step loss returning (loss, task value, prior
   value, {hidden layer: dL/dh}, dL/dlogits), then ``autodiff.backward``
   given the fit's frozen layers.  Term gradients are summed in one fixed
@@ -457,15 +458,6 @@ def _per_batch(group: np.ndarray, batches, build):
         start = end
 
 
-def _teacher_kernels(group: np.ndarray, batches, config: PriorConfig):
-    """Each batch's ``feature_kernel`` of cache group rows, by ``_per_batch``,
-    with the bits and the escalated jitter of its own batch's call.  A run
-    of one batch comes from the public ``gram_kernel`` (``feature_kernel``
-    says why); a stacked run forms its ||L^{-1}||_F^2 in one pass as it is
-    sliced (``KernelMatrix.__getitem__``)."""
-    return _per_batch(group, batches, partial(feature_kernel, config=config))
-
-
 def _hinton_grad(logits: np.ndarray, p: np.ndarray,
                  temperature: float, scale: float) -> tuple[float, np.ndarray]:
     """The soft-target value of student logits against the teacher's
@@ -484,19 +476,20 @@ def _l2_grad(logits: np.ndarray, teacher_logits: np.ndarray,
 def _prior_objective(experts, config: PriorConfig, scale: float = 1.0):
     """Sum over ``ExpertPrior``s of alpha * the sum of their group KLs; the
     gradients carry ``scale``, the caller's weight on the whole sum.  Given
-    an epoch's batches it builds their teacher kernels (``_teacher_kernels``)
-    and returns the step loss, whose steps must come in that batch order.
-    Terms that read one group array share its kernels, and the terms on one
-    student layer share its half of the KL (``_student_half``), formed once
-    a step, in first-use order, from ``forward``'s activations (which it has
-    already checked finite)."""
+    an epoch's batches it builds each group's ``feature_kernel``s by
+    ``_per_batch`` and returns the step loss, whose steps must come in that
+    batch order.  Terms that read one group array share its kernels, and the
+    terms on one student layer share its half of the KL (``_student_half``),
+    formed once a step, in first-use order, from ``forward``'s activations
+    (which it has already checked finite)."""
     terms = [(expert.alpha, student_idx, expert.cache.groups[gid])
              for expert in experts for student_idx, gid in expert.mapping.entries]
     groups = list({id(group): group for _, _, group in terms}.values())
     layers = list(dict.fromkeys(student_idx for _, student_idx, _ in terms))
+    kernel = partial(feature_kernel, config=config)
 
     def objective(batches):
-        kernels = [_teacher_kernels(group, batches, config) for group in groups]
+        kernels = [_per_batch(group, batches, kernel) for group in groups]
 
         def step_loss(record, idx, labels):
             k2 = {id(group): next(k) for group, k in zip(groups, kernels)}
@@ -521,13 +514,17 @@ def _objective(modes, config: PriorConfig, cache: FeatureCache | None = None,
     order, and each term reaches its own block only.  Every block walks the
     same seeds' batches, so what the epoch's batches fix is formed once an
     epoch from one block's rows of them, by ``_per_batch``: the joint term's
-    step loss with its teacher kernels, the l2 baseline's teacher logits and
-    the soft-target baseline's softened teacher softmax p.  The prior value
-    is a lone mode's term (None for several)."""
+    step loss with its teacher kernels, and each logit baseline's entry of
+    ``baselines``, its epoch input from the teacher logits (the soft-target
+    baseline's softened teacher softmax p, the l2 baseline's teacher logits).
+    The prior value is a lone mode's term (None for several)."""
     prior = (_prior_objective([ExpertPrior(cache, mapping)], config, config.alpha)
              if "joint" in modes and mapping.entries and config.alpha > 0.0 else None)
-    builds = {"hinton_baseline": partial(_soft_targets, temperature=config.temperature),
-              "l2_baseline": np.asarray}  # a baseline's epoch input from teacher logits
+    t = config.temperature
+    # a logit baseline's epoch input from teacher logits, its step term and its weight
+    baselines = {"hinton_baseline": (partial(_soft_targets, temperature=t),
+                                     partial(_hinton_grad, temperature=t), config.alpha * t ** 2),
+                 "l2_baseline": (np.asarray, _l2_grad, config.alpha)}
 
     def block(b, total):
         """Mode b's rows of a stacked axis of ``total`` rows."""
@@ -537,8 +534,8 @@ def _objective(modes, config: PriorConfig, cache: FeatureCache | None = None,
     def objective(batches):
         own = [idx[block(0, len(idx))] for idx in batches]
         joint = None if prior is None else prior(own)
-        targets = {mode: _per_batch(cache.groups[logits_group], own, builds[mode])
-                   for mode in modes if mode in builds}
+        targets = {mode: (_per_batch(cache.groups[logits_group], own, build), term, scale)
+                   for mode, (build, term, scale) in baselines.items() if mode in modes}
 
         def step_loss(record, idx, labels):
             ce, logit_grad = softmax_cross_entropy(record.logits, labels)
@@ -554,13 +551,8 @@ def _objective(modes, config: PriorConfig, cache: FeatureCache | None = None,
                         act_grads[layer][rows] = grad
                     loss[rows] += kl * config.alpha
                 elif mode in targets:
-                    if mode == "hinton_baseline":
-                        scale = config.alpha * config.temperature ** 2
-                        kl, grad = _hinton_grad(record.logits[rows], next(targets[mode]),
-                                                config.temperature, scale)
-                    else:
-                        scale = config.alpha
-                        kl, grad = _l2_grad(record.logits[rows], next(targets[mode]), scale)
+                    inputs, term, scale = targets[mode]
+                    kl, grad = term(record.logits[rows], next(inputs), scale=scale)
                     if scale != 0.0:
                         loss[rows] += kl * scale
                         logit_grad[rows] += grad  # the bits of grad + ce_grad

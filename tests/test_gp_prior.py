@@ -650,6 +650,38 @@ class TestStackAxes:
                 if p < 5:
                     np.testing.assert_array_equal(sliced.basis, single.basis)
 
+    @pytest.mark.parametrize("entry", ["feature_kl_and_grad", "gp_kl_and_grad", "gp_kl_grad"])
+    @pytest.mark.parametrize("p_t", [8, 3], ids=["dense", "basis"])
+    def test_mismatched_stacks_refused(self, monkeypatch, entry, p_t):
+        # a stack of 2 batches against a stack of 3 teacher kernels is
+        # refused, naming both shapes, before any solve
+        rng = np.random.default_rng(99)
+        cfg = PriorConfig()
+        phi = rng.standard_normal((2, 6, 8))
+        k_s = gp_prior._gram_kernel(phi, cfg)
+        k_t = feature_kernel(rng.standard_normal((3, 6, p_t)), cfg)
+        call = {"feature_kl_and_grad": lambda: feature_kl_and_grad(phi, k_t, cfg),
+                "gp_kl_and_grad": lambda: gp_kl_and_grad(phi, k_s, k_t, cfg),
+                "gp_kl_grad": lambda: gp_kl_grad(phi, k_s, k_t, cfg)}[entry]
+        monkeypatch.setattr(linalg, "solve_spd", None)
+        monkeypatch.setattr(gp_prior, "_teacher_half", None)
+        with pytest.raises(DimensionMismatch, match=r"\(2, 6, 8\).*\(3, 6, 6\)"):
+            call()
+
+    @pytest.mark.parametrize("p_t", [8, 3], ids=["dense", "basis"])
+    def test_lone_side_meets_each_slice(self, p_t):
+        # a lone teacher kernel against a stack of batches, and a lone batch
+        # against a stack of kernels, give each slice its own call's bits
+        rng = np.random.default_rng(100)
+        cfg = PriorConfig()
+        phi, phi_t = rng.standard_normal((2, 6, 8)), rng.standard_normal((3, 6, p_t))
+        k_t = feature_kernel(phi_t[0], cfg)
+        value, _ = feature_kl_and_grad(phi, k_t, cfg)
+        assert value.tolist() == [feature_kl_and_grad(f, k_t, cfg)[0] for f in phi]
+        value, _ = feature_kl_and_grad(phi[0], feature_kernel(phi_t, cfg), cfg)
+        assert value.tolist() == [feature_kl_and_grad(phi[0], feature_kernel(t, cfg), cfg)[0]
+                                  for t in phi_t]
+
 
 class TestStackNorm:
     """A stack's ||L^{-1}||_F^2 is formed in one pass when it is first
@@ -685,6 +717,12 @@ class TestStackNorm:
         assert passes == [(3, 5, 5)]
         assert [sliced.inv_sq_norm for sliced in slices] == lone
         assert passes == [(3, 5, 5)]
+
+    @pytest.mark.parametrize("kernel", [gram_kernel, feature_kernel])
+    def test_lone_kernel_refuses_slicing(self, kernel):
+        k = kernel(np.random.default_rng(101).standard_normal((5, 3)), PriorConfig())
+        with pytest.raises(DimensionMismatch, match=r"KernelMatrix\[i\] slices a stack"):
+            k[0]
 
 
 class TestStudentHalf:
@@ -723,6 +761,20 @@ class TestStudentHalf:
         ref_value, ref_grad = gp_kl_and_grad(phi_s, k_s, k_t, cfg)
         assert value == ref_value
         np.testing.assert_array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("shape", [(2, 16, 16), (64, 64)], ids=["stacked", "lone"])
+    def test_forms_no_inv_sq_norm(self, monkeypatch, shape):
+        # a student's kernel is formed every step, and only a teacher's
+        # trace term reads ||L^{-1}||_F^2: forming it here is waste
+        passes, sq_norm = [], gp_prior._sq_norm
+
+        def counted(a):
+            passes.append(a.shape)
+            return sq_norm(a)
+
+        monkeypatch.setattr(gp_prior, "_sq_norm", counted)
+        gp_prior._student_half(np.random.default_rng(102).standard_normal(shape), PriorConfig())
+        assert passes == []
 
 
 class TestPriorLogDensity:

@@ -10,6 +10,7 @@ import math
 import struct
 import tracemalloc
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -617,8 +618,9 @@ class TestEpochTeacherKernels:
     cuts the full ones into chunks of 4 and 2, and the tail is built alone."""
 
     def check(self, monkeypatch, group, batches, cfg, p_s):
-        """Steps through ``_teacher_kernels`` against per-batch kernels;
-        returns the stack shape of each build and each step's jitter."""
+        """Steps through ``_per_batch`` of ``feature_kernel`` against
+        per-batch kernels; returns the stack shape of each build and each
+        step's jitter."""
         step_bytes = batches[0].size * group.shape[-1] * 8
         monkeypatch.setattr(train, "_TEACHER_CHUNK_BYTES", 4 * step_bytes)
         builds = []
@@ -631,8 +633,8 @@ class TestEpochTeacherKernels:
         monkeypatch.setattr(train, "feature_kernel", recorded)
         rng = np.random.default_rng(94)
         jitters = []
-        for idx, k_t in zip(batches, train._teacher_kernels(group, batches, cfg),
-                            strict=True):
+        kernels = train._per_batch(group, batches, partial(train.feature_kernel, config=cfg))
+        for idx, k_t in zip(batches, kernels, strict=True):
             ref = gp_prior.feature_kernel(train._rows(group, idx).astype(np.float64), cfg)
             assert (k_t.basis is None) == (ref.basis is None) == (group.shape[-1] >= idx.shape[-1])
             np.testing.assert_array_equal(k_t.jitter, ref.jitter)
@@ -709,7 +711,8 @@ class TestEpochTeacherKernels:
 
         monkeypatch.setattr(linalg, "cholesky", observed)
         monkeypatch.setattr(train, "feature_kernel", recorded)
-        kernels = train._teacher_kernels(group, batches, PriorConfig(jitter=1e-3))
+        kernels = train._per_batch(group, batches,
+                                   partial(train.feature_kernel, config=PriorConfig(jitter=1e-3)))
         for run in [0] * 4 + [1] * 2 + [2]:
             k_t = next(kernels)
             assert len(runs) == run + 1
@@ -780,13 +783,13 @@ class TestEpochTeacherKernels:
         plan = TrainPlan(seed=3, batch_size=16, phase1_epochs=2, phase2_epochs=1,
                          lr_phase1=1e-2, mode="joint")
         gids = {id(group): gid for gid, group in cache.groups.items()}
-        calls, original = [], train._teacher_kernels
+        calls, original = [], train._per_batch
 
-        def recorded(group, batches, config):
+        def recorded(group, batches, build):
             calls.append((gids[id(group)], [idx.copy() for idx in batches]))
-            return original(group, batches, config)
+            return original(group, batches, build)
 
-        monkeypatch.setattr(train, "_teacher_kernels", recorded)
+        monkeypatch.setattr(train, "_per_batch", recorded)
         student = NetworkSpec.dense(2, [4, 4], 2)
         if fit == "experts":
             combine_experts_fit(init_params(student, 3), ds, ExpertPriorSet((
